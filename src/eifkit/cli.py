@@ -277,6 +277,21 @@ def _float_field(cfg, key, default, where):
     return float(value)
 
 
+def _bool_field(cfg, key, default, where):
+    value = cfg.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where}: {key!r} must be true or false, got {value!r}")
+    return value
+
+
+def _float_list(cfg, key, default, where):
+    value = cfg.get(key, default)
+    if (not isinstance(value, (list, tuple))
+            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)):
+        raise ConfigError(f"{where}: {key!r} must be a list of numbers, got {value!r}")
+    return tuple(float(v) for v in value)
+
+
 def _int_grid(cfg, key, where):
     value = cfg.get(key)
     if (not isinstance(value, list) or len(value) < 2
@@ -303,8 +318,10 @@ def _cmd_estimate(args) -> dict:
                            ("onestep", "plugin", "ipw"), "estimate config")
     folds = _int_field(cfg, "folds", 0, "estimate config")
     level = _float_field(cfg, "level", 0.95, "estimate config")
+    if not 0.0 < level < 1.0:
+        raise ConfigError(f"estimate config: 'level' must lie in (0, 1), got {level!r}")
     seed = args.seed if args.seed is not None else _int_field(cfg, "seed", 0, "estimate config")
-    include_eif = bool(cfg.get("include_eif", False))
+    include_eif = _bool_field(cfg, "include_eif", False, "estimate config")
     spec_q, spec_g = _learner_pair(cfg, "estimate config")
     if "oracle-rate" in (spec_q.kind, spec_g.kind):
         raise ConfigError(
@@ -312,6 +329,8 @@ def _cmd_estimate(args) -> dict:
             "cannot run from a data file"
         )
     data = ingest_csv(_resolve(args.config, cfg["data"]))
+    if folds > data.n:
+        raise ConfigError(f"estimate config: 'folds' is {folds} but the data has {data.n} rows")
 
     if estimator == "onestep":
         if folds >= 2:
@@ -455,8 +474,8 @@ def _parse_dgp(cfg: dict, config_path) -> DGPSpec:
     defaults = DGPSpec()
     return DGPSpec(
         kind=kind,
-        gamma=tuple(block.get("gamma", defaults.gamma)),
-        beta=tuple(block.get("beta", defaults.beta)),
+        gamma=_float_list(block, "gamma", defaults.gamma, "simulate config.dgp"),
+        beta=_float_list(block, "beta", defaults.beta, "simulate config.dgp"),
         noise_sd=_float_field(block, "noise_sd", defaults.noise_sd, "simulate config.dgp"),
         treated_shift=_float_field(block, "treated_shift", defaults.treated_shift,
                                    "simulate config.dgp"),
@@ -497,6 +516,7 @@ def _cmd_simulate(args) -> dict:
     seed = args.seed if args.seed is not None else _int_field(cfg, "seed", 0, "simulate config")
     workers = (args.workers if args.workers is not None
                else _int_field(cfg, "workers", 1, "simulate config"))
+    include_replications = _bool_field(cfg, "include_replications", False, "simulate config")
     dgp = _parse_dgp(cfg, args.config)
 
     if study == "coverage":
@@ -530,7 +550,7 @@ def _cmd_simulate(args) -> dict:
             REPLICATION_HEADER,
             [r.to_row() for r in summary.replications],
         )
-    if cfg.get("include_replications"):
+    if include_replications:
         doc["replications"] = [
             dict(zip(REPLICATION_HEADER, r.to_row())) for r in summary.replications
         ]

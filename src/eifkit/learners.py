@@ -26,11 +26,21 @@ A :class:`LearnerSpec` names one of a fixed set of procedures:
 
 All propensity outputs are truncated into [eps, 1-eps]; eps defaults to
 0.01.  Every fit is deterministic given its inputs and spec.
+
+The two smoothers predict in bounded memory.  They take query rows in
+blocks of at most KERNEL_BLOCK_PAIRS // n rows against the n fitting rows
+and build each block's (rows, n) squared distances one covariate at a
+time.  No temporary exceeds KERNEL_BLOCK_PAIRS floats (256 KB), or one row
+of n floats when n is larger, whatever the query count or dimension.  kNN
+sums the exact squared differences (q_j - t_j)**2 rather than expanding
+|q|^2 - 2 q.t + |t|^2: the expanded form cancels and can reorder
+near-tied neighbours.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -64,6 +74,11 @@ RIDGE_JITTER = 1e-8
 IRLS_MAX_ITER = 100
 IRLS_GRADIENT_TOL = 1e-10
 DEFAULT_TRUNCATION = 0.01
+# query rows x fitting rows per smoother block.  Each (rows, n) float
+# temporary is then at most 256 KB, so a block's few temporaries stay in a
+# core's L2 cache; on a Xeon with 2 MB of L2 per core, 2 MB blocks
+# (1 << 18) ran the kernels 1.6-1.9x slower.
+KERNEL_BLOCK_PAIRS = 1 << 15
 
 OUTCOME_KINDS = ("linear-ols", "knn", "kernel-nw", "misspecified-omit", "oracle-rate")
 PROPENSITY_KINDS = (
@@ -138,6 +153,12 @@ class Dataset:
         return Dataset(self.w[index], self.a[index], self.y[index])
 
 
+def _is_real(value) -> bool:
+    """True for a finite int or float that is not a bool."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 @dataclass(frozen=True)
 class LearnerSpec:
     """Declarative description of one nuisance fit.
@@ -159,19 +180,23 @@ class LearnerSpec:
     def __post_init__(self):
         if self.kind not in _ALL_KINDS:
             raise InvalidLearnerSpec(f"unknown learner kind {self.kind!r}")
-        if not 0.0 < self.truncation < 0.5:
+        if not (_is_real(self.truncation) and 0.0 < self.truncation < 0.5):
             raise InvalidLearnerSpec(f"truncation must lie in (0, 0.5), got {self.truncation!r}")
-        if self.k is not None and (int(self.k) != self.k or self.k < 1):
+        if self.k is not None and not (
+            isinstance(self.k, numbers.Integral) and not isinstance(self.k, bool) and self.k >= 1
+        ):
             raise InvalidLearnerSpec(f"k must be a positive integer, got {self.k!r}")
-        if self.bandwidth is not None and not self.bandwidth > 0.0:
-            raise InvalidLearnerSpec(f"bandwidth must be positive, got {self.bandwidth!r}")
+        if self.bandwidth is not None and not (_is_real(self.bandwidth) and self.bandwidth > 0.0):
+            raise InvalidLearnerSpec(
+                f"bandwidth must be a positive finite number, got {self.bandwidth!r}"
+            )
         if self.kind == "oracle-rate":
-            if self.rate_exponent is None or not 0.0 < self.rate_exponent <= 0.5:
+            if not (_is_real(self.rate_exponent) and 0.0 < self.rate_exponent <= 0.5):
                 raise InvalidLearnerSpec(
                     f"oracle-rate needs rate_exponent in (0, 0.5], got {self.rate_exponent!r}"
                 )
             # amplitude 0 is allowed: it degenerates to the exact truth
-            if self.amplitude is None or self.amplitude < 0.0:
+            if not (_is_real(self.amplitude) and self.amplitude >= 0.0):
                 raise InvalidLearnerSpec(
                     f"oracle-rate needs amplitude >= 0, got {self.amplitude!r}"
                 )
@@ -310,30 +335,70 @@ def _logistic_core(beta: np.ndarray, drop_first: bool) -> Callable:
     return core
 
 
+def _query_blocks(m: int, n: int):
+    """Slices of at most KERNEL_BLOCK_PAIRS // n query rows covering range(m)."""
+    rows = max(1, KERNEL_BLOCK_PAIRS // n)
+    for start in range(0, m, rows):
+        yield slice(start, start + rows)
+
+
+def _squared_distances(q: np.ndarray, t_cols: np.ndarray) -> np.ndarray:
+    """(rows, n) squared Euclidean distances from q (rows, d) to t_cols (d, n).
+
+    Accumulates (q_j - t_j)**2 one covariate at a time, in covariate order,
+    so no (rows, n, d) array exists.
+    """
+    d2 = np.subtract(q[:, 0, None], t_cols[0])
+    np.square(d2, out=d2)
+    diff = np.empty_like(d2)
+    for j in range(1, q.shape[1]):
+        np.subtract(q[:, j, None], t_cols[j], out=diff)
+        np.square(diff, out=diff)
+        d2 += diff
+    return d2
+
+
 def _knn_core(train_w: np.ndarray, train_t: np.ndarray, k: int) -> Callable:
-    k = min(k, len(train_t))
+    n = len(train_t)
+    k = min(k, n)
+    t_cols = np.ascontiguousarray(train_w.T)
 
     def core(w):
-        d2 = ((w[:, None, :] - train_w[None, :, :]) ** 2).sum(axis=2)
-        if k == len(train_t):
-            idx = np.broadcast_to(np.arange(len(train_t)), (len(w), len(train_t)))
-        else:
+        # per block: (rows, n) distances, their argpartition index and the
+        # gathered targets, each at most KERNEL_BLOCK_PAIRS elements.  The
+        # distances are exact differences, not |x|^2 - 2 x.y + |y|^2, whose
+        # cancellation can reorder near-tied neighbours.
+        if k == n:
+            return np.full(len(w), train_t.mean())
+        out = np.empty(len(w))
+        for rows in _query_blocks(len(w), n):
+            d2 = _squared_distances(w[rows], t_cols)
             idx = np.argpartition(d2, kth=k - 1, axis=1)[:, :k]
-        return train_t[idx].mean(axis=1)
+            out[rows] = train_t[idx].mean(axis=1)
+        return out
 
     return core
 
 
 def _nw_core(train_w: np.ndarray, train_t: np.ndarray, bandwidth: np.ndarray) -> Callable:
+    # fitting rows are scaled by the bandwidth once, here
+    t_cols = np.ascontiguousarray((train_w / bandwidth).T)
+
     def core(w):
-        scaled = (w[:, None, :] - train_w[None, :, :]) / bandwidth
-        logk = -0.5 * (scaled**2).sum(axis=2)
-        # per-row stabilization keeps the nearest point's weight at 1, so
-        # the denominator never underflows and far queries degrade to a
-        # nearest-neighbour average instead of 0/0
-        logk -= logk.max(axis=1, keepdims=True)
-        weights = np.exp(logk)
-        return (weights * train_t).sum(axis=1) / weights.sum(axis=1)
+        # per block: (rows, n) log-weights, reused in place for the weights,
+        # plus one (rows, n) product, each at most KERNEL_BLOCK_PAIRS elements
+        scaled = w / bandwidth
+        out = np.empty(len(w))
+        for rows in _query_blocks(len(w), len(train_t)):
+            logk = _squared_distances(scaled[rows], t_cols)
+            logk *= -0.5
+            # per-row stabilization keeps the nearest point's weight at 1, so
+            # the denominator never underflows and far queries degrade to a
+            # nearest-neighbour average instead of 0/0
+            logk -= logk.max(axis=1, keepdims=True)
+            weights = np.exp(logk, out=logk)
+            out[rows] = (weights * train_t).sum(axis=1) / weights.sum(axis=1)
+        return out
 
     return core
 

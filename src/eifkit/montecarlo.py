@@ -287,6 +287,14 @@ class EstimatorConfig:
             raise ConfigError(f"folds must be nonnegative, got {self.folds!r}")
 
 
+def _check_folds(config: EstimatorConfig, smallest_n: int) -> None:
+    if config.folds >= 2 and config.folds > smallest_n:
+        raise ConfigError(
+            f"{config.folds} folds need at least {config.folds} rows, "
+            f"but the smallest sample size is {smallest_n}"
+        )
+
+
 def _needs_truth(config: EstimatorConfig) -> bool:
     return "oracle-rate" in (config.spec_q.kind, config.spec_g.kind)
 
@@ -447,6 +455,7 @@ def run_coverage(
     """
     if reps < 2:
         raise ConfigError("coverage study needs at least 2 replications")
+    _check_folds(config, n)
     truth_value = dgp.truth(config.estimand)
     tasks = [(dgp, config, n, master_seed, rep, truth_value) for rep in range(reps)]
     results, failures = _split_outcomes(_run_tasks(tasks, workers))
@@ -533,6 +542,7 @@ def run_rate_experiment(
     grid = [int(n) for n in n_grid]
     if len(grid) < 2 or sorted(set(grid)) != grid or grid[0] < 1:
         raise ConfigError("n_grid must be strictly increasing positive integers")
+    _check_folds(config, grid[0])
     truth_value = dgp.truth(config.estimand)
     tasks = []
     rep_id = 0

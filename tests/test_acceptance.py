@@ -2,8 +2,8 @@
 
 Run ``python3 -m pytest tests/test_acceptance.py -v`` for a pass/fail line
 per criterion; add ``-s`` to stream the headline numbers as they print.
-The stochastic criteria (8, 9, 10) take a few minutes combined; everything
-else finishes in seconds.
+The stochastic criteria (8, 9, 10) take about 85 s combined on one core;
+everything else finishes in seconds.
 """
 
 import json

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from eifkit import draw_dataset, save_distribution
+from eifkit import draw_dataset, montecarlo, save_distribution
 from eifkit.cli import ingest_csv, main
 from eifkit.distributions import FiniteDistribution, Observation
 from eifkit.errors import (
@@ -314,6 +314,47 @@ def test_simulate_rate_subcommand(workspace, capsys):
     assert code == 0
     assert doc["n_grid"] == [100, 400]
     assert doc["slope"] < -0.2
+
+
+@pytest.mark.parametrize("overrides", [
+    {"learners": {"q": {"kind": "knn", "k": "x"}}},
+    {"learners": {"q": {"kind": "kernel-nw", "bandwidth": "x"}}},
+    {"learners": {"g": {"kind": "knn", "k": True}}},
+    {"level": 1.5},
+    {"level": 0},
+    {"folds": 500},
+    {"include_eif": "yes"},
+])
+def test_estimate_bad_values_exit_two(workspace, capsys, overrides):
+    _, config = workspace
+    cfg = config("est.json", {"data": "sample.csv", "folds": 3, **overrides})
+    code = main(["estimate", "--config", cfg])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert set(json.loads(captured.out)) == {"error"}
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("doc", [
+    {"study": "coverage", "n": 30, "reps": 4, "estimator": {"folds": 40}},
+    {"study": "rate", "n_grid": [30, 100], "reps": 4, "estimator": {"folds": 40}},
+    {"study": "coverage", "n": 50, "reps": 4, "dgp": {"gamma": ["a", 1, 1]}},
+    {"study": "coverage", "n": 50, "reps": 4, "dgp": {"beta": "abc"}},
+    {"study": "coverage", "n": 50, "reps": 4, "dgp": {"gamma": [True, 1, 1]}},
+    {"study": "coverage", "n": 50, "reps": 4, "include_replications": "yes"},
+])
+def test_simulate_rejects_bad_config_before_replicating(workspace, capsys, monkeypatch, doc):
+    _, config = workspace
+
+    def no_replications(*args, **kwargs):
+        raise AssertionError("replications ran for a config that should be rejected")
+
+    monkeypatch.setattr(montecarlo, "_run_tasks", no_replications)
+    code = main(["simulate", "--config", config("sim.json", doc)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert set(json.loads(captured.out)) == {"error"}
+    assert "Traceback" not in captured.err
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Learner oracles: frozen closed-form fits and rate-calibrated behavior."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from eifkit import Dataset, LearnerSpec, fit_outcome, fit_propensity, oracle_rate_nuisance
 from eifkit.learners import (
     DEFAULT_TRUNCATION,
+    KERNEL_BLOCK_PAIRS,
     fit_nuisance,
     perturbation_shape,
     truncate_propensity,
@@ -240,6 +242,31 @@ def test_spec_validation():
         LearnerSpec("knn", k=0)
 
 
+@pytest.mark.parametrize("fields", [
+    {"kind": "knn", "k": "x"},
+    {"kind": "knn", "k": True},
+    {"kind": "knn", "k": 2.5},
+    {"kind": "knn", "k": 15.0},
+    {"kind": "knn", "k": None, "truncation": "x"},
+    {"kind": "kernel-nw", "bandwidth": "x"},
+    {"kind": "kernel-nw", "bandwidth": True},
+    {"kind": "kernel-nw", "bandwidth": float("nan")},
+    {"kind": "kernel-nw", "bandwidth": float("inf")},
+    {"kind": "kernel-nw", "bandwidth": -0.1},
+    {"kind": "oracle-rate", "rate_exponent": "x", "amplitude": 0.1},
+    {"kind": "oracle-rate", "rate_exponent": 0.25, "amplitude": "x"},
+])
+def test_spec_rejects_non_numeric_fields(fields):
+    with pytest.raises(InvalidLearnerSpec):
+        LearnerSpec.from_dict(fields)
+
+
+def test_spec_accepts_numpy_numbers():
+    assert LearnerSpec("knn", k=np.int64(5)).k == 5
+    assert LearnerSpec("kernel-nw", bandwidth=np.float64(0.2)).bandwidth == 0.2
+    assert LearnerSpec("kernel-nw", bandwidth=1).bandwidth == 1
+
+
 def test_spec_dict_round_trip():
     spec = LearnerSpec("kernel-nw", bandwidth=0.3, truncation=0.05)
     assert LearnerSpec.from_dict(spec.to_dict()) == spec
@@ -292,3 +319,161 @@ def test_dataset_validation():
     data = _dataset([[0.0], [1.0]], [0, 1], [1.0, 2.0])
     with pytest.raises(ValueError):
         data.w[0, 0] = 5.0  # arrays are read-only
+
+
+# ---------------------------------------------------------------------------
+# smoother kernels against reference forms
+#
+# The two broadcast kernels below are the (m, n, d) forms the learners used
+# before they accumulated distances one covariate at a time in bounded query
+# blocks; they stay here as the reference the blocked kernels must match.
+
+
+def _broadcast_knn(train_w, train_t, k, w):
+    k = min(k, len(train_t))
+    d2 = ((w[:, None, :] - train_w[None, :, :]) ** 2).sum(axis=2)
+    if k == len(train_t):
+        idx = np.broadcast_to(np.arange(len(train_t)), (len(w), len(train_t)))
+    else:
+        idx = np.argpartition(d2, kth=k - 1, axis=1)[:, :k]
+    return train_t[idx].mean(axis=1)
+
+
+def _naive_knn(train_w, train_t, k, w):
+    out = np.empty(len(w))
+    for i, x in enumerate(w):
+        d2 = ((train_w - x) ** 2).sum(axis=1)
+        out[i] = train_t[np.argsort(d2, kind="stable")[:k]].mean()
+    return out
+
+
+def _naive_nw(train_w, train_t, bandwidth, w):
+    out = np.empty(len(w))
+    for i, x in enumerate(w):
+        logk = -0.5 * (((x - train_w) / bandwidth) ** 2).sum(axis=1)
+        weights = np.exp(logk - logk.max())
+        out[i] = (weights * train_t).sum() / weights.sum()
+    return out
+
+
+def _default_bw(train_w):
+    return train_w.std(axis=0, ddof=1) * len(train_w) ** (-0.2)
+
+
+KERNEL_RTOL = 1e-12
+BLOCK_ROWS_AT_500 = KERNEL_BLOCK_PAIRS // 500
+
+
+def _untreated(w, t):
+    return _dataset(w, np.zeros(len(w)), t)
+
+
+def _kernel_shapes():
+    # query counts: one row, a count that is not a multiple of the block
+    # row count, and one whose (m, n) grid exceeds the block budget
+    return (1, BLOCK_ROWS_AT_500 + 7, 3 * BLOCK_ROWS_AT_500 + 1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7])
+@pytest.mark.parametrize("k", [1, 9, 500])
+def test_knn_matches_broadcast_reference_bitwise(d, k):
+    rng = np.random.default_rng(100 + d)
+    train_w = rng.uniform(-1, 1, (500, d))
+    train_t = rng.standard_normal(500)
+    qhat = fit_outcome(_untreated(train_w, train_t), LearnerSpec("knn", k=k))
+    for m in _kernel_shapes():
+        probe = rng.uniform(-1.2, 1.2, (m, d))
+        assert np.array_equal(qhat(probe), _broadcast_knn(train_w, train_t, k, probe))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7])
+def test_knn_matches_broadcast_reference_on_tied_grid(d):
+    # integer lattices make many neighbours exactly equidistant, so the
+    # selected set depends on the distances being bit-identical
+    rng = np.random.default_rng(200 + d)
+    train_w = rng.integers(-3, 4, (600, d)).astype(float)
+    train_t = rng.standard_normal(600)
+    probe = rng.integers(-3, 4, (2 * (KERNEL_BLOCK_PAIRS // 600) + 5, d)).astype(float)
+    for k in (1, 4, 25):
+        qhat = fit_outcome(_untreated(train_w, train_t), LearnerSpec("knn", k=k))
+        assert np.array_equal(qhat(probe), _broadcast_knn(train_w, train_t, k, probe))
+
+
+@pytest.mark.parametrize("d", [8, 11])
+def test_knn_matches_naive_reference_in_high_dimension(d):
+    rng = np.random.default_rng(300 + d)
+    train_w = rng.uniform(-1, 1, (500, d))
+    train_t = rng.uniform(1.0, 2.0, 500)
+    qhat = fit_outcome(_untreated(train_w, train_t), LearnerSpec("knn", k=7))
+    for m in _kernel_shapes():
+        probe = rng.uniform(-1, 1, (m, d))
+        assert np.allclose(qhat(probe), _naive_knn(train_w, train_t, 7, probe),
+                           rtol=KERNEL_RTOL, atol=0.0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+@pytest.mark.parametrize("bandwidth", [None, 0.15])
+def test_kernel_matches_naive_reference(d, bandwidth):
+    rng = np.random.default_rng(400 + d)
+    train_w = rng.uniform(-1, 1, (500, d))
+    train_t = rng.uniform(1.0, 2.0, 500)
+    spec = LearnerSpec("kernel-nw", bandwidth=bandwidth)
+    qhat = fit_outcome(_untreated(train_w, train_t), spec)
+    bw = _default_bw(train_w) if bandwidth is None else np.full(d, bandwidth)
+    for m in _kernel_shapes():
+        probe = rng.uniform(-1.2, 1.2, (m, d))
+        assert np.allclose(qhat(probe), _naive_nw(train_w, train_t, bw, probe),
+                           rtol=KERNEL_RTOL, atol=0.0)
+
+
+def test_single_row_query_returns_float():
+    rng = np.random.default_rng(7)
+    train_w = rng.uniform(-1, 1, (50, 2))
+    train_t = rng.uniform(1.0, 2.0, 50)
+    data = _untreated(train_w, train_t)
+    x = np.array([0.1, -0.2])
+    for spec in (LearnerSpec("knn", k=5), LearnerSpec("kernel-nw")):
+        qhat = fit_outcome(data, spec)
+        val = qhat(x)
+        assert isinstance(val, float)
+        assert val == qhat(x[None, :])[0]
+    assert fit_outcome(data, LearnerSpec("knn", k=5))(x) == _naive_knn(
+        train_w, train_t, 5, x[None, :])[0]
+
+
+def test_kernel_far_query_in_every_block_degrades_to_nearest_neighbor():
+    rng = np.random.default_rng(8)
+    train_w = rng.uniform(-1, 1, (500, 2))
+    train_t = rng.uniform(1.0, 2.0, 500)
+    qhat = fit_outcome(_untreated(train_w, train_t), LearnerSpec("kernel-nw", bandwidth=0.1))
+    m = 3 * BLOCK_ROWS_AT_500 + 1
+    probe = rng.uniform(-1, 1, (m, 2))
+    far = np.arange(0, m, BLOCK_ROWS_AT_500)
+    probe[far] = [50.0, 50.0]
+    vals = qhat(probe)
+    assert np.all(np.isfinite(vals))
+    nearest = train_t[np.argmin(((train_w - 50.0) ** 2).sum(axis=1))]
+    assert np.allclose(vals[far], nearest, atol=1e-8)
+    near = np.setdiff1d(np.arange(m), far)
+    assert np.allclose(vals[near], _naive_nw(train_w, train_t, np.full(2, 0.1), probe[near]),
+                       rtol=KERNEL_RTOL, atol=0.0)
+
+
+def test_smoother_predictions_run_in_bounded_memory():
+    # the broadcast kernels held an (m, n, d) float array: about 256 MB
+    # per temporary at m = n = 4000, d = 2
+    rng = np.random.default_rng(9)
+    n = 4000
+    train_w = rng.uniform(-1, 1, (n, 2))
+    train_t = rng.standard_normal(n)
+    probe = rng.uniform(-1, 1, (n, 2))
+    data = _untreated(train_w, train_t)
+    for spec in (LearnerSpec("kernel-nw"), LearnerSpec("knn")):
+        qhat = fit_outcome(data, spec)
+        tracemalloc.start()
+        try:
+            qhat(probe)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20, (spec.kind, peak)

@@ -249,11 +249,13 @@ def test_run_coverage_validation():
 
 def test_run_coverage_workers_match_serial():
     dgp = default_logistic_linear()
-    config = _oracle_config()
-    serial = run_coverage(dgp, config, 120, 6, 31, workers=1)
-    parallel = run_coverage(dgp, config, 120, 6, 31, workers=2)
-    for lhs, rhs in zip(serial.replications, parallel.replications):
-        assert lhs.point == rhs.point and lhs.rep == rhs.rep
+    for config in (_oracle_config(),
+                   EstimatorConfig(spec_q=LearnerSpec("kernel-nw"), folds=3),
+                   EstimatorConfig(spec_q=LearnerSpec("knn"), folds=3)):
+        serial = run_coverage(dgp, config, 120, 6, 31, workers=1)
+        parallel = run_coverage(dgp, config, 120, 6, 31, workers=2)
+        for lhs, rhs in zip(serial.replications, parallel.replications):
+            assert lhs.point == rhs.point and lhs.rep == rhs.rep
 
 
 def test_run_rate_experiment_root_n_for_onestep():
