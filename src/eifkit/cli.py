@@ -59,28 +59,18 @@ from .errors import (
     InvalidLearnerSpec,
     MissingColumn,
     NonBinaryTreatment,
-    NoTreatedRows,
     UnexpectedColumn,
     UnparseableNumber,
 )
-from .estimators import (
-    crossfit,
-    ipw_psi,
-    onestep_psi,
-    onestep_theta,
-    plugin_psi,
-)
+from .estimators import EstimatorConfig, estimate
 from .learners import (
     Dataset,
     LearnerSpec,
     fit_nuisance,
-    fit_outcome,
-    fit_propensity,
     oracle_rate_nuisance,
 )
 from .montecarlo import (
     DGPSpec,
-    EstimatorConfig,
     run_coverage,
     run_dr_consistency,
     run_rate_experiment,
@@ -313,50 +303,17 @@ def _cmd_estimate(args) -> dict:
         ("data",),
         "estimate config",
     )
-    estimand = _str_field(cfg, "estimand", "psi", ("psi", "theta"), "estimate config")
-    estimator = _str_field(cfg, "estimator", "onestep",
-                           ("onestep", "plugin", "ipw"), "estimate config")
-    folds = _int_field(cfg, "folds", 0, "estimate config")
-    level = _float_field(cfg, "level", 0.95, "estimate config")
-    if not 0.0 < level < 1.0:
-        raise ConfigError(f"estimate config: 'level' must lie in (0, 1), got {level!r}")
     seed = args.seed if args.seed is not None else _int_field(cfg, "seed", 0, "estimate config")
-    include_eif = _bool_field(cfg, "include_eif", False, "estimate config")
-    spec_q, spec_g = _learner_pair(cfg, "estimate config")
-    if "oracle-rate" in (spec_q.kind, spec_g.kind):
+    config = _estimator_config(cfg, seed, "estimate config")
+    if "oracle-rate" in (config.spec_q.kind, config.spec_g.kind):
         raise ConfigError(
             "estimate config: oracle-rate learners need a known truth and "
             "cannot run from a data file"
         )
+    include_eif = _bool_field(cfg, "include_eif", False, "estimate config")
     data = ingest_csv(_resolve(args.config, cfg["data"]))
-    if folds > data.n:
-        raise ConfigError(f"estimate config: 'folds' is {folds} but the data has {data.n} rows")
-
-    if estimator == "onestep":
-        if folds >= 2:
-            report = crossfit(data, spec_q, spec_g, folds, estimand=estimand,
-                              seed=seed, level=level)
-        else:
-            nuis = fit_nuisance(data, spec_q, spec_g)
-            fn = onestep_psi if estimand == "psi" else onestep_theta
-            report = fn(data, nuis, level=level)
-        return report.to_dict(include_eif=include_eif)
-    if estimator == "plugin":
-        qhat = fit_outcome(data, spec_q)
-        if estimand == "psi":
-            point = plugin_psi(data, qhat)
-        else:
-            treated = data.a == 1
-            if not treated.any():
-                raise NoTreatedRows("plugin treated mean needs a treated row")
-            point = float(np.mean(np.asarray(qhat(data.w))[treated]))
-        return {"estimand": estimand, "estimator": "plugin", "point": point,
-                "n": data.n, "nuisance_specs": {"q": spec_q.to_dict()}}
-    if estimand != "psi":
-        raise ConfigError("estimate config: the ipw estimator only supports the psi estimand")
-    point = ipw_psi(data, fit_propensity(data, spec_g))
-    return {"estimand": "psi", "estimator": "ipw", "point": point,
-            "n": data.n, "nuisance_specs": {"g": spec_g.to_dict()}}
+    config.check_folds(data.n)
+    return estimate(data, config).to_dict(include_eif=include_eif)
 
 
 def _cmd_verify_eif(args) -> dict:
@@ -367,13 +324,8 @@ def _cmd_verify_eif(args) -> dict:
                             ("psi", "theta", "both"), "verify-eif config")
     base = load_distribution(_resolve(args.config, cfg["distribution"]))
     direction = load_distribution(_resolve(args.config, cfg["direction"]))
-    step_grid = cfg.get("step_grid")
-    if step_grid is not None:
-        if (not isinstance(step_grid, list)
-                or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                       for v in step_grid)):
-            raise ConfigError("verify-eif config: 'step_grid' must be a list of numbers")
-        step_grid = tuple(float(v) for v in step_grid)
+    step_grid = (None if cfg.get("step_grid") is None
+                 else _float_list(cfg, "step_grid", None, "verify-eif config"))
     names = ("psi", "theta") if functional == "both" else (functional,)
     out = {}
     for name in names:
@@ -394,10 +346,7 @@ def _cmd_decompose(args) -> dict:
     data = ingest_csv(_resolve(args.config, cfg["sample"]))
     truth = truth_functions(dist) if "oracle-rate" in (spec_q.kind, spec_g.kind) else None
     nuis = fit_nuisance(data, spec_q, spec_g, truth=truth)
-    report = decompose_error(dist, nuis, data, estimand=estimand)
-    doc = report.to_dict()
-    doc["closure_gap"] = report.closure_gap
-    return doc
+    return decompose_error(dist, nuis, data, estimand=estimand).to_dict()
 
 
 def _cmd_remainder(args) -> dict:
@@ -482,24 +431,28 @@ def _parse_dgp(cfg: dict, config_path) -> DGPSpec:
     )
 
 
+def _estimator_config(block: dict, fold_seed: int, where: str) -> EstimatorConfig:
+    """The estimator an estimate config, or a simulate config's estimator block, names."""
+    spec_q, spec_g = _learner_pair(block, where)
+    return EstimatorConfig(
+        estimand=_str_field(block, "estimand", "psi", ("psi", "theta"), where),
+        estimator=_str_field(block, "estimator", "onestep", ("onestep", "plugin", "ipw"), where),
+        spec_q=spec_q,
+        spec_g=spec_g,
+        folds=_int_field(block, "folds", 0, where),
+        level=_float_field(block, "level", 0.95, where),
+        fold_seed=fold_seed,
+    )
+
+
 def _parse_estimator(cfg: dict) -> EstimatorConfig:
     block = cfg.get("estimator", {})
     if not isinstance(block, dict):
         raise ConfigError("simulate config: 'estimator' must be an object")
+    where = "simulate config.estimator"
     _check_keys(block, ("estimand", "estimator", "learners", "folds", "level",
-                        "fold_seed"), (), "simulate config.estimator")
-    spec_q, spec_g = _learner_pair(block, "simulate config.estimator")
-    return EstimatorConfig(
-        estimand=_str_field(block, "estimand", "psi", ("psi", "theta"),
-                            "simulate config.estimator"),
-        estimator=_str_field(block, "estimator", "onestep",
-                             ("onestep", "plugin", "ipw"), "simulate config.estimator"),
-        spec_q=spec_q,
-        spec_g=spec_g,
-        folds=_int_field(block, "folds", 0, "simulate config.estimator"),
-        level=_float_field(block, "level", 0.95, "simulate config.estimator"),
-        fold_seed=_int_field(block, "fold_seed", 0, "simulate config.estimator"),
-    )
+                        "fold_seed"), (), where)
+    return _estimator_config(block, _int_field(block, "fold_seed", 0, where), where)
 
 
 def _cmd_simulate(args) -> dict:

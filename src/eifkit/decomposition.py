@@ -37,13 +37,14 @@ import numpy as np
 
 from .distributions import (
     FiniteDistribution,
+    fields_dict,
     g_of,
     psi_of,
     q_of,
     theta_of,
 )
-from .errors import NoTreatedRows, PositivityViolation, ZeroMassConditioning
-from .learners import Dataset, FittedNuisance, LearnerSpec, oracle_rate_nuisance
+from .errors import ConfigError, NoTreatedRows, PositivityViolation, ZeroMassConditioning
+from .learners import Dataset, FittedNuisance, LearnerSpec, _predictor, oracle_rate_nuisance
 
 __all__ = [
     "DecompositionReport",
@@ -81,16 +82,7 @@ class DecompositionReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "estimand": self.estimand,
-            "n": self.n,
-            "clt_term": self.clt_term,
-            "drift_term": self.drift_term,
-            "empirical_process_term": self.empirical_process_term,
-            "remainder": self.remainder,
-            "total_error": self.total_error,
-            "closure_gap": self.closure_gap,
-        }
+        return {**fields_dict(self), "closure_gap": self.closure_gap}
 
 
 @dataclass(frozen=True)
@@ -108,16 +100,8 @@ class RemainderReport:
         return abs(self.remainder_direct - self.remainder_closed_form)
 
     def to_dict(self) -> dict:
-        out = {
-            "estimand": self.estimand,
-            "remainder_direct": self.remainder_direct,
-            "remainder_closed_form": self.remainder_closed_form,
-            "cs_bound": self.cs_bound,
-            "identity_gap": self.identity_gap,
-        }
-        if self.terms is not None:
-            out["terms"] = dict(sorted(self.terms.items()))
-        return out
+        # terms, present only for theta, is left out when None
+        return {**fields_dict(self), "identity_gap": self.identity_gap}
 
 
 @dataclass(frozen=True)
@@ -223,7 +207,7 @@ def remainder_exact_theta(
     """
     pn_a = float(pn_a)
     if not 0.0 < pn_a <= 1.0:
-        raise ValueError(f"treated fraction must lie in (0, 1], got {pn_a!r}")
+        raise ConfigError(f"treated fraction must lie in (0, 1], got {pn_a!r}")
     _, w_matrix, pw, q, g, index = _support_tables(dist)
     qh, gh = _nuisance_on_support(nuis, w_matrix)
     theta_true = theta_of(dist)
@@ -346,9 +330,7 @@ def remainder_rate_sweep(
     estimand the treated fraction is held at the true Pr(A=1), isolating
     the product terms.
     """
-    grid = [int(n) for n in n_grid]
-    if len(grid) < 2 or any(n < 1 for n in grid) or sorted(set(grid)) != grid:
-        raise ValueError("n_grid must be strictly increasing positive integers")
+    grid = _check_n_grid(n_grid)
     truth_q, truth_g = truth
     rows = []
     for n in grid:
@@ -360,35 +342,38 @@ def remainder_rate_sweep(
         rows.append((n, rep.remainder_direct, rep.cs_bound))
     magnitudes = [abs(r) for _, r, _ in rows]
     if min(magnitudes) == 0.0:
-        raise ValueError("remainder vanished on the grid; slope undefined (amplitude 0?)")
+        raise ConfigError("remainder vanished on the grid; slope undefined (amplitude 0?)")
     slope = float(
         np.polyfit(np.log([n for n, _, _ in rows]), np.log(magnitudes), 1)[0]
     )
     return RateSweepReport(estimand=estimand, rows=tuple(rows), slope=slope)
 
 
+def _check_n_grid(n_grid: Sequence[int]) -> list:
+    """The sample-size grid as a list; it must strictly increase from n >= 1."""
+    grid = [int(n) for n in n_grid]
+    if len(grid) < 2 or grid[0] < 1 or sorted(set(grid)) != grid:
+        raise ConfigError("n_grid must be strictly increasing positive integers")
+    return grid
+
+
 def truth_functions(dist: FiniteDistribution):
-    """Vectorized exact (q, g) lookups over the support of ``dist``."""
-    qmap = {}
-    gmap = {}
-    for w in dist.w_support:
-        gmap[w] = g_of(dist, w)
-        if gmap[w] > 0.0:
-            qmap[w] = q_of(dist, w)
+    """Vectorized exact (q, g) lookups over the support of ``dist``.
 
-    def build(table, what):
-        def fn(w):
-            arr = np.asarray(w, dtype=float)
-            single = arr.ndim == 1
-            arr2 = np.atleast_2d(arr)
-            out = np.empty(len(arr2))
-            for i, row in enumerate(arr2):
-                key = tuple(float(x) for x in row)
-                if key not in table:
-                    raise ZeroMassConditioning(f"{what} undefined at {key}")
-                out[i] = table[key]
-            return float(out[0]) if single else out
+    q is defined on the strata with untreated mass, g on the whole
+    covariate support; a row outside raises ZeroMassConditioning.
+    """
+    gmap = {w: g_of(dist, w) for w in dist.w_support}
+    qmap = {w: q_of(dist, w) for w, g in gmap.items() if g > 0.0}
+    return _table_lookup(qmap, "conditional mean"), _table_lookup(gmap, "untreated propensity")
 
-        return fn
 
-    return build(qmap, "conditional mean"), build(gmap, "untreated propensity")
+def _table_lookup(table: dict, what: str):
+    # keys are exact float tuples; -0.0 and 0.0 hash and compare equal
+    def core(w):
+        try:
+            return np.array([table[key] for key in map(tuple, w.tolist())], dtype=float)
+        except KeyError as err:
+            raise ZeroMassConditioning(f"{what} undefined at {err.args[0]}") from None
+
+    return _predictor(core)

@@ -26,10 +26,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 from .errors import (
+    ConfigError,
     InvalidDistribution,
     NoTreatedMass,
     PositivityViolation,
@@ -184,9 +185,6 @@ class FiniteDistribution:
         if not isinstance(obs, Observation):
             obs = Observation(*obs)
         return self._atom_mass.get(obs.key, 0.0)
-
-    def contains(self, obs: Observation) -> bool:
-        return self.mass_of(obs) > 0.0
 
     def w_mass(self, w) -> float:
         return self._w_mass.get(_canonical_w(w), 0.0)
@@ -375,13 +373,21 @@ class CheckReport:
     step_grid: tuple
 
     def to_dict(self) -> dict:
-        return {
-            "functional": self.functional,
-            "finite_difference": self.finite_difference,
-            "eif_integral": self.eif_integral,
-            "discrepancy": self.discrepancy,
-            "step_grid": list(self.step_grid),
-        }
+        return fields_dict(self)
+
+
+def fields_dict(report, omit=()) -> dict:
+    """A report dataclass's fields as a JSON-ready dict.
+
+    Tuples become lists.  Fields named in ``omit`` and fields holding None
+    are left out.
+    """
+    out = {}
+    for f in fields(report):
+        value = getattr(report, f.name)
+        if f.name not in omit and value is not None:
+            out[f.name] = list(value) if isinstance(value, tuple) else value
+    return out
 
 
 _FUNCTIONALS = {
@@ -434,14 +440,14 @@ def pathwise_derivative_check(
     try:
         value_fn, eif_fn = _FUNCTIONALS[functional]
     except KeyError:
-        raise ValueError(f"unknown functional {functional!r}") from None
+        raise ConfigError(f"unknown functional {functional!r}") from None
     grid = tuple(float(h) for h in (step_grid if step_grid is not None else DEFAULT_STEP_GRID))
     if not grid or any(h <= 0.0 for h in grid):
-        raise ValueError("step grid must contain positive steps")
+        raise ConfigError("step grid must contain positive steps")
     if any(b >= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("step grid must be strictly decreasing")
+        raise ConfigError("step grid must be strictly decreasing")
     if grid[0] > 1.0:
-        raise ValueError("steps must stay inside the mixture range (0, 1]")
+        raise ConfigError("steps must stay inside the mixture range (0, 1]")
 
     f0 = value_fn(base)
     diffs = [
@@ -485,11 +491,13 @@ def distribution_from_dict(doc: dict) -> FiniteDistribution:
 
 
 def load_distribution(path) -> FiniteDistribution:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise InvalidDistribution(f"{path}: not valid JSON ({err})") from err
+    except OSError as err:
+        raise ConfigError(f"cannot read distribution file {path}: {err}") from None
+    except json.JSONDecodeError as err:
+        raise InvalidDistribution(f"{path}: not valid JSON ({err})") from err
     return distribution_from_dict(doc)
 
 

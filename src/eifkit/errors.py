@@ -126,7 +126,11 @@ class EmptyDataset(EifkitError):
 # configuration
 
 
-class ConfigError(EifkitError):
-    """Experiment configuration is structurally invalid."""
+class ConfigError(EifkitError, ValueError):
+    """Experiment configuration is structurally invalid.
+
+    Also a ValueError, so library callers that validate arguments by
+    catching ValueError keep working; the CLI maps it to exit code 2.
+    """
 
     code = "config/invalid"

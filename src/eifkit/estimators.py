@@ -1,5 +1,8 @@
 """Plug-in, IPW, and one-step estimators, with optional K-fold cross-fitting.
 
+:func:`estimate` runs the estimator an :class:`EstimatorConfig` names; the
+CLI and the Monte Carlo studies both go through it.
+
 The one-step estimator for the mean untreated outcome is the augmented IPW
 average
 
@@ -27,13 +30,24 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.stats import norm
 
-from .distributions import FiniteDistribution, Observation, g_of, q_of
-from .errors import EifkitError, EmptyEif, NoTreatedRows, ZeroMassConditioning
-from .learners import Dataset, FittedNuisance, LearnerSpec, fit_nuisance
+from .decomposition import truth_functions
+from .distributions import FiniteDistribution, Observation
+from .errors import ConfigError, EifkitError, EmptyEif, NoTreatedRows, ZeroMassConditioning
+from .learners import (
+    Dataset,
+    FittedNuisance,
+    LearnerSpec,
+    _is_int,
+    _is_real,
+    fit_nuisance,
+    fit_side,
+)
 
 __all__ = [
     "FoldPlan",
     "EstimateReport",
+    "EstimatorConfig",
+    "estimate",
     "plugin_psi",
     "ipw_psi",
     "onestep_psi",
@@ -73,8 +87,55 @@ class FoldPlan:
 
 
 @dataclass(frozen=True)
+class EstimatorConfig:
+    """Which estimator to run, and how.
+
+    ``folds`` >= 2 cross-fits the one-step estimator over a fold plan seeded
+    by ``fold_seed``; 0 or 1 fits the nuisances once on the whole sample.
+    Plug-in and IPW fit only the nuisance they use and ignore the folds.
+    """
+
+    estimand: str = "psi"
+    estimator: str = "onestep"
+    spec_q: LearnerSpec = LearnerSpec("linear-ols")
+    spec_g: LearnerSpec = LearnerSpec("logistic-irls")
+    folds: int = 0
+    level: float = 0.95
+    fold_seed: int = 0
+
+    def __post_init__(self):
+        if self.estimand not in ("psi", "theta"):
+            raise ConfigError(f"unknown estimand {self.estimand!r}")
+        if self.estimator not in ("onestep", "plugin", "ipw"):
+            raise ConfigError(f"unknown estimator {self.estimator!r}")
+        if self.estimator == "ipw" and self.estimand == "theta":
+            raise ConfigError("the ipw estimator is only defined for the psi estimand")
+        for side in ("spec_q", "spec_g"):
+            if not isinstance(getattr(self, side), LearnerSpec):
+                raise ConfigError(f"{side} must be a LearnerSpec, got {getattr(self, side)!r}")
+        if not (_is_real(self.level) and 0.0 < self.level < 1.0):
+            raise ConfigError(f"confidence level must lie in (0, 1), got {self.level!r}")
+        # FoldPlan seeds numpy's SeedSequence, which takes no negative entropy
+        for name in ("folds", "fold_seed"):
+            if not (_is_int(getattr(self, name)) and getattr(self, name) >= 0):
+                raise ConfigError(
+                    f"{name} must be a nonnegative integer, got {getattr(self, name)!r}"
+                )
+
+    def check_folds(self, n: int) -> None:
+        """Raise ConfigError when cross-fitting needs more rows than a sample of ``n``."""
+        if self.folds >= 2 and self.folds > n:
+            raise ConfigError(f"{self.folds} folds need at least {self.folds} rows, "
+                              f"but a sample has only {n}")
+
+
+@dataclass(frozen=True)
 class EstimateReport:
-    """Point estimate with influence-based uncertainty."""
+    """Point estimate with influence-based uncertainty.
+
+    Plug-in and IPW reports have no influence values: their variance and
+    interval are NaN, and ``to_dict`` leaves those and the level out.
+    """
 
     estimand: str
     estimator: str
@@ -93,12 +154,13 @@ class EstimateReport:
             "estimand": self.estimand,
             "estimator": self.estimator,
             "point": self.point,
-            "variance": self.variance,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "level": self.level,
             "n": self.n,
         }
+        if self.eif_values is not None:
+            out["variance"] = self.variance
+            out["ci_low"] = self.ci_low
+            out["ci_high"] = self.ci_high
+            out["level"] = self.level
         if self.fold_plan is not None:
             out["folds"] = self.fold_plan.folds
             out["fold_seed"] = self.fold_plan.seed
@@ -221,7 +283,7 @@ def crossfit(
         test = plan.assignment == k
         train = data.subset(~test)
         try:
-            nuis = fit_nuisance(train, spec_q, spec_g, truth=truth, fold_id=k)
+            nuis = fit_nuisance(train, spec_q, spec_g, truth=truth)
         except EifkitError as err:
             raise type(err)(f"fold {k}: {err}") from err
         qv[test] = nuis.predict_q(data.w[test])
@@ -230,6 +292,41 @@ def crossfit(
     if estimand == "psi":
         return _psi_report(data, qv, gv, level, "onestep-crossfit", plan, specs)
     return _theta_report(data, qv, gv, level, "onestep-crossfit", plan, specs)
+
+
+def estimate(data: Dataset, config: EstimatorConfig, truth=None) -> EstimateReport:
+    """Run the estimator that ``config`` names on ``data``.
+
+    ``truth`` is the (q, g) pair of vectorized callables that oracle-rate
+    learners perturb; data-driven learners ignore it.
+    """
+    if config.estimator == "onestep":
+        if config.folds >= 2:
+            return crossfit(data, config.spec_q, config.spec_g, config.folds,
+                            estimand=config.estimand, seed=config.fold_seed,
+                            level=config.level, truth=truth)
+        nuis = fit_nuisance(data, config.spec_q, config.spec_g, truth=truth)
+        fn = onestep_psi if config.estimand == "psi" else onestep_theta
+        return fn(data, nuis, level=config.level)
+    if config.estimator == "plugin":
+        qhat = fit_side("q", data, config.spec_q, truth)
+        if config.estimand == "psi":
+            point = plugin_psi(data, qhat)
+        else:
+            treated = data.a == 1
+            if not treated.any():
+                raise NoTreatedRows("plugin treated mean needs a treated row")
+            point = float(np.mean(np.asarray(qhat(data.w))[treated]))
+        specs = {"q": config.spec_q}
+    else:
+        # ipw; EstimatorConfig admits it for psi only
+        point = ipw_psi(data, fit_side("g", data, config.spec_g, truth))
+        specs = {"g": config.spec_g}
+    return EstimateReport(
+        estimand=config.estimand, estimator=config.estimator, point=point,
+        variance=math.nan, ci_low=math.nan, ci_high=math.nan, level=config.level,
+        n=data.n, nuisance_specs=specs,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -254,31 +351,4 @@ def saturated_nuisance(data: Dataset) -> FittedNuisance:
     empirical distribution.  Predictions are only defined on strata present
     in the sample (with at least one untreated row for q).
     """
-    emp = empirical_distribution(data)
-    qmap = {}
-    gmap = {}
-    for w in emp.w_support:
-        gmap[w] = g_of(emp, w)
-        if gmap[w] > 0.0:
-            qmap[w] = q_of(emp, w)
-
-    def predict_q(w):
-        return _lookup(w, qmap, "stratum mean")
-
-    def predict_g(w):
-        return _lookup(w, gmap, "stratum untreated fraction")
-
-    return FittedNuisance(predict_q, predict_g, spec_q=None, spec_g=None)
-
-
-def _lookup(w, table: dict, what: str):
-    arr = np.asarray(w, dtype=float)
-    single = arr.ndim == 1
-    arr2 = np.atleast_2d(arr)
-    out = np.empty(len(arr2))
-    for i, row in enumerate(arr2):
-        key = tuple(float(x) for x in row)
-        if key not in table:
-            raise ZeroMassConditioning(f"{what} undefined at covariate value {key}")
-        out[i] = table[key]
-    return float(out[0]) if single else out
+    return FittedNuisance(*truth_functions(empirical_distribution(data)))

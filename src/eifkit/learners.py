@@ -42,12 +42,11 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import expit
 
-from .distributions import Observation
 from .errors import (
     DegenerateTreatment,
     InvalidLearnerSpec,
@@ -63,6 +62,7 @@ __all__ = [
     "fit_outcome",
     "fit_propensity",
     "fit_nuisance",
+    "fit_side",
     "oracle_rate_nuisance",
     "perturbation_shape",
     "truncate_propensity",
@@ -132,23 +132,6 @@ class Dataset:
     def d(self) -> int:
         return self.w.shape[1]
 
-    @classmethod
-    def from_rows(cls, rows: Iterable[Observation]) -> "Dataset":
-        rows = list(rows)
-        if not rows:
-            raise ValueError("cannot build a dataset from zero rows")
-        return cls(
-            w=np.array([r.w for r in rows], dtype=float),
-            a=np.array([r.a for r in rows], dtype=np.int64),
-            y=np.array([r.y for r in rows], dtype=float),
-        )
-
-    def rows(self) -> list:
-        return [
-            Observation(tuple(self.w[i]), int(self.a[i]), float(self.y[i]))
-            for i in range(self.n)
-        ]
-
     def subset(self, index) -> "Dataset":
         return Dataset(self.w[index], self.a[index], self.y[index])
 
@@ -157,6 +140,11 @@ def _is_real(value) -> bool:
     """True for a finite int or float that is not a bool."""
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
             and math.isfinite(value))
+
+
+def _is_int(value) -> bool:
+    """True for an int (numpy integers included) that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -182,10 +170,11 @@ class LearnerSpec:
             raise InvalidLearnerSpec(f"unknown learner kind {self.kind!r}")
         if not (_is_real(self.truncation) and 0.0 < self.truncation < 0.5):
             raise InvalidLearnerSpec(f"truncation must lie in (0, 0.5), got {self.truncation!r}")
-        if self.k is not None and not (
-            isinstance(self.k, numbers.Integral) and not isinstance(self.k, bool) and self.k >= 1
-        ):
+        if self.k is not None and not (_is_int(self.k) and self.k >= 1):
             raise InvalidLearnerSpec(f"k must be a positive integer, got {self.k!r}")
+        for name in ("shape", "seed"):
+            if not _is_int(getattr(self, name)):
+                raise InvalidLearnerSpec(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.bandwidth is not None and not (_is_real(self.bandwidth) and self.bandwidth > 0.0):
             raise InvalidLearnerSpec(
                 f"bandwidth must be a positive finite number, got {self.bandwidth!r}"
@@ -241,7 +230,6 @@ class FittedNuisance:
     predict_g: Callable
     spec_q: Optional[LearnerSpec] = None
     spec_g: Optional[LearnerSpec] = None
-    fit_fold_id: Optional[int] = None
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +419,7 @@ def fit_outcome(data: Dataset, spec: LearnerSpec) -> Callable:
 
     Returns a prediction function defined for every covariate vector.
     """
-    if spec.kind not in ("linear-ols", "knn", "kernel-nw", "misspecified-omit"):
+    if spec.kind not in OUTCOME_KINDS or spec.kind == "oracle-rate":
         raise InvalidLearnerSpec(f"{spec.kind!r} cannot be fit as an outcome regression here")
     mask = data.a == 0
     if not mask.any():
@@ -447,13 +435,7 @@ def fit_outcome(data: Dataset, spec: LearnerSpec) -> Callable:
 
 def fit_propensity(data: Dataset, spec: LearnerSpec) -> Callable:
     """Fit Pr(A = 0 | W) on all rows; outputs truncated to [eps, 1-eps]."""
-    if spec.kind not in (
-        "logistic-irls",
-        "knn",
-        "kernel-nw",
-        "misspecified-omit",
-        "misspecified-wronglink",
-    ):
+    if spec.kind not in PROPENSITY_KINDS or spec.kind == "oracle-rate":
         raise InvalidLearnerSpec(f"{spec.kind!r} cannot be fit as a propensity here")
     z = (data.a == 0).astype(float)
     if z.min() == z.max():
@@ -474,31 +456,31 @@ def fit_propensity(data: Dataset, spec: LearnerSpec) -> Callable:
     return _predictor(truncated)
 
 
+def fit_side(side: str, data: Dataset, spec: LearnerSpec, truth=None) -> Callable:
+    """Fit one nuisance: ``side`` "q" is the outcome regression, "g" the propensity.
+
+    An ``oracle-rate`` spec perturbs its side of ``truth``, a (q, g) pair
+    of vectorized callables, at the sample size of ``data``; every other
+    kind is fit on ``data`` and ignores ``truth``.
+    """
+    if spec.kind != "oracle-rate":
+        return fit_outcome(data, spec) if side == "q" else fit_propensity(data, spec)
+    if truth is None:
+        raise InvalidLearnerSpec("oracle-rate learners need the (q, g) truth callables")
+    if side == "q":
+        return _oracle_side(truth[0], data.n, spec, clip_eps=None)
+    return _oracle_side(truth[1], data.n, spec, clip_eps=spec.truncation)
+
+
 def fit_nuisance(
     data: Dataset,
     spec_q: LearnerSpec,
     spec_g: LearnerSpec,
     truth=None,
-    fold_id: Optional[int] = None,
 ) -> FittedNuisance:
-    """Fit both nuisances on one dataset.
-
-    ``truth`` must be a (q, g) pair of vectorized callables when either spec
-    is ``oracle-rate``; data-driven kinds ignore it.
-    """
-    if spec_q.kind == "oracle-rate" or spec_g.kind == "oracle-rate":
-        if truth is None:
-            raise InvalidLearnerSpec("oracle-rate learners need the (q, g) truth callables")
-        truth_q, truth_g = truth
-    if spec_q.kind == "oracle-rate":
-        predict_q = _oracle_side(truth_q, data.n, spec_q, clip_eps=None)
-    else:
-        predict_q = fit_outcome(data, spec_q)
-    if spec_g.kind == "oracle-rate":
-        predict_g = _oracle_side(truth_g, data.n, spec_g, clip_eps=spec_g.truncation)
-    else:
-        predict_g = fit_propensity(data, spec_g)
-    return FittedNuisance(predict_q, predict_g, spec_q, spec_g, fit_fold_id=fold_id)
+    """Fit both nuisances on one dataset (see :func:`fit_side` for ``truth``)."""
+    return FittedNuisance(fit_side("q", data, spec_q, truth),
+                          fit_side("g", data, spec_g, truth), spec_q, spec_g)
 
 
 # ---------------------------------------------------------------------------

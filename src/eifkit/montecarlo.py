@@ -21,6 +21,7 @@ count and doubling the replication count reproduces the original prefix.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -30,24 +31,11 @@ import numpy as np
 from scipy.special import expit
 from scipy.stats import kstest, kurtosis, skew
 
-from .distributions import FiniteDistribution, psi_of, theta_of
+from .distributions import FiniteDistribution, fields_dict, psi_of, theta_of
 from .errors import ConfigError, EifkitError, NoTreatedRows
-from .estimators import (
-    crossfit,
-    ipw_psi,
-    onestep_psi,
-    onestep_theta,
-    plugin_psi,
-)
-from .decomposition import truth_functions
-from .learners import (
-    Dataset,
-    LearnerSpec,
-    fit_nuisance,
-    fit_outcome,
-    fit_propensity,
-    oracle_rate_nuisance,
-)
+from .estimators import EstimatorConfig, estimate
+from .decomposition import _check_n_grid, truth_functions
+from .learners import Dataset, LearnerSpec, _predictor
 
 __all__ = [
     "DGPSpec",
@@ -69,6 +57,9 @@ __all__ = [
 ]
 
 QUADRATURE_NODES = 48
+# theta's tensor grid has QUADRATURE_NODES**d points: 5.3 M at d = 4, while
+# d = 5 would need about 10 GB
+MAX_QUADRATURE_DIM = 4
 DR_ARMS = ("none", "q-wrong", "g-wrong", "both-wrong")
 
 
@@ -119,22 +110,27 @@ class DGPSpec:
 
     def q(self, w):
         """True untreated-outcome regression, vectorized over rows."""
-        if self.kind == "discrete-saturated":
-            return self._table_truth()[0](w)
-        arr = np.atleast_2d(np.asarray(w, dtype=float))
-        out = self.beta[0] + arr @ np.array(self.beta[1:])
-        return out if np.asarray(w).ndim > 1 else float(out[0])
+        return self._truth[0](w)
 
     def g(self, w):
         """True untreated propensity Pr(A=0 | W=w), vectorized over rows."""
-        if self.kind == "discrete-saturated":
-            return self._table_truth()[1](w)
-        arr = np.atleast_2d(np.asarray(w, dtype=float))
-        out = expit(self.gamma[0] + arr @ np.array(self.gamma[1:]))
-        return out if np.asarray(w).ndim > 1 else float(out[0])
+        return self._truth[1](w)
 
-    def _table_truth(self):
-        return truth_functions(self.table)
+    @functools.cached_property
+    def _truth(self):
+        # built once per spec; __getstate__ drops it, because closures do
+        # not pickle and the studies send specs to worker processes
+        if self.kind == "discrete-saturated":
+            return truth_functions(self.table)
+        beta0, beta = self.beta[0], np.array(self.beta[1:])
+        gamma0, gamma = self.gamma[0], np.array(self.gamma[1:])
+        return (_predictor(lambda w: beta0 + w @ beta),
+                _predictor(lambda w: expit(gamma0 + w @ gamma)))
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_truth", None)
+        return state
 
     def psi(self) -> float:
         """True mean untreated outcome."""
@@ -147,6 +143,11 @@ class DGPSpec:
         """True mean untreated outcome among the treated."""
         if self.kind == "discrete-saturated":
             return theta_of(self.table)
+        if self.d > MAX_QUADRATURE_DIM:
+            raise ConfigError(
+                f"theta's {QUADRATURE_NODES}^d quadrature grid supports "
+                f"d <= {MAX_QUADRATURE_DIM}, got d = {self.d}"
+            )
         w, wt = _legendre_grid(QUADRATURE_NODES, self.d)
         g = self.g(w)
         treated = wt * (1.0 - g)
@@ -186,7 +187,8 @@ def generate_with_counterfactual(dgp: DGPSpec, n: int, seed):
     """Like :func:`generate`, also returning the untreated potential outcome.
 
     The counterfactual vector is for validating truths in tests; estimators
-    only ever see the returned Dataset.
+    only ever see the returned Dataset.  Under a finite-support law, a
+    treated row whose covariate stratum has no untreated mass gets NaN.
     """
     if n < 1:
         raise ConfigError(f"sample size must be positive, got {n!r}")
@@ -207,27 +209,30 @@ def generate_with_counterfactual(dgp: DGPSpec, n: int, seed):
 def _draw_discrete(table: FiniteDistribution, n: int, rng):
     masses = np.array([p for _, p in table.atoms])
     idx = rng.choice(len(table.atoms), size=n, p=masses / masses.sum())
-    w = np.array([table.atoms[i][0].w for i in idx], dtype=float)
-    a = np.array([table.atoms[i][0].a for i in idx], dtype=np.int64)
-    y = np.array([table.atoms[i][0].y for i in idx], dtype=float)
-    # the untreated conditional draw doubles as the counterfactual where
-    # the realized arm was treated
-    y0 = np.empty(n)
-    for j, i in enumerate(idx):
-        obs = table.atoms[i][0]
-        if obs.a == 0:
-            y0[j] = obs.y
-        else:
-            y0[j] = _conditional_untreated_draw(table, obs.w, rng)
-    return Dataset(w=w, a=a, y=y), y0
-
-
-def _conditional_untreated_draw(table: FiniteDistribution, w, rng) -> float:
-    support = [(obs.y, p) for obs, p in table.atoms if obs.w == w and obs.a == 0]
-    total = sum(p for _, p in support)
-    ys = np.array([y for y, _ in support])
-    ps = np.array([p / total for _, p in support])
-    return float(rng.choice(ys, p=ps))
+    atom_w = np.array([obs.w for obs, _ in table.atoms], dtype=float)
+    atom_a = np.array([obs.a for obs, _ in table.atoms], dtype=np.int64)
+    atom_y = np.array([obs.y for obs, _ in table.atoms], dtype=float)
+    a = atom_a[idx]
+    # a treated row's counterfactual y0 is a draw from the untreated law of
+    # its stratum.  Atoms are sorted by (w, a, y), so each stratum's
+    # untreated atoms are contiguous: [first, first + untreated count).
+    new_stratum = np.concatenate([[True], (atom_w[1:] != atom_w[:-1]).any(axis=1)])
+    stratum = np.cumsum(new_stratum) - 1
+    first = np.flatnonzero(new_stratum)[stratum]
+    stop = first + np.bincount(stratum, weights=atom_a == 0).astype(np.int64)[stratum]
+    untreated_mass = np.where(atom_a == 0, masses, 0.0)
+    upper = np.cumsum(untreated_mass)
+    lower = upper - untreated_mass
+    treated = idx[a == 1]
+    first, stop = first[treated], stop[treated]
+    last = np.maximum(stop - 1, first)
+    # inverse CDF of the stratum's untreated masses, clipped against rounding
+    target = lower[first] + rng.random(len(treated)) * (upper[last] - lower[first])
+    pick = np.clip(np.searchsorted(upper, target, side="right"), first, last)
+    y0 = atom_y[idx]
+    # a stratum without untreated atoms has no counterfactual law
+    y0[a == 1] = np.where(stop > first, atom_y[pick], np.nan)
+    return Dataset(w=atom_w[idx], a=a, y=atom_y[idx]), y0
 
 
 def draw_dataset(dist: FiniteDistribution, n: int, seed) -> Dataset:
@@ -259,82 +264,6 @@ def quadrature_distribution(dgp: DGPSpec, nodes: int = 24) -> FiniteDistribution
 
 
 # ---------------------------------------------------------------------------
-# estimator configuration
-
-
-@dataclass(frozen=True)
-class EstimatorConfig:
-    """Which estimator to run inside a study, and how."""
-
-    estimand: str = "psi"
-    estimator: str = "onestep"
-    spec_q: LearnerSpec = LearnerSpec("linear-ols")
-    spec_g: LearnerSpec = LearnerSpec("logistic-irls")
-    folds: int = 0
-    level: float = 0.95
-    fold_seed: int = 0
-
-    def __post_init__(self):
-        if self.estimand not in ("psi", "theta"):
-            raise ConfigError(f"unknown estimand {self.estimand!r}")
-        if self.estimator not in ("onestep", "plugin", "ipw"):
-            raise ConfigError(f"unknown estimator {self.estimator!r}")
-        if self.estimator == "ipw" and self.estimand == "theta":
-            raise ConfigError("the ipw estimator is only defined for the psi estimand")
-        if not 0.0 < self.level < 1.0:
-            raise ConfigError(f"confidence level must lie in (0, 1), got {self.level!r}")
-        if self.folds < 0:
-            raise ConfigError(f"folds must be nonnegative, got {self.folds!r}")
-
-
-def _check_folds(config: EstimatorConfig, smallest_n: int) -> None:
-    if config.folds >= 2 and config.folds > smallest_n:
-        raise ConfigError(
-            f"{config.folds} folds need at least {config.folds} rows, "
-            f"but the smallest sample size is {smallest_n}"
-        )
-
-
-def _needs_truth(config: EstimatorConfig) -> bool:
-    return "oracle-rate" in (config.spec_q.kind, config.spec_g.kind)
-
-
-def _point_estimate(dgp: DGPSpec, config: EstimatorConfig, data: Dataset):
-    truth = (dgp.q, dgp.g) if _needs_truth(config) else None
-    if config.estimator == "onestep":
-        if config.folds >= 2:
-            report = crossfit(
-                data, config.spec_q, config.spec_g, config.folds,
-                estimand=config.estimand, seed=config.fold_seed,
-                level=config.level, truth=truth,
-            )
-        else:
-            nuis = fit_nuisance(data, config.spec_q, config.spec_g, truth=truth)
-            fn = onestep_psi if config.estimand == "psi" else onestep_theta
-            report = fn(data, nuis, level=config.level)
-        return report.point, report.variance, report.ci_low, report.ci_high
-    if config.estimator == "plugin":
-        if config.spec_q.kind == "oracle-rate":
-            qhat = oracle_rate_nuisance(dgp.q, dgp.g, data.n, config.spec_q).predict_q
-        else:
-            qhat = fit_outcome(data, config.spec_q)
-        if config.estimand == "psi":
-            point = plugin_psi(data, qhat)
-        else:
-            treated = data.a == 1
-            if not treated.any():
-                raise NoTreatedRows("plugin treated mean needs a treated row")
-            point = float(np.mean(np.asarray(qhat(data.w))[treated]))
-        return point, math.nan, math.nan, math.nan
-    # ipw (psi only, enforced at config validation)
-    if config.spec_g.kind == "oracle-rate":
-        ghat = oracle_rate_nuisance(dgp.q, dgp.g, data.n, config.spec_g, config.spec_g).predict_g
-    else:
-        ghat = fit_propensity(data, config.spec_g)
-    return ipw_psi(data, ghat), math.nan, math.nan, math.nan
-
-
-# ---------------------------------------------------------------------------
 # replication machinery
 
 
@@ -358,10 +287,12 @@ def _replication_worker(task):
     dgp, config, n, master_seed, rep, truth_value = task
     try:
         data = generate(dgp, n, np.random.SeedSequence([master_seed, rep]))
-        point, variance, lo, hi = _point_estimate(dgp, config, data)
+        report = estimate(data, config, truth=(dgp.q, dgp.g))
+        lo, hi = report.ci_low, report.ci_high
         covered = bool(math.isfinite(lo) and lo <= truth_value <= hi)
-        scaled = math.sqrt(n) * (point - truth_value)
-        return ("ok", ReplicationResult(rep, n, point, variance, lo, hi, covered, scaled))
+        scaled = math.sqrt(n) * (report.point - truth_value)
+        return ("ok", ReplicationResult(rep, n, report.point, report.variance,
+                                        lo, hi, covered, scaled))
     except EifkitError as err:
         return ("fail", rep, f"{type(err).__name__}: {err}")
 
@@ -382,6 +313,21 @@ def _split_outcomes(outcomes):
         else:
             failures.append((out[1], out[2]))
     return results, failures
+
+
+def _run_grid(dgp: DGPSpec, config: EstimatorConfig, n_grid, reps: int,
+              master_seed: int, workers: int):
+    """``reps`` replications at each n of the grid, numbered consecutively.
+
+    Returns the grid, the truth, the successful results and the failures.
+    """
+    grid = _check_n_grid(n_grid)
+    config.check_folds(grid[0])
+    truth_value = dgp.truth(config.estimand)
+    sizes = [n for n in grid for _ in range(reps)]
+    tasks = [(dgp, config, n, master_seed, rep, truth_value) for rep, n in enumerate(sizes)]
+    results, failures = _split_outcomes(_run_tasks(tasks, workers))
+    return grid, truth_value, results, failures
 
 
 # ---------------------------------------------------------------------------
@@ -412,25 +358,7 @@ class CoverageSummary:
     replications: tuple
 
     def to_dict(self) -> dict:
-        return {
-            "estimand": self.estimand,
-            "estimator": self.estimator,
-            "n": self.n,
-            "reps": self.reps,
-            "level": self.level,
-            "truth": self.truth,
-            "coverage": self.coverage,
-            "mc_standard_error": self.mc_standard_error,
-            "mean_scaled_error": self.mean_scaled_error,
-            "var_scaled_error": self.var_scaled_error,
-            "skewness": self.skewness,
-            "excess_kurtosis": self.excess_kurtosis,
-            "mean_scaled_variance": self.mean_scaled_variance,
-            "ks_distance": self.ks_distance,
-            "ks_critical_1pct": self.ks_critical_1pct,
-            "ks_flag": self.ks_flag,
-            "failures": self.failures,
-        }
+        return fields_dict(self, omit=("replications",))
 
 
 def ks_critical_value(alpha: float, m: int) -> float:
@@ -455,7 +383,7 @@ def run_coverage(
     """
     if reps < 2:
         raise ConfigError("coverage study needs at least 2 replications")
-    _check_folds(config, n)
+    config.check_folds(n)
     truth_value = dgp.truth(config.estimand)
     tasks = [(dgp, config, n, master_seed, rep, truth_value) for rep in range(reps)]
     results, failures = _split_outcomes(_run_tasks(tasks, workers))
@@ -516,18 +444,7 @@ class RateExperimentReport:
     replications: tuple
 
     def to_dict(self) -> dict:
-        return {
-            "estimand": self.estimand,
-            "estimator": self.estimator,
-            "n_grid": list(self.n_grid),
-            "reps": self.reps,
-            "truth": self.truth,
-            "rmse_by_n": list(self.rmse_by_n),
-            "mean_scaled_error_by_n": list(self.mean_scaled_error_by_n),
-            "var_scaled_error_by_n": list(self.var_scaled_error_by_n),
-            "slope": self.slope,
-            "failures": self.failures,
-        }
+        return fields_dict(self, omit=("replications",))
 
 
 def run_rate_experiment(
@@ -539,18 +456,8 @@ def run_rate_experiment(
     workers: int = 1,
 ) -> RateExperimentReport:
     """RMSE(n) over the grid and the least-squares slope of log RMSE on log n."""
-    grid = [int(n) for n in n_grid]
-    if len(grid) < 2 or sorted(set(grid)) != grid or grid[0] < 1:
-        raise ConfigError("n_grid must be strictly increasing positive integers")
-    _check_folds(config, grid[0])
-    truth_value = dgp.truth(config.estimand)
-    tasks = []
-    rep_id = 0
-    for n in grid:
-        for _ in range(reps):
-            tasks.append((dgp, config, n, master_seed, rep_id, truth_value))
-            rep_id += 1
-    results, failures = _split_outcomes(_run_tasks(tasks, workers))
+    grid, truth_value, results, failures = _run_grid(dgp, config, n_grid, reps,
+                                                     master_seed, workers)
     rmse, mean_scaled, var_scaled = [], [], []
     for n in grid:
         errs = np.array([r.point - truth_value for r in results if r.n == n])
@@ -595,16 +502,7 @@ class DrConsistencyReport:
     replications: tuple
 
     def to_dict(self) -> dict:
-        return {
-            "estimand": self.estimand,
-            "arm": self.arm,
-            "n_grid": list(self.n_grid),
-            "reps": self.reps,
-            "truth": self.truth,
-            "bias_by_n": list(self.bias_by_n),
-            "mc_se_by_n": list(self.mc_se_by_n),
-            "failures": self.failures,
-        }
+        return fields_dict(self, omit=("replications",))
 
 
 def dr_arm_specs(arm: str):
@@ -640,20 +538,11 @@ def run_dr_consistency(
     estimand: str = "psi",
 ) -> DrConsistencyReport:
     """One-step bias curve for a single misspecification arm."""
-    grid = [int(n) for n in n_grid]
-    if len(grid) < 2 or sorted(set(grid)) != grid or grid[0] < 1:
-        raise ConfigError("n_grid must be strictly increasing positive integers")
     spec_q, spec_g = dr_arm_specs(arm)
     config = EstimatorConfig(estimand=estimand, estimator="onestep",
                              spec_q=spec_q, spec_g=spec_g)
-    truth_value = dgp.truth(estimand)
-    tasks = []
-    rep_id = 0
-    for n in grid:
-        for _ in range(reps):
-            tasks.append((dgp, config, n, master_seed, rep_id, truth_value))
-            rep_id += 1
-    results, failures = _split_outcomes(_run_tasks(tasks, workers))
+    grid, truth_value, results, failures = _run_grid(dgp, config, n_grid, reps,
+                                                     master_seed, workers)
     bias, mc_se = [], []
     for n in grid:
         points = np.array([r.point for r in results if r.n == n])

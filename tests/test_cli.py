@@ -1,20 +1,25 @@
 """CSV ingestion taxonomy and end-to-end subcommand behavior."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from eifkit import draw_dataset, montecarlo, save_distribution
+from eifkit import EstimatorConfig, draw_dataset, estimate, montecarlo, save_distribution
 from eifkit.cli import ingest_csv, main
 from eifkit.distributions import FiniteDistribution, Observation
 from eifkit.errors import (
+    ConfigError,
     EmptyDataset,
     MissingColumn,
     NonBinaryTreatment,
     UnexpectedColumn,
     UnparseableNumber,
 )
+
+
+SCRIPTS_DATA = Path(__file__).resolve().parent.parent / "scripts" / "data"
 
 
 def _csv(tmp_path, text, name="data.csv"):
@@ -178,6 +183,75 @@ def test_estimate_runtime_failure_exits_one(workspace, capsys):
     code, doc = run_cli(capsys, ["estimate", "--config", cfg])
     assert code == 1
     assert doc["error"]["code"] == "learner/no-untreated-rows"
+
+
+def _untreated_stratum_means(path):
+    data = ingest_csv(path)
+    untreated = data.a == 0
+    return data, {w: float(np.mean(data.y[untreated & (data.w[:, 0] == w)]))
+                  for w in (0.0, 1.0)}
+
+
+@pytest.mark.parametrize("estimand", ["psi", "theta"])
+def test_estimate_plugin_document(workspace, capsys, estimand):
+    tmp_path, config = workspace
+    cfg = config("est.json", {"data": "sample.csv", "estimator": "plugin",
+                              "estimand": estimand})
+    code, doc = run_cli(capsys, ["estimate", "--config", cfg])
+    assert code == 0
+    assert set(doc) == {"estimand", "estimator", "point", "n", "nuisance_specs"}
+    assert set(doc["nuisance_specs"]) == {"q"}
+    assert (doc["estimand"], doc["estimator"], doc["n"]) == (estimand, "plugin", 80)
+    # on the two-point covariate the least-squares line passes through the
+    # untreated stratum means, so the plug-in averages those over the rows
+    data, means = _untreated_stratum_means(tmp_path / "sample.csv")
+    rows = data.w[:, 0] if estimand == "psi" else data.w[data.a == 1, 0]
+    want = float(np.mean([means[w] for w in rows]))
+    assert doc["point"] == pytest.approx(want, abs=1e-9)
+
+
+def test_estimate_ipw_document(workspace, capsys):
+    tmp_path, config = workspace
+    cfg = config("est.json", {"data": "sample.csv", "estimator": "ipw"})
+    code, doc = run_cli(capsys, ["estimate", "--config", cfg])
+    assert code == 0
+    assert set(doc) == {"estimand", "estimator", "point", "n", "nuisance_specs"}
+    assert set(doc["nuisance_specs"]) == {"g"}
+    assert (doc["estimand"], doc["estimator"], doc["n"]) == ("psi", "ipw", 80)
+    # the logistic fit on a two-point covariate is saturated: ghat is each
+    # stratum's untreated fraction, and IPW averages the stratum means
+    data, means = _untreated_stratum_means(tmp_path / "sample.csv")
+    want = float(np.mean([means[w] for w in data.w[:, 0]]))
+    assert doc["point"] == pytest.approx(want, abs=1e-9)
+
+
+def test_estimate_ipw_theta_exits_two(workspace, capsys):
+    _, config = workspace
+    cfg = config("est.json", {"data": "sample.csv", "estimator": "ipw",
+                              "estimand": "theta"})
+    code, doc = run_cli(capsys, ["estimate", "--config", cfg])
+    assert code == 2
+    assert set(doc) == {"error"} and doc["error"]["code"] == "config/invalid"
+
+
+@pytest.mark.parametrize("folds", [0, 5])
+@pytest.mark.parametrize("estimand", ["psi", "theta"])
+@pytest.mark.parametrize("estimator", ["onestep", "plugin", "ipw"])
+def test_estimate_document_is_the_library_report(workspace, capsys, estimator, estimand, folds):
+    tmp_path, config = workspace
+    cfg = config("est.json", {"data": "sample.csv", "estimator": estimator,
+                              "estimand": estimand, "folds": folds, "seed": 3})
+    code, doc = run_cli(capsys, ["estimate", "--config", cfg])
+    if estimator == "ipw" and estimand == "theta":
+        assert code == 2
+        with pytest.raises(ConfigError):
+            EstimatorConfig(estimator=estimator, estimand=estimand, folds=folds, fold_seed=3)
+        return
+    assert code == 0
+    report = estimate(ingest_csv(tmp_path / "sample.csv"),
+                      EstimatorConfig(estimator=estimator, estimand=estimand,
+                                      folds=folds, fold_seed=3))
+    assert doc == json.loads(json.dumps(report.to_dict()))
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +428,36 @@ def test_simulate_rejects_bad_config_before_replicating(workspace, capsys, monke
     captured = capsys.readouterr()
     assert code == 2
     assert set(json.loads(captured.out)) == {"error"}
+    assert "Traceback" not in captured.err
+
+
+_ORACLE = {"kind": "oracle-rate", "rate_exponent": 0.25, "amplitude": 0.05, "shape": 2}
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("remainder", {"distribution": "four_atom.json", "mode": "sweep",
+                   "n_grid": [1024, 256], "learners": {"q": _ORACLE, "g": _ORACLE}}),
+    ("remainder", {"distribution": "four_atom.json", "mode": "sweep",
+                   "n_grid": [256, 1024],
+                   "learners": {"q": dict(_ORACLE, amplitude=0.0), "g": _ORACLE}}),
+    ("remainder", {"distribution": "four_atom.json", "estimand": "theta", "n": 100,
+                   "pn_a": 1.5, "learners": {"q": _ORACLE, "g": _ORACLE}}),
+    ("verify-eif", {"distribution": "four_atom.json", "direction": "tilted_direction.json",
+                    "step_grid": [1e-4, 1e-3]}),
+    ("verify-eif", {"distribution": "no_such_law.json",
+                    "direction": "tilted_direction.json"}),
+])
+def test_library_config_errors_exit_two(tmp_path, capsys, command, doc):
+    for key in ("distribution", "direction"):
+        if key in doc:
+            doc = dict(doc, **{key: str(SCRIPTS_DATA / doc[key])})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    code = main([command, "--config", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    out = json.loads(captured.out)
+    assert set(out) == {"error"} and set(out["error"]) == {"code", "message"}
     assert "Traceback" not in captured.err
 
 

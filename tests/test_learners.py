@@ -255,6 +255,13 @@ def test_spec_validation():
     {"kind": "kernel-nw", "bandwidth": -0.1},
     {"kind": "oracle-rate", "rate_exponent": "x", "amplitude": 0.1},
     {"kind": "oracle-rate", "rate_exponent": 0.25, "amplitude": "x"},
+    {"kind": "knn", "seed": "x"},
+    {"kind": "knn", "seed": True},
+    {"kind": "linear-ols", "seed": 1.5},
+    {"kind": "linear-ols", "shape": True},
+    {"kind": "knn", "shape": "x"},
+    {"kind": "oracle-rate", "rate_exponent": 0.25, "amplitude": 0.1, "shape": True},
+    {"kind": "oracle-rate", "rate_exponent": 0.25, "amplitude": 0.1, "shape": 1.0},
 ])
 def test_spec_rejects_non_numeric_fields(fields):
     with pytest.raises(InvalidLearnerSpec):

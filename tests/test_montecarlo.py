@@ -9,6 +9,7 @@ from scipy.special import expit
 from eifkit import (
     DGPSpec,
     EstimatorConfig,
+    FiniteDistribution,
     LearnerSpec,
     default_logistic_linear,
     dr_arm_specs,
@@ -147,6 +148,50 @@ def test_draw_dataset_frequencies(four_atom):
         assert abs(hits / n - p) < 4.0 * math.sqrt(p * (1 - p) / n)
 
 
+@pytest.mark.parametrize("seed", [0, 5])
+def test_discrete_draws_match_choice_then_gather(five_atom, seed):
+    table = quadrature_distribution(default_logistic_linear(), nodes=6)
+    for dist in (five_atom, table):
+        rng = np.random.default_rng(seed)
+        masses = np.array([p for _, p in dist.atoms])
+        idx = rng.choice(len(dist.atoms), size=500, p=masses / masses.sum())
+        rows = [dist.atoms[i][0] for i in idx]
+        want_w = np.array([obs.w for obs in rows])
+        want_a = np.array([obs.a for obs in rows])
+        want_y = np.array([obs.y for obs in rows])
+        drawn = draw_dataset(dist, 500, seed)
+        generated = generate(DGPSpec(kind="discrete-saturated", table=dist), 500, seed)
+        for data in (drawn, generated):
+            assert np.array_equal(data.w, want_w)
+            assert np.array_equal(data.a, want_a)
+            assert np.array_equal(data.y, want_y)
+
+
+def test_discrete_counterfactual_without_untreated_stratum():
+    # w = 1 carries only a treated atom: its rows still draw, with no
+    # counterfactual; at w = 0 the untreated law is the point mass at 1
+    dist = FiniteDistribution([((0.0, 0, 1.0), 0.4), ((0.0, 1, 2.0), 0.2),
+                               ((1.0, 1, 3.0), 0.4)])
+    dgp = DGPSpec(kind="discrete-saturated", table=dist)
+    data, y0 = generate_with_counterfactual(dgp, 200, 4)
+    orphan = data.w[:, 0] == 1.0
+    assert orphan.any() and np.isnan(y0[orphan]).all()
+    assert (y0[~orphan] == 1.0).all()
+
+
+def test_theta_refuses_oversized_quadrature_grid(monkeypatch):
+    from eifkit import montecarlo
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the tensor grid was built")
+
+    monkeypatch.setattr(montecarlo, "_legendre_grid", no_grid)
+    dgp = DGPSpec(gamma=(0.0,) * 6, beta=(1.0,) * 6)
+    assert dgp.d == 5
+    with pytest.raises(ConfigError):
+        dgp.theta()
+
+
 def test_discrete_generate_stays_on_support(five_atom):
     dgp = DGPSpec(kind="discrete-saturated", table=five_atom)
     data, y0 = generate_with_counterfactual(dgp, 400, 2)
@@ -174,6 +219,12 @@ def test_estimator_config_validation():
         EstimatorConfig(level=1.0)
     with pytest.raises(ConfigError):
         EstimatorConfig(folds=-1)
+    for bad in ({"folds": "x"}, {"folds": True}, {"folds": 2.0},
+                {"fold_seed": "x"}, {"fold_seed": False}, {"fold_seed": 1.5},
+                {"fold_seed": -1}, {"level": "x"}, {"level": True},
+                {"level": float("nan")}, {"spec_q": "linear-ols"}, {"spec_g": None}):
+        with pytest.raises(ConfigError):
+            EstimatorConfig(**bad)
     # one fold means no splitting, same as zero
     EstimatorConfig(folds=0)
     EstimatorConfig(estimand="psi", estimator="ipw")
@@ -247,11 +298,17 @@ def test_run_coverage_validation():
         run_coverage(default_logistic_linear(), _oracle_config(), 100, 1, 0)
 
 
-def test_run_coverage_workers_match_serial():
-    dgp = default_logistic_linear()
-    for config in (_oracle_config(),
-                   EstimatorConfig(spec_q=LearnerSpec("kernel-nw"), folds=3),
-                   EstimatorConfig(spec_q=LearnerSpec("knn"), folds=3)):
+def test_run_coverage_workers_match_serial(five_atom):
+    table_dgp = DGPSpec(kind="discrete-saturated", table=five_atom)
+    # the truth lookups are built in this process first, so a cached lookup
+    # that cannot be pickled would fail when the tasks go to the workers
+    table_dgp.q(np.array([[0.0]]))
+    for dgp, config in ((default_logistic_linear(), _oracle_config()),
+                        (default_logistic_linear(),
+                         EstimatorConfig(spec_q=LearnerSpec("kernel-nw"), folds=3)),
+                        (default_logistic_linear(),
+                         EstimatorConfig(spec_q=LearnerSpec("knn"), folds=3)),
+                        (table_dgp, _oracle_config(amplitude=0.5))):
         serial = run_coverage(dgp, config, 120, 6, 31, workers=1)
         parallel = run_coverage(dgp, config, 120, 6, 31, workers=2)
         for lhs, rhs in zip(serial.replications, parallel.replications):
