@@ -120,10 +120,12 @@ def _write_csv(path, header, rows) -> None:
 def ingest_csv(path) -> Dataset:
     """Load a (W, A, Y) sample from a CSV file, validating the schema."""
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             raw = [row for row in csv.reader(fh) if row]
     except OSError as err:
         raise ConfigError(f"cannot read data file {path}: {err}") from None
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: data file is not UTF-8 ({err})") from None
     if not raw:
         raise EmptyDataset(f"{path}: file has no header row")
     header = [c.strip() for c in raw[0]]
@@ -203,10 +205,12 @@ def _parse_treatment(text: str, label: str) -> int:
 
 def _load_config(path) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from None
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: config is not UTF-8 ({err})") from None
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}: invalid JSON ({err})") from None
     if not isinstance(doc, dict):
@@ -224,7 +228,7 @@ def _check_keys(cfg: dict, allowed, required, where: str) -> None:
 
 
 def _resolve(config_path, value) -> str:
-    if not isinstance(value, str) or not value:
+    if not isinstance(value, str) or not value or "\0" in value:
         raise ConfigError(f"expected a file path string, got {value!r}")
     p = Path(value)
     return str(p if p.is_absolute() else Path(config_path).parent / p)
@@ -258,6 +262,13 @@ def _int_field(cfg, key, default, where, minimum=0):
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise ConfigError(f"{where}: {key!r} must be an integer >= {minimum}, got {value!r}")
     return value
+
+
+def _seed(args, cfg: dict, where: str) -> int:
+    """The --seed flag when given, else the config's seed; both must be >= 0."""
+    if args.seed is not None:
+        cfg, where = {"seed": args.seed}, "--seed"
+    return _int_field(cfg, "seed", 0, where)
 
 
 def _float_field(cfg, key, default, where):
@@ -303,7 +314,7 @@ def _cmd_estimate(args) -> dict:
         ("data",),
         "estimate config",
     )
-    seed = args.seed if args.seed is not None else _int_field(cfg, "seed", 0, "estimate config")
+    seed = _seed(args, cfg, "estimate config")
     config = _estimator_config(cfg, seed, "estimate config")
     if "oracle-rate" in (config.spec_q.kind, config.spec_g.kind):
         raise ConfigError(
@@ -466,7 +477,7 @@ def _cmd_simulate(args) -> dict:
     )
     study = _str_field(cfg, "study", None, ("coverage", "rate", "dr"), "simulate config")
     reps = _int_field(cfg, "reps", None, "simulate config", minimum=2)
-    seed = args.seed if args.seed is not None else _int_field(cfg, "seed", 0, "simulate config")
+    seed = _seed(args, cfg, "simulate config")
     workers = (args.workers if args.workers is not None
                else _int_field(cfg, "workers", 1, "simulate config"))
     include_replications = _bool_field(cfg, "include_replications", False, "simulate config")

@@ -496,6 +496,8 @@ def load_distribution(path) -> FiniteDistribution:
             doc = json.load(fh)
     except OSError as err:
         raise ConfigError(f"cannot read distribution file {path}: {err}") from None
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: distribution file is not UTF-8 ({err})") from None
     except json.JSONDecodeError as err:
         raise InvalidDistribution(f"{path}: not valid JSON ({err})") from err
     return distribution_from_dict(doc)

@@ -25,10 +25,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.stats import norm
 
 from .decomposition import truth_functions
 from .distributions import FiniteDistribution, Observation
@@ -205,7 +205,7 @@ def variance_and_ci(eif_values, point: float, level: float):
         raise ValueError(f"confidence level must lie in (0, 1), got {level!r}")
     n = arr.size
     variance = float(np.sum(arr * arr)) / (n * n)
-    half = float(norm.ppf(0.5 * (1.0 + level))) * math.sqrt(variance)
+    half = NormalDist().inv_cdf(0.5 * (1.0 + level)) * math.sqrt(variance)
     return variance, point - half, point + half
 
 

@@ -45,7 +45,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import (
     DegenerateTreatment,
@@ -268,6 +267,12 @@ def _linear_core(beta: np.ndarray, drop_first: bool) -> Callable:
     return core
 
 
+def logistic(x):
+    """1 / (1 + exp(-x)) elementwise; exactly 0.0, with no warning, for x <= -710."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 def _logistic_nll(design: np.ndarray, z: np.ndarray, beta: np.ndarray) -> float:
     eta = design @ beta
     sign = 2.0 * z - 1.0
@@ -285,7 +290,7 @@ def _irls_beta(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     eye = np.eye(design.shape[1])
     nll = _logistic_nll(design, z, beta)
     for _ in range(IRLS_MAX_ITER):
-        p = expit(design @ beta)
+        p = logistic(design @ beta)
         grad = design.T @ (z - p)
         if math.sqrt(float(grad @ grad)) <= IRLS_GRADIENT_TOL:
             return beta
@@ -306,7 +311,7 @@ def _irls_beta(x: np.ndarray, z: np.ndarray) -> np.ndarray:
             step = 0.5 * step
         else:
             break  # no descent direction left; stationary up to rounding
-    p = expit(design @ beta)
+    p = logistic(design @ beta)
     grad = design.T @ (z - p)
     if math.sqrt(float(grad @ grad)) <= IRLS_GRADIENT_TOL:
         return beta
@@ -318,7 +323,7 @@ def _irls_beta(x: np.ndarray, z: np.ndarray) -> np.ndarray:
 def _logistic_core(beta: np.ndarray, drop_first: bool) -> Callable:
     def core(w):
         x = w[:, 1:] if drop_first else w
-        return expit(beta[0] + x @ beta[1:])
+        return logistic(beta[0] + x @ beta[1:])
 
     return core
 

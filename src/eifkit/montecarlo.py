@@ -3,7 +3,7 @@
 Two data-generating processes are supported.
 
 ``logistic-linear``
-    W ~ Uniform[-1, 1]^d, Pr(A=0 | W=w) = expit(gamma0 + gamma'w), and
+    W ~ Uniform[-1, 1]^d, Pr(A=0 | W=w) = logistic(gamma0 + gamma'w), and
     Y = beta0 + beta'w + noise for untreated rows (treated rows get a
     constant shift; their outcomes never enter the estimators).  The mean
     untreated outcome is beta0 + beta'E[W] = beta0 in closed form; the
@@ -28,14 +28,12 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import expit
-from scipy.stats import kstest, kurtosis, skew
 
 from .distributions import FiniteDistribution, fields_dict, psi_of, theta_of
 from .errors import ConfigError, EifkitError, NoTreatedRows
 from .estimators import EstimatorConfig, estimate
 from .decomposition import _check_n_grid, truth_functions
-from .learners import Dataset, LearnerSpec, _predictor
+from .learners import Dataset, LearnerSpec, _predictor, logistic
 
 __all__ = [
     "DGPSpec",
@@ -125,7 +123,7 @@ class DGPSpec:
         beta0, beta = self.beta[0], np.array(self.beta[1:])
         gamma0, gamma = self.gamma[0], np.array(self.gamma[1:])
         return (_predictor(lambda w: beta0 + w @ beta),
-                _predictor(lambda w: expit(gamma0 + w @ gamma)))
+                _predictor(lambda w: logistic(gamma0 + w @ gamma)))
 
     def __getstate__(self):
         state = dict(self.__dict__)
@@ -293,7 +291,8 @@ def _replication_worker(task):
         scaled = math.sqrt(n) * (report.point - truth_value)
         return ("ok", ReplicationResult(rep, n, report.point, report.variance,
                                         lo, hi, covered, scaled))
-    except EifkitError as err:
+    except (EifkitError, ValueError, ArithmeticError, np.linalg.LinAlgError) as err:
+        # one bad draw is a recorded failure, never the end of the study
         return ("fail", rep, f"{type(err).__name__}: {err}")
 
 
@@ -361,6 +360,33 @@ class CoverageSummary:
         return fields_dict(self, omit=("replications",))
 
 
+def ks_distance(x, sd: float) -> float:
+    """One-sample Kolmogorov-Smirnov distance of x from N(0, sd^2): max(D+, D-)."""
+    z = np.sort(np.asarray(x, dtype=float)) / sd
+    cdf = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in z.tolist()])
+    m = len(cdf)
+    d_plus = np.max(np.arange(1, m + 1) / m - cdf)
+    d_minus = np.max(cdf - np.arange(m) / m)
+    return float(max(d_plus, d_minus))
+
+
+def standardized_moments(x):
+    """Biased skewness m3 / m2^1.5 and excess kurtosis m4 / m2^2 - 3 of x.
+
+    Both are NaN when m2 is zero to rounding, m2 <= (eps * mean)^2 as in
+    scipy, and for a constant sample, whose rounded mean can leave an m2
+    just above that bound.
+    """
+    x = np.asarray(x, dtype=float)
+    mean = x.mean()
+    dev = x - mean
+    sq = dev * dev
+    m2 = sq.mean()
+    if x.min() == x.max() or m2 <= (np.finfo(float).eps * mean) ** 2:
+        return math.nan, math.nan
+    return float((sq * dev).mean() / m2**1.5), float((sq * sq).mean() / m2**2 - 3.0)
+
+
 def ks_critical_value(alpha: float, m: int) -> float:
     """Asymptotic one-sample Kolmogorov-Smirnov critical value."""
     return math.sqrt(-0.5 * math.log(alpha / 2.0)) / math.sqrt(m)
@@ -396,11 +422,9 @@ def run_coverage(
     mc_se = math.sqrt(coverage * (1.0 - coverage) / m)
     mean_scaled_variance = float(np.mean([n * r.variance for r in results]))
     sd = math.sqrt(mean_scaled_variance) if mean_scaled_variance > 0 else float("nan")
-    if math.isfinite(sd):
-        ks_distance = float(kstest(scaled, "norm", args=(0.0, sd)).statistic)
-    else:
-        ks_distance = float("nan")
+    ks = ks_distance(scaled, sd) if math.isfinite(sd) else math.nan
     ks_crit = ks_critical_value(0.01, m)
+    skewness, excess_kurtosis = standardized_moments(scaled)
     return CoverageSummary(
         estimand=config.estimand,
         estimator=config.estimator,
@@ -412,12 +436,12 @@ def run_coverage(
         mc_standard_error=mc_se,
         mean_scaled_error=float(scaled.mean()),
         var_scaled_error=float(scaled.var(ddof=1)),
-        skewness=float(skew(scaled)),
-        excess_kurtosis=float(kurtosis(scaled)),
+        skewness=skewness,
+        excess_kurtosis=excess_kurtosis,
         mean_scaled_variance=mean_scaled_variance,
-        ks_distance=ks_distance,
+        ks_distance=ks,
         ks_critical_1pct=ks_crit,
-        ks_flag=bool(math.isfinite(ks_distance) and ks_distance > ks_crit),
+        ks_flag=bool(math.isfinite(ks) and ks > ks_crit),
         failures=len(failures),
         replications=tuple(results),
     )

@@ -1,10 +1,17 @@
 """CSV ingestion taxonomy and end-to-end subcommand behavior."""
 
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eifkit import EstimatorConfig, draw_dataset, estimate, montecarlo, save_distribution
 from eifkit.cli import ingest_csv, main
@@ -20,6 +27,7 @@ from eifkit.errors import (
 
 
 SCRIPTS_DATA = Path(__file__).resolve().parent.parent / "scripts" / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _csv(tmp_path, text, name="data.csv"):
@@ -398,6 +406,7 @@ def test_simulate_rate_subcommand(workspace, capsys):
     {"level": 0},
     {"folds": 500},
     {"include_eif": "yes"},
+    {"data": "sample.csv\0"},
 ])
 def test_estimate_bad_values_exit_two(workspace, capsys, overrides):
     _, config = workspace
@@ -524,3 +533,138 @@ def test_argparse_failures_exit_two(workspace):
     with pytest.raises(SystemExit) as err:
         main(["frobnicate", "--config", "x.json"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["estimate", "simulate"])
+def test_negative_seed_flag_exits_two(workspace, capsys, monkeypatch, command):
+    _, config = workspace
+
+    def no_replications(*args, **kwargs):
+        raise AssertionError("replications ran for a rejected seed")
+
+    monkeypatch.setattr(montecarlo, "_run_tasks", no_replications)
+    doc = ({"data": "sample.csv", "folds": 0} if command == "estimate"
+           else {"study": "coverage", "n": 50, "reps": 4})
+    code = main([command, "--config", config("cfg.json", doc), "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    out = json.loads(captured.out)
+    assert set(out) == {"error"} and "--seed" in out["error"]["message"]
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("target", ["config", "csv", "distribution"])
+def test_files_that_are_not_utf8_exit_two(workspace, capsys, target):
+    tmp_path, config = workspace
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b'{"atoms": [\xff]}\n' if target != "csv" else b"w1,a,y\n0.0,0,\xff\n")
+    if target == "config":
+        argv = ["estimate", "--config", str(bad)]
+    elif target == "csv":
+        argv = ["estimate", "--config", config("est.json", {"data": "bad.bin"})]
+    else:
+        argv = ["verify-eif", "--config",
+                config("v.json", {"distribution": "bad.bin", "direction": "direction.json"})]
+    code, doc = run_cli(capsys, argv)
+    assert code == 2
+    assert doc["error"]["code"] == "config/invalid" and "UTF-8" in doc["error"]["message"]
+
+
+# ---------------------------------------------------------------------------
+# the error contract under random input
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10**6) | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+def _learner(kinds):
+    return st.fixed_dictionaries(
+        {"kind": st.sampled_from(kinds)},
+        optional={"k": st.integers(1, 15), "bandwidth": st.floats(0.05, 2.0),
+                  "truncation": st.floats(0.001, 0.2)},
+    )
+
+
+_ESTIMATE_FIELDS = {
+    "estimand": st.sampled_from(["psi", "theta"]),
+    "estimator": st.sampled_from(["onestep", "plugin", "ipw"]),
+    "learners": st.fixed_dictionaries({}, optional={
+        "q": _learner(["linear-ols", "knn", "kernel-nw", "misspecified-omit"]),
+        "g": _learner(["logistic-irls", "knn", "kernel-nw", "misspecified-omit",
+                       "misspecified-wronglink"]),
+    }),
+    "folds": st.integers(0, 4),
+    "level": st.floats(0.5, 0.99),
+    "seed": st.integers(0, 2**40),
+    "include_eif": st.booleans(),
+}
+
+
+@st.composite
+def _estimate_config(draw):
+    """A valid estimate config, one with a single key replaced by random JSON, or random bytes."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.binary(max_size=64))
+    doc = draw(st.fixed_dictionaries({"data": st.just("data.csv")}, optional=_ESTIMATE_FIELDS))
+    key = draw(st.sampled_from([None] * 9 + ["data", "extra", *_ESTIMATE_FIELDS]))
+    if key is not None:
+        doc[key] = draw(_json_values)
+    return json.dumps(doc).encode()
+
+
+@st.composite
+def _csv_text(draw):
+    """A valid sample of at most 12 rows, one with a single defect, or random bytes."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.binary(max_size=64))
+    d = draw(st.integers(1, 2))
+    header = draw(st.permutations([f"w{j}" for j in range(1, d + 1)] + ["a", "y"]))
+    rows = [[draw(st.sampled_from(["0", "1"])) if name == "a" else repr(draw(st.floats(-3, 3)))
+             for name in header] for _ in range(draw(st.integers(0, 12)))]
+    table = [header] + rows
+    defect = draw(st.sampled_from([None] * 6 + ["cell", "short", "long"]))
+    if defect is not None:
+        row = table[draw(st.integers(0, len(table) - 1))]
+        junk = st.sampled_from(["", "x", "nan", "inf", "2", "w0", "w3", "z", "a", "y"])
+        if defect == "cell":
+            row[draw(st.integers(0, len(row) - 1))] = draw(junk)
+        elif defect == "short":
+            row.pop()
+        else:
+            row.append(draw(junk))
+    return ("\n".join(",".join(row) for row in table) + "\n").encode()
+
+
+@given(config=_estimate_config(), data=_csv_text())
+@settings(max_examples=200)
+def test_estimate_keeps_the_error_contract_on_random_input(config, data):
+    # in process, a traceback is an exception escaping main(), which fails the example
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_bytes(config)
+        (Path(tmp) / "data.csv").write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["estimate", "--config", str(cfg)])
+    assert code in (0, 1, 2)
+    decoder = json.JSONDecoder()
+    text = out.getvalue()
+    doc, end = decoder.raw_decode(text)
+    assert text[end:] == "\n"
+    assert isinstance(doc, dict) and (code == 0) != ("error" in doc)
+    assert "Traceback" not in err.getvalue()
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test dependency only; a cold `eifkit` call must not pay its import
+    code = ("import sys, eifkit, eifkit.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=path), timeout=120, check=True)
+    assert result.stdout.strip() == "[]"

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from eifkit import (
     Dataset,
@@ -107,6 +108,15 @@ def test_variance_oracle_two_values():
     variance, lo, hi = variance_and_ci(np.array([-1.0, 1.0]), 0.0, 0.95)
     assert variance == pytest.approx(0.5, abs=0)
     assert hi == pytest.approx(Z_975 * math.sqrt(0.5), abs=1e-12)
+    assert lo == -hi
+
+
+@pytest.mark.parametrize("level", [0.5, 0.8, 0.9, 0.95, 0.99, 0.999])
+def test_interval_quantile_matches_scipy(level):
+    # one influence value of 1: unit variance, so the half-width is the quantile
+    _, lo, hi = variance_and_ci(np.array([1.0]), 0.0, level)
+    z = norm.ppf(0.5 * (1.0 + level))
+    assert abs(hi - z) <= 1e-15 * z
     assert lo == -hi
 
 

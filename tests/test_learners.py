@@ -2,15 +2,18 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from eifkit import Dataset, LearnerSpec, fit_outcome, fit_propensity, oracle_rate_nuisance
 from eifkit.learners import (
     DEFAULT_TRUNCATION,
     KERNEL_BLOCK_PAIRS,
     fit_nuisance,
+    logistic,
     perturbation_shape,
     truncate_propensity,
 )
@@ -123,6 +126,19 @@ def test_irls_separation_pins_at_truncation():
     eps = DEFAULT_TRUNCATION
     assert ghat(np.array([-0.9])) == pytest.approx(1.0 - eps, abs=1e-12)
     assert ghat(np.array([0.9])) == pytest.approx(eps, abs=1e-12)
+
+
+def test_logistic_matches_scipy_expit_within_four_ulp():
+    x = np.concatenate([np.linspace(-40.0, 40.0, 160_001), np.linspace(-745.0, 745.0, 29_801)])
+    ours, ref = logistic(x), expit(x)
+    assert np.all(np.abs(ours - ref) <= 4 * np.spacing(np.maximum(ours, ref)))
+
+
+def test_logistic_saturates_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert logistic(np.array([-800.0, -710.0, 800.0])).tolist() == [0.0, 0.0, 1.0]
+        assert logistic(-800.0) == 0.0 and logistic(800.0) == 1.0
 
 
 def test_propensity_always_truncated():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.special import expit
+from scipy.stats import kstest, kurtosis, skew
 
 from eifkit import (
     DGPSpec,
@@ -22,7 +23,9 @@ from eifkit import (
     run_dr_consistency,
     run_rate_experiment,
 )
+from eifkit import montecarlo
 from eifkit.errors import ConfigError
+from eifkit.montecarlo import ks_distance, standardized_moments
 
 from conftest import assert_close
 
@@ -259,6 +262,45 @@ def test_ks_critical_value_frozen():
         "ks critical value formula",
     )
     assert_close(ks_critical_value(0.01, 1000), 0.0514699784658, 1e-10, "ks value")
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_ks_distance_and_moments_match_scipy(seed):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(3, 2000))
+    x = (rng.standard_normal(m) if seed % 2 else rng.exponential(size=m)) * rng.uniform(0.1, 5)
+    sd = float(rng.uniform(0.5, 3.0))
+    assert abs(ks_distance(x, sd) - kstest(x, "norm", args=(0.0, sd)).statistic) <= 1e-12
+    skewness, excess_kurtosis = standardized_moments(x)
+    assert abs(skewness - skew(x)) <= 1e-12
+    assert abs(excess_kurtosis - kurtosis(x)) <= 1e-12
+
+
+@pytest.mark.parametrize("value", [0.0, 3.7, -1e6])
+def test_moments_of_a_constant_sample_are_nan(value):
+    # 50 copies of 3.7 leave m2 = 7.9e-31, above scipy's (eps * mean)^2 bound
+    assert all(math.isnan(v) for v in standardized_moments(np.full(50, value)))
+
+
+@pytest.mark.parametrize("error", [ValueError("bad draw"), ZeroDivisionError("zero"),
+                                   np.linalg.LinAlgError("singular")])
+def test_a_replication_that_raises_is_recorded(monkeypatch, error):
+    real_generate = montecarlo.generate
+
+    def generate(dgp, n, seed):
+        if seed.entropy[1] == 3:
+            raise error
+        return real_generate(dgp, n, seed)
+
+    # worker processes are forked, so they inherit the patched module
+    monkeypatch.setattr(montecarlo, "generate", generate)
+    dgp, config = default_logistic_linear(), _oracle_config()
+    serial = run_coverage(dgp, config, 120, 8, 31, workers=1)
+    parallel = run_coverage(dgp, config, 120, 8, 31, workers=2)
+    for summary in (serial, parallel):
+        assert summary.failures == 1
+        assert [r.rep for r in summary.replications] == [0, 1, 2, 4, 5, 6, 7]
+    assert serial.to_dict() == parallel.to_dict()
 
 
 def test_run_coverage_smoke():
