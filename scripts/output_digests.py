@@ -1,0 +1,80 @@
+"""SHA-256 digests of the CLI's outputs on every shipped config.
+
+Runs ``python -m eifkit.cli <cmd> --config scripts/configs/<name>.json``
+for each config in ``scripts/configs`` (the subcommand follows from the
+config's keys) and prints one JSON document mapping each config name to
+the SHA-256 of its stdout, plus the digest of the replication CSV the
+coverage config writes.  Two checkouts with equal documents produce
+byte-identical outputs.
+
+    python3 scripts/output_digests.py                    # every config, a few minutes
+    python3 scripts/output_digests.py decompose verify_eif
+
+The configs and their data run from a temporary copy, so the checkout
+(including ``scripts/configs/coverage_replications.csv``) is left as it
+is, and the package is imported from this checkout's ``src/``: nothing
+needs to be installed.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
+
+# the first key a config holds decides its subcommand
+COMMAND_BY_KEY = (("study", "simulate"), ("direction", "verify-eif"), ("mode", "remainder"),
+                  ("sample", "decompose"), ("data", "estimate"))
+
+
+def command_for(config: dict) -> str:
+    for key, command in COMMAND_BY_KEY:
+        if key in config:
+            return command
+    raise SystemExit(f"output_digests: no subcommand takes a config with keys {sorted(config)}")
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("names", nargs="*", help="config names (default: every config)")
+    args = parser.parse_args(argv)
+    shipped = sorted(p.stem for p in (SCRIPTS / "configs").glob("*.json"))
+    unknown = sorted(set(args.names) - set(shipped))
+    if unknown:
+        parser.error(f"no such configs: {unknown}; shipped: {shipped}")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    digests = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for sub in ("configs", "data"):
+            shutil.copytree(SCRIPTS / sub, Path(tmp) / sub)
+        configs = Path(tmp) / "configs"
+        for name in args.names or shipped:
+            path = configs / f"{name}.json"
+            config = json.loads(path.read_text(encoding="utf-8"))
+            command = [sys.executable, "-m", "eifkit.cli", command_for(config), "--config", str(path)]
+            proc = subprocess.run(command, capture_output=True, env=env, cwd=tmp)
+            if proc.returncode != 0:
+                sys.stderr.write(proc.stderr.decode(errors="replace"))
+                raise SystemExit(f"output_digests: {name} exited {proc.returncode}")
+            digests[name] = sha256(proc.stdout)
+            if "replications_out" in config:
+                csv_path = configs / config["replications_out"]
+                digests[config["replications_out"]] = sha256(csv_path.read_bytes())
+    sys.stdout.write(json.dumps(digests, indent=2, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -21,7 +21,11 @@ byte-identical.  Relative paths inside a config resolve against the
 config file's directory.
 
 Failures print ``{"error": {"code", "message"}}`` to stdout and exit
-with 2 for config problems and 1 for runtime ones.
+with 2 for config problems and 1 for runtime ones.  Output paths
+(``--out``, a simulate config's ``replications_out``) are checked before
+any work: a missing directory or a path that is a directory is a config
+problem.  A write that still fails is a runtime one, and stdout then
+carries the error document only.
 
 CSV data files carry covariate columns ``w1..wd`` (contiguous indices,
 any column order), a binary treatment column ``a``, and an outcome
@@ -47,8 +51,7 @@ from .decomposition import (
     truth_functions,
 )
 from .distributions import (
-    eif_psi,
-    eif_theta,
+    eif_integral,
     load_distribution,
     pathwise_derivative_check,
 )
@@ -59,6 +62,7 @@ from .errors import (
     InvalidLearnerSpec,
     MissingColumn,
     NonBinaryTreatment,
+    OutputError,
     UnexpectedColumn,
     UnparseableNumber,
 )
@@ -90,11 +94,30 @@ def _dumps(doc: dict) -> str:
 
 
 def _emit(doc: dict, out_path) -> None:
+    # the file first: if it cannot be written, stdout gets the error only
     text = _dumps(doc)
-    sys.stdout.write(text)
     if out_path is not None:
-        with open(out_path, "w", newline="") as fh:
-            fh.write(text)
+        _write_output(out_path, lambda fh: fh.write(text))
+    sys.stdout.write(text)
+
+
+def _check_output_path(path, where: str) -> None:
+    """Reject, before any work, a path in a missing directory or naming a directory."""
+    if "\0" in str(path):
+        raise ConfigError(f"{where}: path {str(path)!r} holds a NUL character")
+    p = Path(path)
+    if not p.parent.is_dir():
+        raise ConfigError(f"{where}: directory of {str(path)!r} does not exist")
+    if p.is_dir():
+        raise ConfigError(f"{where}: {str(path)!r} is a directory")
+
+
+def _write_output(path, write) -> None:
+    try:
+        with open(path, "w", newline="") as fh:
+            write(fh)
+    except OSError as err:
+        raise OutputError(f"cannot write {path}: {err}") from None
 
 
 def _cell(value) -> str:
@@ -106,11 +129,13 @@ def _cell(value) -> str:
 
 
 def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
+    def write(fh):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow([_cell(v) for v in row])
+
+    _write_output(path, write)
 
 
 # ---------------------------------------------------------------------------
@@ -341,10 +366,19 @@ def _cmd_verify_eif(args) -> dict:
     out = {}
     for name in names:
         check = pathwise_derivative_check(name, base, direction, step_grid=step_grid)
-        eif = eif_psi if name == "psi" else eif_theta
-        eif_mean = math.fsum(p * eif(obs, base) for obs, p in base.atoms)
-        out[name] = {"check": check.to_dict(), "eif_mean": eif_mean}
+        out[name] = {"check": check.to_dict(), "eif_mean": eif_integral(name, base, base)}
     return out
+
+
+def _sample_from(dist, config_path, value, where: str) -> Dataset:
+    """The sample CSV a config names; its covariates must match the law's dimension."""
+    data = ingest_csv(_resolve(config_path, value))
+    d = len(dist.w_support[0])
+    if data.d != d:
+        raise ConfigError(
+            f"{where}: the sample has {data.d} covariate columns, the distribution {d}"
+        )
+    return data
 
 
 def _cmd_decompose(args) -> dict:
@@ -354,7 +388,7 @@ def _cmd_decompose(args) -> dict:
     estimand = _str_field(cfg, "estimand", "psi", ("psi", "theta"), "decompose config")
     spec_q, spec_g = _learner_pair(cfg, "decompose config")
     dist = load_distribution(_resolve(args.config, cfg["distribution"]))
-    data = ingest_csv(_resolve(args.config, cfg["sample"]))
+    data = _sample_from(dist, args.config, cfg["sample"], "decompose config")
     truth = truth_functions(dist) if "oracle-rate" in (spec_q.kind, spec_g.kind) else None
     nuis = fit_nuisance(data, spec_q, spec_g, truth=truth)
     return decompose_error(dist, nuis, data, estimand=estimand).to_dict()
@@ -391,7 +425,7 @@ def _cmd_remainder(args) -> dict:
     if "n_grid" in cfg:
         raise ConfigError("remainder config: 'n_grid' only applies to sweep mode")
     if "sample" in cfg:
-        data = ingest_csv(_resolve(args.config, cfg["sample"]))
+        data = _sample_from(dist, args.config, cfg["sample"], "remainder config")
         truth = (truth_functions(dist)
                  if "oracle-rate" in (spec_q.kind, spec_g.kind) else None)
         nuis = fit_nuisance(data, spec_q, spec_g, truth=truth)
@@ -481,6 +515,10 @@ def _cmd_simulate(args) -> dict:
     workers = (args.workers if args.workers is not None
                else _int_field(cfg, "workers", 1, "simulate config"))
     include_replications = _bool_field(cfg, "include_replications", False, "simulate config")
+    replications_out = None
+    if cfg.get("replications_out"):
+        replications_out = _resolve(args.config, cfg["replications_out"])
+        _check_output_path(replications_out, "simulate config: 'replications_out'")
     dgp = _parse_dgp(cfg, args.config)
 
     if study == "coverage":
@@ -508,12 +546,9 @@ def _cmd_simulate(args) -> dict:
 
     doc = summary.to_dict()
     doc["seed"] = seed
-    if cfg.get("replications_out"):
-        _write_csv(
-            _resolve(args.config, cfg["replications_out"]),
-            REPLICATION_HEADER,
-            [r.to_row() for r in summary.replications],
-        )
+    if replications_out is not None:
+        _write_csv(replications_out, REPLICATION_HEADER,
+                   [r.to_row() for r in summary.replications])
     if include_replications:
         doc["replications"] = [
             dict(zip(REPLICATION_HEADER, r.to_row())) for r in summary.replications
@@ -555,14 +590,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        doc = args.handler(args)
+        if args.out is not None:
+            _check_output_path(args.out, "--out")
+        _emit(args.handler(args), args.out)
     except ConfigError as err:
         _emit({"error": {"code": err.code, "message": str(err)}}, None)
         return 2
     except EifkitError as err:
         _emit({"error": {"code": err.code, "message": str(err)}}, None)
         return 1
-    _emit(doc, args.out)
     return 0
 
 

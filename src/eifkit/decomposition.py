@@ -25,6 +25,13 @@ Cauchy-Schwarz bound built from the L2 nuisance errors.
 
 All expectations under P are compensated sums over the atom table, so the
 identities hold to ~1e-14 regardless of how adversarial the nuisances are.
+They read the law's support table (``FiniteDistribution.support_table``),
+built once per law: each expectation is an array of elementwise terms over
+its strata or its atoms, in a fixed operation order, summed by
+``math.fsum``.  Stratum sums (plug-in values, closed forms, L2 errors)
+and atom sums (the mean of the estimated influence function) stay two
+separate arithmetic paths, so the direct and closed-form remainders remain
+independent derivations.
 """
 
 from __future__ import annotations
@@ -37,10 +44,9 @@ import numpy as np
 
 from .distributions import (
     FiniteDistribution,
+    SupportTable,
     fields_dict,
-    g_of,
     psi_of,
-    q_of,
     theta_of,
 )
 from .errors import ConfigError, NoTreatedRows, PositivityViolation, ZeroMassConditioning
@@ -56,6 +62,9 @@ __all__ = [
     "remainder_rate_sweep",
     "truth_functions",
 ]
+
+# sample rows turned into key tuples at a time by decompose_error
+SAMPLE_ROW_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -124,46 +133,35 @@ class RateSweepReport:
 # support-level evaluation
 
 
-def _support_tables(dist: FiniteDistribution):
-    ws = dist.w_support
-    w_matrix = np.array(ws, dtype=float)
-    pw = np.array([dist.w_mass(w) for w in ws])
-    q = np.array([q_of(dist, w) for w in ws])
-    g = np.array([g_of(dist, w) for w in ws])
-    index = {w: i for i, w in enumerate(ws)}
-    return ws, w_matrix, pw, q, g, index
-
-
-def _nuisance_on_support(nuis: FittedNuisance, w_matrix: np.ndarray):
-    qh = np.asarray(nuis.predict_q(w_matrix), dtype=float)
-    gh = np.asarray(nuis.predict_g(w_matrix), dtype=float)
+def _on_support(dist: FiniteDistribution, nuis: FittedNuisance):
+    """The law's support table, with the nuisances predicted on its strata."""
+    table = dist.support_table
+    table.require_q()
+    qh = np.asarray(nuis.predict_q(table.w), dtype=float)
+    gh = np.asarray(nuis.predict_g(table.w), dtype=float)
     if (gh <= 0.0).any() or (gh > 1.0).any():
         raise PositivityViolation("fitted propensity must take values in (0, 1]")
-    return qh, gh
+    return table, qh, gh
 
 
-def _mean_phi_hat_psi(dist, index, qh, gh, psi_hat) -> float:
-    # atom-level E_P of the estimated influence function; deliberately NOT
-    # collapsed over covariate strata so it is an independent arithmetic
-    # path from the closed-form remainder
-    terms = []
-    for obs, p in dist.atoms:
-        i = index[obs.w]
-        residual = (obs.y - qh[i]) / gh[i] if obs.a == 0 else 0.0
-        terms.append(p * (residual + qh[i] - psi_hat))
-    return math.fsum(terms)
+def _fsum(terms: np.ndarray) -> float:
+    return math.fsum(terms.tolist())
 
 
-def _mean_phi_hat_theta(dist, index, qh, gh, theta_hat, pn_a) -> float:
-    terms = []
-    for obs, p in dist.atoms:
-        i = index[obs.w]
-        if obs.a == 0:
-            value = (1.0 - gh[i]) / gh[i] * (obs.y - qh[i]) / pn_a
-        else:
-            value = (qh[i] - theta_hat) / pn_a
-        terms.append(p * value)
-    return math.fsum(terms)
+def _mean_phi_psi(table: SupportTable, qh, gh, psi_hat) -> float:
+    # atom-level E_P of the influence function with (qh, gh) plugged in;
+    # deliberately NOT collapsed over covariate strata so it is an
+    # independent arithmetic path from the closed-form remainder
+    qa, ga = qh[table.atom_stratum], gh[table.atom_stratum]
+    residual = np.where(table.atom_a == 0, (table.atom_y - qa) / ga, 0.0)
+    return _fsum(table.atom_p * (residual + qa - psi_hat))
+
+
+def _mean_phi_theta(table: SupportTable, qh, gh, theta_hat, pn_a) -> float:
+    qa, ga = qh[table.atom_stratum], gh[table.atom_stratum]
+    value = np.where(table.atom_a == 0, (1.0 - ga) / ga * (table.atom_y - qa) / pn_a,
+                     (qa - theta_hat) / pn_a)
+    return _fsum(table.atom_p * value)
 
 
 # ---------------------------------------------------------------------------
@@ -176,14 +174,14 @@ def remainder_exact_psi(dist: FiniteDistribution, nuis: FittedNuisance) -> Remai
     The plug-in value uses the estimated regression under the *true*
     covariate marginal: plugin = E_P[qhat(W)].
     """
-    _, w_matrix, pw, q, g, index = _support_tables(dist)
-    qh, gh = _nuisance_on_support(nuis, w_matrix)
+    table, qh, gh = _on_support(dist, nuis)
+    pw, q, g = table.pw, table.q, table.g
     psi_true = psi_of(dist)
-    psi_hat = math.fsum(pw * qh)
-    direct = psi_true - psi_hat - _mean_phi_hat_psi(dist, index, qh, gh, psi_hat)
-    closed = -math.fsum(pw * (g - gh) * (q - qh) / gh)
-    l2_g = math.sqrt(math.fsum(pw * (g - gh) ** 2))
-    l2_q = math.sqrt(math.fsum(pw * (q - qh) ** 2))
+    psi_hat = _fsum(pw * qh)
+    direct = psi_true - psi_hat - _mean_phi_psi(table, qh, gh, psi_hat)
+    closed = -_fsum(pw * (g - gh) * (q - qh) / gh)
+    l2_g = math.sqrt(_fsum(pw * (g - gh) ** 2))
+    l2_q = math.sqrt(_fsum(pw * (q - qh) ** 2))
     cs_bound = float(np.max(1.0 / gh)) * l2_g * l2_q
     return RemainderReport("psi", direct, closed, cs_bound)
 
@@ -208,21 +206,19 @@ def remainder_exact_theta(
     pn_a = float(pn_a)
     if not 0.0 < pn_a <= 1.0:
         raise ConfigError(f"treated fraction must lie in (0, 1], got {pn_a!r}")
-    _, w_matrix, pw, q, g, index = _support_tables(dist)
-    qh, gh = _nuisance_on_support(nuis, w_matrix)
+    table, qh, gh = _on_support(dist, nuis)
+    pw, q, g = table.pw, table.q, table.g
     theta_true = theta_of(dist)
     pr_a1 = dist.pr_a1
     pw1 = pw * (1.0 - g)  # Pr(W=w, A=1) stratum by stratum
-    theta_hat = math.fsum(pw1 * qh) / pr_a1
-    direct = theta_true - theta_hat - _mean_phi_hat_theta(
-        dist, index, qh, gh, theta_hat, pn_a
-    )
-    s1 = -math.fsum(pw * (g - gh) / gh * (1.0 - gh) * (q - qh)) / pn_a
-    s2 = -math.fsum(pw * (gh - g) * (qh - q)) / pn_a
+    theta_hat = _fsum(pw1 * qh) / pr_a1
+    direct = theta_true - theta_hat - _mean_phi_theta(table, qh, gh, theta_hat, pn_a)
+    s1 = -_fsum(pw * (g - gh) / gh * (1.0 - gh) * (q - qh)) / pn_a
+    s2 = -_fsum(pw * (gh - g) * (qh - q)) / pn_a
     s3 = -(pr_a1 - pn_a) / pn_a * (theta_true - theta_hat)
     closed = s1 + s2 + s3
-    l2_g = math.sqrt(math.fsum(pw * (g - gh) ** 2))
-    l2_q = math.sqrt(math.fsum(pw * (q - qh) ** 2))
+    l2_g = math.sqrt(_fsum(pw * (g - gh) ** 2))
+    l2_q = math.sqrt(_fsum(pw * (q - qh) ** 2))
     cs_bound = (float(np.max((1.0 - gh) / gh)) + 1.0) / pn_a * l2_g * l2_q + abs(s3)
     return RemainderReport(
         "theta", direct, closed, cs_bound, terms={"s1": s1, "s2": s2, "s3": s3}
@@ -247,16 +243,19 @@ def decompose_error(
     """
     if estimand not in ("psi", "theta"):
         raise ValueError(f"unknown estimand {estimand!r}")
-    ws, w_matrix, pw, q, g, index = _support_tables(dist)
-    qh, gh = _nuisance_on_support(nuis, w_matrix)
-    try:
-        row_idx = np.array(
-            [index[tuple(float(x) for x in row)] for row in sample.w], dtype=np.int64
-        )
-    except KeyError as err:
-        raise ZeroMassConditioning(
-            f"sample covariate value {err.args[0]} outside the support of the truth"
-        ) from None
+    table, qh, gh = _on_support(dist, nuis)
+    pw, q, g, index = table.pw, table.q, table.g, table.index
+    # rows become key tuples a block at a time, so the Python objects held
+    # at once stay bounded whatever the sample size
+    row_idx = np.empty(sample.n, dtype=np.int64)
+    for start in range(0, sample.n, SAMPLE_ROW_BLOCK):
+        block = sample.w[start:start + SAMPLE_ROW_BLOCK].tolist()
+        try:
+            row_idx[start:start + len(block)] = [index[key] for key in map(tuple, block)]
+        except KeyError as err:
+            raise ZeroMassConditioning(
+                f"sample covariate value {err.args[0]} outside the support of the truth"
+            ) from None
     n = sample.n
     root_n = math.sqrt(n)
     ind0 = (sample.a == 0).astype(float)
@@ -266,11 +265,11 @@ def decompose_error(
 
     if estimand == "psi":
         psi_true = psi_of(dist)
-        psi_hat = math.fsum(pw * qh)
+        psi_hat = _fsum(pw * qh)
         phi_true = ind0 * (y - q_i) / g_i + q_i - psi_true
         phi_hat = ind0 * (y - qh_i) / gh_i + qh_i - psi_hat
-        mean_true = _mean_phi_hat_psi(dist, index, q, g, psi_true)
-        mean_hat = _mean_phi_hat_psi(dist, index, qh, gh, psi_hat)
+        mean_true = _mean_phi_psi(table, q, g, psi_true)
+        mean_hat = _mean_phi_psi(table, qh, gh, psi_hat)
         rem = remainder_exact_psi(dist, nuis)
         total = root_n * (psi_hat - psi_true)
     else:
@@ -280,15 +279,15 @@ def decompose_error(
         pn_a = float(np.mean(sample.a))
         theta_true = theta_of(dist)
         pr_a1 = dist.pr_a1
-        theta_hat = math.fsum(pw * (1.0 - g) * qh) / pr_a1
+        theta_hat = _fsum(pw * (1.0 - g) * qh) / pr_a1
         phi_true = (
             ind0 * (1.0 - g_i) / g_i * (y - q_i) + ind1 * (q_i - theta_true)
         ) / pr_a1
         phi_hat = (
             ind0 * (1.0 - gh_i) / gh_i * (y - qh_i) + ind1 * (qh_i - theta_hat)
         ) / pn_a
-        mean_true = _mean_phi_hat_theta(dist, index, q, g, theta_true, pr_a1)
-        mean_hat = _mean_phi_hat_theta(dist, index, qh, gh, theta_hat, pn_a)
+        mean_true = _mean_phi_theta(table, q, g, theta_true, pr_a1)
+        mean_hat = _mean_phi_theta(table, qh, gh, theta_hat, pn_a)
         rem = remainder_exact_theta(dist, nuis, pn_a)
         total = root_n * (theta_hat - theta_true)
 
@@ -363,14 +362,23 @@ def truth_functions(dist: FiniteDistribution):
     q is defined on the strata with untreated mass, g on the whole
     covariate support; a row outside raises ZeroMassConditioning.
     """
-    gmap = {w: g_of(dist, w) for w in dist.w_support}
-    qmap = {w: q_of(dist, w) for w, g in gmap.items() if g > 0.0}
-    return _table_lookup(qmap, "conditional mean"), _table_lookup(gmap, "untreated propensity")
+    table = dist.support_table
+    gmap = dict(zip(table.strata, table.g.tolist()))
+    qmap = {w: q for w, q, g in zip(table.strata, table.q.tolist(), table.g.tolist())
+            if g > 0.0}
+    return (_table_lookup(qmap, table.w, table.q, "conditional mean"),
+            _table_lookup(gmap, table.w, table.g, "untreated propensity"))
 
 
-def _table_lookup(table: dict, what: str):
-    # keys are exact float tuples; -0.0 and 0.0 hash and compare equal
+def _table_lookup(table: dict, support: np.ndarray, column: np.ndarray, what: str):
+    # keys are exact float tuples; -0.0 and 0.0 hash and compare equal, as
+    # they do in np.array_equal, so a query that is the whole support matrix
+    # (the exact routines' case) reads the column instead of the dict
+    whole = len(table) == len(support)
+
     def core(w):
+        if whole and w.shape == support.shape and np.array_equal(w, support):
+            return column.copy()
         try:
             return np.array([table[key] for key in map(tuple, w.tolist())], dtype=float)
         except KeyError as err:

@@ -7,6 +7,18 @@ ratios of exactly-summed masses, and every expectation is a compensated sum
 (``math.fsum``) over the atom table.  No tolerance-based merging of nearby
 atoms is ever performed.
 
+Support table
+-------------
+``FiniteDistribution.support_table`` holds the law as arrays, built on
+first use and kept on the law (it is dropped and pickled with it): the
+covariate strata as a matrix with their index, per stratum Pr(W=w),
+Pr(W=w, A=0), the untreated sum of p*y, q and g, and per atom its stratum,
+a, y and p.  Each float is taken from, or is one division of, the ordered
+dict sums the constructor makes, so it equals the scalar lookups
+(``q_of``, ``g_of``, ``FiniteDistribution.w_mass``) bit for bit.  The
+exact routines form their expectations as elementwise array terms and
+pass them to ``math.fsum``, which is exactly rounded whatever the order.
+
 Parameters of interest
 ----------------------
 ``psi_of``
@@ -27,7 +39,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
-from typing import Sequence
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import (
     ConfigError,
@@ -41,6 +55,7 @@ from .errors import (
 __all__ = [
     "Observation",
     "FiniteDistribution",
+    "SupportTable",
     "SubmodelMix",
     "CheckReport",
     "q_of",
@@ -49,6 +64,7 @@ __all__ = [
     "theta_of",
     "eif_psi",
     "eif_theta",
+    "eif_integral",
     "mix",
     "pathwise_derivative_check",
     "distribution_to_dict",
@@ -92,7 +108,10 @@ class Observation:
         if self.a not in (0, 1):
             raise InvalidDistribution(f"treatment must be 0 or 1, got {self.a!r}")
         object.__setattr__(self, "a", int(self.a))
-        y = float(self.y)
+        try:
+            y = float(self.y)
+        except (TypeError, ValueError) as err:
+            raise InvalidDistribution(f"outcome {self.y!r} is not numeric") from err
         if not math.isfinite(y):
             raise InvalidDistribution(f"outcome must be finite, got {self.y!r}")
         object.__setattr__(self, "y", y)
@@ -100,6 +119,35 @@ class Observation:
     @property
     def key(self):
         return (self.w, self.a, self.y)
+
+
+class SupportTable(NamedTuple):
+    """Array view of one law: its covariate strata and its atoms.
+
+    Strata are in the law's canonical order (first appearance in the sorted
+    atom table), atoms in atom order.  ``q`` is NaN on a stratum without
+    untreated mass; ``require_q`` raises there as ``q_of`` does.
+    """
+
+    strata: tuple             # covariate keys
+    index: dict               # covariate key -> stratum row
+    w: np.ndarray             # (strata, d) covariate matrix
+    pw: np.ndarray            # Pr(W = w)
+    pw0: np.ndarray           # Pr(W = w, A = 0)
+    ymass0: np.ndarray        # sum of p*y over the untreated atoms of w
+    q: np.ndarray             # E(Y | W = w, A = 0)
+    g: np.ndarray             # Pr(A = 0 | W = w)
+    atom_stratum: np.ndarray  # each atom's stratum row
+    atom_a: np.ndarray
+    atom_y: np.ndarray
+    atom_p: np.ndarray
+
+    def require_q(self) -> None:
+        """Raise ZeroMassConditioning at the first stratum where q is undefined."""
+        missing = np.flatnonzero(self.pw0 == 0.0)
+        if missing.size:
+            key = self.strata[missing[0]]
+            raise ZeroMassConditioning(f"Pr(W={key}, A=0) = 0; E(Y | W=w, A=0) undefined")
 
 
 class FiniteDistribution:
@@ -115,12 +163,12 @@ class FiniteDistribution:
     -----
     Atoms are stored sorted by key so every summation runs in one canonical
     order; repeated evaluation is bit-reproducible.  The functional values
-    psi/theta are cached after first computation (idempotent, so benign
-    under concurrent reads).
+    psi/theta and the support table are cached after first computation
+    (idempotent, so benign under concurrent reads).
     """
 
     __slots__ = ("atoms", "_atom_mass", "_w_mass", "_w0_mass", "_w0_ymass",
-                 "_w1_mass", "_pr_a1", "_psi", "_theta")
+                 "_w1_mass", "_pr_a1", "_psi", "_theta", "_table")
 
     def __init__(self, atoms):
         pairs = []
@@ -133,7 +181,10 @@ class FiniteDistribution:
                 ) from err
             if not isinstance(obs, Observation):
                 obs = Observation(*obs)
-            p = float(p)
+            try:
+                p = float(p)
+            except (TypeError, ValueError) as err:
+                raise InvalidDistribution(f"atom mass {p!r} is not numeric") from err
             if not math.isfinite(p) or not 0.0 < p <= 1.0:
                 raise InvalidDistribution(f"atom mass {p!r} outside (0, 1]")
             pairs.append((obs, p))
@@ -172,6 +223,7 @@ class FiniteDistribution:
         self._pr_a1 = math.fsum(p for obs, p in self.atoms if obs.a == 1)
         self._psi = None
         self._theta = None
+        self._table = None
 
     # -- support access ----------------------------------------------------
 
@@ -188,6 +240,35 @@ class FiniteDistribution:
 
     def w_mass(self, w) -> float:
         return self._w_mass.get(_canonical_w(w), 0.0)
+
+    @property
+    def support_table(self) -> SupportTable:
+        """The law's strata and atoms as arrays, built on first use."""
+        if self._table is None:
+            strata = tuple(self._w_mass)
+            pw = np.array(list(self._w_mass.values()))
+            pw0 = np.array([self._w0_mass.get(w, 0.0) for w in strata])
+            ymass0 = np.array([self._w0_ymass.get(w, 0.0) for w in strata])
+            q = np.divide(ymass0, pw0, out=np.full(len(strata), np.nan), where=pw0 != 0.0)
+            index = {w: i for i, w in enumerate(strata)}
+            table = SupportTable(
+                strata=strata,
+                index=index,
+                w=np.array(strata, dtype=float),
+                pw=pw,
+                pw0=pw0,
+                ymass0=ymass0,
+                q=q,
+                g=pw0 / pw,
+                atom_stratum=np.array([index[obs.w] for obs, _ in self.atoms], dtype=np.int64),
+                atom_a=np.array([obs.a for obs, _ in self.atoms], dtype=np.int64),
+                atom_y=np.array([obs.y for obs, _ in self.atoms]),
+                atom_p=np.array([p for _, p in self.atoms]),
+            )
+            for field in table[2:]:
+                field.setflags(write=False)
+            self._table = table
+        return self._table
 
     @property
     def pr_a1(self) -> float:
@@ -390,10 +471,7 @@ def fields_dict(report, omit=()) -> dict:
     return out
 
 
-_FUNCTIONALS = {
-    "psi": (psi_of, eif_psi),
-    "theta": (theta_of, eif_theta),
-}
+_FUNCTIONALS = {"psi": psi_of, "theta": theta_of}
 
 
 def _extrapolate_to_zero(steps: Sequence[float], values: Sequence[float]) -> float:
@@ -438,7 +516,7 @@ def pathwise_derivative_check(
         Both values and their absolute discrepancy.
     """
     try:
-        value_fn, eif_fn = _FUNCTIONALS[functional]
+        value_fn = _FUNCTIONALS[functional]
     except KeyError:
         raise ConfigError(f"unknown functional {functional!r}") from None
     grid = tuple(float(h) for h in (step_grid if step_grid is not None else DEFAULT_STEP_GRID))
@@ -454,8 +532,38 @@ def pathwise_derivative_check(
         (value_fn(mix(SubmodelMix(base, direction, h))) - f0) / h for h in grid
     ]
     fd = diffs[0] if len(diffs) == 1 else _extrapolate_to_zero(grid, diffs)
-    integral = math.fsum(p * eif_fn(obs, base) for obs, p in direction.atoms)
+    integral = eif_integral(functional, base, direction)
     return CheckReport(functional, fd, integral, abs(fd - integral), grid)
+
+
+def eif_integral(functional: str, dist: FiniteDistribution, weights: FiniteDistribution) -> float:
+    """Sum over the atoms of ``weights`` of mass times the influence function under ``dist``.
+
+    Equal, term by term, to ``math.fsum(p * eif(obs, dist) for obs, p in
+    weights.atoms)`` with ``eif`` the functional's ``eif_psi``/``eif_theta``,
+    and raising as that sum would.  With ``weights`` = ``dist`` it is the
+    influence function's mean, zero up to rounding.
+    """
+    try:
+        value = _FUNCTIONALS[functional](dist)
+    except KeyError:
+        raise ConfigError(f"unknown functional {functional!r}") from None
+    table, atoms = dist.support_table, weights.support_table
+    try:
+        rows = np.array([table.index[w] for w in atoms.strata], dtype=np.int64)
+    except KeyError as err:
+        raise ZeroMassConditioning(f"covariate value {err.args[0]} outside the support") from None
+    rows = rows[atoms.atom_stratum]
+    q, g = table.q[rows], table.g[rows]
+    untreated = atoms.atom_a == 0
+    y = atoms.atom_y
+    if functional == "psi":
+        centred = q - value
+        eif = np.where(untreated, centred + (y - q) / g, centred)
+    else:
+        p1 = dist.pr_a1
+        eif = np.where(untreated, (1.0 - g) / g * (y - q) / p1, (q - value) / p1)
+    return math.fsum((atoms.atom_p * eif).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -134,3 +134,13 @@ class ConfigError(EifkitError, ValueError):
     """
 
     code = "config/invalid"
+
+
+# ---------------------------------------------------------------------------
+# output
+
+
+class OutputError(EifkitError):
+    """An output file that passed the up-front path check could not be written."""
+
+    code = "output/write-failed"

@@ -304,6 +304,20 @@ def _run_tasks(tasks, workers: int):
         return list(pool.map(_replication_worker, tasks, chunksize=chunk))
 
 
+def _check_master_seed(master_seed) -> None:
+    if (isinstance(master_seed, bool) or not isinstance(master_seed, (int, np.integer))
+            or master_seed < 0):
+        raise ConfigError(f"master seed must be a non-negative integer, got {master_seed!r}")
+
+
+def _failed(what: str, failures) -> ConfigError:
+    """The study error for ``what``, naming the first of its recorded failures."""
+    if not failures:
+        return ConfigError(what)
+    rep, message = failures[0]
+    return ConfigError(f"{what}; first failure, replication {rep}: {message}")
+
+
 def _split_outcomes(outcomes):
     results, failures = [], []
     for out in outcomes:
@@ -314,12 +328,18 @@ def _split_outcomes(outcomes):
     return results, failures
 
 
+def _failures_at(failures, grid, reps: int, n: int) -> list:
+    # replications are numbered consecutively, ``reps`` per grid size
+    return [f for f in failures if grid[f[0] // reps] == n]
+
+
 def _run_grid(dgp: DGPSpec, config: EstimatorConfig, n_grid, reps: int,
               master_seed: int, workers: int):
     """``reps`` replications at each n of the grid, numbered consecutively.
 
     Returns the grid, the truth, the successful results and the failures.
     """
+    _check_master_seed(master_seed)
     grid = _check_n_grid(n_grid)
     config.check_folds(grid[0])
     truth_value = dgp.truth(config.estimand)
@@ -407,6 +427,7 @@ def run_coverage(
     the influence-function variance estimate; the KS flag fires when the
     distance exceeds the asymptotic 1% critical value.
     """
+    _check_master_seed(master_seed)
     if reps < 2:
         raise ConfigError("coverage study needs at least 2 replications")
     config.check_folds(n)
@@ -414,7 +435,7 @@ def run_coverage(
     tasks = [(dgp, config, n, master_seed, rep, truth_value) for rep in range(reps)]
     results, failures = _split_outcomes(_run_tasks(tasks, workers))
     if not results:
-        raise ConfigError("every replication failed; nothing to summarize")
+        raise _failed("every replication failed; nothing to summarize", failures)
     scaled = np.array([r.scaled_error for r in results])
     covered = np.array([r.covered for r in results], dtype=float)
     m = len(results)
@@ -486,7 +507,8 @@ def run_rate_experiment(
     for n in grid:
         errs = np.array([r.point - truth_value for r in results if r.n == n])
         if errs.size == 0:
-            raise ConfigError(f"all replications failed at n={n}")
+            raise _failed(f"all replications failed at n={n}",
+                          _failures_at(failures, grid, reps, n))
         rmse.append(float(np.sqrt(np.mean(errs**2))))
         scaled = math.sqrt(n) * errs
         mean_scaled.append(float(scaled.mean()))
@@ -571,7 +593,8 @@ def run_dr_consistency(
     for n in grid:
         points = np.array([r.point for r in results if r.n == n])
         if points.size < 2:
-            raise ConfigError(f"not enough successful replications at n={n}")
+            raise _failed(f"not enough successful replications at n={n}",
+                          _failures_at(failures, grid, reps, n))
         bias.append(float(points.mean() - truth_value))
         mc_se.append(float(points.std(ddof=1) / math.sqrt(points.size)))
     return DrConsistencyReport(

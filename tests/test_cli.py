@@ -487,6 +487,83 @@ def test_output_files_are_byte_identical_across_reruns(workspace, capsys, tmp_pa
     assert stdout == out1.read_text()
 
 
+def _only_error_document(capsys, code, want_code):
+    captured = capsys.readouterr()
+    assert code == want_code
+    doc, end = json.JSONDecoder().raw_decode(captured.out)
+    assert captured.out[end:] == "\n"
+    assert set(doc) == {"error"}
+    assert "Traceback" not in captured.err
+    return doc["error"]
+
+
+@pytest.mark.parametrize("target", ["nodir/o.json", ".", "a\0b"])
+def test_estimate_out_path_checked_before_any_work(workspace, capsys, monkeypatch, target):
+    tmp_path, config = workspace
+    cfg = config("est.json", {"data": "sample.csv"})
+
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("estimated for a rejected --out")
+
+    monkeypatch.setattr("eifkit.cli.estimate", no_estimate)
+    monkeypatch.chdir(tmp_path)
+    code = main(["estimate", "--config", cfg, "--out", target])
+    error = _only_error_document(capsys, code, 2)
+    assert error["code"] == "config/invalid" and "--out" in error["message"]
+
+
+def test_estimate_out_write_failure_exits_one(workspace, capsys, monkeypatch):
+    # the directory passes the up-front check, then goes away during the work
+    tmp_path, config = workspace
+    cfg = config("est.json", {"data": "sample.csv"})
+    target = tmp_path / "gone"
+    target.mkdir()
+    original = main.__globals__["estimate"]
+
+    def estimate_then_remove(*args, **kwargs):
+        target.rmdir()
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr("eifkit.cli.estimate", estimate_then_remove)
+    code = main(["estimate", "--config", cfg, "--out", str(target / "o.json")])
+    error = _only_error_document(capsys, code, 1)
+    assert error["code"] == "output/write-failed"
+
+
+@pytest.mark.parametrize("target", ["nodir/x.csv", ".", 5])
+def test_simulate_replications_out_checked_before_any_work(workspace, capsys, monkeypatch,
+                                                            target):
+    _, config = workspace
+
+    def no_replications(*args, **kwargs):
+        raise AssertionError("replications ran for a rejected replications_out")
+
+    monkeypatch.setattr(montecarlo, "_run_tasks", no_replications)
+    cfg = config("sim.json", {"study": "coverage", "n": 50, "reps": 3,
+                              "replications_out": target})
+    code = main(["simulate", "--config", cfg])
+    error = _only_error_document(capsys, code, 2)
+    assert error["code"] == "config/invalid"
+
+
+def test_simulate_replications_out_write_failure_exits_one(workspace, capsys, monkeypatch):
+    tmp_path, config = workspace
+    target = tmp_path / "gone"
+    target.mkdir()
+    original = montecarlo._run_tasks
+
+    def run_then_remove(*args, **kwargs):
+        target.rmdir()
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "_run_tasks", run_then_remove)
+    cfg = config("sim.json", {"study": "coverage", "n": 50, "reps": 3,
+                              "replications_out": "gone/x.csv"})
+    code = main(["simulate", "--config", cfg])
+    error = _only_error_document(capsys, code, 1)
+    assert error["code"] == "output/write-failed" and "x.csv" in error["message"]
+
+
 def test_stdout_is_sorted_pretty_json(workspace, capsys):
     _, config = workspace
     cfg = config("est.json", {"data": "sample.csv"})
@@ -640,17 +717,15 @@ def _csv_text(draw):
     return ("\n".join(",".join(row) for row in table) + "\n").encode()
 
 
-@given(config=_estimate_config(), data=_csv_text())
-@settings(max_examples=200)
-def test_estimate_keeps_the_error_contract_on_random_input(config, data):
+def _assert_contract(command, files):
+    """Run ``command`` on a config and its files in a fresh directory; check the contract."""
     # in process, a traceback is an exception escaping main(), which fails the example
     with tempfile.TemporaryDirectory() as tmp:
-        cfg = Path(tmp) / "cfg.json"
-        cfg.write_bytes(config)
-        (Path(tmp) / "data.csv").write_bytes(data)
+        for name, content in files.items():
+            (Path(tmp) / name).write_bytes(content)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["estimate", "--config", str(cfg)])
+            code = main([command, "--config", str(Path(tmp) / "cfg.json")])
     assert code in (0, 1, 2)
     decoder = json.JSONDecoder()
     text = out.getvalue()
@@ -658,6 +733,114 @@ def test_estimate_keeps_the_error_contract_on_random_input(config, data):
     assert text[end:] == "\n"
     assert isinstance(doc, dict) and (code == 0) != ("error" in doc)
     assert "Traceback" not in err.getvalue()
+
+
+@given(config=_estimate_config(), data=_csv_text())
+@settings(max_examples=200)
+def test_estimate_keeps_the_error_contract_on_random_input(config, data):
+    _assert_contract("estimate", {"cfg.json": config, "data.csv": data})
+
+
+# the exact-layer subcommands: random laws of at most 12 atoms (treated-only
+# strata, signed zeros and all), samples on or off their support, and
+# configs with one key replaced by random JSON
+
+_W_VALUES = (-1.0, -0.0, 0.0, 0.5, 1.0)
+
+
+@st.composite
+def _law_keys(draw):
+    d = draw(st.integers(1, 2))
+    w = st.tuples(*[st.sampled_from(_W_VALUES)] * d)
+    return draw(st.lists(st.tuples(w, st.integers(0, 1), st.sampled_from([-1.0, 0.0, 0.5, 2.0])),
+                         min_size=1, max_size=12, unique=True))
+
+
+@st.composite
+def _law_file(draw, keys):
+    """The atom table of ``keys`` with random masses, one with a single defect, or random bytes."""
+    if draw(st.integers(0, 6)) == 0:
+        return draw(st.binary(max_size=64))
+    counts = draw(st.lists(st.integers(1, 9), min_size=len(keys), max_size=len(keys)))
+    total = sum(counts)
+    atoms = [{"w": list(w), "a": a, "y": y, "p": c / total} for (w, a, y), c in zip(keys, counts)]
+    defect = draw(st.sampled_from([None] * 6 + ["field", "drop", "duplicate"]))
+    atom = atoms[draw(st.integers(0, len(atoms) - 1))]
+    if defect == "field":
+        atom[draw(st.sampled_from(["w", "a", "y", "p"]))] = draw(_json_values)
+    elif defect == "drop":
+        del atom[draw(st.sampled_from(["w", "a", "y", "p"]))]
+    elif defect == "duplicate":
+        atoms.append(dict(atom))
+    return json.dumps({"atoms": atoms}).encode()
+
+
+@st.composite
+def _support_sample(draw, keys):
+    rows = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=12))
+    d = len(keys[0][0])
+    lines = [",".join([f"w{j}" for j in range(1, d + 1)] + ["a", "y"])]
+    lines += [",".join([repr(v) for v in w] + [str(a), repr(y)]) for w, a, y in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _oracle():
+    return st.fixed_dictionaries(
+        {"kind": st.just("oracle-rate"), "rate_exponent": st.floats(0.05, 0.5),
+         "amplitude": st.floats(0.0, 0.5)},
+        optional={"shape": st.integers(0, 2), "truncation": st.floats(0.001, 0.2)})
+
+
+_EXACT_LEARNERS = st.fixed_dictionaries({}, optional={
+    "q": _learner(["linear-ols", "knn", "kernel-nw"]) | _oracle(),
+    "g": _learner(["logistic-irls", "knn", "kernel-nw"]) | _oracle(),
+})
+
+
+def _exact_config(command):
+    estimand = st.sampled_from(["psi", "theta"])
+    if command == "decompose":
+        return st.fixed_dictionaries(
+            {"distribution": st.just("dist.json"), "sample": st.just("sample.csv")},
+            optional={"estimand": estimand, "learners": _EXACT_LEARNERS})
+    if command == "verify-eif":
+        return st.fixed_dictionaries(
+            {"distribution": st.just("dist.json"), "direction": st.just("direction.json")},
+            optional={"functional": st.sampled_from(["psi", "theta", "both"]),
+                      "step_grid": st.sampled_from([[1e-3, 5e-4], [1e-2], [0.5, 0.25, 0.125]])})
+    if command == "remainder-sweep":
+        return st.fixed_dictionaries(
+            {"distribution": st.just("dist.json"), "mode": st.just("sweep"),
+             "n_grid": st.sampled_from([[16, 64, 256], [100, 1000]]),
+             "learners": st.fixed_dictionaries({"q": _oracle(), "g": _oracle()})},
+            optional={"estimand": estimand})
+    with_sample = st.fixed_dictionaries(
+        {"distribution": st.just("dist.json"), "sample": st.just("sample.csv")},
+        optional={"learners": _EXACT_LEARNERS})
+    with_n = st.fixed_dictionaries(
+        {"distribution": st.just("dist.json"), "n": st.integers(1, 10**4),
+         "learners": st.fixed_dictionaries({"q": _oracle(), "g": _oracle()})})
+    return st.tuples(with_sample | with_n, estimand, st.floats(0.05, 1.0)).map(
+        lambda t: dict(t[0], estimand=t[1], **({"pn_a": t[2]} if t[1] == "theta" else {})))
+
+
+@pytest.mark.parametrize("command", ["decompose", "remainder-exact", "remainder-sweep",
+                                     "verify-eif"])
+@given(data=st.data())
+@settings(max_examples=60)
+def test_exact_subcommands_keep_the_error_contract_on_random_input(command, data):
+    keys = data.draw(_law_keys())
+    doc = data.draw(_exact_config(command))
+    key = data.draw(st.sampled_from([None] * 5 + ["extra", *doc]))
+    if key is not None:
+        doc[key] = data.draw(_json_values)
+    files = {"cfg.json": json.dumps(doc).encode(), "dist.json": data.draw(_law_file(keys))}
+    if command == "verify-eif":
+        subset = data.draw(st.lists(st.sampled_from(keys), min_size=1, unique=True))
+        files["direction.json"] = data.draw(_law_file(subset))
+    else:
+        files["sample.csv"] = data.draw(_support_sample(keys) | _csv_text())
+    _assert_contract(command.split("-")[0] if command != "verify-eif" else command, files)
 
 
 def test_cli_import_loads_no_scipy():

@@ -1,6 +1,8 @@
 """Remainder identities, Cauchy-Schwarz bounds, and the four-term split."""
 
+import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -8,22 +10,32 @@ from hypothesis import given, strategies as st
 
 from eifkit import (
     Dataset,
+    FiniteDistribution,
+    SubmodelMix,
     LearnerSpec,
     decompose_error,
     psi_of,
     quadrature_distribution,
     default_logistic_linear,
     draw_dataset,
+    eif_psi,
+    eif_theta,
+    g_of,
+    mix,
+    pathwise_derivative_check,
+    q_of,
     remainder_exact_psi,
     remainder_exact_theta,
     remainder_rate_sweep,
     theta_of,
     truth_functions,
 )
+from eifkit.cli import main
+from eifkit.distributions import DEFAULT_STEP_GRID, _extrapolate_to_zero, save_distribution
 from eifkit.learners import FittedNuisance, fit_nuisance
 from eifkit.errors import PositivityViolation, ZeroMassConditioning
 
-from conftest import lookup_fn, perturbed_nuisance, random_distribution
+from conftest import direction_from, lookup_fn, perturbed_nuisance, random_distribution
 
 
 def _exact_nuisance(dist):
@@ -193,6 +205,11 @@ def test_decompose_rejects_off_support_sample(four_atom):
                      y=np.array([0.0]))
     with pytest.raises(ZeroMassConditioning):
         decompose_error(four_atom, _exact_nuisance(four_atom), sample)
+    # the first row outside the support, in sample order, is the one named
+    sample = Dataset(w=np.array([[0.0], [9.0], [1.0], [-3.0], [9.0]]),
+                     a=np.array([0, 1, 0, 1, 0]), y=np.zeros(5))
+    with pytest.raises(ZeroMassConditioning, match=r"value \(9\.0,\) outside"):
+        decompose_error(four_atom, _exact_nuisance(four_atom), sample)
 
 
 def test_decompose_large_sample_closure():
@@ -241,3 +258,283 @@ def test_truth_functions_vectorized(five_atom):
     assert tq(np.array([1.0])) == pytest.approx(5.0)
     with pytest.raises(ZeroMassConditioning):
         tq(np.array([3.0]))
+
+
+# ---------------------------------------------------------------------------
+# the per-law array path against a per-atom reference
+#
+# The reference below is the exact layer computed one stratum and one atom
+# at a time: Pr(W=w), q and g rebuilt through the scalar lookups, the mean
+# of the estimated influence function as an atom loop, and the influence
+# function integral as a sum of per-atom ``eif_psi``/``eif_theta`` values.
+# The library evaluates the same terms as arrays over a support table held
+# on the law; math.fsum is exactly rounded, so equal terms give equal sums
+# and every comparison below is ``==``.
+
+
+def _ref_support_tables(dist):
+    ws = dist.w_support
+    w_matrix = np.array(ws, dtype=float)
+    pw = np.array([dist.w_mass(w) for w in ws])
+    q = np.array([q_of(dist, w) for w in ws])
+    g = np.array([g_of(dist, w) for w in ws])
+    index = {w: i for i, w in enumerate(ws)}
+    return ws, w_matrix, pw, q, g, index
+
+
+def _ref_nuisance_on_support(nuis, w_matrix):
+    qh = np.asarray(nuis.predict_q(w_matrix), dtype=float)
+    gh = np.asarray(nuis.predict_g(w_matrix), dtype=float)
+    if (gh <= 0.0).any() or (gh > 1.0).any():
+        raise PositivityViolation("fitted propensity must take values in (0, 1]")
+    return qh, gh
+
+
+def _ref_mean_phi_hat_psi(dist, index, qh, gh, psi_hat):
+    terms = []
+    for obs, p in dist.atoms:
+        i = index[obs.w]
+        residual = (obs.y - qh[i]) / gh[i] if obs.a == 0 else 0.0
+        terms.append(p * (residual + qh[i] - psi_hat))
+    return math.fsum(terms)
+
+
+def _ref_mean_phi_hat_theta(dist, index, qh, gh, theta_hat, pn_a):
+    terms = []
+    for obs, p in dist.atoms:
+        i = index[obs.w]
+        if obs.a == 0:
+            value = (1.0 - gh[i]) / gh[i] * (obs.y - qh[i]) / pn_a
+        else:
+            value = (qh[i] - theta_hat) / pn_a
+        terms.append(p * value)
+    return math.fsum(terms)
+
+
+def _ref_remainder_psi(dist, nuis):
+    _, w_matrix, pw, q, g, index = _ref_support_tables(dist)
+    qh, gh = _ref_nuisance_on_support(nuis, w_matrix)
+    psi_true = psi_of(dist)
+    psi_hat = math.fsum(pw * qh)
+    direct = psi_true - psi_hat - _ref_mean_phi_hat_psi(dist, index, qh, gh, psi_hat)
+    closed = -math.fsum(pw * (g - gh) * (q - qh) / gh)
+    l2_g = math.sqrt(math.fsum(pw * (g - gh) ** 2))
+    l2_q = math.sqrt(math.fsum(pw * (q - qh) ** 2))
+    cs_bound = float(np.max(1.0 / gh)) * l2_g * l2_q
+    return {"remainder_direct": direct, "remainder_closed_form": closed,
+            "cs_bound": cs_bound, "terms": None}
+
+
+def _ref_remainder_theta(dist, nuis, pn_a):
+    _, w_matrix, pw, q, g, index = _ref_support_tables(dist)
+    qh, gh = _ref_nuisance_on_support(nuis, w_matrix)
+    theta_true = theta_of(dist)
+    pr_a1 = dist.pr_a1
+    theta_hat = math.fsum(pw * (1.0 - g) * qh) / pr_a1
+    direct = theta_true - theta_hat - _ref_mean_phi_hat_theta(
+        dist, index, qh, gh, theta_hat, pn_a)
+    s1 = -math.fsum(pw * (g - gh) / gh * (1.0 - gh) * (q - qh)) / pn_a
+    s2 = -math.fsum(pw * (gh - g) * (qh - q)) / pn_a
+    s3 = -(pr_a1 - pn_a) / pn_a * (theta_true - theta_hat)
+    l2_g = math.sqrt(math.fsum(pw * (g - gh) ** 2))
+    l2_q = math.sqrt(math.fsum(pw * (q - qh) ** 2))
+    cs_bound = (float(np.max((1.0 - gh) / gh)) + 1.0) / pn_a * l2_g * l2_q + abs(s3)
+    return {"remainder_direct": direct, "remainder_closed_form": s1 + s2 + s3,
+            "cs_bound": cs_bound, "terms": {"s1": s1, "s2": s2, "s3": s3}}
+
+
+def _ref_decompose(dist, nuis, sample, estimand):
+    _, w_matrix, pw, q, g, index = _ref_support_tables(dist)
+    qh, gh = _ref_nuisance_on_support(nuis, w_matrix)
+    row_idx = np.array([index[tuple(float(x) for x in row)] for row in sample.w])
+    n = sample.n
+    root_n = math.sqrt(n)
+    ind0 = (sample.a == 0).astype(float)
+    y = sample.y
+    q_i, g_i, qh_i, gh_i = q[row_idx], g[row_idx], qh[row_idx], gh[row_idx]
+    if estimand == "psi":
+        psi_true = psi_of(dist)
+        psi_hat = math.fsum(pw * qh)
+        phi_true = ind0 * (y - q_i) / g_i + q_i - psi_true
+        phi_hat = ind0 * (y - qh_i) / gh_i + qh_i - psi_hat
+        mean_true = _ref_mean_phi_hat_psi(dist, index, q, g, psi_true)
+        mean_hat = _ref_mean_phi_hat_psi(dist, index, qh, gh, psi_hat)
+        rem = _ref_remainder_psi(dist, nuis)
+        total = root_n * (psi_hat - psi_true)
+    else:
+        ind1 = 1.0 - ind0
+        pn_a = float(np.mean(sample.a))
+        theta_true = theta_of(dist)
+        pr_a1 = dist.pr_a1
+        theta_hat = math.fsum(pw * (1.0 - g) * qh) / pr_a1
+        phi_true = (ind0 * (1.0 - g_i) / g_i * (y - q_i) + ind1 * (q_i - theta_true)) / pr_a1
+        phi_hat = (ind0 * (1.0 - gh_i) / gh_i * (y - qh_i) + ind1 * (qh_i - theta_hat)) / pn_a
+        mean_true = _ref_mean_phi_hat_theta(dist, index, q, g, theta_true, pr_a1)
+        mean_hat = _ref_mean_phi_hat_theta(dist, index, qh, gh, theta_hat, pn_a)
+        rem = _ref_remainder_theta(dist, nuis, pn_a)
+        total = root_n * (theta_hat - theta_true)
+    pn_true = float(np.mean(phi_true))
+    pn_hat = float(np.mean(phi_hat))
+    return {
+        "estimand": estimand,
+        "n": n,
+        "clt_term": root_n * pn_true,
+        "drift_term": root_n * pn_hat,
+        "empirical_process_term": root_n * ((pn_hat - pn_true) - (mean_hat - mean_true)),
+        "remainder": root_n * rem["remainder_direct"],
+        "total_error": total,
+    }
+
+
+def _ref_eif_integral(functional, dist, weights):
+    eif = eif_psi if functional == "psi" else eif_theta
+    return math.fsum(p * eif(obs, dist) for obs, p in weights.atoms)
+
+
+def _ref_check(functional, base, direction, step_grid):
+    value_fn = psi_of if functional == "psi" else theta_of
+    f0 = value_fn(base)
+    diffs = [(value_fn(mix(SubmodelMix(base, direction, h))) - f0) / h for h in step_grid]
+    fd = diffs[0] if len(diffs) == 1 else _extrapolate_to_zero(step_grid, diffs)
+    integral = _ref_eif_integral(functional, base, direction)
+    return {"finite_difference": fd, "eif_integral": integral,
+            "discrepancy": abs(fd - integral)}
+
+
+def _report_fields(report, names):
+    return {name: getattr(report, name) for name in names}
+
+
+def _assert_matches_reference(dist, nuis, rng, sample=None):
+    """Every exact-layer output equals the per-atom reference, bit for bit."""
+    rem_names = ("remainder_direct", "remainder_closed_form", "cs_bound", "terms")
+    assert _report_fields(remainder_exact_psi(dist, nuis), rem_names) == \
+        _ref_remainder_psi(dist, nuis)
+    for pn_a in (float(rng.uniform(0.15, 0.95)), dist.pr_a1):
+        assert _report_fields(remainder_exact_theta(dist, nuis, pn_a), rem_names) == \
+            _ref_remainder_theta(dist, nuis, pn_a)
+    ws, w_matrix, _, q, g, _ = _ref_support_tables(dist)
+    tq, tg = truth_functions(dist)
+    assert tq(w_matrix).tolist() == q.tolist()
+    assert tg(w_matrix).tolist() == g.tolist()
+    if sample is not None:
+        dec_names = ("estimand", "n", "clt_term", "drift_term", "empirical_process_term",
+                     "remainder", "total_error")
+        for estimand in ("psi", "theta"):
+            if estimand == "theta" and not sample.a.any():
+                continue
+            got = decompose_error(dist, nuis, sample, estimand=estimand)
+            assert _report_fields(got, dec_names) == _ref_decompose(dist, nuis, sample, estimand)
+    direction = direction_from(dist, rng)
+    for functional in ("psi", "theta"):
+        for grid in (DEFAULT_STEP_GRID, (1e-2, 5e-3, 2.5e-3)):
+            got = pathwise_derivative_check(functional, dist, direction, step_grid=grid)
+            assert _report_fields(got, ("finite_difference", "eif_integral", "discrepancy")) \
+                == _ref_check(functional, dist, direction, grid)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3]))
+def test_array_path_equals_per_atom_reference(seed, d):
+    rng = np.random.default_rng(seed)
+    dist = random_distribution(rng, d=d, max_y_per_stratum=3)
+    sample = draw_dataset(dist, int(rng.integers(1, 60)), seed)
+    for exact_q, exact_g in ((False, False), (True, False), (False, True)):
+        nuis = perturbed_nuisance(dist, rng, exact_q=exact_q, exact_g=exact_g)
+        _assert_matches_reference(dist, nuis, rng, sample)
+    _assert_matches_reference(dist, _exact_nuisance(dist), rng, sample)
+
+
+def _signed_zero_law(d):
+    # one stratum is keyed by 0.0 in some atoms and by -0.0 in others:
+    # the two compare and hash equal, so they are one covariate value
+    zero, negzero = (0.0,) * d, (-0.0,) * d
+    mixed = (0.0, -0.0, 0.0)[:d]
+    one = (1.0,) * d
+    atoms = [((negzero, 0, 1.0), 0.125), ((zero, 0, 3.0), 0.125), ((mixed, 1, 2.0), 0.125),
+             ((zero, 1, -0.0), 0.125), ((one, 0, 0.5), 0.25), ((one, 1, -1.0), 0.25)]
+    return FiniteDistribution(atoms)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_array_path_equals_reference_on_signed_zero_keys(d):
+    dist = _signed_zero_law(d)
+    assert len(dist.w_support) == 2
+    rng = np.random.default_rng(40 + d)
+    w = np.array([(-0.0,) * d, (0.0,) * d, (1.0,) * d, (0.0, -0.0, -0.0)[:d]] * 5)
+    sample = Dataset(w=w, a=np.tile([0, 1, 1, 0], 5), y=np.arange(20.0))
+    for _ in range(3):
+        _assert_matches_reference(dist, perturbed_nuisance(dist, rng), rng, sample)
+
+
+def test_array_path_on_one_law_reused_and_pickled():
+    rng = np.random.default_rng(77)
+    dist = random_distribution(rng, max_strata=5, d=2, max_y_per_stratum=3)
+    sample = draw_dataset(dist, 80, 7)
+    nuisances = [perturbed_nuisance(dist, rng) for _ in range(25)]
+    for nuis in nuisances:
+        _assert_matches_reference(dist, nuis, rng, sample)
+    # before any call on it, and after the calls above, when the table
+    # travels with the law
+    fresh = pickle.loads(pickle.dumps(random_distribution(np.random.default_rng(77),
+                                                          max_strata=5, d=2,
+                                                          max_y_per_stratum=3)))
+    used = pickle.loads(pickle.dumps(dist))
+    assert fresh._table is None and used._table is not None
+    for law in (fresh, used):
+        for nuis in nuisances[:5]:
+            _assert_matches_reference(law, nuis, rng, sample)
+        tq, tg = truth_functions(law)
+        assert tq(sample.w).tolist() == truth_functions(dist)[0](sample.w).tolist()
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return "ok", fn(*args, **kwargs)
+    except Exception as err:  # compared by class and message
+        return type(err), str(err)
+
+
+def test_treated_only_stratum_raises_as_before():
+    dist = FiniteDistribution([(((0.0,), 0, 1.0), 0.25), (((0.0,), 1, 2.0), 0.25),
+                               (((1.0,), 1, 3.0), 0.5)])
+    nuis = FittedNuisance(lambda w: np.zeros(len(np.atleast_2d(w))),
+                          lambda w: np.full(len(np.atleast_2d(w)), 0.5))
+    sample = Dataset(w=np.array([[0.0], [1.0]]), a=np.array([0, 1]), y=np.array([1.0, 3.0]))
+    kind, message = _outcome(remainder_exact_psi, dist, nuis)
+    assert (kind, message) == (ZeroMassConditioning,
+                               "Pr(W=(1.0,), A=0) = 0; E(Y | W=w, A=0) undefined")
+    assert _outcome(_ref_remainder_psi, dist, nuis) == (kind, message)
+    assert _outcome(remainder_exact_theta, dist, nuis, 0.5) == (kind, message)
+    assert _outcome(_ref_remainder_theta, dist, nuis, 0.5) == (kind, message)
+    for estimand in ("psi", "theta"):
+        assert _outcome(decompose_error, dist, nuis, sample, estimand) == (kind, message)
+        assert _outcome(_ref_decompose, dist, nuis, sample, estimand) == (kind, message)
+    direction = FiniteDistribution([(((0.0,), 0, 1.0), 1.0)])
+    for functional in ("psi", "theta"):
+        got = _outcome(pathwise_derivative_check, functional, dist, direction)
+        assert got[0] is PositivityViolation
+        assert got == _outcome(_ref_check, functional, dist, direction, DEFAULT_STEP_GRID)
+    # q is undefined on the treated-only stratum, g is 0 there
+    tq, tg = truth_functions(dist)
+    assert tg(np.array([[0.0], [1.0]])).tolist() == [0.5, 0.0]
+    assert tq(np.array([[0.0]])).tolist() == [1.0]
+    assert _outcome(tq, np.array([[1.0]])) == (
+        ZeroMassConditioning, "conditional mean undefined at (1.0,)")
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_verify_eif_eif_mean_equals_per_atom_reference(tmp_path, capsys, seed):
+    rng = np.random.default_rng(seed)
+    base = random_distribution(rng, d=2, max_y_per_stratum=3)
+    direction = direction_from(base, rng)
+    save_distribution(base, tmp_path / "base.json")
+    save_distribution(direction, tmp_path / "direction.json")
+    cfg = tmp_path / "verify.json"
+    cfg.write_text(json.dumps({"distribution": "base.json", "direction": "direction.json"}))
+    assert main(["verify-eif", "--config", str(cfg)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    for functional in ("psi", "theta"):
+        assert doc[functional]["eif_mean"] == _ref_eif_integral(functional, base, base)
+        check = _ref_check(functional, base, direction, DEFAULT_STEP_GRID)
+        for key, value in check.items():
+            assert doc[functional]["check"][key] == value

@@ -395,3 +395,50 @@ def test_replication_rows_roundtrip():
     row = summary.replications[0].to_row()
     assert row[0] == 0 and row[1] == 100
     assert isinstance(row[2], float) and isinstance(row[4], bool)
+
+
+def _run_study(study, master_seed, n=120, reps=3):
+    dgp, config = default_logistic_linear(), _oracle_config()
+    if study == "coverage":
+        return run_coverage(dgp, config, n, reps, master_seed)
+    if study == "rate":
+        return run_rate_experiment(dgp, config, [n, 2 * n], reps, master_seed)
+    return run_dr_consistency(dgp, "none", [n, 2 * n], reps, master_seed)
+
+
+@pytest.mark.parametrize("study", ["coverage", "rate", "dr"])
+@pytest.mark.parametrize("master_seed", [-1, True, False, 1.0, "3", None, [1]])
+def test_master_seed_checked_before_any_replication(monkeypatch, study, master_seed):
+    def no_replications(*args, **kwargs):
+        raise AssertionError("replications ran for a rejected master seed")
+
+    monkeypatch.setattr(montecarlo, "_run_tasks", no_replications)
+    with pytest.raises(ConfigError, match="master seed must be a non-negative integer"):
+        _run_study(study, master_seed)
+
+
+@pytest.mark.parametrize("study", ["coverage", "rate", "dr"])
+def test_master_seed_accepts_numpy_integers(study):
+    assert _run_study(study, np.int64(5)).to_dict() == _run_study(study, 5).to_dict()
+
+
+@pytest.mark.parametrize("study, message", [
+    ("coverage", "every replication failed; nothing to summarize; "
+                 "first failure, replication 0: ValueError: bad draw at n=120"),
+    ("rate", "all replications failed at n=240; "
+             "first failure, replication 3: ValueError: bad draw at n=240"),
+    ("dr", "not enough successful replications at n=240; "
+           "first failure, replication 3: ValueError: bad draw at n=240"),
+])
+def test_study_failure_names_the_first_recorded_failure(monkeypatch, study, message):
+    real_generate = montecarlo.generate
+
+    def generate(dgp, n, seed):
+        if study == "coverage" or n == 240:
+            raise ValueError(f"bad draw at n={n}")
+        return real_generate(dgp, n, seed)
+
+    monkeypatch.setattr(montecarlo, "generate", generate)
+    with pytest.raises(ConfigError) as err:
+        _run_study(study, 9)
+    assert str(err.value) == message
