@@ -289,11 +289,11 @@ def _int_field(cfg, key, default, where, minimum=0):
     return value
 
 
-def _seed(args, cfg: dict, where: str) -> int:
-    """The --seed flag when given, else the config's seed; both must be >= 0."""
-    if args.seed is not None:
-        cfg, where = {"seed": args.seed}, "--seed"
-    return _int_field(cfg, "seed", 0, where)
+def _flag_or_field(args, cfg: dict, key: str, default: int, where: str, minimum=0) -> int:
+    """The --<key> flag when given, else the config's key; both must be >= ``minimum``."""
+    if getattr(args, key) is not None:
+        cfg, where = {key: getattr(args, key)}, f"--{key}"
+    return _int_field(cfg, key, default, where, minimum)
 
 
 def _float_field(cfg, key, default, where):
@@ -339,7 +339,7 @@ def _cmd_estimate(args) -> dict:
         ("data",),
         "estimate config",
     )
-    seed = _seed(args, cfg, "estimate config")
+    seed = _flag_or_field(args, cfg, "seed", 0, "estimate config")
     config = _estimator_config(cfg, seed, "estimate config")
     if "oracle-rate" in (config.spec_q.kind, config.spec_g.kind):
         raise ConfigError(
@@ -511,9 +511,8 @@ def _cmd_simulate(args) -> dict:
     )
     study = _str_field(cfg, "study", None, ("coverage", "rate", "dr"), "simulate config")
     reps = _int_field(cfg, "reps", None, "simulate config", minimum=2)
-    seed = _seed(args, cfg, "simulate config")
-    workers = (args.workers if args.workers is not None
-               else _int_field(cfg, "workers", 1, "simulate config"))
+    seed = _flag_or_field(args, cfg, "seed", 0, "simulate config")
+    workers = _flag_or_field(args, cfg, "workers", 1, "simulate config", minimum=1)
     include_replications = _bool_field(cfg, "include_replications", False, "simulate config")
     replications_out = None
     if cfg.get("replications_out"):
@@ -583,7 +582,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="override the config seed")
         if name == "simulate":
             p.add_argument("--workers", type=int, default=None,
-                           help="override the config worker count")
+                           help="override the config worker count (an integer >= 1)")
     return parser
 
 

@@ -31,7 +31,10 @@ its strata or its atoms, in a fixed operation order, summed by
 ``math.fsum``.  Stratum sums (plug-in values, closed forms, L2 errors)
 and atom sums (the mean of the estimated influence function) stay two
 separate arithmetic paths, so the direct and closed-form remainders remain
-independent derivations.
+independent derivations.  The influence function, over the atoms and over
+the sample rows alike, is ``distributions._influence``, its one array
+form; ``decompose_error`` takes its direct remainder from the same atom
+mean as its empirical-process term.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ import numpy as np
 from .distributions import (
     FiniteDistribution,
     SupportTable,
+    _influence,
     fields_dict,
     psi_of,
     theta_of,
@@ -148,20 +152,27 @@ def _fsum(terms: np.ndarray) -> float:
     return math.fsum(terms.tolist())
 
 
-def _mean_phi_psi(table: SupportTable, qh, gh, psi_hat) -> float:
+def _mean_phi(estimand: str, table: SupportTable, qh, gh, centre, p1) -> float:
     # atom-level E_P of the influence function with (qh, gh) plugged in;
     # deliberately NOT collapsed over covariate strata so it is an
     # independent arithmetic path from the closed-form remainder
-    qa, ga = qh[table.atom_stratum], gh[table.atom_stratum]
-    residual = np.where(table.atom_a == 0, (table.atom_y - qa) / ga, 0.0)
-    return _fsum(table.atom_p * (residual + qa - psi_hat))
+    s = table.atom_stratum
+    return _fsum(table.atom_p * _influence(estimand, table.atom_a, table.atom_y,
+                                           qh[s], gh[s], centre, p1))
 
 
-def _mean_phi_theta(table: SupportTable, qh, gh, theta_hat, pn_a) -> float:
-    qa, ga = qh[table.atom_stratum], gh[table.atom_stratum]
-    value = np.where(table.atom_a == 0, (1.0 - ga) / ga * (table.atom_y - qa) / pn_a,
-                     (qa - theta_hat) / pn_a)
-    return _fsum(table.atom_p * value)
+def _plugin(estimand: str, dist: FiniteDistribution, table: SupportTable, qh) -> float:
+    # the functional with qhat substituted, expectations under the true law
+    if estimand == "psi":
+        return _fsum(table.pw * qh)
+    return _fsum(table.pw * (1.0 - table.g) * qh) / dist.pr_a1
+
+
+def _l2_errors(table: SupportTable, qh, gh):
+    """The L2(P_W) errors of ghat and qhat."""
+    pw = table.pw
+    return (math.sqrt(_fsum(pw * (table.g - gh) ** 2)),
+            math.sqrt(_fsum(pw * (table.q - qh) ** 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -177,11 +188,10 @@ def remainder_exact_psi(dist: FiniteDistribution, nuis: FittedNuisance) -> Remai
     table, qh, gh = _on_support(dist, nuis)
     pw, q, g = table.pw, table.q, table.g
     psi_true = psi_of(dist)
-    psi_hat = _fsum(pw * qh)
-    direct = psi_true - psi_hat - _mean_phi_psi(table, qh, gh, psi_hat)
+    psi_hat = _plugin("psi", dist, table, qh)
+    direct = psi_true - psi_hat - _mean_phi("psi", table, qh, gh, psi_hat, None)
     closed = -_fsum(pw * (g - gh) * (q - qh) / gh)
-    l2_g = math.sqrt(_fsum(pw * (g - gh) ** 2))
-    l2_q = math.sqrt(_fsum(pw * (q - qh) ** 2))
+    l2_g, l2_q = _l2_errors(table, qh, gh)
     cs_bound = float(np.max(1.0 / gh)) * l2_g * l2_q
     return RemainderReport("psi", direct, closed, cs_bound)
 
@@ -209,16 +219,13 @@ def remainder_exact_theta(
     table, qh, gh = _on_support(dist, nuis)
     pw, q, g = table.pw, table.q, table.g
     theta_true = theta_of(dist)
-    pr_a1 = dist.pr_a1
-    pw1 = pw * (1.0 - g)  # Pr(W=w, A=1) stratum by stratum
-    theta_hat = _fsum(pw1 * qh) / pr_a1
-    direct = theta_true - theta_hat - _mean_phi_theta(table, qh, gh, theta_hat, pn_a)
+    theta_hat = _plugin("theta", dist, table, qh)
+    direct = theta_true - theta_hat - _mean_phi("theta", table, qh, gh, theta_hat, pn_a)
     s1 = -_fsum(pw * (g - gh) / gh * (1.0 - gh) * (q - qh)) / pn_a
     s2 = -_fsum(pw * (gh - g) * (qh - q)) / pn_a
-    s3 = -(pr_a1 - pn_a) / pn_a * (theta_true - theta_hat)
+    s3 = -(dist.pr_a1 - pn_a) / pn_a * (theta_true - theta_hat)
     closed = s1 + s2 + s3
-    l2_g = math.sqrt(_fsum(pw * (g - gh) ** 2))
-    l2_q = math.sqrt(_fsum(pw * (q - qh) ** 2))
+    l2_g, l2_q = _l2_errors(table, qh, gh)
     cs_bound = (float(np.max((1.0 - gh) / gh)) + 1.0) / pn_a * l2_g * l2_q + abs(s3)
     return RemainderReport(
         "theta", direct, closed, cs_bound, terms={"s1": s1, "s2": s2, "s3": s3}
@@ -244,7 +251,7 @@ def decompose_error(
     if estimand not in ("psi", "theta"):
         raise ValueError(f"unknown estimand {estimand!r}")
     table, qh, gh = _on_support(dist, nuis)
-    pw, q, g, index = table.pw, table.q, table.g, table.index
+    index = table.index
     # rows become key tuples a block at a time, so the Python objects held
     # at once stay bounded whatever the sample size
     row_idx = np.empty(sample.n, dtype=np.int64)
@@ -256,54 +263,33 @@ def decompose_error(
             raise ZeroMassConditioning(
                 f"sample covariate value {err.args[0]} outside the support of the truth"
             ) from None
-    n = sample.n
-    root_n = math.sqrt(n)
-    ind0 = (sample.a == 0).astype(float)
-    y = sample.y
-    q_i, g_i = q[row_idx], g[row_idx]
-    qh_i, gh_i = qh[row_idx], gh[row_idx]
-
+    # the estimand picks the truth and the treated fractions of the true
+    # and the estimated influence functions (psi uses neither)
     if estimand == "psi":
-        psi_true = psi_of(dist)
-        psi_hat = _fsum(pw * qh)
-        phi_true = ind0 * (y - q_i) / g_i + q_i - psi_true
-        phi_hat = ind0 * (y - qh_i) / gh_i + qh_i - psi_hat
-        mean_true = _mean_phi_psi(table, q, g, psi_true)
-        mean_hat = _mean_phi_psi(table, qh, gh, psi_hat)
-        rem = remainder_exact_psi(dist, nuis)
-        total = root_n * (psi_hat - psi_true)
+        truth, p_true, p_hat = psi_of(dist), None, None
     else:
-        ind1 = 1.0 - ind0
-        if not ind1.any():
+        if not (sample.a == 1).any():
             raise NoTreatedRows("treated-mean decomposition needs a treated row for P_n(A)")
-        pn_a = float(np.mean(sample.a))
-        theta_true = theta_of(dist)
-        pr_a1 = dist.pr_a1
-        theta_hat = _fsum(pw * (1.0 - g) * qh) / pr_a1
-        phi_true = (
-            ind0 * (1.0 - g_i) / g_i * (y - q_i) + ind1 * (q_i - theta_true)
-        ) / pr_a1
-        phi_hat = (
-            ind0 * (1.0 - gh_i) / gh_i * (y - qh_i) + ind1 * (qh_i - theta_hat)
-        ) / pn_a
-        mean_true = _mean_phi_theta(table, q, g, theta_true, pr_a1)
-        mean_hat = _mean_phi_theta(table, qh, gh, theta_hat, pn_a)
-        rem = remainder_exact_theta(dist, nuis, pn_a)
-        total = root_n * (theta_hat - theta_true)
+        truth, p_true, p_hat = theta_of(dist), dist.pr_a1, float(np.mean(sample.a))
+    hat = _plugin(estimand, dist, table, qh)
+    phi_true = _influence(estimand, sample.a, sample.y, table.q[row_idx], table.g[row_idx],
+                          truth, p_true)
+    phi_hat = _influence(estimand, sample.a, sample.y, qh[row_idx], gh[row_idx], hat, p_hat)
+    mean_true = _mean_phi(estimand, table, table.q, table.g, truth, p_true)
+    mean_hat = _mean_phi(estimand, table, qh, gh, hat, p_hat)
 
+    root_n = math.sqrt(sample.n)
     pn_true = float(np.mean(phi_true))
     pn_hat = float(np.mean(phi_hat))
-    clt = root_n * pn_true
-    drift = root_n * pn_hat
-    ep = root_n * ((pn_hat - pn_true) - (mean_hat - mean_true))
     return DecompositionReport(
         estimand=estimand,
-        n=n,
-        clt_term=clt,
-        drift_term=drift,
-        empirical_process_term=ep,
-        remainder=root_n * rem.remainder_direct,
-        total_error=total,
+        n=sample.n,
+        clt_term=root_n * pn_true,
+        drift_term=root_n * pn_hat,
+        empirical_process_term=root_n * ((pn_hat - pn_true) - (mean_hat - mean_true)),
+        # the direct remainder, from the atom mean already formed
+        remainder=root_n * (truth - hat - mean_hat),
+        total_error=root_n * (hat - truth),
     )
 
 

@@ -29,9 +29,12 @@ Parameters of interest
     E{ E(Y | W, A=0) | A=1 }.
 
 Their influence functions (``eif_psi``, ``eif_theta``) are closed-form and
-mean zero; ``pathwise_derivative_check`` verifies the gradient property of
-the influence function along mixture paths toward a direction distribution
-by Richardson-extrapolated one-sided differencing.
+mean zero.  ``_influence`` is their one array form: the one-step
+estimators, the exact remainders, the error decomposition and
+``eif_integral`` all evaluate it.  ``pathwise_derivative_check`` verifies
+the gradient property of the influence function along mixture paths
+toward a direction distribution by Richardson-extrapolated one-sided
+differencing.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ from .errors import (
     SupportViolation,
     ZeroMassConditioning,
 )
+from .learners import _is_real
 
 __all__ = [
     "Observation",
@@ -374,10 +378,9 @@ def eif_psi(o: Observation, dist: FiniteDistribution) -> float:
     if dist._w_mass.get(o.w, 0.0) == 0.0:
         raise ZeroMassConditioning(f"covariate value {o.w} outside the support")
     q = q_of(dist, o.w)
-    out = q - psi
     if o.a == 0:
-        out += (o.y - q) / g_of(dist, o.w)
-    return out
+        return (o.y - q) / g_of(dist, o.w) + q - psi
+    return q - psi
 
 
 def eif_theta(o: Observation, dist: FiniteDistribution) -> float:
@@ -394,6 +397,25 @@ def eif_theta(o: Observation, dist: FiniteDistribution) -> float:
     if o.a == 0:
         return (1.0 - g) / g * (o.y - q) / p1
     return (q - theta) / p1
+
+
+def _influence(estimand: str, a, y, q, g, centre, p1):
+    """The influence function of ``estimand`` as arrays over rows (a, y).
+
+    ``q`` and ``g`` are the regression and propensity at each row,
+    ``centre`` the functional value subtracted, and ``p1`` the treated
+    fraction dividing the treated-mean version (unused for psi):
+
+        psi:    I(a=0) * (y - q) / g + q - centre
+        theta: (I(a=0) * (1-g)/g * (y - q) + I(a=1) * (q - centre)) / p1
+
+    evaluated in this operation order wherever an influence function is
+    formed over arrays.
+    """
+    ind0 = (a == 0).astype(float)
+    if estimand == "psi":
+        return ind0 * (y - q) / g + q - centre
+    return (ind0 * (1.0 - g) / g * (y - q) + (1.0 - ind0) * (q - centre)) / p1
 
 
 # ---------------------------------------------------------------------------
@@ -554,15 +576,8 @@ def eif_integral(functional: str, dist: FiniteDistribution, weights: FiniteDistr
     except KeyError as err:
         raise ZeroMassConditioning(f"covariate value {err.args[0]} outside the support") from None
     rows = rows[atoms.atom_stratum]
-    q, g = table.q[rows], table.g[rows]
-    untreated = atoms.atom_a == 0
-    y = atoms.atom_y
-    if functional == "psi":
-        centred = q - value
-        eif = np.where(untreated, centred + (y - q) / g, centred)
-    else:
-        p1 = dist.pr_a1
-        eif = np.where(untreated, (1.0 - g) / g * (y - q) / p1, (q - value) / p1)
+    eif = _influence(functional, atoms.atom_a, atoms.atom_y, table.q[rows], table.g[rows],
+                     value, dist.pr_a1)
     return math.fsum((atoms.atom_p * eif).tolist())
 
 
@@ -594,7 +609,18 @@ def distribution_from_dict(doc: dict) -> FiniteDistribution:
         missing = {"w", "a", "y", "p"} - set(entry)
         if missing:
             raise InvalidDistribution(f"atom {i} missing fields {sorted(missing)}")
-        atoms.append((Observation(entry["w"], entry["a"], entry["y"]), entry["p"]))
+        w, a = entry["w"], entry["a"]
+        # JSON numbers only: a string or a bool is no number here
+        if not (_is_real(w) or isinstance(w, list) and all(map(_is_real, w))):
+            raise InvalidDistribution(f"atom {i}: 'w' must be a finite number or a list "
+                                      f"of them, got {w!r}")
+        if type(a) is not int or a not in (0, 1):
+            raise InvalidDistribution(f"atom {i}: 'a' must be the integer 0 or 1, got {a!r}")
+        for key in ("y", "p"):
+            if not _is_real(entry[key]):
+                raise InvalidDistribution(f"atom {i}: {key!r} must be a finite number, "
+                                          f"got {entry[key]!r}")
+        atoms.append((Observation(w, a, entry["y"]), entry["p"]))
     return FiniteDistribution(atoms)
 
 

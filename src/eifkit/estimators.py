@@ -15,9 +15,11 @@ always the *empirical* P_n(A), never an estimate of Pr(A=1):
     (1/n) sum_i  I(A_i=0)/P_n(A) * (1-ghat)/ghat * (Y_i - qhat)
                + I(A_i=1)/P_n(A) * qhat(W_i).
 
-Reported influence values are centered at the point estimate, so their mean
-is exactly zero and the variance estimate (1/n^2) * sum phi_i^2 coincides
-with (sample variance)/n.
+Both summands are ``distributions._influence``, the one array form of the
+influence function, evaluated at centre 0.  Reported influence values are
+centered at the point estimate, so their mean is exactly zero and the
+variance estimate (1/n^2) * sum phi_i^2 coincides with (sample
+variance)/n.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .decomposition import truth_functions
-from .distributions import FiniteDistribution, Observation
+from .distributions import FiniteDistribution, Observation, _influence
 from .errors import ConfigError, EifkitError, EmptyEif, NoTreatedRows, ZeroMassConditioning
 from .learners import (
     Dataset,
@@ -210,16 +212,9 @@ def variance_and_ci(eif_values, point: float, level: float):
 
 
 def _psi_report(data: Dataset, qv, gv, level, estimator, plan=None, specs=None) -> EstimateReport:
-    ind0 = (data.a == 0).astype(float)
-    contrib = ind0 * (data.y - qv) / gv + qv
+    contrib = _influence("psi", data.a, data.y, qv, gv, 0.0, None)
     point = float(np.mean(contrib))
-    eif = contrib - point
-    variance, lo, hi = variance_and_ci(eif, point, level)
-    return EstimateReport(
-        estimand="psi", estimator=estimator, point=point, variance=variance,
-        ci_low=lo, ci_high=hi, level=level, n=data.n, eif_values=eif,
-        fold_plan=plan, nuisance_specs=specs,
-    )
+    return _report("psi", data, point, contrib - point, level, estimator, plan, specs)
 
 
 def _theta_report(data: Dataset, qv, gv, level, estimator, plan=None, specs=None) -> EstimateReport:
@@ -227,15 +222,18 @@ def _theta_report(data: Dataset, qv, gv, level, estimator, plan=None, specs=None
     if not ind1.any():
         raise NoTreatedRows("treated-mean estimand needs at least one row with a = 1")
     pn_a = float(np.mean(data.a))
-    ind0 = 1.0 - ind1
-    contrib = (ind0 * (1.0 - gv) / gv * (data.y - qv) + ind1 * qv) / pn_a
+    contrib = _influence("theta", data.a, data.y, qv, gv, 0.0, pn_a)
     point = float(np.mean(contrib))
     # centering only enters through the treated indicator, matching the
     # influence function; the centered values still average to zero exactly
     eif = contrib - ind1 * (point / pn_a)
+    return _report("theta", data, point, eif, level, estimator, plan, specs)
+
+
+def _report(estimand, data, point, eif, level, estimator, plan, specs) -> EstimateReport:
     variance, lo, hi = variance_and_ci(eif, point, level)
     return EstimateReport(
-        estimand="theta", estimator=estimator, point=point, variance=variance,
+        estimand=estimand, estimator=estimator, point=point, variance=variance,
         ci_low=lo, ci_high=hi, level=level, n=data.n, eif_values=eif,
         fold_plan=plan, nuisance_specs=specs,
     )

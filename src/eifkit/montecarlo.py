@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -297,6 +298,9 @@ def _replication_worker(task):
 
 
 def _run_tasks(tasks, workers: int):
+    # the pool starts all its processes at once, so it gets no more than
+    # the machine's cores or the tasks; results do not depend on the count
+    workers = min(workers, os.cpu_count() or 1, len(tasks))
     if workers <= 1:
         return [_replication_worker(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -304,10 +308,10 @@ def _run_tasks(tasks, workers: int):
         return list(pool.map(_replication_worker, tasks, chunksize=chunk))
 
 
-def _check_master_seed(master_seed) -> None:
-    if (isinstance(master_seed, bool) or not isinstance(master_seed, (int, np.integer))
-            or master_seed < 0):
-        raise ConfigError(f"master seed must be a non-negative integer, got {master_seed!r}")
+def _check_int(value, minimum: int, what: str) -> None:
+    """Raise ConfigError unless ``value`` is an integer >= ``minimum`` (bools refused)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ConfigError(f"{what}, got {value!r}")
 
 
 def _failed(what: str, failures) -> ConfigError:
@@ -333,20 +337,21 @@ def _failures_at(failures, grid, reps: int, n: int) -> list:
     return [f for f in failures if grid[f[0] // reps] == n]
 
 
-def _run_grid(dgp: DGPSpec, config: EstimatorConfig, n_grid, reps: int,
+def _run_grid(dgp: DGPSpec, config: EstimatorConfig, grid, reps: int,
               master_seed: int, workers: int):
-    """``reps`` replications at each n of the grid, numbered consecutively.
+    """``reps`` replications at each n of ``grid``, numbered consecutively.
 
-    Returns the grid, the truth, the successful results and the failures.
+    ``grid`` is increasing, so its first size is the smallest.  Returns the
+    truth, the successful results and the failures.
     """
-    _check_master_seed(master_seed)
-    grid = _check_n_grid(n_grid)
+    _check_int(master_seed, 0, "master seed must be a non-negative integer")
+    _check_int(workers, 1, "workers must be a positive integer")
     config.check_folds(grid[0])
     truth_value = dgp.truth(config.estimand)
     sizes = [n for n in grid for _ in range(reps)]
     tasks = [(dgp, config, n, master_seed, rep, truth_value) for rep, n in enumerate(sizes)]
     results, failures = _split_outcomes(_run_tasks(tasks, workers))
-    return grid, truth_value, results, failures
+    return truth_value, results, failures
 
 
 # ---------------------------------------------------------------------------
@@ -427,13 +432,9 @@ def run_coverage(
     the influence-function variance estimate; the KS flag fires when the
     distance exceeds the asymptotic 1% critical value.
     """
-    _check_master_seed(master_seed)
     if reps < 2:
         raise ConfigError("coverage study needs at least 2 replications")
-    config.check_folds(n)
-    truth_value = dgp.truth(config.estimand)
-    tasks = [(dgp, config, n, master_seed, rep, truth_value) for rep in range(reps)]
-    results, failures = _split_outcomes(_run_tasks(tasks, workers))
+    truth_value, results, failures = _run_grid(dgp, config, [n], reps, master_seed, workers)
     if not results:
         raise _failed("every replication failed; nothing to summarize", failures)
     scaled = np.array([r.scaled_error for r in results])
@@ -501,8 +502,8 @@ def run_rate_experiment(
     workers: int = 1,
 ) -> RateExperimentReport:
     """RMSE(n) over the grid and the least-squares slope of log RMSE on log n."""
-    grid, truth_value, results, failures = _run_grid(dgp, config, n_grid, reps,
-                                                     master_seed, workers)
+    grid = _check_n_grid(n_grid)
+    truth_value, results, failures = _run_grid(dgp, config, grid, reps, master_seed, workers)
     rmse, mean_scaled, var_scaled = [], [], []
     for n in grid:
         errs = np.array([r.point - truth_value for r in results if r.n == n])
@@ -587,8 +588,8 @@ def run_dr_consistency(
     spec_q, spec_g = dr_arm_specs(arm)
     config = EstimatorConfig(estimand=estimand, estimator="onestep",
                              spec_q=spec_q, spec_g=spec_g)
-    grid, truth_value, results, failures = _run_grid(dgp, config, n_grid, reps,
-                                                     master_seed, workers)
+    grid = _check_n_grid(n_grid)
+    truth_value, results, failures = _run_grid(dgp, config, grid, reps, master_seed, workers)
     bias, mc_se = [], []
     for n in grid:
         points = np.array([r.point for r in results if r.n == n])

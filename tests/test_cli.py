@@ -630,6 +630,33 @@ def test_negative_seed_flag_exits_two(workspace, capsys, monkeypatch, command):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argv, doc", [
+    (["--workers", "0"], {}),
+    (["--workers", "-3"], {}),
+    ([], {"workers": 0}),
+    ([], {"workers": -3}),
+    ([], {"workers": 1.5}),
+    ([], {"workers": "2"}),
+    ([], {"workers": True}),
+    ([], {"workers": None}),
+])
+def test_workers_below_one_or_not_an_integer_exit_two(workspace, capsys, monkeypatch,
+                                                      argv, doc):
+    _, config = workspace
+
+    def no_replications(*args, **kwargs):
+        raise AssertionError("replications ran for a rejected worker count")
+
+    monkeypatch.setattr(montecarlo, "_run_tasks", no_replications)
+    cfg = config("cfg.json", {"study": "coverage", "n": 50, "reps": 4, **doc})
+    code = main(["simulate", "--config", cfg, *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    out = json.loads(captured.out)
+    assert set(out) == {"error"} and "workers" in out["error"]["message"]
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("target", ["config", "csv", "distribution"])
 def test_files_that_are_not_utf8_exit_two(workspace, capsys, target):
     tmp_path, config = workspace
@@ -841,6 +868,58 @@ def test_exact_subcommands_keep_the_error_contract_on_random_input(command, data
     else:
         files["sample.csv"] = data.draw(_support_sample(keys) | _csv_text())
     _assert_contract(command.split("-")[0] if command != "verify-eif" else command, files)
+
+
+# simulate: small valid studies (n <= 60, reps <= 4, workers <= 2), one key
+# replaced by random JSON whose integers stay as small, or random bytes
+
+_small_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 60) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+_STUDY_FIELDS = {
+    "seed": st.integers(0, 2**40),
+    "workers": st.integers(1, 2),
+    "include_replications": st.booleans(),
+    "replications_out": st.just("reps.csv"),
+    "dgp": st.fixed_dictionaries({"kind": st.just("logistic-linear")}, optional={
+        "noise_sd": st.floats(0.0, 2.0), "treated_shift": st.floats(-1.0, 1.0)}),
+}
+
+
+@st.composite
+def _simulate_config(draw):
+    if draw(st.integers(0, 6)) == 0:
+        return draw(st.binary(max_size=64))
+    study = draw(st.sampled_from(["coverage", "rate", "dr"]))
+    doc = draw(st.fixed_dictionaries({"study": st.just(study), "reps": st.integers(2, 4)},
+                                     optional=_STUDY_FIELDS))
+    if study == "coverage":
+        doc["n"] = draw(st.integers(2, 60))
+    else:
+        doc["n_grid"] = sorted(draw(st.sets(st.integers(2, 60), min_size=2, max_size=3)))
+    if study == "dr":
+        doc["arm"] = draw(st.sampled_from(["none", "q-wrong", "g-wrong", "both-wrong"]))
+        doc.update(draw(st.fixed_dictionaries({}, optional={
+            "estimand": st.sampled_from(["psi", "theta"])})))
+    else:
+        fields = {k: v for k, v in _ESTIMATE_FIELDS.items() if k not in ("seed", "include_eif")}
+        doc.update(draw(st.fixed_dictionaries({}, optional={
+            "estimator": st.fixed_dictionaries({}, optional={
+                **fields, "fold_seed": st.integers(0, 2**40)})})))
+    key = draw(st.sampled_from([None] * 9 + ["extra", *doc]))
+    if key is not None:
+        doc[key] = draw(_small_json_values)
+    return json.dumps(doc).encode()
+
+
+@given(config=_simulate_config())
+@settings(max_examples=60)
+def test_simulate_keeps_the_error_contract_on_random_input(config):
+    _assert_contract("simulate", {"cfg.json": config})
 
 
 def test_cli_import_loads_no_scipy():

@@ -295,6 +295,19 @@ def test_from_dict_rejects_malformed():
         distribution_from_dict({"atoms": [{"w": [0.0], "a": 0, "y": 1.0}]})
     with pytest.raises(InvalidDistribution):
         distribution_from_dict({})
+    # strings and bools are no numbers at the JSON boundary, and a is an integer
+    good = {"w": [0.0], "a": 0, "y": 1.5, "p": 1.0}
+    assert distribution_from_dict({"atoms": [good]}).atoms[0][0].y == 1.5
+    for key, value in [("y", "1.5"), ("p", "0.5"), ("p", "1"), ("w", ["0.0"]), ("w", [True]),
+                       ("w", "05"), ("w", True), ("y", True), ("p", True), ("a", True),
+                       ("a", "1"), ("a", 1.0), ("a", 2)]:
+        with pytest.raises(InvalidDistribution, match=f"'{key}' must be"):
+            distribution_from_dict({"atoms": [dict(good, **{key: value})]})
+
+
+def test_observation_accepts_numpy_scalars():
+    obs = Observation(np.array([0.5, -1.0]), np.int64(1), np.float32(2.5))
+    assert obs.key == ((0.5, -1.0), 1, 2.5) and type(obs.a) is int
 
 
 def test_load_rejects_bad_json(tmp_path):

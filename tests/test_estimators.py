@@ -1,6 +1,7 @@
 """Estimator oracles: hand-computed points, collapse, cross-fit plumbing."""
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ from scipy.stats import norm
 
 from eifkit import (
     Dataset,
+    EstimatorConfig,
     LearnerSpec,
     crossfit,
     empirical_distribution,
+    estimate,
     ipw_psi,
     onestep_psi,
     onestep_theta,
@@ -275,3 +278,75 @@ def test_report_serialization_shape():
     assert doc["nuisance_specs"]["q"]["kind"] == "knn"
     assert "eif_values" not in doc
     assert len(rep.to_dict(include_eif=True)["eif_values"]) == n
+
+
+# ---------------------------------------------------------------------------
+# bit identity with the one-step arithmetic written out per estimand
+
+
+def _reference_report(estimand, data, qv, gv, level):
+    """Point, variance, interval and influence values as each estimand once spelled them out."""
+    if estimand == "psi":
+        ind0 = (data.a == 0).astype(float)
+        contrib = ind0 * (data.y - qv) / gv + qv
+        point = float(np.mean(contrib))
+        eif = contrib - point
+    else:
+        ind1 = (data.a == 1).astype(float)
+        pn_a = float(np.mean(data.a))
+        ind0 = 1.0 - ind1
+        contrib = (ind0 * (1.0 - gv) / gv * (data.y - qv) + ind1 * qv) / pn_a
+        point = float(np.mean(contrib))
+        eif = contrib - ind1 * (point / pn_a)
+    n = eif.size
+    variance = float(np.sum(eif * eif)) / (n * n)
+    half = NormalDist().inv_cdf(0.5 * (1.0 + level)) * math.sqrt(variance)
+    return point, variance, point - half, point + half, eif
+
+
+def _fitted_rows(data, spec, folds, seed, truth):
+    # the per-row predictions the estimator pools: one fit, or each fold's
+    # fit on its complement
+    if folds == 0:
+        nuis = fit_nuisance(data, spec, spec, truth=truth)
+        return nuis.predict_q(data.w), nuis.predict_g(data.w)
+    plan = FoldPlan.build(data.n, folds, seed)
+    qv, gv = np.empty(data.n), np.empty(data.n)
+    for k in range(folds):
+        test = plan.assignment == k
+        nuis = fit_nuisance(data.subset(~test), spec, spec, truth=truth)
+        qv[test], gv[test] = nuis.predict_q(data.w[test]), nuis.predict_g(data.w[test])
+    return qv, gv
+
+
+@pytest.mark.parametrize("folds", [0, 5])
+@pytest.mark.parametrize("estimand", ["psi", "theta"])
+@pytest.mark.parametrize("seed", range(6))
+def test_onestep_reports_are_bit_identical_to_the_reference(seed, estimand, folds):
+    rng = np.random.default_rng([seed, folds])
+    n = int(rng.integers(40, 200))
+    w = rng.uniform(-1, 1, (n, 1))
+    a = (rng.uniform(size=n) < rng.uniform(0.2, 0.8)).astype(np.int64)
+    a[:2] = [0, 1]
+    data = _dataset(w, a, rng.normal(0.0, 2.0, n))
+    # random nuisances per row; the propensity often leaves [eps, 1 - eps],
+    # so the truncated estimate sits on both of its bounds
+    qmap = dict(zip(w[:, 0].tolist(), rng.normal(0.0, 3.0, n).tolist()))
+    gmap = dict(zip(w[:, 0].tolist(), rng.uniform(-0.3, 1.3, n).tolist()))
+    truth = (lambda v: np.array([qmap[x] for x in v[:, 0].tolist()]),
+             lambda v: np.array([gmap[x] for x in v[:, 0].tolist()]))
+    eps = float(rng.uniform(0.01, 0.1))
+    spec = LearnerSpec("oracle-rate", rate_exponent=0.3, amplitude=float(rng.uniform(0, 0.5)),
+                       shape=0, truncation=eps)
+    level = float(rng.uniform(0.5, 0.99))
+    qv, gv = _fitted_rows(data, spec, folds, seed, truth)
+    assert (gv == eps).any() and (gv == 1.0 - eps).any()
+
+    config = EstimatorConfig(estimand=estimand, spec_q=spec, spec_g=spec, folds=folds,
+                             level=level, fold_seed=seed)
+    report = estimate(data, config, truth=truth)
+    point, variance, lo, hi, eif = _reference_report(estimand, data, qv, gv, level)
+    assert report.point == point
+    assert report.variance == variance
+    assert (report.ci_low, report.ci_high) == (lo, hi)
+    assert np.array_equal(report.eif_values, eif)

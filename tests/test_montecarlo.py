@@ -442,3 +442,56 @@ def test_study_failure_names_the_first_recorded_failure(monkeypatch, study, mess
     with pytest.raises(ConfigError) as err:
         _run_study(study, 9)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("study", ["coverage", "rate", "dr"])
+@pytest.mark.parametrize("workers", [0, -3, 1.5, True, "2", None])
+def test_workers_checked_before_any_replication(monkeypatch, study, workers):
+    def no_replications(*args, **kwargs):
+        raise AssertionError("replications ran for a rejected worker count")
+
+    monkeypatch.setattr(montecarlo, "_run_tasks", no_replications)
+    dgp, config = default_logistic_linear(), _oracle_config()
+    with pytest.raises(ConfigError, match="workers must be a positive integer"):
+        if study == "coverage":
+            run_coverage(dgp, config, 120, 3, 9, workers=workers)
+        elif study == "rate":
+            run_rate_experiment(dgp, config, [120, 240], 3, 9, workers=workers)
+        else:
+            run_dr_consistency(dgp, "none", [120, 240], 3, 9, workers=workers)
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, runs the tasks here."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("workers, cores, reps, pool_size", [
+    (5000, 3, 4, 3),      # capped by the cores
+    (5000, 64, 4, 4),     # capped by the replications
+    (2, 64, 4, 2),        # as asked
+    (5000, None, 4, None),  # core count unknown: serial, no pool
+    (1, 64, 4, None),
+])
+def test_worker_pool_is_capped_by_cores_and_tasks(monkeypatch, workers, cores, reps,
+                                                  pool_size):
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cores)
+    dgp, config = default_logistic_linear(), _oracle_config()
+    summary = run_coverage(dgp, config, 120, reps, 9, workers=workers)
+    assert _RecordingPool.sizes == ([] if pool_size is None else [pool_size])
+    assert summary.to_dict() == run_coverage(dgp, config, 120, reps, 9).to_dict()

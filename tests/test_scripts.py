@@ -1,0 +1,46 @@
+"""The scripts under ``scripts/`` run from the checkout and report what they should."""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+from eifkit.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "scripts" / "configs"
+
+
+def _run_script(*argv):
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run([sys.executable, *argv], capture_output=True, text=True, cwd=ROOT,
+                            env=dict(os.environ, PYTHONPATH=path), timeout=300)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
+def test_verify_identities_script():
+    doc = _run_script("scripts/verify_identities.py", "--nodes", "4", "--n", "500")
+    for name in ("psi", "theta"):
+        assert doc[f"remainder_identity_gap_{name}"] < 1e-10
+        assert abs(doc[f"decomposition_closure_gap_{name}"]) < 1e-10
+        # criterion 01's bound on the derivative check
+        assert doc[f"derivative_gap_{name}"] < 1e-6
+        assert doc[f"remainder_within_bound_{name}"] is True
+    assert abs(doc["sweep_slope"] + 0.5) < 0.02
+
+
+def test_output_digests_script_hashes_the_cli_output():
+    doc = _run_script("scripts/output_digests.py", "decompose", "verify_eif")
+    assert sorted(doc) == ["decompose", "verify_eif"]
+    for name, command in (("decompose", "decompose"), ("verify_eif", "verify-eif")):
+        assert re.fullmatch("[0-9a-f]{64}", doc[name])
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main([command, "--config", str(CONFIGS / f"{name}.json")]) == 0
+        assert doc[name] == hashlib.sha256(out.getvalue().encode()).hexdigest()
