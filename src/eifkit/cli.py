@@ -62,6 +62,7 @@ from .errors import (
     InvalidLearnerSpec,
     MissingColumn,
     NonBinaryTreatment,
+    NonFiniteNumber,
     OutputError,
     UnexpectedColumn,
     UnparseableNumber,
@@ -90,7 +91,17 @@ REPLICATION_HEADER = ("rep", "n", "point", "variance", "covered", "scaled_error"
 
 
 def _dumps(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    try:
+        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise NonFiniteNumber("the result holds NaN or infinity, which JSON cannot carry") from None
+
+
+def _null_nan(value):
+    """NaN, a statistic undefined on the replications that survived, as None (JSON null)."""
+    if isinstance(value, list):
+        return [_null_nan(v) for v in value]
+    return None if isinstance(value, float) and math.isnan(value) else value
 
 
 def _emit(doc: dict, out_path) -> None:
@@ -229,9 +240,12 @@ def _parse_treatment(text: str, label: str) -> int:
 
 
 def _load_config(path) -> dict:
+    def refuse(token):  # json.load would read NaN, Infinity and -Infinity as floats
+        raise ConfigError(f"{path}: {token} is not a finite number")
+
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=refuse)
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from None
     except UnicodeDecodeError as err:
@@ -543,14 +557,14 @@ def _cmd_simulate(args) -> dict:
         summary = run_dr_consistency(dgp, arm, grid, reps, seed, workers=workers,
                                      estimand=estimand)
 
-    doc = summary.to_dict()
+    doc = {key: _null_nan(value) for key, value in summary.to_dict().items()}
     doc["seed"] = seed
     if replications_out is not None:
         _write_csv(replications_out, REPLICATION_HEADER,
                    [r.to_row() for r in summary.replications])
     if include_replications:
         doc["replications"] = [
-            dict(zip(REPLICATION_HEADER, r.to_row())) for r in summary.replications
+            dict(zip(REPLICATION_HEADER, map(_null_nan, r.to_row()))) for r in summary.replications
         ]
     return doc
 

@@ -26,9 +26,9 @@ Cauchy-Schwarz bound built from the L2 nuisance errors.
 All expectations under P are compensated sums over the atom table, so the
 identities hold to ~1e-14 regardless of how adversarial the nuisances are.
 They read the law's support table (``FiniteDistribution.support_table``),
-built once per law: each expectation is an array of elementwise terms over
+built with the law: each expectation is an array of elementwise terms over
 its strata or its atoms, in a fixed operation order, summed by
-``math.fsum``.  Stratum sums (plug-in values, closed forms, L2 errors)
+``distributions._fsum``.  Stratum sums (plug-in values, closed forms, L2 errors)
 and atom sums (the mean of the estimated influence function) stay two
 separate arithmetic paths, so the direct and closed-form remainders remain
 independent derivations.  The influence function, over the atoms and over
@@ -48,7 +48,10 @@ import numpy as np
 from .distributions import (
     FiniteDistribution,
     SupportTable,
+    _fsum,
     _influence,
+    _match,
+    _mean_phi,
     fields_dict,
     psi_of,
     theta_of,
@@ -66,10 +69,6 @@ __all__ = [
     "remainder_rate_sweep",
     "truth_functions",
 ]
-
-# sample rows turned into key tuples at a time by decompose_error
-SAMPLE_ROW_BLOCK = 1024
-
 
 @dataclass(frozen=True)
 class DecompositionReport:
@@ -140,25 +139,15 @@ class RateSweepReport:
 def _on_support(dist: FiniteDistribution, nuis: FittedNuisance):
     """The law's support table, with the nuisances predicted on its strata."""
     table = dist.support_table
-    table.require_q()
+    missing = np.flatnonzero(table.pw0 == 0.0)
+    if missing.size:
+        raise ZeroMassConditioning(
+            f"Pr(W={table.strata[missing[0]]}, A=0) = 0; E(Y | W=w, A=0) undefined")
     qh = np.asarray(nuis.predict_q(table.w), dtype=float)
     gh = np.asarray(nuis.predict_g(table.w), dtype=float)
     if (gh <= 0.0).any() or (gh > 1.0).any():
         raise PositivityViolation("fitted propensity must take values in (0, 1]")
     return table, qh, gh
-
-
-def _fsum(terms: np.ndarray) -> float:
-    return math.fsum(terms.tolist())
-
-
-def _mean_phi(estimand: str, table: SupportTable, qh, gh, centre, p1) -> float:
-    # atom-level E_P of the influence function with (qh, gh) plugged in;
-    # deliberately NOT collapsed over covariate strata so it is an
-    # independent arithmetic path from the closed-form remainder
-    s = table.atom_stratum
-    return _fsum(table.atom_p * _influence(estimand, table.atom_a, table.atom_y,
-                                           qh[s], gh[s], centre, p1))
 
 
 def _plugin(estimand: str, dist: FiniteDistribution, table: SupportTable, qh) -> float:
@@ -251,18 +240,11 @@ def decompose_error(
     if estimand not in ("psi", "theta"):
         raise ValueError(f"unknown estimand {estimand!r}")
     table, qh, gh = _on_support(dist, nuis)
-    index = table.index
-    # rows become key tuples a block at a time, so the Python objects held
-    # at once stay bounded whatever the sample size
-    row_idx = np.empty(sample.n, dtype=np.int64)
-    for start in range(0, sample.n, SAMPLE_ROW_BLOCK):
-        block = sample.w[start:start + SAMPLE_ROW_BLOCK].tolist()
-        try:
-            row_idx[start:start + len(block)] = [index[key] for key in map(tuple, block)]
-        except KeyError as err:
-            raise ZeroMassConditioning(
-                f"sample covariate value {err.args[0]} outside the support of the truth"
-            ) from None
+    row_idx = _match((table.w,), (sample.w,))
+    outside = np.flatnonzero(row_idx < 0)
+    if outside.size:
+        raise ZeroMassConditioning(f"sample covariate value {tuple(sample.w[outside[0]].tolist())} "
+                                   f"outside the support of the truth")
     # the estimand picks the truth and the treated fractions of the true
     # and the estimated influence functions (psi uses neither)
     if estimand == "psi":
@@ -349,25 +331,20 @@ def truth_functions(dist: FiniteDistribution):
     covariate support; a row outside raises ZeroMassConditioning.
     """
     table = dist.support_table
-    gmap = dict(zip(table.strata, table.g.tolist()))
-    qmap = {w: q for w, q, g in zip(table.strata, table.q.tolist(), table.g.tolist())
-            if g > 0.0}
-    return (_table_lookup(qmap, table.w, table.q, "conditional mean"),
-            _table_lookup(gmap, table.w, table.g, "untreated propensity"))
+    return (_table_lookup(table, table.q, "conditional mean"),
+            _table_lookup(table, table.g, "untreated propensity"))
 
 
-def _table_lookup(table: dict, support: np.ndarray, column: np.ndarray, what: str):
-    # keys are exact float tuples; -0.0 and 0.0 hash and compare equal, as
-    # they do in np.array_equal, so a query that is the whole support matrix
-    # (the exact routines' case) reads the column instead of the dict
-    whole = len(table) == len(support)
-
+def _table_lookup(table: SupportTable, column: np.ndarray, what: str):
+    # ``column`` is NaN where it is undefined (q without untreated mass); the
+    # exact routines ask at the whole support, which needs no search
     def core(w):
-        if whole and w.shape == support.shape and np.array_equal(w, support):
-            return column.copy()
-        try:
-            return np.array([table[key] for key in map(tuple, w.tolist())], dtype=float)
-        except KeyError as err:
-            raise ZeroMassConditioning(f"{what} undefined at {err.args[0]}") from None
+        whole = w.shape == table.w.shape and np.array_equal(w, table.w)
+        rows = np.arange(len(w)) if whole else _match((table.w,), (w,))
+        values = column[rows]
+        undefined = np.flatnonzero((rows < 0) | np.isnan(values))
+        if undefined.size:
+            raise ZeroMassConditioning(f"{what} undefined at {tuple(w[undefined[0]].tolist())}")
+        return values
 
     return _predictor(core)

@@ -2,22 +2,21 @@
 
 Everything downstream (remainder identities, error decompositions, the
 derivative check) rests on this module doing *exact* arithmetic: atoms are
-keyed by their exact float tuples, conditional means and propensities are
+keyed by their exact float values, conditional means and propensities are
 ratios of exactly-summed masses, and every expectation is a compensated sum
-(``math.fsum``) over the atom table.  No tolerance-based merging of nearby
-atoms is ever performed.
+(``_fsum``, over ``math.fsum``) of array terms.  No tolerance-based merging
+of nearby atoms is ever performed.
 
 Support table
 -------------
-``FiniteDistribution.support_table`` holds the law as arrays, built on
-first use and kept on the law (it is dropped and pickled with it): the
-covariate strata as a matrix with their index, per stratum Pr(W=w),
-Pr(W=w, A=0), the untreated sum of p*y, q and g, and per atom its stratum,
-a, y and p.  Each float is taken from, or is one division of, the ordered
-dict sums the constructor makes, so it equals the scalar lookups
-(``q_of``, ``g_of``, ``FiniteDistribution.w_mass``) bit for bit.  The
-exact routines form their expectations as elementwise array terms and
-pass them to ``math.fsum``, which is exactly rounded whatever the order.
+A law is its ``SupportTable``, built by ``_law`` when the law is made:
+the atoms sorted by (w, a, y), with their covariates, a, y, p and stratum,
+and per covariate stratum Pr(W=w), Pr(W=w, A=0), Pr(W=w, A=1), q and g.
+The public constructor, ``mix``, the quadrature tables and the empirical
+law all hand ``_law`` arrays.  Stratum sums add their atoms' terms in atom
+order, as a running sum does.  ``FiniteDistribution.atoms``, the
+(Observation, mass) pairs, is built on first use.  The exact routines pass
+array terms to ``_fsum``, exactly rounded whatever the order.
 
 Parameters of interest
 ----------------------
@@ -29,19 +28,20 @@ Parameters of interest
     E{ E(Y | W, A=0) | A=1 }.
 
 Their influence functions (``eif_psi``, ``eif_theta``) are closed-form and
-mean zero.  ``_influence`` is their one array form: the one-step
-estimators, the exact remainders, the error decomposition and
-``eif_integral`` all evaluate it.  ``pathwise_derivative_check`` verifies
-the gradient property of the influence function along mixture paths
-toward a direction distribution by Richardson-extrapolated one-sided
-differencing.
+mean zero.  ``_influence`` is their one array form: the scalar influence
+functions, the one-step estimators, the exact remainders, the error
+decomposition and ``eif_integral`` all evaluate it.
+``pathwise_derivative_check`` verifies the gradient property of the
+influence function along mixture paths toward a direction distribution
+by Richardson-extrapolated one-sided differencing.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -50,6 +50,7 @@ from .errors import (
     ConfigError,
     InvalidDistribution,
     NoTreatedMass,
+    NonFiniteNumber,
     PositivityViolation,
     SupportViolation,
     ZeroMassConditioning,
@@ -95,6 +96,16 @@ def _canonical_w(w) -> tuple:
     return out
 
 
+def _fsum(terms: np.ndarray) -> float:
+    """Exactly rounded sum of an array of terms; NonFiniteNumber if a term or the sum is not."""
+    if not np.isfinite(terms).all():
+        raise NonFiniteNumber("an exact sum met a term that is not finite (an overflow)")
+    try:
+        return math.fsum(terms.tolist())
+    except OverflowError:
+        raise NonFiniteNumber("an exact sum overflowed") from None
+
+
 @dataclass(frozen=True)
 class Observation:
     """One support point (w, a, y).
@@ -126,32 +137,93 @@ class Observation:
 
 
 class SupportTable(NamedTuple):
-    """Array view of one law: its covariate strata and its atoms.
-
-    Strata are in the law's canonical order (first appearance in the sorted
-    atom table), atoms in atom order.  ``q`` is NaN on a stratum without
-    untreated mass; ``require_q`` raises there as ``q_of`` does.
-    """
+    """One law as arrays: its atoms sorted by (w, a, y), and its covariate
+    strata in that order, each keyed by its first atom's covariates (-0.0
+    and 0.0 are one value).  ``q`` is NaN on a stratum without untreated mass."""
 
     strata: tuple             # covariate keys
     index: dict               # covariate key -> stratum row
     w: np.ndarray             # (strata, d) covariate matrix
     pw: np.ndarray            # Pr(W = w)
     pw0: np.ndarray           # Pr(W = w, A = 0)
-    ymass0: np.ndarray        # sum of p*y over the untreated atoms of w
+    pw1: np.ndarray           # Pr(W = w, A = 1)
     q: np.ndarray             # E(Y | W = w, A = 0)
     g: np.ndarray             # Pr(A = 0 | W = w)
+    atom_w: np.ndarray        # (atoms, d) each atom's covariates
     atom_stratum: np.ndarray  # each atom's stratum row
     atom_a: np.ndarray
     atom_y: np.ndarray
     atom_p: np.ndarray
+    pr_a1: float              # Pr(A = 1)
 
-    def require_q(self) -> None:
-        """Raise ZeroMassConditioning at the first stratum where q is undefined."""
-        missing = np.flatnonzero(self.pw0 == 0.0)
-        if missing.size:
-            key = self.strata[missing[0]]
-            raise ZeroMassConditioning(f"Pr(W={key}, A=0) = 0; E(Y | W=w, A=0) undefined")
+
+def _key_order(w, *keys):
+    """The stable order of the rows (w, *keys) by key, as tuples compare
+    (-0.0 equals 0.0), and per sorted row whether its w, and whether its
+    whole key, differ from the row before."""
+    order = np.lexsort((*keys[::-1], *w.T[::-1]))
+    w = w[order]
+    new_w = np.ones(len(order), dtype=bool)
+    new_w[1:] = (w[1:] != w[:-1]).any(axis=1)
+    new_key = new_w.copy()
+    for column in keys:
+        column = column[order]
+        new_key[1:] |= column[1:] != column[:-1]
+    return order, new_w, new_key
+
+
+def _match(ref, query) -> np.ndarray:
+    """The row of the distinct rows ``ref`` holding each row of ``query``, or -1;
+    both are (w, *keys) array tuples.  A stable sort puts a ref row first in its key's run."""
+    n, m = len(ref[0]), len(query[0])
+    if ref[0].shape[1] != query[0].shape[1]:
+        return np.full(m, -1)
+    order, _, new_key = _key_order(*(np.concatenate(pair) for pair in zip(ref, query)))
+    first = order[np.maximum.accumulate(np.where(new_key, np.arange(n + m), 0))]
+    rows = np.empty(m, dtype=np.int64)
+    rows[order[order >= n] - n] = np.where(first < n, first, -1)[order >= n]
+    return rows
+
+
+def _law(w, a, y, p) -> FiniteDistribution:
+    """The law of the atoms (w[i], a[i], y[i]) with masses p[i], ``w`` (atoms, d); raises
+    InvalidDistribution for a non-finite outcome, a mass outside (0, 1], a duplicate
+    atom or masses that do not sum to one."""
+    bad = np.flatnonzero(~(np.isfinite(y) & (p > 0.0) & (p <= 1.0)))
+    if bad.size:
+        i = bad[0]
+        raise InvalidDistribution(f"atom mass {p[i].item()!r} outside (0, 1]" if np.isfinite(y[i])
+                                  else f"outcome must be finite, got {y[i].item()!r}")
+    order, new_w, new_key = _key_order(w, a, y)
+    w, a, y, p = w[order], a[order], y[order], p[order]
+    if not new_key.all():
+        i = np.argmin(new_key) - 1  # the first of two equal keys
+        key = (tuple(w[i].tolist()), int(a[i]), float(y[i]))
+        raise InvalidDistribution(f"duplicate atom {key}")
+    total = _fsum(p)
+    if abs(total - 1.0) > MASS_TOLERANCE:
+        raise InvalidDistribution(f"masses sum to {total!r}, not 1")
+
+    stratum = np.cumsum(new_w) - 1
+    k = int(stratum[-1]) + 1
+    # bincount adds each bin's terms in atom order; bin 2s + a is stratum s's arm a
+    arm = stratum * 2 + a
+    pw0, pw1 = np.bincount(arm, weights=p, minlength=2 * k).reshape(k, 2).T
+    ymass0 = np.bincount(arm, weights=p * y, minlength=2 * k)[::2]
+    pw = np.bincount(stratum, weights=p, minlength=k)
+    strata = tuple(map(tuple, w[new_w].tolist()))
+    table = SupportTable(
+        strata=strata, index={key: i for i, key in enumerate(strata)}, w=w[new_w],
+        pw=pw, pw0=pw0, pw1=pw1,
+        q=np.divide(ymass0, pw0, out=np.full(k, np.nan), where=pw0 != 0.0), g=pw0 / pw,
+        atom_w=w, atom_stratum=stratum, atom_a=a, atom_y=y, atom_p=p,
+        pr_a1=_fsum(p[a == 1]),
+    )
+    for column in table[2:-1]:
+        column.setflags(write=False)
+    law = FiniteDistribution.__new__(FiniteDistribution)
+    law.support_table = table
+    return law
 
 
 class FiniteDistribution:
@@ -165,17 +237,13 @@ class FiniteDistribution:
 
     Notes
     -----
-    Atoms are stored sorted by key so every summation runs in one canonical
-    order; repeated evaluation is bit-reproducible.  The functional values
-    psi/theta and the support table are cached after first computation
+    The constructor builds ``support_table``, sorted by key so every sum
+    runs in one canonical order.  ``atoms`` is cached on first use
     (idempotent, so benign under concurrent reads).
     """
 
-    __slots__ = ("atoms", "_atom_mass", "_w_mass", "_w0_mass", "_w0_ymass",
-                 "_w1_mass", "_pr_a1", "_psi", "_theta", "_table")
-
     def __init__(self, atoms):
-        pairs = []
+        observations, masses = [], []
         for entry in atoms:
             try:
                 obs, p = entry
@@ -186,104 +254,56 @@ class FiniteDistribution:
             if not isinstance(obs, Observation):
                 obs = Observation(*obs)
             try:
-                p = float(p)
+                masses.append(float(p))
             except (TypeError, ValueError) as err:
                 raise InvalidDistribution(f"atom mass {p!r} is not numeric") from err
-            if not math.isfinite(p) or not 0.0 < p <= 1.0:
-                raise InvalidDistribution(f"atom mass {p!r} outside (0, 1]")
-            pairs.append((obs, p))
-        if not pairs:
+            observations.append(obs)
+        if not observations:
             raise InvalidDistribution("distribution needs at least one atom")
-        pairs.sort(key=lambda it: it[0].key)
-        for left, right in zip(pairs, pairs[1:]):
-            if left[0].key == right[0].key:
-                raise InvalidDistribution(f"duplicate atom {left[0].key}")
-        dims = {len(obs.w) for obs, _ in pairs}
-        if len(dims) > 1:
-            raise InvalidDistribution(
-                f"covariate vectors must share one dimension, got lengths {sorted(dims)}"
-            )
-        total = math.fsum(p for _, p in pairs)
-        if abs(total - 1.0) > MASS_TOLERANCE:
-            raise InvalidDistribution(f"masses sum to {total!r}, not 1")
-        self.atoms = tuple(pairs)
-        self._atom_mass = {obs.key: p for obs, p in self.atoms}
-
-        w_mass: dict = {}
-        w0_mass: dict = {}
-        w0_ymass: dict = {}
-        w1_mass: dict = {}
-        for obs, p in self.atoms:
-            w_mass[obs.w] = w_mass.get(obs.w, 0.0) + p
-            if obs.a == 0:
-                w0_mass[obs.w] = w0_mass.get(obs.w, 0.0) + p
-                w0_ymass[obs.w] = w0_ymass.get(obs.w, 0.0) + p * obs.y
-            else:
-                w1_mass[obs.w] = w1_mass.get(obs.w, 0.0) + p
-        self._w_mass = w_mass
-        self._w0_mass = w0_mass
-        self._w0_ymass = w0_ymass
-        self._w1_mass = w1_mass
-        self._pr_a1 = math.fsum(p for obs, p in self.atoms if obs.a == 1)
-        self._psi = None
-        self._theta = None
-        self._table = None
+        d = sorted({len(obs.w) for obs in observations})
+        if len(d) > 1:
+            raise InvalidDistribution(f"covariate vectors must share one dimension, got lengths {d}")
+        w, a, y = zip(*(obs.key for obs in observations))
+        self.support_table = _law(np.array(w), np.array(a, dtype=np.int64), np.array(y),
+                                  np.array(masses)).support_table
 
     # -- support access ----------------------------------------------------
+
+    @functools.cached_property
+    def atoms(self) -> tuple:
+        """The (Observation, mass) pairs in atom order, built on first use."""
+        t = self.support_table
+        return tuple((Observation(w, a, y), p) for w, a, y, p in zip(
+            t.atom_w.tolist(), t.atom_a.tolist(), t.atom_y.tolist(), t.atom_p.tolist()))
 
     @property
     def w_support(self) -> tuple:
         """Covariate values carrying positive mass, in canonical order."""
-        return tuple(self._w_mass)
+        return self.support_table.strata
 
     def mass_of(self, obs) -> float:
         """Mass of an exact atom (Observation or (w, a, y) triple); 0.0 if absent."""
         if not isinstance(obs, Observation):
             obs = Observation(*obs)
-        return self._atom_mass.get(obs.key, 0.0)
+        t = self.support_table
+        row = _match((t.atom_w, t.atom_a, t.atom_y),
+                     (np.array([obs.w]), np.array([obs.a]), np.array([obs.y])))[0]
+        return 0.0 if row < 0 else t.atom_p[row].item()
 
     def w_mass(self, w) -> float:
-        return self._w_mass.get(_canonical_w(w), 0.0)
-
-    @property
-    def support_table(self) -> SupportTable:
-        """The law's strata and atoms as arrays, built on first use."""
-        if self._table is None:
-            strata = tuple(self._w_mass)
-            pw = np.array(list(self._w_mass.values()))
-            pw0 = np.array([self._w0_mass.get(w, 0.0) for w in strata])
-            ymass0 = np.array([self._w0_ymass.get(w, 0.0) for w in strata])
-            q = np.divide(ymass0, pw0, out=np.full(len(strata), np.nan), where=pw0 != 0.0)
-            index = {w: i for i, w in enumerate(strata)}
-            table = SupportTable(
-                strata=strata,
-                index=index,
-                w=np.array(strata, dtype=float),
-                pw=pw,
-                pw0=pw0,
-                ymass0=ymass0,
-                q=q,
-                g=pw0 / pw,
-                atom_stratum=np.array([index[obs.w] for obs, _ in self.atoms], dtype=np.int64),
-                atom_a=np.array([obs.a for obs, _ in self.atoms], dtype=np.int64),
-                atom_y=np.array([obs.y for obs, _ in self.atoms]),
-                atom_p=np.array([p for _, p in self.atoms]),
-            )
-            for field in table[2:]:
-                field.setflags(write=False)
-            self._table = table
-        return self._table
+        i = self.support_table.index.get(_canonical_w(w))
+        return 0.0 if i is None else self.support_table.pw[i].item()
 
     @property
     def pr_a1(self) -> float:
         """Marginal treated probability Pr(A = 1)."""
-        return self._pr_a1
+        return self.support_table.pr_a1
 
     def __len__(self):
-        return len(self.atoms)
+        return len(self.support_table.atom_p)
 
     def __repr__(self):
-        return f"FiniteDistribution({len(self.atoms)} atoms, {len(self._w_mass)} covariate values)"
+        return f"FiniteDistribution({len(self)} atoms, {len(self.w_support)} covariate values)"
 
 
 # ---------------------------------------------------------------------------
@@ -299,19 +319,20 @@ def q_of(dist: FiniteDistribution, w) -> float:
         If Pr(W = w, A = 0) = 0, i.e. the conditioning event has no mass.
     """
     key = _canonical_w(w)
-    denom = dist._w0_mass.get(key, 0.0)
-    if denom == 0.0:
+    t = dist.support_table
+    i = t.index.get(key)
+    if i is None or t.pw0[i] == 0.0:
         raise ZeroMassConditioning(f"Pr(W={key}, A=0) = 0; E(Y | W=w, A=0) undefined")
-    return dist._w0_ymass[key] / denom
+    return t.q[i].item()
 
 
 def g_of(dist: FiniteDistribution, w) -> float:
     """Untreated propensity Pr(A = 0 | W = w)."""
     key = _canonical_w(w)
-    denom = dist._w_mass.get(key, 0.0)
-    if denom == 0.0:
+    i = dist.support_table.index.get(key)
+    if i is None:
         raise ZeroMassConditioning(f"Pr(W={key}) = 0; Pr(A=0 | W=w) undefined")
-    return dist._w0_mass.get(key, 0.0) / denom
+    return dist.support_table.g[i].item()
 
 
 def psi_of(dist: FiniteDistribution) -> float:
@@ -322,17 +343,12 @@ def psi_of(dist: FiniteDistribution) -> float:
     PositivityViolation
         If some covariate value has positive mass but zero untreated mass.
     """
-    if dist._psi is None:
-        terms = []
-        for w, pw in dist._w_mass.items():
-            p0 = dist._w0_mass.get(w, 0.0)
-            if p0 == 0.0:
-                raise PositivityViolation(
-                    f"covariate value {w} has mass {pw!r} but no untreated mass"
-                )
-            terms.append(pw * (dist._w0_ymass[w] / p0))
-        dist._psi = math.fsum(terms)
-    return dist._psi
+    t = dist.support_table
+    if (t.pw0 == 0.0).any():
+        i = np.argmax(t.pw0 == 0.0)
+        raise PositivityViolation(f"covariate value {t.strata[i]} has mass {t.pw[i].item()!r} "
+                                  f"but no untreated mass")
+    return _fsum(t.pw * t.q)
 
 
 def theta_of(dist: FiniteDistribution) -> float:
@@ -347,20 +363,15 @@ def theta_of(dist: FiniteDistribution) -> float:
     PositivityViolation
         If some w with Pr(W = w, A = 1) > 0 has no untreated mass.
     """
-    if dist._theta is None:
-        p1 = dist._pr_a1
-        if p1 == 0.0:
-            raise NoTreatedMass("Pr(A=1) = 0; treated-conditional mean undefined")
-        terms = []
-        for w, pw1 in dist._w1_mass.items():
-            p0 = dist._w0_mass.get(w, 0.0)
-            if p0 == 0.0:
-                raise PositivityViolation(
-                    f"covariate value {w} is reachable under A=1 but has no untreated mass"
-                )
-            terms.append((pw1 / p1) * (dist._w0_ymass[w] / p0))
-        dist._theta = math.fsum(terms)
-    return dist._theta
+    t = dist.support_table
+    if t.pr_a1 == 0.0:
+        raise NoTreatedMass("Pr(A=1) = 0; treated-conditional mean undefined")
+    treated = t.pw1 > 0.0
+    missing = np.flatnonzero(treated & (t.pw0 == 0.0))
+    if missing.size:
+        raise PositivityViolation(f"covariate value {t.strata[missing[0]]} is reachable under "
+                                  f"A=1 but has no untreated mass")
+    return _fsum(t.pw1[treated] / t.pr_a1 * t.q[treated])
 
 
 # ---------------------------------------------------------------------------
@@ -374,13 +385,7 @@ def eif_psi(o: Observation, dist: FiniteDistribution) -> float:
 
     The observation must lie in the covariate support of ``dist``.
     """
-    psi = psi_of(dist)
-    if dist._w_mass.get(o.w, 0.0) == 0.0:
-        raise ZeroMassConditioning(f"covariate value {o.w} outside the support")
-    q = q_of(dist, o.w)
-    if o.a == 0:
-        return (o.y - q) / g_of(dist, o.w) + q - psi
-    return q - psi
+    return _eif_at("psi", o, dist)
 
 
 def eif_theta(o: Observation, dist: FiniteDistribution) -> float:
@@ -388,15 +393,13 @@ def eif_theta(o: Observation, dist: FiniteDistribution) -> float:
 
         I(a=0)/Pr(A=1) * (1-g)/g * (y - q)  +  I(a=1)/Pr(A=1) * (q - theta)
     """
-    theta = theta_of(dist)
-    p1 = dist.pr_a1
-    if dist._w_mass.get(o.w, 0.0) == 0.0:
-        raise ZeroMassConditioning(f"covariate value {o.w} outside the support")
-    q = q_of(dist, o.w)
-    g = g_of(dist, o.w)
-    if o.a == 0:
-        return (1.0 - g) / g * (o.y - q) / p1
-    return (q - theta) / p1
+    return _eif_at("theta", o, dist)
+
+
+def _eif_at(functional: str, o: Observation, dist: FiniteDistribution) -> float:
+    # the influence function integrated against the point mass at o
+    one = np.ones(1)
+    return eif_integral(functional, dist, _law(np.array([o.w]), np.array([o.a]), o.y * one, one))
 
 
 def _influence(estimand: str, a, y, q, g, centre, p1):
@@ -418,6 +421,14 @@ def _influence(estimand: str, a, y, q, g, centre, p1):
     return (ind0 * (1.0 - g) / g * (y - q) + (1.0 - ind0) * (q - centre)) / p1
 
 
+def _mean_phi(estimand: str, table: SupportTable, q, g, centre, p1) -> float:
+    """The atom mean under ``table`` of the influence function with the
+    per-stratum regression ``q`` and propensity ``g`` plugged in."""
+    s = table.atom_stratum
+    return _fsum(table.atom_p * _influence(estimand, table.atom_a, table.atom_y,
+                                           q[s], g[s], centre, p1))
+
+
 # ---------------------------------------------------------------------------
 # mixture submodel
 
@@ -434,18 +445,22 @@ class SubmodelMix:
     base: FiniteDistribution
     direction: FiniteDistribution
     e: float
+    # the base's row of each direction atom
+    _rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         e = float(self.e)
         if not 0.0 <= e <= 1.0:
             raise ValueError(f"mixture weight must lie in [0, 1], got {e!r}")
         object.__setattr__(self, "e", e)
-        base_keys = {obs.key for obs, _ in self.base.atoms}
-        for obs, _ in self.direction.atoms:
-            if obs.key not in base_keys:
-                raise SupportViolation(
-                    f"direction atom {obs.key} lies outside the base support"
-                )
+        b, d = self.base.support_table, self.direction.support_table
+        rows = _match((b.atom_w, b.atom_a, b.atom_y), (d.atom_w, d.atom_a, d.atom_y))
+        outside = np.flatnonzero(rows < 0)
+        if outside.size:
+            i = outside[0]
+            key = (tuple(d.atom_w[i].tolist()), int(d.atom_a[i]), float(d.atom_y[i]))
+            raise SupportViolation(f"direction atom {key} lies outside the base support")
+        object.__setattr__(self, "_rows", rows)
 
 
 def mix(sub: SubmodelMix) -> FiniteDistribution:
@@ -455,14 +470,12 @@ def mix(sub: SubmodelMix) -> FiniteDistribution:
     support, dropping atoms whose combined mass is zero (only possible at
     e = 1).
     """
-    dir_mass = sub.direction._atom_mass
-    e = sub.e
-    out = []
-    for obs, p_base in sub.base.atoms:
-        m = (1.0 - e) * p_base + e * dir_mass.get(obs.key, 0.0)
-        if m > 0.0:
-            out.append((obs, m))
-    return FiniteDistribution(out)
+    base = sub.base.support_table
+    direction = np.zeros(len(base.atom_p))
+    direction[sub._rows] = sub.direction.support_table.atom_p
+    m = (1.0 - sub.e) * base.atom_p + sub.e * direction
+    keep = m > 0.0
+    return _law(base.atom_w[keep], base.atom_a[keep], base.atom_y[keep], m[keep])
 
 
 @dataclass(frozen=True)
@@ -542,7 +555,8 @@ def pathwise_derivative_check(
     except KeyError:
         raise ConfigError(f"unknown functional {functional!r}") from None
     grid = tuple(float(h) for h in (step_grid if step_grid is not None else DEFAULT_STEP_GRID))
-    if not grid or any(h <= 0.0 for h in grid):
+    # ``not h > 0`` also refuses NaN
+    if not grid or any(not h > 0.0 for h in grid):
         raise ConfigError("step grid must contain positive steps")
     if any(b >= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("step grid must be strictly decreasing")
@@ -561,24 +575,19 @@ def pathwise_derivative_check(
 def eif_integral(functional: str, dist: FiniteDistribution, weights: FiniteDistribution) -> float:
     """Sum over the atoms of ``weights`` of mass times the influence function under ``dist``.
 
-    Equal, term by term, to ``math.fsum(p * eif(obs, dist) for obs, p in
-    weights.atoms)`` with ``eif`` the functional's ``eif_psi``/``eif_theta``,
-    and raising as that sum would.  With ``weights`` = ``dist`` it is the
-    influence function's mean, zero up to rounding.
+    With ``weights`` = ``dist`` it is the influence function's mean, zero
+    up to rounding.
     """
     try:
         value = _FUNCTIONALS[functional](dist)
     except KeyError:
         raise ConfigError(f"unknown functional {functional!r}") from None
     table, atoms = dist.support_table, weights.support_table
-    try:
-        rows = np.array([table.index[w] for w in atoms.strata], dtype=np.int64)
-    except KeyError as err:
-        raise ZeroMassConditioning(f"covariate value {err.args[0]} outside the support") from None
-    rows = rows[atoms.atom_stratum]
-    eif = _influence(functional, atoms.atom_a, atoms.atom_y, table.q[rows], table.g[rows],
-                     value, dist.pr_a1)
-    return math.fsum((atoms.atom_p * eif).tolist())
+    rows = _match((table.w,), (atoms.w,))
+    off = np.flatnonzero(rows < 0)
+    if off.size:
+        raise ZeroMassConditioning(f"covariate value {atoms.strata[off[0]]} outside the support")
+    return _mean_phi(functional, atoms, table.q[rows], table.g[rows], value, table.pr_a1)
 
 
 # ---------------------------------------------------------------------------

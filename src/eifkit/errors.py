@@ -48,6 +48,12 @@ class SupportViolation(EifkitError):
     code = "distribution/support-violation"
 
 
+class NonFiniteNumber(EifkitError):
+    """A result is not finite: an exact sum met an overflow, or a document a NaN."""
+
+    code = "numeric/non-finite"
+
+
 # ---------------------------------------------------------------------------
 # nuisance learners
 

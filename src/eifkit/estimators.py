@@ -25,7 +25,6 @@ variance)/n.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Callable, Optional
@@ -33,7 +32,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .decomposition import truth_functions
-from .distributions import FiniteDistribution, Observation, _influence
+from .distributions import FiniteDistribution, _influence, _key_order, _law
 from .errors import ConfigError, EifkitError, EmptyEif, NoTreatedRows, ZeroMassConditioning
 from .learners import (
     Dataset,
@@ -333,11 +332,10 @@ def estimate(data: Dataset, config: EstimatorConfig, truth=None) -> EstimateRepo
 
 def empirical_distribution(data: Dataset) -> FiniteDistribution:
     """Empirical law of the sample: each distinct (w, a, y) atom gets count/n."""
-    counts = Counter((tuple(data.w[i]), int(data.a[i]), float(data.y[i])) for i in range(data.n))
-    n = data.n
-    return FiniteDistribution(
-        [(Observation(w, a, y), c / n) for (w, a, y), c in counts.items()]
-    )
+    order, _, new_key = _key_order(data.w, data.a, data.y)
+    first = order[new_key]  # each distinct row's first occurrence
+    counts = np.diff(np.append(np.flatnonzero(new_key), data.n))
+    return _law(data.w[first], data.a[first], data.y[first], counts / data.n)
 
 
 def saturated_nuisance(data: Dataset) -> FittedNuisance:

@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .distributions import FiniteDistribution, fields_dict, psi_of, theta_of
+from .distributions import FiniteDistribution, _law, fields_dict, psi_of, theta_of
 from .errors import ConfigError, EifkitError, NoTreatedRows
 from .estimators import EstimatorConfig, estimate
 from .decomposition import _check_n_grid, truth_functions
@@ -206,18 +206,14 @@ def generate_with_counterfactual(dgp: DGPSpec, n: int, seed):
 
 
 def _draw_discrete(table: FiniteDistribution, n: int, rng):
-    masses = np.array([p for _, p in table.atoms])
-    idx = rng.choice(len(table.atoms), size=n, p=masses / masses.sum())
-    atom_w = np.array([obs.w for obs, _ in table.atoms], dtype=float)
-    atom_a = np.array([obs.a for obs, _ in table.atoms], dtype=np.int64)
-    atom_y = np.array([obs.y for obs, _ in table.atoms], dtype=float)
+    t = table.support_table
+    stratum, atom_a, atom_y, masses = t.atom_stratum, t.atom_a, t.atom_y, t.atom_p
+    idx = rng.choice(len(masses), size=n, p=masses / masses.sum())
     a = atom_a[idx]
     # a treated row's counterfactual y0 is a draw from the untreated law of
     # its stratum.  Atoms are sorted by (w, a, y), so each stratum's
     # untreated atoms are contiguous: [first, first + untreated count).
-    new_stratum = np.concatenate([[True], (atom_w[1:] != atom_w[:-1]).any(axis=1)])
-    stratum = np.cumsum(new_stratum) - 1
-    first = np.flatnonzero(new_stratum)[stratum]
+    first = np.searchsorted(stratum, stratum)
     stop = first + np.bincount(stratum, weights=atom_a == 0).astype(np.int64)[stratum]
     untreated_mass = np.where(atom_a == 0, masses, 0.0)
     upper = np.cumsum(untreated_mass)
@@ -231,7 +227,7 @@ def _draw_discrete(table: FiniteDistribution, n: int, rng):
     y0 = atom_y[idx]
     # a stratum without untreated atoms has no counterfactual law
     y0[a == 1] = np.where(stop > first, atom_y[pick], np.nan)
-    return Dataset(w=atom_w[idx], a=a, y=atom_y[idx]), y0
+    return Dataset(w=t.atom_w[idx], a=a, y=atom_y[idx]), y0
 
 
 def draw_dataset(dist: FiniteDistribution, n: int, seed) -> Dataset:
@@ -254,12 +250,10 @@ def quadrature_distribution(dgp: DGPSpec, nodes: int = 24) -> FiniteDistribution
     points, weights = _legendre_grid(nodes, dgp.d)
     g = dgp.g(points)
     q = dgp.q(points)
-    atoms = []
-    for i in range(len(points)):
-        w = tuple(float(x) for x in points[i])
-        atoms.append(((w, 0, float(q[i])), float(weights[i] * g[i])))
-        atoms.append(((w, 1, float(q[i] + dgp.treated_shift)), float(weights[i] * (1.0 - g[i]))))
-    return FiniteDistribution(atoms)
+    # an untreated and a treated atom at each node
+    return _law(np.repeat(points, 2, axis=0), np.tile(np.array([0, 1]), len(points)),
+                np.column_stack([q, q + dgp.treated_shift]).ravel(),
+                np.column_stack([weights * g, weights * (1.0 - g)]).ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +451,7 @@ def run_coverage(
         coverage=coverage,
         mc_standard_error=mc_se,
         mean_scaled_error=float(scaled.mean()),
-        var_scaled_error=float(scaled.var(ddof=1)),
+        var_scaled_error=float(scaled.var(ddof=1)) if m > 1 else math.nan,
         skewness=skewness,
         excess_kurtosis=excess_kurtosis,
         mean_scaled_variance=mean_scaled_variance,
@@ -513,7 +507,7 @@ def run_rate_experiment(
         rmse.append(float(np.sqrt(np.mean(errs**2))))
         scaled = math.sqrt(n) * errs
         mean_scaled.append(float(scaled.mean()))
-        var_scaled.append(float(scaled.var(ddof=1)))
+        var_scaled.append(float(scaled.var(ddof=1)) if errs.size > 1 else math.nan)
     slope = float(np.polyfit(np.log(grid), np.log(rmse), 1)[0])
     return RateExperimentReport(
         estimand=config.estimand,

@@ -14,7 +14,13 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from eifkit import FiniteDistribution, FittedNuisance, g_of, q_of
+from eifkit import FiniteDistribution, FittedNuisance, Observation, g_of, q_of
+from eifkit.errors import (
+    InvalidDistribution,
+    NoTreatedMass,
+    PositivityViolation,
+    ZeroMassConditioning,
+)
 
 settings.register_profile("default", deadline=None, max_examples=60)
 settings.load_profile("default")
@@ -53,6 +59,153 @@ def random_distribution(rng, max_strata=4, d=1, max_y_per_stratum=2,
     return FiniteDistribution(
         [(key, int(c) / total) for (key, _), c in zip(atoms, counts)]
     )
+
+
+class RefLaw:
+    """Per-atom reference for a finite law, independent of its support table.
+
+    The atom list is sorted by key with a tuple sort, and each stratum sum
+    is a running sum over it into an ordered dict, keyed by the first
+    covariate tuple of the stratum.  The functionals, the scalar influence
+    functions, the mixture and the atom draw are computed from those dicts
+    one stratum or one atom at a time, raising what the library raises.
+    """
+
+    COLUMNS = ("strata", "index", "w", "pw", "pw0", "pw1", "q", "g", "atom_w", "atom_stratum",
+               "atom_a", "atom_y", "atom_p", "pr_a1")
+
+    def __init__(self, atoms):
+        pairs = [(obs if isinstance(obs, Observation) else Observation(*obs), float(p))
+                 for obs, p in atoms]
+        for _, p in pairs:
+            if not 0.0 < p <= 1.0:
+                raise InvalidDistribution(f"atom mass {p!r} outside (0, 1]")
+        pairs.sort(key=lambda it: it[0].key)
+        total = math.fsum(p for _, p in pairs)
+        if abs(total - 1.0) > 1e-12:
+            raise InvalidDistribution(f"masses sum to {total!r}, not 1")
+        self.atoms = tuple(pairs)
+        self.atom_mass = {obs.key: p for obs, p in pairs}
+        self.w_mass, self.w0_mass, self.w0_ymass, self.w1_mass = {}, {}, {}, {}
+        for obs, p in pairs:
+            self.w_mass[obs.w] = self.w_mass.get(obs.w, 0.0) + p
+            if obs.a == 0:
+                self.w0_mass[obs.w] = self.w0_mass.get(obs.w, 0.0) + p
+                self.w0_ymass[obs.w] = self.w0_ymass.get(obs.w, 0.0) + p * obs.y
+            else:
+                self.w1_mass[obs.w] = self.w1_mass.get(obs.w, 0.0) + p
+        self.pr_a1 = math.fsum(p for obs, p in pairs if obs.a == 1)
+
+    def q(self, w):
+        key = tuple(map(float, w))
+        denom = self.w0_mass.get(key, 0.0)
+        if denom == 0.0:
+            raise ZeroMassConditioning(f"Pr(W={key}, A=0) = 0; E(Y | W=w, A=0) undefined")
+        return self.w0_ymass[key] / denom
+
+    def g(self, w):
+        key = tuple(map(float, w))
+        denom = self.w_mass.get(key, 0.0)
+        if denom == 0.0:
+            raise ZeroMassConditioning(f"Pr(W={key}) = 0; Pr(A=0 | W=w) undefined")
+        return self.w0_mass.get(key, 0.0) / denom
+
+    def psi(self):
+        terms = []
+        for w, pw in self.w_mass.items():
+            p0 = self.w0_mass.get(w, 0.0)
+            if p0 == 0.0:
+                raise PositivityViolation(
+                    f"covariate value {w} has mass {pw!r} but no untreated mass")
+            terms.append(pw * (self.w0_ymass[w] / p0))
+        return math.fsum(terms)
+
+    def theta(self):
+        p1 = self.pr_a1
+        if p1 == 0.0:
+            raise NoTreatedMass("Pr(A=1) = 0; treated-conditional mean undefined")
+        terms = []
+        for w, pw1 in self.w1_mass.items():
+            p0 = self.w0_mass.get(w, 0.0)
+            if p0 == 0.0:
+                raise PositivityViolation(
+                    f"covariate value {w} is reachable under A=1 but has no untreated mass")
+            terms.append((pw1 / p1) * (self.w0_ymass[w] / p0))
+        return math.fsum(terms)
+
+    def eif_psi(self, o):
+        psi = self.psi()
+        if self.w_mass.get(o.w, 0.0) == 0.0:
+            raise ZeroMassConditioning(f"covariate value {o.w} outside the support")
+        q = self.q(o.w)
+        if o.a == 0:
+            return (o.y - q) / self.g(o.w) + q - psi
+        return q - psi
+
+    def eif_theta(self, o):
+        theta = self.theta()
+        p1 = self.pr_a1
+        if self.w_mass.get(o.w, 0.0) == 0.0:
+            raise ZeroMassConditioning(f"covariate value {o.w} outside the support")
+        q = self.q(o.w)
+        g = self.g(o.w)
+        if o.a == 0:
+            return (1.0 - g) / g * (o.y - q) / p1
+        return (q - theta) / p1
+
+    def mix(self, direction, e):
+        """The law (1-e)*self + e*direction, ``direction`` a RefLaw on a subset of the atoms."""
+        out = []
+        for obs, p_base in self.atoms:
+            m = (1.0 - e) * p_base + e * direction.atom_mass.get(obs.key, 0.0)
+            if m > 0.0:
+                out.append((obs, m))
+        return RefLaw(out)
+
+    def table(self):
+        """The support-table columns, built from the dict sums."""
+        strata = tuple(self.w_mass)
+        index = {w: i for i, w in enumerate(strata)}
+        pw0 = np.array([self.w0_mass.get(w, 0.0) for w in strata])
+        ymass0 = np.array([self.w0_ymass.get(w, 0.0) for w in strata])
+        pw = np.array(list(self.w_mass.values()))
+        return {
+            "strata": strata, "index": index, "w": np.array(strata, dtype=float),
+            "pw": pw, "pw0": pw0, "pw1": np.array([self.w1_mass.get(w, 0.0) for w in strata]),
+            "q": np.divide(ymass0, pw0, out=np.full(len(strata), np.nan), where=pw0 != 0.0),
+            "g": pw0 / pw,
+            "atom_w": np.array([obs.w for obs, _ in self.atoms], dtype=float),
+            "atom_stratum": np.array([index[obs.w] for obs, _ in self.atoms]),
+            "atom_a": np.array([obs.a for obs, _ in self.atoms]),
+            "atom_y": np.array([obs.y for obs, _ in self.atoms]),
+            "atom_p": np.array([p for _, p in self.atoms]),
+            "pr_a1": self.pr_a1,
+        }
+
+    def draw(self, n, seed):
+        """n rows (w, a, y) and the treated rows' counterfactual y0, as the table DGP draws them."""
+        rng = np.random.default_rng(seed)
+        masses = np.array([p for _, p in self.atoms])
+        idx = rng.choice(len(self.atoms), size=n, p=masses / masses.sum())
+        atom_w = np.array([obs.w for obs, _ in self.atoms], dtype=float)
+        atom_a = np.array([obs.a for obs, _ in self.atoms], dtype=np.int64)
+        atom_y = np.array([obs.y for obs, _ in self.atoms], dtype=float)
+        a = atom_a[idx]
+        new_stratum = np.concatenate([[True], (atom_w[1:] != atom_w[:-1]).any(axis=1)])
+        stratum = np.cumsum(new_stratum) - 1
+        first = np.flatnonzero(new_stratum)[stratum]
+        stop = first + np.bincount(stratum, weights=atom_a == 0).astype(np.int64)[stratum]
+        untreated_mass = np.where(atom_a == 0, masses, 0.0)
+        upper = np.cumsum(untreated_mass)
+        lower = upper - untreated_mass
+        treated = idx[a == 1]
+        first, stop = first[treated], stop[treated]
+        last = np.maximum(stop - 1, first)
+        target = lower[first] + rng.random(len(treated)) * (upper[last] - lower[first])
+        pick = np.clip(np.searchsorted(upper, target, side="right"), first, last)
+        y0 = atom_y[idx]
+        y0[a == 1] = np.where(stop > first, atom_y[pick], np.nan)
+        return atom_w[idx], a, atom_y[idx], y0
 
 
 def lookup_fn(table):

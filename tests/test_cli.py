@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -470,6 +471,67 @@ def test_library_config_errors_exit_two(tmp_path, capsys, command, doc):
     assert "Traceback" not in captured.err
 
 
+# a valid law whose outcomes +-1.7e308 overflow the influence terms to +-inf
+_OVERFLOW_LAW = {"atoms": [{"w": [0.0], "a": 0, "y": 1.7e308, "p": 0.25},
+                           {"w": [0.0], "a": 0, "y": -1.7e308, "p": 0.25},
+                           {"w": [0.0], "a": 1, "y": 0.0, "p": 0.5}]}
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("verify-eif", {"direction": "law.json"}),
+    ("decompose", {"sample": "sample.csv"}),
+    ("remainder", {"mode": "exact", "n": 100, "learners": {"q": _ORACLE, "g": _ORACLE}}),
+    ("remainder", {"mode": "sweep", "n_grid": [100, 1000],
+                   "learners": {"q": _ORACLE, "g": _ORACLE}}),
+])
+def test_overflowing_exact_sums_exit_one(tmp_path, capsys, command, doc):
+    (tmp_path / "law.json").write_text(json.dumps(_OVERFLOW_LAW))
+    (tmp_path / "sample.csv").write_text("w1,a,y\n0.0,0,1.7e308\n0.0,0,-1.7e308\n0.0,1,0.0\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(doc, distribution="law.json")))
+    error = _only_error_document(capsys, main([command, "--config", str(cfg)]), 1)
+    assert error["code"] == "numeric/non-finite"
+
+
+@pytest.mark.parametrize("grid", ["[NaN]", "[1e-3, NaN]", "[Infinity]", "[1e-3, -Infinity]"])
+def test_non_finite_config_constants_exit_two(workspace, capsys, grid):
+    tmp_path, _ = workspace
+    cfg = tmp_path / "ver.json"
+    cfg.write_text('{"distribution": "dist.json", "direction": "direction.json", '
+                   f'"step_grid": {grid}}}')
+    error = _only_error_document(capsys, main(["verify-eif", "--config", str(cfg)]), 2)
+    assert error["code"] == "config/invalid" and "not a finite number" in error["message"]
+
+
+@pytest.mark.parametrize("doc, undefined", [
+    # one replication survives: no variance, skewness or kurtosis
+    ({}, {"var_scaled_error", "skewness", "excess_kurtosis"}),
+    # a plug-in study has no influence-based variance
+    ({"estimator": {"estimator": "plugin"}, "include_replications": True},
+     {"mean_scaled_variance", "ks_distance"}),
+])
+def test_simulate_writes_undefined_statistics_as_null(tmp_path, capsys, doc, undefined):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict({"study": "coverage", "reps": 2, "seed": 124, "n": 4}, **doc)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["simulate", "--config", str(cfg)])
+    out = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    assert code == 0
+    assert {key for key, value in out.items() if value is None} == undefined
+    for row in out.get("replications", []):
+        assert row["variance"] is None
+
+
+def test_non_finite_result_is_a_runtime_error(workspace, capsys, monkeypatch):
+    # a value that still is not finite when the document is written
+    _, config = workspace
+    monkeypatch.setattr("eifkit.cli._cmd_estimate", lambda args: {"point": float("inf")})
+    cfg = config("est.json", {"data": "sample.csv"})
+    error = _only_error_document(capsys, main(["estimate", "--config", cfg]), 1)
+    assert error["code"] == "numeric/non-finite"
+
+
 # ---------------------------------------------------------------------------
 # shared plumbing
 
@@ -744,6 +806,10 @@ def _csv_text(draw):
     return ("\n".join(",".join(row) for row in table) + "\n").encode()
 
 
+def _refuse_constant(token):
+    raise AssertionError(f"stdout holds {token}, which is not JSON")
+
+
 def _assert_contract(command, files):
     """Run ``command`` on a config and its files in a fresh directory; check the contract."""
     # in process, a traceback is an exception escaping main(), which fails the example
@@ -754,7 +820,7 @@ def _assert_contract(command, files):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([command, "--config", str(Path(tmp) / "cfg.json")])
     assert code in (0, 1, 2)
-    decoder = json.JSONDecoder()
+    decoder = json.JSONDecoder(parse_constant=_refuse_constant)
     text = out.getvalue()
     doc, end = decoder.raw_decode(text)
     assert text[end:] == "\n"

@@ -11,23 +11,15 @@ from hypothesis import given, strategies as st
 from eifkit import (
     Dataset,
     FiniteDistribution,
-    SubmodelMix,
     LearnerSpec,
     decompose_error,
-    psi_of,
     quadrature_distribution,
     default_logistic_linear,
     draw_dataset,
-    eif_psi,
-    eif_theta,
-    g_of,
-    mix,
     pathwise_derivative_check,
-    q_of,
     remainder_exact_psi,
     remainder_exact_theta,
     remainder_rate_sweep,
-    theta_of,
     truth_functions,
 )
 from eifkit.cli import main
@@ -35,7 +27,7 @@ from eifkit.distributions import DEFAULT_STEP_GRID, _extrapolate_to_zero, save_d
 from eifkit.learners import FittedNuisance, fit_nuisance
 from eifkit.errors import PositivityViolation, ZeroMassConditioning
 
-from conftest import direction_from, lookup_fn, perturbed_nuisance, random_distribution
+from conftest import RefLaw, direction_from, perturbed_nuisance, random_distribution
 
 
 def _exact_nuisance(dist):
@@ -264,20 +256,22 @@ def test_truth_functions_vectorized(five_atom):
 # the per-law array path against a per-atom reference
 #
 # The reference below is the exact layer computed one stratum and one atom
-# at a time: Pr(W=w), q and g rebuilt through the scalar lookups, the mean
-# of the estimated influence function as an atom loop, and the influence
-# function integral as a sum of per-atom ``eif_psi``/``eif_theta`` values.
-# The library evaluates the same terms as arrays over a support table held
-# on the law; math.fsum is exactly rounded, so equal terms give equal sums
-# and every comparison below is ``==``.
+# at a time: Pr(W=w), q, g and the functionals from the running dict sums
+# of ``RefLaw``, the mean of the estimated influence function as an atom
+# loop, the influence function integral as a sum of per-atom scalar
+# influence values, and the mixtures of the derivative check mixed atom by
+# atom.  The library evaluates the same terms as arrays over the support
+# table the law is built as; math.fsum is exactly rounded, so equal terms
+# give equal sums and every comparison below is ``==``.
 
 
 def _ref_support_tables(dist):
-    ws = dist.w_support
+    ref = RefLaw(dist.atoms)
+    ws = tuple(ref.w_mass)
     w_matrix = np.array(ws, dtype=float)
-    pw = np.array([dist.w_mass(w) for w in ws])
-    q = np.array([q_of(dist, w) for w in ws])
-    g = np.array([g_of(dist, w) for w in ws])
+    pw = np.array([ref.w_mass[w] for w in ws])
+    q = np.array([ref.q(w) for w in ws])
+    g = np.array([ref.g(w) for w in ws])
     index = {w: i for i, w in enumerate(ws)}
     return ws, w_matrix, pw, q, g, index
 
@@ -314,7 +308,7 @@ def _ref_mean_phi_hat_theta(dist, index, qh, gh, theta_hat, pn_a):
 def _ref_remainder_psi(dist, nuis):
     _, w_matrix, pw, q, g, index = _ref_support_tables(dist)
     qh, gh = _ref_nuisance_on_support(nuis, w_matrix)
-    psi_true = psi_of(dist)
+    psi_true = RefLaw(dist.atoms).psi()
     psi_hat = math.fsum(pw * qh)
     direct = psi_true - psi_hat - _ref_mean_phi_hat_psi(dist, index, qh, gh, psi_hat)
     closed = -math.fsum(pw * (g - gh) * (q - qh) / gh)
@@ -328,8 +322,9 @@ def _ref_remainder_psi(dist, nuis):
 def _ref_remainder_theta(dist, nuis, pn_a):
     _, w_matrix, pw, q, g, index = _ref_support_tables(dist)
     qh, gh = _ref_nuisance_on_support(nuis, w_matrix)
-    theta_true = theta_of(dist)
-    pr_a1 = dist.pr_a1
+    ref = RefLaw(dist.atoms)
+    theta_true = ref.theta()
+    pr_a1 = ref.pr_a1
     theta_hat = math.fsum(pw * (1.0 - g) * qh) / pr_a1
     direct = theta_true - theta_hat - _ref_mean_phi_hat_theta(
         dist, index, qh, gh, theta_hat, pn_a)
@@ -352,8 +347,9 @@ def _ref_decompose(dist, nuis, sample, estimand):
     ind0 = (sample.a == 0).astype(float)
     y = sample.y
     q_i, g_i, qh_i, gh_i = q[row_idx], g[row_idx], qh[row_idx], gh[row_idx]
+    ref = RefLaw(dist.atoms)
     if estimand == "psi":
-        psi_true = psi_of(dist)
+        psi_true = ref.psi()
         psi_hat = math.fsum(pw * qh)
         phi_true = ind0 * (y - q_i) / g_i + q_i - psi_true
         phi_hat = ind0 * (y - qh_i) / gh_i + qh_i - psi_hat
@@ -364,8 +360,8 @@ def _ref_decompose(dist, nuis, sample, estimand):
     else:
         ind1 = 1.0 - ind0
         pn_a = float(np.mean(sample.a))
-        theta_true = theta_of(dist)
-        pr_a1 = dist.pr_a1
+        theta_true = ref.theta()
+        pr_a1 = ref.pr_a1
         theta_hat = math.fsum(pw * (1.0 - g) * qh) / pr_a1
         phi_true = (ind0 * (1.0 - g_i) / g_i * (y - q_i) + ind1 * (q_i - theta_true)) / pr_a1
         phi_hat = (ind0 * (1.0 - gh_i) / gh_i * (y - qh_i) + ind1 * (qh_i - theta_hat)) / pn_a
@@ -387,14 +383,16 @@ def _ref_decompose(dist, nuis, sample, estimand):
 
 
 def _ref_eif_integral(functional, dist, weights):
-    eif = eif_psi if functional == "psi" else eif_theta
-    return math.fsum(p * eif(obs, dist) for obs, p in weights.atoms)
+    ref = RefLaw(dist.atoms)
+    eif = ref.eif_psi if functional == "psi" else ref.eif_theta
+    return math.fsum(p * eif(obs) for obs, p in weights.atoms)
 
 
 def _ref_check(functional, base, direction, step_grid):
-    value_fn = psi_of if functional == "psi" else theta_of
-    f0 = value_fn(base)
-    diffs = [(value_fn(mix(SubmodelMix(base, direction, h))) - f0) / h for h in step_grid]
+    ref, ref_direction = RefLaw(base.atoms), RefLaw(direction.atoms)
+    value_fn = RefLaw.psi if functional == "psi" else RefLaw.theta
+    f0 = value_fn(ref)
+    diffs = [(value_fn(ref.mix(ref_direction, h)) - f0) / h for h in step_grid]
     fd = diffs[0] if len(diffs) == 1 else _extrapolate_to_zero(step_grid, diffs)
     integral = _ref_eif_integral(functional, base, direction)
     return {"finite_difference": fd, "eif_integral": integral,
@@ -473,13 +471,13 @@ def test_array_path_on_one_law_reused_and_pickled():
     nuisances = [perturbed_nuisance(dist, rng) for _ in range(25)]
     for nuis in nuisances:
         _assert_matches_reference(dist, nuis, rng, sample)
-    # before any call on it, and after the calls above, when the table
-    # travels with the law
+    # the law travels with its table, before its atom pairs are built on
+    # first use and after
     fresh = pickle.loads(pickle.dumps(random_distribution(np.random.default_rng(77),
                                                           max_strata=5, d=2,
                                                           max_y_per_stratum=3)))
     used = pickle.loads(pickle.dumps(dist))
-    assert fresh._table is None and used._table is not None
+    assert "atoms" not in vars(fresh) and "atoms" in vars(used)
     for law in (fresh, used):
         for nuis in nuisances[:5]:
             _assert_matches_reference(law, nuis, rng, sample)

@@ -8,14 +8,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from eifkit import (
+    DGPSpec,
     FiniteDistribution,
     Observation,
     SubmodelMix,
     distribution_from_dict,
     distribution_to_dict,
+    draw_dataset,
     eif_psi,
     eif_theta,
     g_of,
+    generate_with_counterfactual,
     load_distribution,
     mix,
     pathwise_derivative_check,
@@ -26,6 +29,7 @@ from eifkit import (
 )
 from eifkit.distributions import DEFAULT_STEP_GRID, _extrapolate_to_zero
 from eifkit.errors import (
+    ConfigError,
     InvalidDistribution,
     NoTreatedMass,
     PositivityViolation,
@@ -33,7 +37,7 @@ from eifkit.errors import (
     ZeroMassConditioning,
 )
 
-from conftest import assert_close, direction_from, random_distribution
+from conftest import RefLaw, assert_close, direction_from, random_distribution
 
 
 # ---------------------------------------------------------------------------
@@ -193,10 +197,11 @@ def test_derivative_check_respects_grid(four_atom):
 
 def test_derivative_check_rejects_bad_grid(four_atom):
     direction = FiniteDistribution([((0.0, 1, 0.0), 1.0)])
-    for bad in [(), (0.0, 1e-4), (1e-4, 1e-3), (1e-3, 1e-3)]:
-        with pytest.raises(ValueError):
+    for bad in [(), (0.0, 1e-4), (1e-4, 1e-3), (1e-3, 1e-3), (math.nan,), (1e-3, math.nan),
+                (math.inf,), (1e-3, -math.inf)]:
+        with pytest.raises(ConfigError):
             pathwise_derivative_check("psi", four_atom, direction, step_grid=bad)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         pathwise_derivative_check("nope", four_atom, direction)
 
 
@@ -209,6 +214,89 @@ def test_derivative_check_random_pairs(seed):
     for name in ("psi", "theta"):
         rep = pathwise_derivative_check(name, base, direction, step_grid=grid)
         assert rep.discrepancy < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the array law against the per-atom reference
+#
+# Random atom lists in shuffled order, with -0.0 and 0.0 in the covariates
+# and outcomes.  Values are compared by repr, which is stricter than ``==``:
+# it tells -0.0 from 0.0 and matches NaN, the q of a treated-only stratum.
+
+
+@st.composite
+def _shuffled_atoms(draw, max_size=10):
+    d = draw(st.sampled_from([1, 2, 3]))
+    w = st.tuples(*[st.sampled_from([-1.0, -0.0, 0.0, 0.5])] * d)
+    keys = draw(st.lists(st.tuples(w, st.integers(0, 1), st.sampled_from([-1.0, -0.0, 0.0, 2.0])),
+                         min_size=1, max_size=max_size, unique=True))
+    counts = draw(st.lists(st.integers(1, 9), min_size=len(keys), max_size=len(keys)))
+    return draw(st.permutations([(key, c / sum(counts)) for key, c in zip(keys, counts)]))
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except Exception as err:  # compared by class and message
+        return type(err).__name__, str(err)
+
+
+def _flip_zeros(w):
+    return tuple(-x if x == 0.0 else x for x in w)
+
+
+def _law_state(dist, probes):
+    """Every observable of a library law, as reprs, with the lookups at ``probes``."""
+    table = dist.support_table
+    return _state({name: getattr(table, name) for name in RefLaw.COLUMNS}, dist.atoms,
+                  dist.w_support, lambda: psi_of(dist), lambda: theta_of(dist),
+                  lambda w: q_of(dist, w), lambda w: g_of(dist, w), dist.w_mass, dist.mass_of,
+                  probes)
+
+
+def _ref_state(ref, probes):
+    return _state(ref.table(), ref.atoms, tuple(ref.w_mass), ref.psi, ref.theta, ref.q, ref.g,
+                  lambda w: ref.w_mass.get(tuple(map(float, w)), 0.0),
+                  lambda key: ref.atom_mass.get(Observation(*key).key, 0.0), probes)
+
+
+def _state(table, atoms, w_support, psi, theta, q, g, w_mass, mass_of, probes):
+    state = {name: repr(value.tolist() if isinstance(value, np.ndarray) else value)
+             for name, value in table.items()}
+    state.update(atoms=repr([(obs.key, p) for obs, p in atoms]), w_support=repr(w_support),
+                 psi=_outcome(psi), theta=_outcome(theta))
+    for (w, a, y), _ in probes:
+        for at in (w, _flip_zeros(w), (9.0,) * len(w)):
+            state[f"q g w_mass at {at}"] = (_outcome(q, at), _outcome(g, at), _outcome(w_mass, at))
+        for key in ((w, a, y), (_flip_zeros(w), a, y), (w, a, 7.0)):
+            state[f"mass_of {key}"] = _outcome(mass_of, key)
+    return state
+
+
+@given(atoms=_shuffled_atoms(), e=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_array_law_equals_per_atom_reference(atoms, e, seed):
+    dist, ref = FiniteDistribution(atoms), RefLaw(atoms)
+    assert _law_state(dist, atoms) == _ref_state(ref, atoms)
+    # the scalar influence functions, by ==: only the sign of a zero may differ
+    for obs, _ in ref.atoms:
+        for lib, want in ((eif_psi, ref.eif_psi), (eif_theta, ref.eif_theta)):
+            got, expected = _outcome(lib, obs, dist), _outcome(want, obs)
+            assert got == expected or float(got) == float(expected)
+    # a mixture toward a random subset of the atoms
+    rng = np.random.default_rng(seed)
+    picks = rng.choice(len(atoms), size=int(rng.integers(1, len(atoms) + 1)), replace=False)
+    counts = rng.integers(1, 10, size=len(picks))
+    direction = [(atoms[i][0], int(c) / float(counts.sum())) for i, c in zip(picks, counts)]
+    got = _outcome(lambda: _law_state(
+        mix(SubmodelMix(dist, FiniteDistribution(direction), e)), atoms))
+    assert got == _outcome(lambda: _ref_state(ref.mix(RefLaw(direction), e), atoms))
+    # a seeded draw, with the treated rows' counterfactual outcomes
+    n = int(rng.integers(1, 50))
+    data = draw_dataset(dist, n, seed)
+    _, y0 = generate_with_counterfactual(DGPSpec(kind="discrete-saturated", table=dist), n, seed)
+    want = ref.draw(n, seed)
+    assert repr([data.w.tolist(), data.a.tolist(), data.y.tolist(), y0.tolist()]) == \
+        repr([column.tolist() for column in want])
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +315,9 @@ def test_constructor_rejects_bad_masses():
 def test_constructor_rejects_duplicates_and_ragged_w():
     with pytest.raises(InvalidDistribution):
         FiniteDistribution([((0.0, 0, 0.0), 0.5), ((0.0, 0, 0.0), 0.5)])
+    # -0.0 and 0.0 are one key; the message names the first of the two given
+    with pytest.raises(InvalidDistribution, match=r"duplicate atom \(\(-0\.0,\), 0, 1\.0\)"):
+        FiniteDistribution([((-0.0, 0, 1.0), 0.5), ((0.0, 0, 1.0), 0.5)])
     with pytest.raises(InvalidDistribution):
         FiniteDistribution([(((0.0,), 0, 0.0), 0.5), (((0.0, 1.0), 0, 0.0), 0.5)])
 
