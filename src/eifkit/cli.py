@@ -20,6 +20,12 @@ formatting, and all randomness flows from config seeds, so reruns are
 byte-identical.  Relative paths inside a config resolve against the
 config file's directory.
 
+Each config value is checked once, by the library type or function that
+uses it; the CLI checks the JSON, the keys, the paths and its own fields
+(``study``, ``mode``, ``functional``, ``arm``, ``include_*``, ``--seed``,
+``--workers``), and reports a value the library refuses as a config
+problem, prefixed with where the config holds it.
+
 Failures print ``{"error": {"code", "message"}}`` to stdout and exit
 with 2 for config problems and 1 for runtime ones.  Output paths
 (``--out``, a simulate config's ``replications_out``) are checked before
@@ -35,6 +41,7 @@ column ``y``.  Row numbers in error messages count data rows from 1.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -71,6 +78,7 @@ from .estimators import EstimatorConfig, estimate
 from .learners import (
     Dataset,
     LearnerSpec,
+    _is_int,
     fit_nuisance,
     oracle_rate_nuisance,
 )
@@ -273,20 +281,24 @@ def _resolve(config_path, value) -> str:
     return str(p if p.is_absolute() else Path(config_path).parent / p)
 
 
+@contextlib.contextmanager
+def _refused(where: str):
+    """Report a config value that the library refuses as a config error under ``where``."""
+    try:
+        yield
+    except (ConfigError, InvalidLearnerSpec) as err:
+        raise ConfigError(f"{where}: {err}") from None
+
+
 def _learner_pair(cfg: dict, where: str):
     """Parse the optional learners block; defaults are OLS and IRLS."""
     block = cfg.get("learners", {})
     if not isinstance(block, dict):
         raise ConfigError(f"{where}: 'learners' must be an object")
     _check_keys(block, ("q", "g"), (), f"{where}.learners")
-    try:
-        spec_q = (LearnerSpec.from_dict(block["q"]) if "q" in block
-                  else LearnerSpec("linear-ols"))
-        spec_g = (LearnerSpec.from_dict(block["g"]) if "g" in block
-                  else LearnerSpec("logistic-irls"))
-    except InvalidLearnerSpec as err:
-        raise ConfigError(f"{where}.learners: {err}") from None
-    return spec_q, spec_g
+    with _refused(f"{where}.learners"):
+        return (LearnerSpec.from_dict(block.get("q", {"kind": "linear-ols"})),
+                LearnerSpec.from_dict(block.get("g", {"kind": "logistic-irls"})))
 
 
 def _str_field(cfg, key, default, choices, where):
@@ -296,25 +308,14 @@ def _str_field(cfg, key, default, choices, where):
     return value
 
 
-def _int_field(cfg, key, default, where, minimum=0):
+def _flag_or_field(args, cfg: dict, key: str, default: int, where: str, minimum=0) -> int:
+    """The --<key> flag when given, else the config's key; both must be integers >= ``minimum``."""
     value = cfg.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+    if getattr(args, key) is not None:
+        value, where = getattr(args, key), f"--{key}"
+    if not (_is_int(value) and value >= minimum):
         raise ConfigError(f"{where}: {key!r} must be an integer >= {minimum}, got {value!r}")
     return value
-
-
-def _flag_or_field(args, cfg: dict, key: str, default: int, where: str, minimum=0) -> int:
-    """The --<key> flag when given, else the config's key; both must be >= ``minimum``."""
-    if getattr(args, key) is not None:
-        cfg, where = {key: getattr(args, key)}, f"--{key}"
-    return _int_field(cfg, key, default, where, minimum)
-
-
-def _float_field(cfg, key, default, where):
-    value = cfg.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}: {key!r} must be a number, got {value!r}")
-    return float(value)
 
 
 def _bool_field(cfg, key, default, where):
@@ -322,22 +323,6 @@ def _bool_field(cfg, key, default, where):
     if not isinstance(value, bool):
         raise ConfigError(f"{where}: {key!r} must be true or false, got {value!r}")
     return value
-
-
-def _float_list(cfg, key, default, where):
-    value = cfg.get(key, default)
-    if (not isinstance(value, (list, tuple))
-            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)):
-        raise ConfigError(f"{where}: {key!r} must be a list of numbers, got {value!r}")
-    return tuple(float(v) for v in value)
-
-
-def _int_grid(cfg, key, where):
-    value = cfg.get(key)
-    if (not isinstance(value, list) or len(value) < 2
-            or any(isinstance(v, bool) or not isinstance(v, int) for v in value)):
-        raise ConfigError(f"{where}: {key!r} must be a list of at least two integers")
-    return [int(v) for v in value]
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +339,7 @@ def _cmd_estimate(args) -> dict:
         "estimate config",
     )
     seed = _flag_or_field(args, cfg, "seed", 0, "estimate config")
-    config = _estimator_config(cfg, seed, "estimate config")
+    config = _estimator_config(cfg, "estimate config", fold_seed=seed)
     if "oracle-rate" in (config.spec_q.kind, config.spec_g.kind):
         raise ConfigError(
             "estimate config: oracle-rate learners need a known truth and "
@@ -362,7 +347,8 @@ def _cmd_estimate(args) -> dict:
         )
     include_eif = _bool_field(cfg, "include_eif", False, "estimate config")
     data = ingest_csv(_resolve(args.config, cfg["data"]))
-    config.check_folds(data.n)
+    with _refused("estimate config"):
+        config.check_folds(data.n)
     return estimate(data, config).to_dict(include_eif=include_eif)
 
 
@@ -374,12 +360,12 @@ def _cmd_verify_eif(args) -> dict:
                             ("psi", "theta", "both"), "verify-eif config")
     base = load_distribution(_resolve(args.config, cfg["distribution"]))
     direction = load_distribution(_resolve(args.config, cfg["direction"]))
-    step_grid = (None if cfg.get("step_grid") is None
-                 else _float_list(cfg, "step_grid", None, "verify-eif config"))
     names = ("psi", "theta") if functional == "both" else (functional,)
     out = {}
     for name in names:
-        check = pathwise_derivative_check(name, base, direction, step_grid=step_grid)
+        with _refused("verify-eif config"):
+            check = pathwise_derivative_check(name, base, direction,
+                                              step_grid=cfg.get("step_grid"))
         out[name] = {"check": check.to_dict(), "eif_mean": eif_integral(name, base, base)}
     return out
 
@@ -399,13 +385,12 @@ def _cmd_decompose(args) -> dict:
     cfg = _load_config(args.config)
     _check_keys(cfg, ("distribution", "sample", "estimand", "learners"),
                 ("distribution", "sample"), "decompose config")
-    estimand = _str_field(cfg, "estimand", "psi", ("psi", "theta"), "decompose config")
     spec_q, spec_g = _learner_pair(cfg, "decompose config")
     dist = load_distribution(_resolve(args.config, cfg["distribution"]))
     data = _sample_from(dist, args.config, cfg["sample"], "decompose config")
-    truth = truth_functions(dist) if "oracle-rate" in (spec_q.kind, spec_g.kind) else None
-    nuis = fit_nuisance(data, spec_q, spec_g, truth=truth)
-    return decompose_error(dist, nuis, data, estimand=estimand).to_dict()
+    with _refused("decompose config"):
+        nuis = fit_nuisance(data, spec_q, spec_g, truth=truth_functions(dist))
+        return decompose_error(dist, nuis, data, estimand=cfg.get("estimand", "psi")).to_dict()
 
 
 def _cmd_remainder(args) -> dict:
@@ -417,91 +402,63 @@ def _cmd_remainder(args) -> dict:
         ("distribution",),
         "remainder config",
     )
-    estimand = _str_field(cfg, "estimand", "psi", ("psi", "theta"), "remainder config")
     mode = _str_field(cfg, "mode", "exact", ("exact", "sweep"), "remainder config")
     spec_q, spec_g = _learner_pair(cfg, "remainder config")
     dist = load_distribution(_resolve(args.config, cfg["distribution"]))
+    truth = truth_functions(dist)
 
     if mode == "sweep":
         if "sample" in cfg or "n" in cfg or "pn_a" in cfg:
             raise ConfigError("remainder config: sweep mode takes only 'n_grid' and learners")
-        grid = _int_grid(cfg, "n_grid", "remainder config")
-        for side, spec in (("q", spec_q), ("g", spec_g)):
-            if spec.kind != "oracle-rate":
-                raise ConfigError(
-                    f"remainder config: sweep mode needs oracle-rate learners, "
-                    f"but {side!r} is {spec.kind!r}"
-                )
-        report = remainder_rate_sweep(dist, truth_functions(dist), spec_q, spec_g,
-                                      grid, estimand=estimand)
-        return report.to_dict()
+        with _refused("remainder config"):
+            return remainder_rate_sweep(dist, truth, spec_q, spec_g, cfg.get("n_grid"),
+                                        estimand=cfg.get("estimand", "psi")).to_dict()
 
+    # exact mode: the estimand picks which remainder to compute
+    estimand = _str_field(cfg, "estimand", "psi", ("psi", "theta"), "remainder config")
     if "n_grid" in cfg:
         raise ConfigError("remainder config: 'n_grid' only applies to sweep mode")
-    if "sample" in cfg:
-        data = _sample_from(dist, args.config, cfg["sample"], "remainder config")
-        truth = (truth_functions(dist)
-                 if "oracle-rate" in (spec_q.kind, spec_g.kind) else None)
-        nuis = fit_nuisance(data, spec_q, spec_g, truth=truth)
-        default_pn_a = float(np.mean(data.a))
-    elif "n" in cfg:
-        n = _int_field(cfg, "n", None, "remainder config", minimum=1)
-        if spec_q.kind != "oracle-rate" or spec_g.kind != "oracle-rate":
-            raise ConfigError(
-                "remainder config: without a sample, both learners must be oracle-rate"
-            )
-        truth_q, truth_g = truth_functions(dist)
-        nuis = oracle_rate_nuisance(truth_q, truth_g, n, spec_q, spec_g)
-        default_pn_a = dist.pr_a1
-    else:
+    if estimand == "psi" and "pn_a" in cfg:
+        raise ConfigError("remainder config: 'pn_a' only applies to the theta estimand")
+    if "sample" not in cfg and "n" not in cfg:
         raise ConfigError("remainder config: exact mode needs either 'sample' or 'n'")
-
-    if estimand == "psi":
-        if "pn_a" in cfg:
-            raise ConfigError("remainder config: 'pn_a' only applies to the theta estimand")
-        report = remainder_exact_psi(dist, nuis)
-    else:
-        pn_a = _float_field(cfg, "pn_a", default_pn_a, "remainder config")
-        report = remainder_exact_theta(dist, nuis, pn_a)
-    return report.to_dict()
+    data = (_sample_from(dist, args.config, cfg["sample"], "remainder config")
+            if "sample" in cfg else None)
+    with _refused("remainder config"):
+        if data is not None:
+            nuis = fit_nuisance(data, spec_q, spec_g, truth=truth)
+            default_pn_a = float(np.mean(data.a))
+        else:
+            nuis = oracle_rate_nuisance(*truth, cfg["n"], spec_q, spec_g)
+            default_pn_a = dist.pr_a1
+        if estimand == "psi":
+            return remainder_exact_psi(dist, nuis).to_dict()
+        return remainder_exact_theta(dist, nuis, cfg.get("pn_a", default_pn_a)).to_dict()
 
 
 def _parse_dgp(cfg: dict, config_path) -> DGPSpec:
-    block = cfg.get("dgp", {"kind": "logistic-linear"})
+    block = cfg.get("dgp", {})
     if not isinstance(block, dict):
         raise ConfigError("simulate config: 'dgp' must be an object")
-    kind = _str_field(block, "kind", "logistic-linear",
-                      ("logistic-linear", "discrete-saturated"), "simulate config.dgp")
-    if kind == "discrete-saturated":
+    if block.get("kind") == "discrete-saturated":
         _check_keys(block, ("kind", "distribution"), ("distribution",),
                     "simulate config.dgp")
         table = load_distribution(_resolve(config_path, block["distribution"]))
-        return DGPSpec(kind=kind, table=table)
-    _check_keys(block, ("kind", "gamma", "beta", "noise_sd", "treated_shift"),
-                (), "simulate config.dgp")
-    defaults = DGPSpec()
-    return DGPSpec(
-        kind=kind,
-        gamma=_float_list(block, "gamma", defaults.gamma, "simulate config.dgp"),
-        beta=_float_list(block, "beta", defaults.beta, "simulate config.dgp"),
-        noise_sd=_float_field(block, "noise_sd", defaults.noise_sd, "simulate config.dgp"),
-        treated_shift=_float_field(block, "treated_shift", defaults.treated_shift,
-                                   "simulate config.dgp"),
-    )
+        block = {"kind": "discrete-saturated", "table": table}
+    else:
+        _check_keys(block, ("kind", "gamma", "beta", "noise_sd", "treated_shift"),
+                    (), "simulate config.dgp")
+    with _refused("simulate config.dgp"):
+        return DGPSpec(**block)
 
 
-def _estimator_config(block: dict, fold_seed: int, where: str) -> EstimatorConfig:
+def _estimator_config(block: dict, where: str, **fixed) -> EstimatorConfig:
     """The estimator an estimate config, or a simulate config's estimator block, names."""
     spec_q, spec_g = _learner_pair(block, where)
-    return EstimatorConfig(
-        estimand=_str_field(block, "estimand", "psi", ("psi", "theta"), where),
-        estimator=_str_field(block, "estimator", "onestep", ("onestep", "plugin", "ipw"), where),
-        spec_q=spec_q,
-        spec_g=spec_g,
-        folds=_int_field(block, "folds", 0, where),
-        level=_float_field(block, "level", 0.95, where),
-        fold_seed=fold_seed,
-    )
+    fields = {key: block[key] for key in ("estimand", "estimator", "folds", "level", "fold_seed")
+              if key in block}
+    with _refused(where):
+        return EstimatorConfig(spec_q=spec_q, spec_g=spec_g, **fields, **fixed)
 
 
 def _parse_estimator(cfg: dict) -> EstimatorConfig:
@@ -511,7 +468,7 @@ def _parse_estimator(cfg: dict) -> EstimatorConfig:
     where = "simulate config.estimator"
     _check_keys(block, ("estimand", "estimator", "learners", "folds", "level",
                         "fold_seed"), (), where)
-    return _estimator_config(block, _int_field(block, "fold_seed", 0, where), where)
+    return _estimator_config(block, where)
 
 
 def _cmd_simulate(args) -> dict:
@@ -524,7 +481,6 @@ def _cmd_simulate(args) -> dict:
         "simulate config",
     )
     study = _str_field(cfg, "study", None, ("coverage", "rate", "dr"), "simulate config")
-    reps = _int_field(cfg, "reps", None, "simulate config", minimum=2)
     seed = _flag_or_field(args, cfg, "seed", 0, "simulate config")
     workers = _flag_or_field(args, cfg, "workers", 1, "simulate config", minimum=1)
     include_replications = _bool_field(cfg, "include_replications", False, "simulate config")
@@ -533,29 +489,28 @@ def _cmd_simulate(args) -> dict:
         replications_out = _resolve(args.config, cfg["replications_out"])
         _check_output_path(replications_out, "simulate config: 'replications_out'")
     dgp = _parse_dgp(cfg, args.config)
-
-    if study == "coverage":
-        if "n" not in cfg:
-            raise ConfigError("simulate config: coverage study needs 'n'")
-        n = _int_field(cfg, "n", None, "simulate config", minimum=2)
-        summary = run_coverage(dgp, _parse_estimator(cfg), n, reps, seed, workers=workers)
-    elif study == "rate":
-        grid = _int_grid(cfg, "n_grid", "simulate config")
-        summary = run_rate_experiment(dgp, _parse_estimator(cfg), grid, reps, seed,
-                                      workers=workers)
-    else:
+    if study == "dr":
         if "estimator" in cfg:
             raise ConfigError(
                 "simulate config: the dr study builds its own estimator; "
                 "use 'arm' and 'estimand' instead"
             )
-        grid = _int_grid(cfg, "n_grid", "simulate config")
         arm = cfg.get("arm")
         if not isinstance(arm, str):
             raise ConfigError("simulate config: dr study needs a string 'arm'")
-        estimand = _str_field(cfg, "estimand", "psi", ("psi", "theta"), "simulate config")
-        summary = run_dr_consistency(dgp, arm, grid, reps, seed, workers=workers,
-                                     estimand=estimand)
+    else:
+        config = _parse_estimator(cfg)
+
+    with _refused("simulate config"):
+        if study == "coverage":
+            summary = run_coverage(dgp, config, cfg.get("n"), cfg["reps"], seed,
+                                   workers=workers)
+        elif study == "rate":
+            summary = run_rate_experiment(dgp, config, cfg.get("n_grid"), cfg["reps"], seed,
+                                          workers=workers)
+        else:
+            summary = run_dr_consistency(dgp, arm, cfg.get("n_grid"), cfg["reps"], seed,
+                                         workers=workers, estimand=cfg.get("estimand", "psi"))
 
     doc = {key: _null_nan(value) for key, value in summary.to_dict().items()}
     doc["seed"] = seed

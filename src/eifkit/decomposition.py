@@ -48,6 +48,7 @@ import numpy as np
 from .distributions import (
     FiniteDistribution,
     SupportTable,
+    _check_estimand,
     _fsum,
     _influence,
     _match,
@@ -57,7 +58,16 @@ from .distributions import (
     theta_of,
 )
 from .errors import ConfigError, NoTreatedRows, PositivityViolation, ZeroMassConditioning
-from .learners import Dataset, FittedNuisance, LearnerSpec, _predictor, oracle_rate_nuisance
+from .learners import (
+    Dataset,
+    FittedNuisance,
+    LearnerSpec,
+    _is_int,
+    _is_list_of,
+    _is_real,
+    _predictor,
+    oracle_rate_nuisance,
+)
 
 __all__ = [
     "DecompositionReport",
@@ -202,9 +212,9 @@ def remainder_exact_theta(
     the plug-in equals the truth (in particular for pn_a = Pr(A=1) it is
     the only term not of product form).
     """
+    if not (_is_real(pn_a) and 0.0 < pn_a <= 1.0):
+        raise ConfigError(f"'pn_a', the treated fraction, must lie in (0, 1], got {pn_a!r}")
     pn_a = float(pn_a)
-    if not 0.0 < pn_a <= 1.0:
-        raise ConfigError(f"treated fraction must lie in (0, 1], got {pn_a!r}")
     table, qh, gh = _on_support(dist, nuis)
     pw, q, g = table.pw, table.q, table.g
     theta_true = theta_of(dist)
@@ -237,8 +247,7 @@ def decompose_error(
     sample is the caller's responsibility); the treated-subpopulation
     estimand additionally needs at least one treated row to form P_n(A).
     """
-    if estimand not in ("psi", "theta"):
-        raise ValueError(f"unknown estimand {estimand!r}")
+    _check_estimand(estimand)
     table, qh, gh = _on_support(dist, nuis)
     row_idx = _match((table.w,), (sample.w,))
     outside = np.flatnonzero(row_idx < 0)
@@ -297,6 +306,7 @@ def remainder_rate_sweep(
     estimand the treated fraction is held at the true Pr(A=1), isolating
     the product terms.
     """
+    _check_estimand(estimand)
     grid = _check_n_grid(n_grid)
     truth_q, truth_g = truth
     rows = []
@@ -318,10 +328,11 @@ def remainder_rate_sweep(
 
 def _check_n_grid(n_grid: Sequence[int]) -> list:
     """The sample-size grid as a list; it must strictly increase from n >= 1."""
-    grid = [int(n) for n in n_grid]
-    if len(grid) < 2 or grid[0] < 1 or sorted(set(grid)) != grid:
-        raise ConfigError("n_grid must be strictly increasing positive integers")
-    return grid
+    if not (_is_list_of(n_grid, _is_int) and len(n_grid) >= 2 and n_grid[0] >= 1
+            and sorted(set(n_grid)) == list(n_grid)):
+        raise ConfigError(f"'n_grid' must be a list of at least two strictly increasing "
+                          f"positive integers, got {n_grid!r}")
+    return [int(n) for n in n_grid]
 
 
 def truth_functions(dist: FiniteDistribution):

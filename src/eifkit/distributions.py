@@ -55,7 +55,7 @@ from .errors import (
     SupportViolation,
     ZeroMassConditioning,
 )
-from .learners import _is_real
+from .learners import _is_list_of, _is_real
 
 __all__ = [
     "Observation",
@@ -415,10 +415,12 @@ def _influence(estimand: str, a, y, q, g, centre, p1):
     evaluated in this operation order wherever an influence function is
     formed over arrays.
     """
-    ind0 = (a == 0).astype(float)
+    # select, not multiply by I(a=0): 0 * inf would turn an overflow in the
+    # other arm's term into NaN
+    untreated = a == 0
     if estimand == "psi":
-        return ind0 * (y - q) / g + q - centre
-    return (ind0 * (1.0 - g) / g * (y - q) + (1.0 - ind0) * (q - centre)) / p1
+        return np.where(untreated, (y - q) / g, 0.0) + q - centre
+    return np.where(untreated, (1.0 - g) / g * (y - q), q - centre) / p1
 
 
 def _mean_phi(estimand: str, table: SupportTable, q, g, centre, p1) -> float:
@@ -509,6 +511,12 @@ def fields_dict(report, omit=()) -> dict:
 _FUNCTIONALS = {"psi": psi_of, "theta": theta_of}
 
 
+def _check_estimand(estimand) -> None:
+    """Raise ConfigError unless ``estimand`` is "psi" or "theta"."""
+    if estimand not in ("psi", "theta"):
+        raise ConfigError(f"unknown estimand {estimand!r}; use 'psi' or 'theta'")
+
+
 def _extrapolate_to_zero(steps: Sequence[float], values: Sequence[float]) -> float:
     # Aitken-Neville evaluation at step 0 of the polynomial through
     # (h_j, D_j).  With the default grid (h, h/2) this reduces to the
@@ -554,14 +562,16 @@ def pathwise_derivative_check(
         value_fn = _FUNCTIONALS[functional]
     except KeyError:
         raise ConfigError(f"unknown functional {functional!r}") from None
-    grid = tuple(float(h) for h in (step_grid if step_grid is not None else DEFAULT_STEP_GRID))
-    # ``not h > 0`` also refuses NaN
-    if not grid or any(not h > 0.0 for h in grid):
-        raise ConfigError("step grid must contain positive steps")
+    steps = DEFAULT_STEP_GRID if step_grid is None else step_grid
+    if not _is_list_of(steps, _is_real):
+        raise ConfigError(f"'step_grid' must be a list of finite numbers, got {step_grid!r}")
+    grid = tuple(float(h) for h in steps)
+    if not grid or any(h <= 0.0 for h in grid):
+        raise ConfigError("'step_grid' must contain positive steps")
     if any(b >= a for a, b in zip(grid, grid[1:])):
-        raise ConfigError("step grid must be strictly decreasing")
+        raise ConfigError("'step_grid' must be strictly decreasing")
     if grid[0] > 1.0:
-        raise ConfigError("steps must stay inside the mixture range (0, 1]")
+        raise ConfigError("'step_grid' must stay inside the mixture range (0, 1]")
 
     f0 = value_fn(base)
     diffs = [
@@ -620,7 +630,7 @@ def distribution_from_dict(doc: dict) -> FiniteDistribution:
             raise InvalidDistribution(f"atom {i} missing fields {sorted(missing)}")
         w, a = entry["w"], entry["a"]
         # JSON numbers only: a string or a bool is no number here
-        if not (_is_real(w) or isinstance(w, list) and all(map(_is_real, w))):
+        if not (_is_real(w) or _is_list_of(w, _is_real)):
             raise InvalidDistribution(f"atom {i}: 'w' must be a finite number or a list "
                                       f"of them, got {w!r}")
         if type(a) is not int or a not in (0, 1):

@@ -32,9 +32,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from .decomposition import truth_functions
-from .distributions import FiniteDistribution, _influence, _key_order, _law
+from .distributions import FiniteDistribution, _check_estimand, _influence, _key_order, _law
 from .errors import ConfigError, EifkitError, EmptyEif, NoTreatedRows, ZeroMassConditioning
 from .learners import (
+    OUTCOME_KINDS,
+    PROPENSITY_KINDS,
     Dataset,
     FittedNuisance,
     LearnerSpec,
@@ -91,9 +93,17 @@ class FoldPlan:
 class EstimatorConfig:
     """Which estimator to run, and how.
 
+    ``spec_q`` fits the outcome regression and takes a kind in
+    ``OUTCOME_KINDS`` (linear-ols, knn, kernel-nw, misspecified-omit,
+    oracle-rate); ``spec_g`` fits the propensity and takes a kind in
+    ``PROPENSITY_KINDS`` (logistic-irls, knn, kernel-nw, misspecified-omit,
+    misspecified-wronglink, oracle-rate).  Oracle-rate learners need the
+    truth passed to :func:`estimate`.
+
     ``folds`` >= 2 cross-fits the one-step estimator over a fold plan seeded
     by ``fold_seed``; 0 or 1 fits the nuisances once on the whole sample.
     Plug-in and IPW fit only the nuisance they use and ignore the folds.
+    Every field is checked here, and a bad value raises ConfigError.
     """
 
     estimand: str = "psi"
@@ -105,22 +115,26 @@ class EstimatorConfig:
     fold_seed: int = 0
 
     def __post_init__(self):
-        if self.estimand not in ("psi", "theta"):
-            raise ConfigError(f"unknown estimand {self.estimand!r}")
+        _check_estimand(self.estimand)
         if self.estimator not in ("onestep", "plugin", "ipw"):
             raise ConfigError(f"unknown estimator {self.estimator!r}")
         if self.estimator == "ipw" and self.estimand == "theta":
             raise ConfigError("the ipw estimator is only defined for the psi estimand")
-        for side in ("spec_q", "spec_g"):
-            if not isinstance(getattr(self, side), LearnerSpec):
-                raise ConfigError(f"{side} must be a LearnerSpec, got {getattr(self, side)!r}")
+        for side, kinds, what in (("q", OUTCOME_KINDS, "outcome regression"),
+                                  ("g", PROPENSITY_KINDS, "propensity")):
+            spec = getattr(self, f"spec_{side}")
+            if not isinstance(spec, LearnerSpec):
+                raise ConfigError(f"spec_{side} must be a LearnerSpec, got {spec!r}")
+            if spec.kind not in kinds:
+                raise ConfigError(f"learner {side!r} cannot be {spec.kind!r}: the {what} "
+                                  f"takes one of {list(kinds)}")
         if not (_is_real(self.level) and 0.0 < self.level < 1.0):
-            raise ConfigError(f"confidence level must lie in (0, 1), got {self.level!r}")
+            raise ConfigError(f"'level' must lie in (0, 1), got {self.level!r}")
         # FoldPlan seeds numpy's SeedSequence, which takes no negative entropy
         for name in ("folds", "fold_seed"):
             if not (_is_int(getattr(self, name)) and getattr(self, name) >= 0):
                 raise ConfigError(
-                    f"{name} must be a nonnegative integer, got {getattr(self, name)!r}"
+                    f"{name!r} must be a nonnegative integer, got {getattr(self, name)!r}"
                 )
 
     def check_folds(self, n: int) -> None:
@@ -271,8 +285,7 @@ def crossfit(
     fraction for the theta estimand is the *global* empirical P_n(A).
     Bit-reproducible for a fixed (data, specs, K, seed).
     """
-    if estimand not in ("psi", "theta"):
-        raise ValueError(f"unknown estimand {estimand!r}")
+    _check_estimand(estimand)
     plan = FoldPlan.build(data.n, folds, seed)
     qv = np.empty(data.n)
     gv = np.empty(data.n)

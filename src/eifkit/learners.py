@@ -146,6 +146,11 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_list_of(value, each) -> bool:
+    """True for a list or tuple whose every item passes ``each``."""
+    return isinstance(value, (list, tuple)) and all(map(each, value))
+
+
 @dataclass(frozen=True)
 class LearnerSpec:
     """Declarative description of one nuisance fit.
@@ -492,17 +497,17 @@ def fit_nuisance(
 # rate oracle
 
 
-def perturbation_shape(shape_id: int, median: float = 0.0) -> Callable:
+def perturbation_shape(shape_id: int) -> Callable:
     """Bounded perturbation direction h(w), |h| <= 1, as a function of w_1.
 
     shape 0: sin(pi * w_1)          (smooth, mean zero under symmetric laws)
-    shape 1: sign(w_1 - median)     (discontinuous, mean zero at the median)
+    shape 1: sign(w_1)              (discontinuous, mean zero under symmetric laws)
     shape 2: constant 1             (pure offset; nonzero mean)
     """
     if shape_id == 0:
         return lambda w: np.sin(math.pi * w[:, 0])
     if shape_id == 1:
-        return lambda w: np.sign(w[:, 0] - median)
+        return lambda w: np.sign(w[:, 0])
     if shape_id == 2:
         return lambda w: np.ones(len(w))
     raise InvalidLearnerSpec(f"unknown perturbation shape {shape_id!r}")
@@ -526,24 +531,21 @@ def oracle_rate_nuisance(
     truth_g: Callable,
     n: int,
     spec_q: LearnerSpec,
-    spec_g: Optional[LearnerSpec] = None,
+    spec_g: LearnerSpec,
 ) -> FittedNuisance:
     """Truth perturbed at an exact polynomial rate in ``n``.
 
     predict_q(w) = q(w) + c_q * n**(-a_q) * h_q(w)
     predict_g(w) = clip(g(w) + c_g * n**(-a_g) * h_g(w), eps, 1-eps)
 
-    ``spec_g`` defaults to ``spec_q``, giving both nuisances the same rate
-    and shape (their product then scales as n**(-a_q-a_g) exactly as long
-    as the truncation never binds).
+    Their product scales as n**(-a_q-a_g) exactly as long as the
+    truncation never binds.
     """
-    if spec_g is None:
-        spec_g = spec_q
     for spec in (spec_q, spec_g):
         if spec.kind != "oracle-rate":
-            raise InvalidLearnerSpec(f"oracle_rate_nuisance needs oracle-rate specs, got {spec.kind!r}")
-    if n < 1:
-        raise InvalidLearnerSpec(f"sample size must be positive, got {n!r}")
+            raise InvalidLearnerSpec(f"oracle-rate nuisances need oracle-rate learners, got {spec.kind!r}")
+    if not (_is_int(n) and n >= 1):
+        raise InvalidLearnerSpec(f"'n' must be a positive integer, got {n!r}")
     return FittedNuisance(
         predict_q=_oracle_side(truth_q, n, spec_q, clip_eps=None),
         predict_g=_oracle_side(truth_g, n, spec_g, clip_eps=spec_g.truncation),

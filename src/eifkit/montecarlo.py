@@ -34,7 +34,7 @@ from .distributions import FiniteDistribution, _law, fields_dict, psi_of, theta_
 from .errors import ConfigError, EifkitError, NoTreatedRows
 from .estimators import EstimatorConfig, estimate
 from .decomposition import _check_n_grid, truth_functions
-from .learners import Dataset, LearnerSpec, _predictor, logistic
+from .learners import Dataset, LearnerSpec, _is_int, _is_list_of, _is_real, _predictor, logistic
 
 __all__ = [
     "DGPSpec",
@@ -71,9 +71,10 @@ class DGPSpec:
     """Immutable description of a data-generating process.
 
     For ``logistic-linear``, ``gamma`` and ``beta`` are intercept-first
-    coefficient vectors of length d+1.  For ``discrete-saturated``,
-    ``table`` holds the exact joint law and the coefficient fields are
-    ignored.
+    coefficient vectors of length d+1, lists or tuples of finite numbers,
+    and ``noise_sd`` and ``treated_shift`` are finite numbers.  For
+    ``discrete-saturated``, ``table`` holds the exact joint law and the
+    coefficient fields are ignored.  A bad value raises ConfigError.
     """
 
     kind: str = "logistic-linear"
@@ -87,17 +88,23 @@ class DGPSpec:
         if self.kind not in ("logistic-linear", "discrete-saturated"):
             raise ConfigError(f"unknown DGP kind {self.kind!r}")
         if self.kind == "logistic-linear":
-            gamma = tuple(float(v) for v in self.gamma)
-            beta = tuple(float(v) for v in self.beta)
-            if len(gamma) != len(beta) or len(gamma) < 2:
-                raise ConfigError("gamma and beta must share a length of at least 2")
-            if not self.noise_sd >= 0.0:
-                raise ConfigError(f"noise sd must be nonnegative, got {self.noise_sd!r}")
-            object.__setattr__(self, "gamma", gamma)
-            object.__setattr__(self, "beta", beta)
-        else:
-            if self.table is None:
-                raise ConfigError("discrete-saturated DGP needs an atom table")
+            for name in ("gamma", "beta"):
+                value = getattr(self, name)
+                if not _is_list_of(value, _is_real):
+                    raise ConfigError(f"{name!r} must be a list of finite numbers, got {value!r}")
+                object.__setattr__(self, name, tuple(float(v) for v in value))
+            if len(self.gamma) != len(self.beta) or len(self.gamma) < 2:
+                raise ConfigError("'gamma' and 'beta' must share a length of at least 2")
+            for name in ("noise_sd", "treated_shift"):
+                value = getattr(self, name)
+                if not _is_real(value):
+                    raise ConfigError(f"{name!r} must be a finite number, got {value!r}")
+                object.__setattr__(self, name, float(value))
+            if self.noise_sd < 0.0:
+                raise ConfigError(f"'noise_sd' must be nonnegative, got {self.noise_sd!r}")
+        elif not isinstance(self.table, FiniteDistribution):
+            raise ConfigError(f"a discrete-saturated DGP needs a FiniteDistribution 'table', "
+                              f"got {self.table!r}")
 
     @property
     def d(self) -> int:
@@ -302,12 +309,6 @@ def _run_tasks(tasks, workers: int):
         return list(pool.map(_replication_worker, tasks, chunksize=chunk))
 
 
-def _check_int(value, minimum: int, what: str) -> None:
-    """Raise ConfigError unless ``value`` is an integer >= ``minimum`` (bools refused)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
-        raise ConfigError(f"{what}, got {value!r}")
-
-
 def _failed(what: str, failures) -> ConfigError:
     """The study error for ``what``, naming the first of its recorded failures."""
     if not failures:
@@ -338,8 +339,11 @@ def _run_grid(dgp: DGPSpec, config: EstimatorConfig, grid, reps: int,
     ``grid`` is increasing, so its first size is the smallest.  Returns the
     truth, the successful results and the failures.
     """
-    _check_int(master_seed, 0, "master seed must be a non-negative integer")
-    _check_int(workers, 1, "workers must be a positive integer")
+    for value, minimum, what in ((master_seed, 0, "master seed must be a non-negative integer"),
+                                 (workers, 1, "workers must be a positive integer"),
+                                 (reps, 2, "'reps' must be an integer >= 2")):
+        if not (_is_int(value) and value >= minimum):
+            raise ConfigError(f"{what}, got {value!r}")
     config.check_folds(grid[0])
     truth_value = dgp.truth(config.estimand)
     sizes = [n for n in grid for _ in range(reps)]
@@ -426,8 +430,8 @@ def run_coverage(
     the influence-function variance estimate; the KS flag fires when the
     distance exceeds the asymptotic 1% critical value.
     """
-    if reps < 2:
-        raise ConfigError("coverage study needs at least 2 replications")
+    if not (_is_int(n) and n >= 2):
+        raise ConfigError(f"'n' must be an integer >= 2, got {n!r}")
     truth_value, results, failures = _run_grid(dgp, config, [n], reps, master_seed, workers)
     if not results:
         raise _failed("every replication failed; nothing to summarize", failures)

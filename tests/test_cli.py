@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -441,6 +442,30 @@ def test_simulate_rejects_bad_config_before_replicating(workspace, capsys, monke
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("learners", [{"q": {"kind": "logistic-irls"}},
+                                      {"g": {"kind": "linear-ols"}}])
+@pytest.mark.parametrize("command, doc", [
+    ("estimate", {"data": "sample.csv"}),
+    ("decompose", {"distribution": "dist.json", "sample": "sample.csv"}),
+    ("remainder", {"distribution": "dist.json", "mode": "exact", "sample": "sample.csv"}),
+    ("simulate", {"study": "coverage", "n": 50, "reps": 4}),
+])
+def test_learner_kind_on_the_wrong_side_exits_two(workspace, capsys, monkeypatch,
+                                                  command, doc, learners):
+    _, config = workspace
+
+    def no_replications(*args, **kwargs):
+        raise AssertionError("replications ran for a learner on the wrong side")
+
+    monkeypatch.setattr(montecarlo, "_run_tasks", no_replications)
+    if command == "simulate":
+        doc = dict(doc, estimator={"learners": learners})
+    else:
+        doc = dict(doc, learners=learners)
+    error = _only_error_document(capsys, main([command, "--config", config("cfg.json", doc)]), 2)
+    assert error["code"] == "config/invalid"
+
+
 _ORACLE = {"kind": "oracle-rate", "rate_exponent": 0.25, "amplitude": 0.05, "shape": 2}
 
 
@@ -491,6 +516,23 @@ def test_overflowing_exact_sums_exit_one(tmp_path, capsys, command, doc):
     cfg.write_text(json.dumps(dict(doc, distribution="law.json")))
     error = _only_error_document(capsys, main([command, "--config", str(cfg)]), 1)
     assert error["code"] == "numeric/non-finite"
+
+
+def test_overflow_in_the_other_arm_is_no_nan(tmp_path, capsys):
+    # each treated atom's y - q overflows, but its psi influence value is
+    # q - psi = +-1.7e308: selecting the arm, not multiplying by I(a=0),
+    # keeps 0 * inf out of the sum
+    law = {"atoms": [{"w": [0.0], "a": 0, "y": 1.7e308, "p": 0.25},
+                     {"w": [0.0], "a": 1, "y": -1.7e308, "p": 0.25},
+                     {"w": [1.0], "a": 0, "y": -1.7e308, "p": 0.25},
+                     {"w": [1.0], "a": 1, "y": 1.7e308, "p": 0.25}]}
+    (tmp_path / "law.json").write_text(json.dumps(law))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"distribution": "law.json", "direction": "law.json",
+                               "functional": "psi"}))
+    code, doc = run_cli(capsys, ["verify-eif", "--config", str(cfg)])
+    assert code == 0
+    assert math.isfinite(doc["psi"]["eif_mean"])
 
 
 @pytest.mark.parametrize("grid", ["[NaN]", "[1e-3, NaN]", "[Infinity]", "[1e-3, -Infinity]"])

@@ -23,7 +23,17 @@ from eifkit import (
     run_dr_consistency,
     run_rate_experiment,
 )
-from eifkit import montecarlo
+from eifkit import (
+    crossfit,
+    decompose_error,
+    montecarlo,
+    oracle_rate_nuisance,
+    pathwise_derivative_check,
+    remainder_exact_theta,
+    remainder_rate_sweep,
+    truth_functions,
+)
+from eifkit.decomposition import _check_n_grid
 from eifkit.errors import ConfigError
 from eifkit.montecarlo import ks_distance, standardized_moments
 
@@ -495,3 +505,44 @@ def test_worker_pool_is_capped_by_cores_and_tasks(monkeypatch, workers, cores, r
     summary = run_coverage(dgp, config, 120, reps, 9, workers=workers)
     assert _RecordingPool.sizes == ([] if pool_size is None else [pool_size])
     assert summary.to_dict() == run_coverage(dgp, config, 120, reps, 9).to_dict()
+
+
+# ---------------------------------------------------------------------------
+# the library checks each config value itself
+
+
+_RATE = LearnerSpec("oracle-rate", rate_exponent=0.25, amplitude=0.05, shape=2)
+
+
+def _rate_nuisance(dist):
+    return oracle_rate_nuisance(*truth_functions(dist), 100, _RATE, _RATE)
+
+
+@pytest.mark.parametrize("call", [
+    lambda dist: DGPSpec(beta="123"),
+    lambda dist: DGPSpec(treated_shift="x"),
+    lambda dist: _check_n_grid([1.5, 3]),
+    lambda dist: remainder_rate_sweep(dist, truth_functions(dist), _RATE, _RATE, [100, 200],
+                                      estimand="x"),
+    lambda dist: remainder_exact_theta(dist, _rate_nuisance(dist), pn_a="0.5"),
+    lambda dist: remainder_exact_theta(dist, _rate_nuisance(dist), pn_a=True),
+    lambda dist: pathwise_derivative_check("psi", dist, dist, step_grid=["1e-3"]),
+    lambda dist: decompose_error(dist, _rate_nuisance(dist), draw_dataset(dist, 40, 1),
+                                 estimand="x"),
+    lambda dist: crossfit(draw_dataset(dist, 40, 1), LearnerSpec("linear-ols"),
+                          LearnerSpec("logistic-irls"), 2, estimand="x"),
+    lambda dist: run_coverage(default_logistic_linear(), _oracle_config(), 120, "x", 0),
+    lambda dist: run_coverage(default_logistic_linear(), _oracle_config(), 1.5, 3, 0),
+    lambda dist: EstimatorConfig(spec_q=LearnerSpec("logistic-irls")),
+    lambda dist: EstimatorConfig(spec_g=LearnerSpec("linear-ols")),
+], ids=["dgp-beta-string", "dgp-treated-shift-string", "n-grid-float",
+        "sweep-estimand", "pn-a-string", "pn-a-bool", "step-grid-string",
+        "decompose-estimand", "crossfit-estimand", "coverage-reps-string",
+        "coverage-n-float", "outcome-side-kind", "propensity-side-kind"])
+def test_library_refuses_malformed_values_with_config_error(monkeypatch, four_atom, call):
+    def no_replications(*args, **kwargs):
+        raise AssertionError("replications ran for a rejected value")
+
+    monkeypatch.setattr(montecarlo, "_run_tasks", no_replications)
+    with pytest.raises(ConfigError):
+        call(four_atom)
