@@ -7,8 +7,14 @@ the SHA-256 of its stdout, plus the digest of the replication CSV the
 coverage config writes.  Two checkouts with equal documents produce
 byte-identical outputs.
 
-    python3 scripts/output_digests.py                    # every config, a few minutes
+    python3 scripts/output_digests.py                    # every config, about a minute
     python3 scripts/output_digests.py decompose verify_eif
+    python3 scripts/output_digests.py --against before.json
+
+``--against FILE`` compares the document with one saved earlier: it
+names each entry whose digest differs (or that only one side has) on
+stderr and exits 1 on any difference.  With config names given, only
+the entries those configs produce are compared.
 
 The configs and their data run from a temporary copy, so the checkout
 (including ``scripts/configs/coverage_replications.csv``) is left as it
@@ -48,7 +54,10 @@ def sha256(data: bytes) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("names", nargs="*", help="config names (default: every config)")
+    parser.add_argument("--against", metavar="FILE", type=Path,
+                        help="saved digest document to compare with; exit 1 on any difference")
     args = parser.parse_args(argv)
+    saved = json.loads(args.against.read_text(encoding="utf-8")) if args.against else None
     shipped = sorted(p.stem for p in (SCRIPTS / "configs").glob("*.json"))
     unknown = sorted(set(args.names) - set(shipped))
     if unknown:
@@ -73,7 +82,15 @@ def main(argv=None) -> int:
                 csv_path = configs / config["replications_out"]
                 digests[config["replications_out"]] = sha256(csv_path.read_bytes())
     sys.stdout.write(json.dumps(digests, indent=2, sort_keys=True) + "\n")
-    return 0
+    if saved is None:
+        return 0
+    if args.names:
+        saved = {name: saved.get(name) for name in digests}
+    differ = sorted(name for name in set(digests) | set(saved)
+                    if digests.get(name) != saved.get(name))
+    for name in differ:
+        sys.stderr.write(f"output_digests: {name} differs from {args.against}\n")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

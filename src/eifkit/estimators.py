@@ -77,8 +77,11 @@ class FoldPlan:
 
     @classmethod
     def build(cls, n: int, folds: int, seed: int) -> "FoldPlan":
-        if folds < 2 or folds > n:
-            raise ValueError(f"need 2 <= K <= n, got K={folds}, n={n}")
+        if not (_is_int(folds) and 2 <= folds <= n):
+            raise ConfigError(f"need an integer 2 <= K <= n, got K={folds!r}, n={n}")
+        # numpy's SeedSequence takes no negative entropy
+        if not (_is_int(seed) and seed >= 0):
+            raise ConfigError(f"fold seed must be a nonnegative integer, got {seed!r}")
         order = np.random.default_rng(np.random.SeedSequence([seed, n, folds])).permutation(n)
         assignment = np.empty(n, dtype=np.int64)
         assignment[order] = np.arange(n) % folds
@@ -291,13 +294,13 @@ def crossfit(
     gv = np.empty(data.n)
     for k in range(plan.folds):
         test = plan.assignment == k
-        train = data.subset(~test)
         try:
-            nuis = fit_nuisance(train, spec_q, spec_g, truth=truth)
+            nuis = fit_nuisance(data.subset(~test), spec_q, spec_g, truth=truth)
         except EifkitError as err:
             raise type(err)(f"fold {k}: {err}") from err
-        qv[test] = nuis.predict_q(data.w[test])
-        gv[test] = nuis.predict_g(data.w[test])
+        w_test = data.w.compress(test, axis=0)
+        qv[test] = nuis.predict_q(w_test)
+        gv[test] = nuis.predict_g(w_test)
     specs = {"q": spec_q, "g": spec_g}
     if estimand == "psi":
         return _psi_report(data, qv, gv, level, "onestep-crossfit", plan, specs)

@@ -7,7 +7,13 @@ A :class:`LearnerSpec` names one of a fixed set of procedures:
     normal equations (outcome regression only).
 ``logistic-irls``
     Newton / iteratively reweighted least squares for Pr(A=0 | W), at most
-    100 iterations, gradient-norm tolerance 1e-10.
+    100 iterations, gradient-norm tolerance 1e-10.  Each Newton candidate
+    costs one matmul for its linear predictor eta and one pass of the
+    negative log-likelihood in split form, max(v, 0) + log1p(exp(-|v|))
+    with v = -(2z - 1) * eta; the accepted candidate's eta feeds the next
+    step.  The backtracking accept test ``cand <= nll + 1e-12`` sits at
+    rounding level, so a last-digit change in the likelihood can move the
+    final beta by rounding.
 ``knn``
     k-nearest-neighbour averaging, Euclidean metric, default
     k = ceil(sqrt(#fitting rows)).
@@ -96,7 +102,8 @@ class Dataset:
     """Immutable sample of (W, A, Y) rows backed by numpy arrays.
 
     ``w`` has shape (n, d); ``a`` is an integer 0/1 vector; ``y`` is float.
-    Arrays are copied and marked read-only at construction.
+    Arrays are copied and marked read-only at construction.  ``subset`` is
+    the one way to take rows of a Dataset.
     """
 
     w: np.ndarray
@@ -109,14 +116,18 @@ class Dataset:
             w = w[:, None]
         if w.ndim != 2 or w.shape[0] == 0 or w.shape[1] == 0:
             raise ValueError(f"covariate matrix must be (n, d) with n, d >= 1, got shape {w.shape}")
-        a = np.array(self.a, dtype=np.int64).reshape(-1)
+        a = np.asarray(self.a).reshape(-1)
         y = np.array(self.y, dtype=float).reshape(-1)
         if not (len(a) == len(y) == w.shape[0]):
             raise ValueError("w, a, y must have matching lengths")
-        if not np.isin(a, (0, 1)).all():
+        # checked on the values as given, so 0.5 or 2 is refused, not truncated
+        if not ((a == 0) | (a == 1)).all():
             raise ValueError("treatment values must be 0 or 1")
         if not (np.isfinite(w).all() and np.isfinite(y).all()):
             raise ValueError("covariates and outcomes must be finite")
+        self._set_arrays(w, a.astype(np.int64), y)
+
+    def _set_arrays(self, w, a, y):
         for arr in (w, a, y):
             arr.setflags(write=False)
         object.__setattr__(self, "w", w)
@@ -131,8 +142,22 @@ class Dataset:
     def d(self) -> int:
         return self.w.shape[1]
 
-    def subset(self, index) -> "Dataset":
-        return Dataset(self.w[index], self.a[index], self.y[index])
+    def subset(self, mask) -> "Dataset":
+        """The rows where the boolean vector ``mask`` is True, as a new Dataset.
+
+        Rows of a checked sample are already checked, so the selected
+        arrays (fresh copies, read-only) skip the constructor's checks.
+        """
+        mask = np.asarray(mask)
+        if mask.dtype != bool or mask.shape != (self.n,):
+            raise ValueError(f"subset takes a boolean mask of length {self.n}, "
+                             f"got {mask.dtype} of shape {mask.shape}")
+        if not mask.any():
+            raise ValueError("subset selects no rows")
+        out = object.__new__(Dataset)
+        out._set_arrays(self.w.compress(mask, axis=0), self.a.compress(mask),
+                        self.y.compress(mask))
+        return out
 
 
 def _is_real(value) -> bool:
@@ -278,10 +303,19 @@ def logistic(x):
         return 1.0 / (1.0 + np.exp(-x))
 
 
-def _logistic_nll(design: np.ndarray, z: np.ndarray, beta: np.ndarray) -> float:
-    eta = design @ beta
-    sign = 2.0 * z - 1.0
-    return float(np.logaddexp(0.0, -sign * eta).sum())
+def _softplus(v):
+    """log(1 + exp(v)) elementwise, in numpy's split form of logaddexp(0, v).
+
+    max(v, 0) + log1p(exp(-|v|)) never overflows.  numpy runs it on its
+    vectorized exp and log1p, where ``np.logaddexp`` is a scalar libm loop,
+    and it stays within a few ULP of ``np.logaddexp``.
+    """
+    return np.maximum(v, 0.0) + np.log1p(np.exp(-np.abs(v)))
+
+
+def _logistic_nll(eta: np.ndarray, sign: np.ndarray) -> float:
+    """Negative log-likelihood sum log(1 + exp(-sign * eta)), sign = 2z - 1."""
+    return float(_softplus(-sign * eta).sum())
 
 
 def _irls_beta(x: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -289,13 +323,17 @@ def _irls_beta(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     # jitter so saturated weights cannot make the solve blow up.  The
     # backtracking line search matters under perfect separation: the
     # likelihood keeps improving as |beta| grows, margins saturate, and
-    # the gradient reaches exact zero instead of oscillating.
+    # the gradient reaches exact zero instead of oscillating.  The linear
+    # predictor eta = design @ beta of the accepted candidate is carried
+    # into the next step's probabilities and gradient.
     design = np.column_stack([np.ones(len(x)), x])
+    sign = 2.0 * z - 1.0
     beta = np.zeros(design.shape[1])
+    eta = design @ beta
     eye = np.eye(design.shape[1])
-    nll = _logistic_nll(design, z, beta)
+    nll = _logistic_nll(eta, sign)
     for _ in range(IRLS_MAX_ITER):
-        p = logistic(design @ beta)
+        p = logistic(eta)
         grad = design.T @ (z - p)
         if math.sqrt(float(grad @ grad)) <= IRLS_GRADIENT_TOL:
             return beta
@@ -309,15 +347,15 @@ def _irls_beta(x: np.ndarray, z: np.ndarray) -> np.ndarray:
             raise SingularDesign(f"IRLS step singular: {err}") from err
         for _halving in range(60):
             candidate = beta + step
-            cand_nll = _logistic_nll(design, z, candidate)
+            cand_eta = design @ candidate
+            cand_nll = _logistic_nll(cand_eta, sign)
             if cand_nll <= nll + 1e-12:
-                beta, nll = candidate, cand_nll
+                beta, eta, nll = candidate, cand_eta, cand_nll
                 break
             step = 0.5 * step
         else:
             break  # no descent direction left; stationary up to rounding
-    p = logistic(design @ beta)
-    grad = design.T @ (z - p)
+    grad = design.T @ (z - logistic(eta))
     if math.sqrt(float(grad @ grad)) <= IRLS_GRADIENT_TOL:
         return beta
     raise IrlsDivergence(
@@ -434,8 +472,8 @@ def fit_outcome(data: Dataset, spec: LearnerSpec) -> Callable:
     mask = data.a == 0
     if not mask.any():
         raise NoUntreatedRows("no rows with a = 0 to fit the outcome regression")
-    w0 = data.w[mask]
-    y0 = data.y[mask]
+    w0 = data.w.compress(mask, axis=0)
+    y0 = data.y.compress(mask)
     if spec.kind == "linear-ols":
         return _predictor(_linear_core(_ols_beta(w0, y0), drop_first=False))
     if spec.kind == "misspecified-omit":

@@ -196,8 +196,8 @@ def generate_with_counterfactual(dgp: DGPSpec, n: int, seed):
     only ever see the returned Dataset.  Under a finite-support law, a
     treated row whose covariate stratum has no untreated mass gets NaN.
     """
-    if n < 1:
-        raise ConfigError(f"sample size must be positive, got {n!r}")
+    if not (_is_int(n) and n >= 1):
+        raise ConfigError(f"sample size must be a positive integer, got {n!r}")
     rng = np.random.default_rng(seed)
     if dgp.kind == "discrete-saturated":
         return _draw_discrete(dgp.table, n, rng)

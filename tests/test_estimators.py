@@ -24,8 +24,8 @@ from eifkit import (
     variance_and_ci,
 )
 from eifkit.estimators import FoldPlan
-from eifkit.learners import FittedNuisance, fit_nuisance
-from eifkit.errors import EmptyEif, NoTreatedRows, ZeroMassConditioning
+from eifkit.learners import FittedNuisance, fit_nuisance, logistic
+from eifkit.errors import ConfigError, EmptyEif, NoTreatedRows, ZeroMassConditioning
 
 Z_975 = 1.959963984540054  # standard normal 97.5% quantile
 
@@ -204,6 +204,16 @@ def test_fold_plan_validation():
         FoldPlan.build(10, 1, seed=0)
 
 
+@pytest.mark.parametrize("folds, seed", [("x", 0), (2.5, 0), (True, 0), (1, 0), (11, 0),
+                                         (3, -1), (3, 1.0), (3, "0"), (3, False)])
+def test_crossfit_refuses_bad_folds_and_seeds_with_config_error(folds, seed):
+    data = _dataset(np.linspace(-1, 1, 10).reshape(-1, 1), [0, 1] * 5, np.arange(10.0))
+    with pytest.raises(ConfigError):
+        FoldPlan.build(10, folds, seed)
+    with pytest.raises(ConfigError):
+        crossfit(data, LearnerSpec("linear-ols"), LearnerSpec("logistic-irls"), folds, seed=seed)
+
+
 def test_crossfit_with_exact_oracle_matches_single_split():
     # amplitude 0 makes every fold's fit the exact truth, so fold structure
     # cannot matter and the cross-fit point equals the no-split point
@@ -304,19 +314,28 @@ def _reference_report(estimand, data, qv, gv, level):
     return point, variance, point - half, point + half, eif
 
 
-def _fitted_rows(data, spec, folds, seed, truth):
+def _fitted_rows(data, spec_q, spec_g, folds, seed, truth):
     # the per-row predictions the estimator pools: one fit, or each fold's
-    # fit on its complement
+    # fit on its complement, selected by boolean indexing into a checked Dataset
     if folds == 0:
-        nuis = fit_nuisance(data, spec, spec, truth=truth)
+        nuis = fit_nuisance(data, spec_q, spec_g, truth=truth)
         return nuis.predict_q(data.w), nuis.predict_g(data.w)
     plan = FoldPlan.build(data.n, folds, seed)
     qv, gv = np.empty(data.n), np.empty(data.n)
     for k in range(folds):
         test = plan.assignment == k
-        nuis = fit_nuisance(data.subset(~test), spec, spec, truth=truth)
+        train = Dataset(data.w[~test], data.a[~test], data.y[~test])
+        nuis = fit_nuisance(train, spec_q, spec_g, truth=truth)
         qv[test], gv[test] = nuis.predict_q(data.w[test]), nuis.predict_g(data.w[test])
     return qv, gv
+
+
+def _assert_matches_reference(report, estimand, data, qv, gv, level):
+    point, variance, lo, hi, eif = _reference_report(estimand, data, qv, gv, level)
+    assert report.point == point
+    assert report.variance == variance
+    assert (report.ci_low, report.ci_high) == (lo, hi)
+    assert np.array_equal(report.eif_values, eif)
 
 
 @pytest.mark.parametrize("folds", [0, 5])
@@ -339,14 +358,29 @@ def test_onestep_reports_are_bit_identical_to_the_reference(seed, estimand, fold
     spec = LearnerSpec("oracle-rate", rate_exponent=0.3, amplitude=float(rng.uniform(0, 0.5)),
                        shape=0, truncation=eps)
     level = float(rng.uniform(0.5, 0.99))
-    qv, gv = _fitted_rows(data, spec, folds, seed, truth)
+    qv, gv = _fitted_rows(data, spec, spec, folds, seed, truth)
     assert (gv == eps).any() and (gv == 1.0 - eps).any()
 
     config = EstimatorConfig(estimand=estimand, spec_q=spec, spec_g=spec, folds=folds,
                              level=level, fold_seed=seed)
     report = estimate(data, config, truth=truth)
-    point, variance, lo, hi, eif = _reference_report(estimand, data, qv, gv, level)
-    assert report.point == point
-    assert report.variance == variance
-    assert (report.ci_low, report.ci_high) == (lo, hi)
-    assert np.array_equal(report.eif_values, eif)
+    _assert_matches_reference(report, estimand, data, qv, gv, level)
+
+
+@pytest.mark.parametrize("kinds", [("linear-ols", "logistic-irls"),
+                                   ("misspecified-omit", "misspecified-omit")])
+@pytest.mark.parametrize("estimand", ["psi", "theta"])
+@pytest.mark.parametrize("seed", range(3))
+def test_crossfit_with_fitted_learners_is_bit_identical_to_the_reference(seed, estimand, kinds):
+    # the cross-fit's own row selection against boolean indexing, for fits
+    # whose every last digit depends on the training rows
+    rng = np.random.default_rng([seed, 17])
+    n = int(rng.integers(60, 400))
+    w = rng.uniform(-1, 1, (n, 2))
+    a = (rng.uniform(size=n) < logistic(0.2 + w @ [0.8, -0.5])).astype(np.int64)
+    data = _dataset(w, a, 1.0 + w @ [1.5, -2.0] + rng.normal(0.0, 1.0, n))
+    spec_q, spec_g = LearnerSpec(kinds[0]), LearnerSpec(kinds[1])
+    qv, gv = _fitted_rows(data, spec_q, spec_g, 5, seed, None)
+    config = EstimatorConfig(estimand=estimand, spec_q=spec_q, spec_g=spec_g, folds=5,
+                             fold_seed=seed)
+    _assert_matches_reference(estimate(data, config), estimand, data, qv, gv, 0.95)

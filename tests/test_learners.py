@@ -11,7 +11,11 @@ from scipy.special import expit
 from eifkit import Dataset, LearnerSpec, fit_outcome, fit_propensity, oracle_rate_nuisance
 from eifkit.learners import (
     DEFAULT_TRUNCATION,
+    IRLS_GRADIENT_TOL,
+    IRLS_MAX_ITER,
     KERNEL_BLOCK_PAIRS,
+    _irls_beta,
+    _softplus,
     fit_nuisance,
     logistic,
     perturbation_shape,
@@ -139,6 +143,63 @@ def test_logistic_saturates_without_warnings():
         warnings.simplefilter("error")
         assert logistic(np.array([-800.0, -710.0, 800.0])).tolist() == [0.0, 0.0, 1.0]
         assert logistic(-800.0) == 0.0 and logistic(800.0) == 1.0
+
+
+def test_softplus_matches_logaddexp_within_four_ulp():
+    v = np.concatenate([np.linspace(-745.0, 745.0, 29_801), np.linspace(-1e-3, 1e-3, 20_001),
+                        np.linspace(-40.0, 40.0, 160_001)])
+    ours, ref = _softplus(v), np.logaddexp(0.0, v)
+    assert np.all(np.abs(ours - ref) <= 4 * np.spacing(np.maximum(ours, ref)))
+
+
+def test_softplus_saturates_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _softplus(np.array([-800.0, 800.0])).tolist() == [0.0, 800.0]
+
+
+def _reference_irls_beta(x, z):
+    # the Newton loop with the likelihood as np.logaddexp and eta recomputed
+    # from beta at every use
+    design = np.column_stack([np.ones(len(x)), x])
+
+    def nll(beta):
+        return float(np.logaddexp(0.0, -(2.0 * z - 1.0) * (design @ beta)).sum())
+
+    beta = np.zeros(design.shape[1])
+    current = nll(beta)
+    for _ in range(IRLS_MAX_ITER):
+        p = logistic(design @ beta)
+        grad = design.T @ (z - p)
+        if math.sqrt(float(grad @ grad)) <= IRLS_GRADIENT_TOL:
+            break
+        hessian = design.T @ ((p * (1.0 - p))[:, None] * design) + 1e-12 * np.eye(len(beta))
+        step = np.linalg.solve(hessian, grad)
+        for _halving in range(60):
+            candidate = beta + step
+            cand_nll = nll(candidate)
+            if cand_nll <= current + 1e-12:
+                beta, current = candidate, cand_nll
+                break
+            step = 0.5 * step
+        else:
+            break
+    return beta
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_irls_matches_the_logaddexp_reference_loop(seed):
+    rng = np.random.default_rng([seed, 9])
+    n = int(np.exp(rng.uniform(np.log(50), np.log(20_000))))
+    d = int(rng.integers(1, 4))
+    x = rng.uniform(-1.0, 1.0, (n, d))
+    coef = rng.normal(0.0, 1.0, d + 1)
+    z = (rng.uniform(size=n) < logistic(coef[0] + x @ coef[1:])).astype(float)
+    beta = _irls_beta(x, z)
+    assert np.allclose(beta, _reference_irls_beta(x, z), rtol=1e-12, atol=0.0)
+    design = np.column_stack([np.ones(n), x])
+    grad = design.T @ (z - logistic(design @ beta))
+    assert math.sqrt(float(grad @ grad)) <= IRLS_GRADIENT_TOL
 
 
 def test_propensity_always_truncated():
@@ -342,6 +403,42 @@ def test_dataset_validation():
     data = _dataset([[0.0], [1.0]], [0, 1], [1.0, 2.0])
     with pytest.raises(ValueError):
         data.w[0, 0] = 5.0  # arrays are read-only
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.7, -1, 2, math.nan, "0"])
+def test_dataset_refuses_non_binary_treatments(bad):
+    # checked before the integer cast, so 0.5 and 1.7 are not truncated to 0 and 1
+    with pytest.raises(ValueError, match="^treatment values must be 0 or 1$"):
+        Dataset(w=[[0.0], [1.0], [2.0]], a=[bad, 1, 0], y=[1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("a", [[True, False, True], [1.0, 0.0, 1.0], [1, 0, 1]])
+def test_dataset_accepts_bool_and_integral_float_treatments(a):
+    data = Dataset(w=[[0.0], [1.0], [2.0]], a=a, y=[1.0, 2.0, 3.0])
+    assert data.a.dtype == np.int64
+    assert data.a.tolist() == [1, 0, 1]
+
+
+def test_dataset_subset_matches_boolean_indexing():
+    rng = np.random.default_rng(4)
+    data = _dataset(rng.normal(size=(50, 3)), rng.integers(0, 2, 50), rng.normal(size=50))
+    mask = rng.uniform(size=50) < 0.6
+    part = data.subset(mask)
+    for got, full in ((part.w, data.w), (part.a, data.a), (part.y, data.y)):
+        assert np.array_equal(got, full[mask])
+        assert got.dtype == full.dtype
+        assert not got.flags.writeable
+    assert part.n == int(mask.sum()) and part.d == 3
+
+
+def test_dataset_subset_refuses_empty_and_non_boolean_masks():
+    data = _dataset([[0.0], [1.0], [2.0]], [0, 1, 0], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="no rows"):
+        data.subset(np.zeros(3, dtype=bool))
+    with pytest.raises(ValueError, match="boolean mask"):
+        data.subset(np.array([0, 2]))
+    with pytest.raises(ValueError, match="boolean mask"):
+        data.subset(np.ones(2, dtype=bool))
 
 
 # ---------------------------------------------------------------------------

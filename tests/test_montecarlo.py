@@ -134,6 +134,12 @@ def test_generate_is_deterministic_and_seed_sensitive():
     assert not np.array_equal(a.y, c.y)
 
 
+@pytest.mark.parametrize("n", [1.5, "3", True, 0, -2, None])
+def test_generate_refuses_a_sample_size_that_is_not_a_positive_integer(n):
+    with pytest.raises(ConfigError, match="sample size must be a positive integer"):
+        generate(default_logistic_linear(), n, 0)
+
+
 def test_generate_with_counterfactual_consistency():
     dgp = default_logistic_linear()
     data, y0 = generate_with_counterfactual(dgp, 300, 3)

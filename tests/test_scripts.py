@@ -16,10 +16,14 @@ ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "scripts" / "configs"
 
 
-def _run_script(*argv):
+def _script(*argv):
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
-    result = subprocess.run([sys.executable, *argv], capture_output=True, text=True, cwd=ROOT,
-                            env=dict(os.environ, PYTHONPATH=path), timeout=300)
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, cwd=ROOT,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=300)
+
+
+def _run_script(*argv):
+    result = _script(*argv)
     assert result.returncode == 0, result.stderr
     return json.loads(result.stdout)
 
@@ -44,3 +48,20 @@ def test_output_digests_script_hashes_the_cli_output():
         with contextlib.redirect_stdout(out):
             assert main([command, "--config", str(CONFIGS / f"{name}.json")]) == 0
         assert doc[name] == hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def test_output_digests_against_a_saved_document_names_each_difference(tmp_path):
+    saved = {}
+    for name, command in (("decompose", "decompose"), ("verify_eif", "verify-eif")):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main([command, "--config", str(CONFIGS / f"{name}.json")]) == 0
+        saved[name] = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    saved["verify_eif"] = "0" * 64
+    path = tmp_path / "saved.json"
+    path.write_text(json.dumps(saved))
+    result = _script("scripts/output_digests.py", "decompose", "verify_eif",
+                     "--against", str(path))
+    assert result.returncode == 1
+    assert result.stderr.splitlines() == [f"output_digests: verify_eif differs from {path}"]
+    assert json.loads(result.stdout)["decompose"] == saved["decompose"]
