@@ -22,9 +22,11 @@ config file's directory.
 
 Each config value is checked once, by the library type or function that
 uses it; the CLI checks the JSON, the keys, the paths and its own fields
-(``study``, ``mode``, ``functional``, ``arm``, ``include_*``, ``--seed``,
+(``study``, ``mode``, ``functional``, ``include_*``, ``--seed``,
 ``--workers``), and reports a value the library refuses as a config
-problem, prefixed with where the config holds it.
+problem, prefixed with where the config holds it.  Each simulate study and
+remainder mode reads one declared set of keys, and any other key is a
+config problem.
 
 Failures print ``{"error": {"code", "message"}}`` to stdout and exit
 with 2 for config problems and 1 for runtime ones.  Output paths
@@ -92,6 +94,12 @@ from .montecarlo import (
 __all__ = ["main", "entrypoint", "ingest_csv"]
 
 REPLICATION_HEADER = ("rep", "n", "point", "variance", "covered", "scaled_error")
+
+# the keys each simulate study and remainder mode reads beyond those every
+# study or mode reads; any other key is a config error
+SIMULATE_KEYS = {"coverage": ("n", "estimator"), "rate": ("n_grid", "estimator"),
+                 "dr": ("n_grid", "arm", "estimand")}
+REMAINDER_KEYS = {"exact": ("sample", "n", "pn_a"), "sweep": ("n_grid",)}
 
 
 # ---------------------------------------------------------------------------
@@ -395,33 +403,24 @@ def _cmd_decompose(args) -> dict:
 
 def _cmd_remainder(args) -> dict:
     cfg = _load_config(args.config)
-    _check_keys(
-        cfg,
-        ("distribution", "estimand", "mode", "learners", "sample", "n",
-         "n_grid", "pn_a"),
-        ("distribution",),
-        "remainder config",
-    )
-    mode = _str_field(cfg, "mode", "exact", ("exact", "sweep"), "remainder config")
+    mode = _str_field(cfg, "mode", "exact", tuple(REMAINDER_KEYS), "remainder config")
+    _check_keys(cfg, ("distribution", "estimand", "mode", "learners", *REMAINDER_KEYS[mode]),
+                ("distribution",), f"remainder config ({mode} mode)")
     spec_q, spec_g = _learner_pair(cfg, "remainder config")
     dist = load_distribution(_resolve(args.config, cfg["distribution"]))
     truth = truth_functions(dist)
 
     if mode == "sweep":
-        if "sample" in cfg or "n" in cfg or "pn_a" in cfg:
-            raise ConfigError("remainder config: sweep mode takes only 'n_grid' and learners")
         with _refused("remainder config"):
             return remainder_rate_sweep(dist, truth, spec_q, spec_g, cfg.get("n_grid"),
                                         estimand=cfg.get("estimand", "psi")).to_dict()
 
     # exact mode: the estimand picks which remainder to compute
     estimand = _str_field(cfg, "estimand", "psi", ("psi", "theta"), "remainder config")
-    if "n_grid" in cfg:
-        raise ConfigError("remainder config: 'n_grid' only applies to sweep mode")
     if estimand == "psi" and "pn_a" in cfg:
         raise ConfigError("remainder config: 'pn_a' only applies to the theta estimand")
-    if "sample" not in cfg and "n" not in cfg:
-        raise ConfigError("remainder config: exact mode needs either 'sample' or 'n'")
+    if ("sample" in cfg) == ("n" in cfg):
+        raise ConfigError("remainder config: exact mode needs exactly one of 'sample' and 'n'")
     data = (_sample_from(dist, args.config, cfg["sample"], "remainder config")
             if "sample" in cfg else None)
     with _refused("remainder config"):
@@ -473,14 +472,10 @@ def _parse_estimator(cfg: dict) -> EstimatorConfig:
 
 def _cmd_simulate(args) -> dict:
     cfg = _load_config(args.config)
-    _check_keys(
-        cfg,
-        ("study", "dgp", "estimator", "n", "n_grid", "reps", "seed",
-         "workers", "arm", "estimand", "include_replications", "replications_out"),
-        ("study", "reps"),
-        "simulate config",
-    )
-    study = _str_field(cfg, "study", None, ("coverage", "rate", "dr"), "simulate config")
+    study = _str_field(cfg, "study", None, tuple(SIMULATE_KEYS), "simulate config")
+    _check_keys(cfg, ("study", "dgp", "reps", "seed", "workers", "include_replications",
+                      "replications_out", *SIMULATE_KEYS[study]),
+                ("reps",), f"simulate config ({study} study)")
     seed = _flag_or_field(args, cfg, "seed", 0, "simulate config")
     workers = _flag_or_field(args, cfg, "workers", 1, "simulate config", minimum=1)
     include_replications = _bool_field(cfg, "include_replications", False, "simulate config")
@@ -489,18 +484,7 @@ def _cmd_simulate(args) -> dict:
         replications_out = _resolve(args.config, cfg["replications_out"])
         _check_output_path(replications_out, "simulate config: 'replications_out'")
     dgp = _parse_dgp(cfg, args.config)
-    if study == "dr":
-        if "estimator" in cfg:
-            raise ConfigError(
-                "simulate config: the dr study builds its own estimator; "
-                "use 'arm' and 'estimand' instead"
-            )
-        arm = cfg.get("arm")
-        if not isinstance(arm, str):
-            raise ConfigError("simulate config: dr study needs a string 'arm'")
-    else:
-        config = _parse_estimator(cfg)
-
+    config = None if study == "dr" else _parse_estimator(cfg)  # dr builds its own
     with _refused("simulate config"):
         if study == "coverage":
             summary = run_coverage(dgp, config, cfg.get("n"), cfg["reps"], seed,
@@ -509,8 +493,9 @@ def _cmd_simulate(args) -> dict:
             summary = run_rate_experiment(dgp, config, cfg.get("n_grid"), cfg["reps"], seed,
                                           workers=workers)
         else:
-            summary = run_dr_consistency(dgp, arm, cfg.get("n_grid"), cfg["reps"], seed,
-                                         workers=workers, estimand=cfg.get("estimand", "psi"))
+            summary = run_dr_consistency(dgp, cfg.get("arm"), cfg.get("n_grid"), cfg["reps"],
+                                         seed, workers=workers,
+                                         estimand=cfg.get("estimand", "psi"))
 
     doc = {key: _null_nan(value) for key, value in summary.to_dict().items()}
     doc["seed"] = seed

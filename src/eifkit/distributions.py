@@ -247,12 +247,12 @@ class FiniteDistribution:
         for entry in atoms:
             try:
                 obs, p = entry
+                obs = obs if isinstance(obs, Observation) else Observation(*obs)
             except (TypeError, ValueError) as err:
                 raise InvalidDistribution(
-                    f"atom entry {entry!r} is not an (observation, mass) pair"
+                    f"atom entry {entry!r} is not an (observation, mass) pair "
+                    "with a (w, a, y) observation"
                 ) from err
-            if not isinstance(obs, Observation):
-                obs = Observation(*obs)
             try:
                 masses.append(float(p))
             except (TypeError, ValueError) as err:
@@ -416,11 +416,14 @@ def _influence(estimand: str, a, y, q, g, centre, p1):
     formed over arrays.
     """
     # select, not multiply by I(a=0): 0 * inf would turn an overflow in the
-    # other arm's term into NaN
+    # other arm's term into NaN.  np.where evaluates both arms, so an overflow
+    # in the discarded one is silenced; one the result keeps is refused by
+    # every exact sum (_fsum) and by the CLI's JSON output
     untreated = a == 0
-    if estimand == "psi":
-        return np.where(untreated, (y - q) / g, 0.0) + q - centre
-    return np.where(untreated, (1.0 - g) / g * (y - q), q - centre) / p1
+    with np.errstate(over="ignore", invalid="ignore"):
+        if estimand == "psi":
+            return np.where(untreated, (y - q) / g, 0.0) + q - centre
+        return np.where(untreated, (1.0 - g) / g * (y - q), q - centre) / p1
 
 
 def _mean_phi(estimand: str, table: SupportTable, q, g, centre, p1) -> float:

@@ -53,6 +53,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DegenerateTreatment,
     InvalidLearnerSpec,
     IrlsDivergence,
@@ -583,7 +584,7 @@ def oracle_rate_nuisance(
         if spec.kind != "oracle-rate":
             raise InvalidLearnerSpec(f"oracle-rate nuisances need oracle-rate learners, got {spec.kind!r}")
     if not (_is_int(n) and n >= 1):
-        raise InvalidLearnerSpec(f"'n' must be a positive integer, got {n!r}")
+        raise ConfigError(f"'n' must be a positive integer, got {n!r}")
     return FittedNuisance(
         predict_q=_oracle_side(truth_q, n, spec_q, clip_eps=None),
         predict_g=_oracle_side(truth_g, n, spec_g, clip_eps=spec_g.truncation),

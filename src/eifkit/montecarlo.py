@@ -196,9 +196,7 @@ def generate_with_counterfactual(dgp: DGPSpec, n: int, seed):
     only ever see the returned Dataset.  Under a finite-support law, a
     treated row whose covariate stratum has no untreated mass gets NaN.
     """
-    if not (_is_int(n) and n >= 1):
-        raise ConfigError(f"sample size must be a positive integer, got {n!r}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(n, seed)
     if dgp.kind == "discrete-saturated":
         return _draw_discrete(dgp.table, n, rng)
     d = dgp.d
@@ -210,6 +208,16 @@ def generate_with_counterfactual(dgp: DGPSpec, n: int, seed):
     y1 = q + dgp.treated_shift + dgp.noise_sd * rng.standard_normal(n)
     y = np.where(a == 0, y0, y1)
     return Dataset(w=w, a=a, y=y), y0
+
+
+def _rng(n, seed):
+    """The generator for a draw of ``n`` rows: ``n`` an integer >= 1, ``seed`` an
+    integer >= 0 or the SeedSequence a study passes."""
+    if not (_is_int(n) and n >= 1):
+        raise ConfigError(f"sample size must be a positive integer, got {n!r}")
+    if not (isinstance(seed, np.random.SeedSequence) or (_is_int(seed) and seed >= 0)):
+        raise ConfigError(f"seed must be a non-negative integer or a SeedSequence, got {seed!r}")
+    return np.random.default_rng(seed)
 
 
 def _draw_discrete(table: FiniteDistribution, n: int, rng):
@@ -239,8 +247,7 @@ def _draw_discrete(table: FiniteDistribution, n: int, rng):
 
 def draw_dataset(dist: FiniteDistribution, n: int, seed) -> Dataset:
     """Sample n rows i.i.d. from a finite-support law."""
-    rng = np.random.default_rng(seed)
-    data, _ = _draw_discrete(dist, n, rng)
+    data, _ = _draw_discrete(dist, n, _rng(n, seed))
     return data
 
 
@@ -309,47 +316,35 @@ def _run_tasks(tasks, workers: int):
         return list(pool.map(_replication_worker, tasks, chunksize=chunk))
 
 
-def _failed(what: str, failures) -> ConfigError:
-    """The study error for ``what``, naming the first of its recorded failures."""
-    if not failures:
-        return ConfigError(what)
-    rep, message = failures[0]
-    return ConfigError(f"{what}; first failure, replication {rep}: {message}")
-
-
-def _split_outcomes(outcomes):
-    results, failures = [], []
-    for out in outcomes:
-        if out[0] == "ok":
-            results.append(out[1])
-        else:
-            failures.append((out[1], out[2]))
-    return results, failures
-
-
-def _failures_at(failures, grid, reps: int, n: int) -> list:
-    # replications are numbered consecutively, ``reps`` per grid size
-    return [f for f in failures if grid[f[0] // reps] == n]
-
-
 def _run_grid(dgp: DGPSpec, config: EstimatorConfig, grid, reps: int,
-              master_seed: int, workers: int):
+              master_seed: int, workers: int, need: int, what: str):
     """``reps`` replications at each n of ``grid``, numbered consecutively.
 
     ``grid`` is increasing, so its first size is the smallest.  Returns the
-    truth, the successful results and the failures.
+    truth, each size's successful results in replication order, and the
+    number of failures.  A size with fewer than ``need`` successes raises
+    ConfigError: ``what``, formatted with that n, and its first failure.
     """
-    for value, minimum, what in ((master_seed, 0, "master seed must be a non-negative integer"),
+    for value, minimum, name in ((master_seed, 0, "master seed must be a non-negative integer"),
                                  (workers, 1, "workers must be a positive integer"),
                                  (reps, 2, "'reps' must be an integer >= 2")):
         if not (_is_int(value) and value >= minimum):
-            raise ConfigError(f"{what}, got {value!r}")
+            raise ConfigError(f"{name}, got {value!r}")
     config.check_folds(grid[0])
     truth_value = dgp.truth(config.estimand)
     sizes = [n for n in grid for _ in range(reps)]
     tasks = [(dgp, config, n, master_seed, rep, truth_value) for rep, n in enumerate(sizes)]
-    results, failures = _split_outcomes(_run_tasks(tasks, workers))
-    return truth_value, results, failures
+    outcomes = _run_tasks(tasks, workers)
+    by_n = []
+    for i, n in enumerate(grid):
+        at_n = outcomes[i * reps:(i + 1) * reps]
+        results = [out[1] for out in at_n if out[0] == "ok"]
+        if len(results) < need:
+            # reps >= 2 >= need, so a size short of successes has a failure
+            _, rep, message = next(out for out in at_n if out[0] == "fail")
+            raise ConfigError(f"{what.format(n=n)}; first failure, replication {rep}: {message}")
+        by_n.append(results)
+    return truth_value, by_n, len(sizes) - sum(map(len, by_n))
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +427,9 @@ def run_coverage(
     """
     if not (_is_int(n) and n >= 2):
         raise ConfigError(f"'n' must be an integer >= 2, got {n!r}")
-    truth_value, results, failures = _run_grid(dgp, config, [n], reps, master_seed, workers)
-    if not results:
-        raise _failed("every replication failed; nothing to summarize", failures)
+    truth_value, (results,), failures = _run_grid(
+        dgp, config, [n], reps, master_seed, workers, 1,
+        "every replication failed; nothing to summarize")
     scaled = np.array([r.scaled_error for r in results])
     covered = np.array([r.covered for r in results], dtype=float)
     m = len(results)
@@ -462,7 +457,7 @@ def run_coverage(
         ks_distance=ks,
         ks_critical_1pct=ks_crit,
         ks_flag=bool(math.isfinite(ks) and ks > ks_crit),
-        failures=len(failures),
+        failures=failures,
         replications=tuple(results),
     )
 
@@ -501,17 +496,15 @@ def run_rate_experiment(
 ) -> RateExperimentReport:
     """RMSE(n) over the grid and the least-squares slope of log RMSE on log n."""
     grid = _check_n_grid(n_grid)
-    truth_value, results, failures = _run_grid(dgp, config, grid, reps, master_seed, workers)
+    truth_value, by_n, failures = _run_grid(dgp, config, grid, reps, master_seed, workers, 1,
+                                            "all replications failed at n={n}")
     rmse, mean_scaled, var_scaled = [], [], []
-    for n in grid:
-        errs = np.array([r.point - truth_value for r in results if r.n == n])
-        if errs.size == 0:
-            raise _failed(f"all replications failed at n={n}",
-                          _failures_at(failures, grid, reps, n))
+    for results in by_n:
+        errs = np.array([r.point - truth_value for r in results])
+        scaled = np.array([r.scaled_error for r in results])
         rmse.append(float(np.sqrt(np.mean(errs**2))))
-        scaled = math.sqrt(n) * errs
         mean_scaled.append(float(scaled.mean()))
-        var_scaled.append(float(scaled.var(ddof=1)) if errs.size > 1 else math.nan)
+        var_scaled.append(float(scaled.var(ddof=1)) if scaled.size > 1 else math.nan)
     slope = float(np.polyfit(np.log(grid), np.log(rmse), 1)[0])
     return RateExperimentReport(
         estimand=config.estimand,
@@ -523,8 +516,8 @@ def run_rate_experiment(
         mean_scaled_error_by_n=tuple(mean_scaled),
         var_scaled_error_by_n=tuple(var_scaled),
         slope=slope,
-        failures=len(failures),
-        replications=tuple(results),
+        failures=failures,
+        replications=tuple(r for results in by_n for r in results),
     )
 
 
@@ -567,10 +560,9 @@ def dr_arm_specs(arm: str):
         "g-wrong": (good_q, bad_g),
         "both-wrong": (bad_q, bad_g),
     }
-    try:
-        return table[arm]
-    except KeyError:
-        raise ConfigError(f"unknown misspecification arm {arm!r}") from None
+    if not (isinstance(arm, str) and arm in table):
+        raise ConfigError(f"unknown misspecification arm {arm!r}")
+    return table[arm]
 
 
 def run_dr_consistency(
@@ -587,13 +579,11 @@ def run_dr_consistency(
     config = EstimatorConfig(estimand=estimand, estimator="onestep",
                              spec_q=spec_q, spec_g=spec_g)
     grid = _check_n_grid(n_grid)
-    truth_value, results, failures = _run_grid(dgp, config, grid, reps, master_seed, workers)
+    truth_value, by_n, failures = _run_grid(dgp, config, grid, reps, master_seed, workers, 2,
+                                            "not enough successful replications at n={n}")
     bias, mc_se = [], []
-    for n in grid:
-        points = np.array([r.point for r in results if r.n == n])
-        if points.size < 2:
-            raise _failed(f"not enough successful replications at n={n}",
-                          _failures_at(failures, grid, reps, n))
+    for results in by_n:
+        points = np.array([r.point for r in results])
         bias.append(float(points.mean() - truth_value))
         mc_se.append(float(points.std(ddof=1) / math.sqrt(points.size)))
     return DrConsistencyReport(
@@ -604,6 +594,6 @@ def run_dr_consistency(
         truth=truth_value,
         bias_by_n=tuple(bias),
         mc_se_by_n=tuple(mc_se),
-        failures=len(failures),
-        replications=tuple(results),
+        failures=failures,
+        replications=tuple(r for results in by_n for r in results),
     )

@@ -345,6 +345,29 @@ def test_remainder_psi_rejects_pn_a(workspace, capsys):
     assert "pn_a" in doc["error"]["message"]
 
 
+@pytest.mark.parametrize("mode, key, value", [
+    ("sweep", "sample", "sample.csv"),
+    ("sweep", "n", 100),
+    ("sweep", "pn_a", 0.4),
+    ("exact", "n_grid", [100, 1000]),
+])
+def test_remainder_refuses_a_key_its_mode_does_not_read(workspace, capsys, mode, key, value):
+    _, config = workspace
+    doc = {"distribution": "dist.json", "mode": mode, "learners": {"q": _ORACLE, "g": _ORACLE},
+           **({"n_grid": [100, 1000]} if mode == "sweep" else {"n": 100}), key: value}
+    error = _only_error_document(capsys, main(["remainder", "--config", config("r.json", doc)]), 2)
+    assert error == {"code": "config/invalid",
+                     "message": f"remainder config ({mode} mode): unknown keys ['{key}']"}
+
+
+@pytest.mark.parametrize("given", [{"sample": "sample.csv", "n": 100}, {}])
+def test_remainder_exact_takes_exactly_one_of_sample_and_n(workspace, capsys, given):
+    _, config = workspace
+    cfg = config("rem.json", {"distribution": "dist.json", "mode": "exact", **given})
+    error = _only_error_document(capsys, main(["remainder", "--config", cfg]), 2)
+    assert error["message"] == "remainder config: exact mode needs exactly one of 'sample' and 'n'"
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -385,6 +408,51 @@ def test_simulate_dr_rejects_estimator_block(workspace, capsys):
     })
     code, doc = run_cli(capsys, ["simulate", "--config", cfg])
     assert code == 2
+
+
+_STUDY_CONFIGS = {"coverage": {"study": "coverage", "n": 50, "reps": 4},
+                  "rate": {"study": "rate", "n_grid": [50, 100], "reps": 4},
+                  "dr": {"study": "dr", "arm": "none", "n_grid": [50, 100], "reps": 4}}
+
+
+@pytest.mark.parametrize("study, key, value", [
+    ("coverage", "n_grid", [50, 100]),
+    ("coverage", "arm", "q-wrong"),
+    ("coverage", "estimand", "theta"),
+    ("rate", "n", 50),
+    ("rate", "arm", "q-wrong"),
+    ("rate", "estimand", "theta"),
+    ("dr", "n", 50),
+    ("dr", "estimator", {"estimand": "psi"}),
+])
+def test_simulate_refuses_a_key_its_study_does_not_read(workspace, capsys, monkeypatch,
+                                                        study, key, value):
+    _, config = workspace
+
+    def no_replications(*args, **kwargs):
+        raise AssertionError("replications ran for a key the study does not read")
+
+    monkeypatch.setattr(montecarlo, "_run_tasks", no_replications)
+    cfg = config("sim.json", dict(_STUDY_CONFIGS[study], **{key: value}))
+    error = _only_error_document(capsys, main(["simulate", "--config", cfg]), 2)
+    assert error == {"code": "config/invalid",
+                     "message": f"simulate config ({study} study): unknown keys ['{key}']"}
+
+
+@pytest.mark.parametrize("arm", [["none"], None, 3])
+def test_simulate_dr_refuses_an_arm_that_is_not_one_of_the_four(workspace, capsys,
+                                                                monkeypatch, arm):
+    _, config = workspace
+
+    def no_replications(*args, **kwargs):
+        raise AssertionError("replications ran for a rejected arm")
+
+    monkeypatch.setattr(montecarlo, "_run_tasks", no_replications)
+    doc = dict(_STUDY_CONFIGS["dr"], arm=arm)
+    if arm is None:  # no 'arm' key at all
+        del doc["arm"]
+    error = _only_error_document(capsys, main(["simulate", "--config", config("s.json", doc)]), 2)
+    assert error["code"] == "config/invalid" and "misspecification arm" in error["message"]
 
 
 def test_simulate_rate_subcommand(workspace, capsys):
@@ -516,6 +584,21 @@ def test_overflowing_exact_sums_exit_one(tmp_path, capsys, command, doc):
     cfg.write_text(json.dumps(dict(doc, distribution="law.json")))
     error = _only_error_document(capsys, main([command, "--config", str(cfg)]), 1)
     assert error["code"] == "numeric/non-finite"
+
+
+def test_overflowing_verify_eif_leaves_stderr_empty(tmp_path):
+    # the error document is the whole output: the overflow in the arm that
+    # np.where discards prints no RuntimeWarning
+    (tmp_path / "law.json").write_text(json.dumps(_OVERFLOW_LAW))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"distribution": "law.json", "direction": "law.json"}))
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run([sys.executable, "-m", "eifkit.cli", "verify-eif", "--config",
+                             str(cfg)], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert result.returncode == 1
+    assert json.loads(result.stdout)["error"]["code"] == "numeric/non-finite"
+    assert result.stderr == ""
 
 
 def test_overflow_in_the_other_arm_is_no_nan(tmp_path, capsys):

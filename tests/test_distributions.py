@@ -322,6 +322,12 @@ def test_constructor_rejects_duplicates_and_ragged_w():
         FiniteDistribution([(((0.0,), 0, 0.0), 0.5), (((0.0, 1.0), 0, 0.0), 0.5)])
 
 
+@pytest.mark.parametrize("atom", [(0.0, 1), (0.0, 0, 1.0, 2.0), 5])
+def test_constructor_rejects_an_observation_that_is_not_a_triple(atom):
+    with pytest.raises(InvalidDistribution, match="not an"):
+        FiniteDistribution([(atom, 1.0)])
+
+
 def test_observation_validation():
     with pytest.raises(InvalidDistribution):
         Observation((0.0,), 2, 0.0)

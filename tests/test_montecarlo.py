@@ -541,10 +541,26 @@ def _rate_nuisance(dist):
     lambda dist: run_coverage(default_logistic_linear(), _oracle_config(), 1.5, 3, 0),
     lambda dist: EstimatorConfig(spec_q=LearnerSpec("logistic-irls")),
     lambda dist: EstimatorConfig(spec_g=LearnerSpec("linear-ols")),
+    lambda dist: generate(default_logistic_linear(), 10, -1),
+    lambda dist: generate(default_logistic_linear(), 10, "x"),
+    lambda dist: generate(default_logistic_linear(), 10, 1.5),
+    lambda dist: generate(default_logistic_linear(), 10, True),
+    lambda dist: draw_dataset(dist, 10, -1),
+    lambda dist: draw_dataset(dist, 0, 0),
+    lambda dist: draw_dataset(dist, -3, 0),
+    lambda dist: draw_dataset(dist, 1.5, 0),
+    lambda dist: draw_dataset(dist, "5", 0),
+    lambda dist: oracle_rate_nuisance(*truth_functions(dist), 0, _RATE, _RATE),
+    lambda dist: dr_arm_specs(["x"]),
+    lambda dist: run_dr_consistency(default_logistic_linear(), ["none"], [100, 200], 2, 0),
 ], ids=["dgp-beta-string", "dgp-treated-shift-string", "n-grid-float",
         "sweep-estimand", "pn-a-string", "pn-a-bool", "step-grid-string",
         "decompose-estimand", "crossfit-estimand", "coverage-reps-string",
-        "coverage-n-float", "outcome-side-kind", "propensity-side-kind"])
+        "coverage-n-float", "outcome-side-kind", "propensity-side-kind",
+        "generate-seed-negative", "generate-seed-string", "generate-seed-float",
+        "generate-seed-bool", "draw-seed-negative", "draw-n-zero", "draw-n-negative",
+        "draw-n-float", "draw-n-string", "oracle-rate-n-zero", "dr-arm-list",
+        "dr-study-arm-list"])
 def test_library_refuses_malformed_values_with_config_error(monkeypatch, four_atom, call):
     def no_replications(*args, **kwargs):
         raise AssertionError("replications ran for a rejected value")
@@ -552,3 +568,10 @@ def test_library_refuses_malformed_values_with_config_error(monkeypatch, four_at
     monkeypatch.setattr(montecarlo, "_run_tasks", no_replications)
     with pytest.raises(ConfigError):
         call(four_atom)
+
+
+@pytest.mark.parametrize("seed", [np.int64(5), np.random.SeedSequence(5)])
+def test_draws_accept_numpy_integer_and_seed_sequence_seeds(four_atom, seed):
+    dgp = default_logistic_linear()
+    assert np.array_equal(generate(dgp, 10, seed).y, generate(dgp, 10, 5).y)
+    assert np.array_equal(draw_dataset(four_atom, 10, seed).y, draw_dataset(four_atom, 10, 5).y)
