@@ -120,7 +120,8 @@ class Observation:
 
     def __post_init__(self):
         object.__setattr__(self, "w", _canonical_w(self.w))
-        if self.a not in (0, 1):
+        # a bool is no treatment code, as in distribution files
+        if isinstance(self.a, (bool, np.bool_)) or self.a not in (0, 1):
             raise InvalidDistribution(f"treatment must be 0 or 1, got {self.a!r}")
         object.__setattr__(self, "a", int(self.a))
         try:
@@ -284,7 +285,10 @@ class FiniteDistribution:
     def mass_of(self, obs) -> float:
         """Mass of an exact atom (Observation or (w, a, y) triple); 0.0 if absent."""
         if not isinstance(obs, Observation):
-            obs = Observation(*obs)
+            try:
+                obs = Observation(*obs)
+            except (TypeError, ValueError) as err:
+                raise InvalidDistribution(f"{obs!r} is not a (w, a, y) observation") from err
         t = self.support_table
         row = _match((t.atom_w, t.atom_a, t.atom_y),
                      (np.array([obs.w]), np.array([obs.a]), np.array([obs.y])))[0]

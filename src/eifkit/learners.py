@@ -33,14 +33,18 @@ A :class:`LearnerSpec` names one of a fixed set of procedures:
 All propensity outputs are truncated into [eps, 1-eps]; eps defaults to
 0.01.  Every fit is deterministic given its inputs and spec.
 
-The two smoothers predict in bounded memory.  They take query rows in
-blocks of at most KERNEL_BLOCK_PAIRS // n rows against the n fitting rows
-and build each block's (rows, n) squared distances one covariate at a
-time.  No temporary exceeds KERNEL_BLOCK_PAIRS floats (256 KB), or one row
-of n floats when n is larger, whatever the query count or dimension.  kNN
-sums the exact squared differences (q_j - t_j)**2 rather than expanding
-|q|^2 - 2 q.t + |t|^2: the expanded form cancels and can reorder
-near-tied neighbours.
+The two smoothers predict in bounded memory: query rows come in blocks of
+at most KERNEL_BLOCK_PAIRS // n rows against the n fitting rows, so no
+(rows, n) temporary exceeds KERNEL_BLOCK_PAIRS floats (256 KB), or one row
+of n floats when n is larger, whatever the query count or dimension.
+Kernel-NW is two matrix products per block, on rows centered at the
+fitting rows' mean and scaled by the bandwidth: the row max cancels each
+query's own -|x|^2 / 2, so its log-weights are x.t - |t|^2 / 2, and a
+product of the weights with [y, 1] gives numerator and denominator.
+Uncentered, that expanded form cancels on covariates with a large mean.
+kNN alone sums the exact squared differences (q_j - t_j)**2: it ranks
+distances, and the expanded form, even centered, can reorder near-tied
+neighbours.
 """
 
 from __future__ import annotations
@@ -379,22 +383,6 @@ def _query_blocks(m: int, n: int):
         yield slice(start, start + rows)
 
 
-def _squared_distances(q: np.ndarray, t_cols: np.ndarray) -> np.ndarray:
-    """(rows, n) squared Euclidean distances from q (rows, d) to t_cols (d, n).
-
-    Accumulates (q_j - t_j)**2 one covariate at a time, in covariate order,
-    so no (rows, n, d) array exists.
-    """
-    d2 = np.subtract(q[:, 0, None], t_cols[0])
-    np.square(d2, out=d2)
-    diff = np.empty_like(d2)
-    for j in range(1, q.shape[1]):
-        np.subtract(q[:, j, None], t_cols[j], out=diff)
-        np.square(diff, out=diff)
-        d2 += diff
-    return d2
-
-
 def _knn_core(train_w: np.ndarray, train_t: np.ndarray, k: int) -> Callable:
     n = len(train_t)
     k = min(k, n)
@@ -403,13 +391,20 @@ def _knn_core(train_w: np.ndarray, train_t: np.ndarray, k: int) -> Callable:
     def core(w):
         # per block: (rows, n) distances, their argpartition index and the
         # gathered targets, each at most KERNEL_BLOCK_PAIRS elements.  The
-        # distances are exact differences, not |x|^2 - 2 x.y + |y|^2, whose
-        # cancellation can reorder near-tied neighbours.
+        # distances accumulate (q_j - t_j)**2 in covariate order, so no
+        # (rows, n, d) array exists.
         if k == n:
             return np.full(len(w), train_t.mean())
         out = np.empty(len(w))
         for rows in _query_blocks(len(w), n):
-            d2 = _squared_distances(w[rows], t_cols)
+            q = w[rows]
+            d2 = np.subtract(q[:, 0, None], t_cols[0])
+            np.square(d2, out=d2)
+            diff = np.empty_like(d2)
+            for j in range(1, q.shape[1]):
+                np.subtract(q[:, j, None], t_cols[j], out=diff)
+                np.square(diff, out=diff)
+                d2 += diff
             idx = np.argpartition(d2, kth=k - 1, axis=1)[:, :k]
             out[rows] = train_t[idx].mean(axis=1)
         return out
@@ -418,23 +413,27 @@ def _knn_core(train_w: np.ndarray, train_t: np.ndarray, k: int) -> Callable:
 
 
 def _nw_core(train_w: np.ndarray, train_t: np.ndarray, bandwidth: np.ndarray) -> Callable:
-    # fitting rows are scaled by the bandwidth once, here
-    t_cols = np.ascontiguousarray((train_w / bandwidth).T)
+    # fit: rows centered at their mean and scaled by the bandwidth, t, as
+    # right = [t'; -|t|^2 / 2] of shape (d + 1, n), and targets [y, 1]
+    center = train_w.mean(axis=0)
+    t = (train_w - center) / bandwidth
+    right = np.vstack([t.T, -0.5 * np.square(t).sum(axis=1)])
+    targets = np.column_stack([train_t, np.ones(len(train_t))])
 
     def core(w):
-        # per block: (rows, n) log-weights, reused in place for the weights,
-        # plus one (rows, n) product, each at most KERNEL_BLOCK_PAIRS elements
-        scaled = w / bandwidth
+        # per block: one (rows, n) log-weight product, turned into the
+        # weights in place, and one (rows, 2) product with the targets
+        left = np.column_stack([(w - center) / bandwidth, np.ones(len(w))])
         out = np.empty(len(w))
         for rows in _query_blocks(len(w), len(train_t)):
-            logk = _squared_distances(scaled[rows], t_cols)
-            logk *= -0.5
+            logk = left[rows] @ right
             # per-row stabilization keeps the nearest point's weight at 1, so
             # the denominator never underflows and far queries degrade to a
             # nearest-neighbour average instead of 0/0
             logk -= logk.max(axis=1, keepdims=True)
             weights = np.exp(logk, out=logk)
-            out[rows] = (weights * train_t).sum(axis=1) / weights.sum(axis=1)
+            sums = weights @ targets
+            out[rows] = sums[:, 0] / sums[:, 1]
         return out
 
     return core

@@ -328,6 +328,21 @@ def test_constructor_rejects_an_observation_that_is_not_a_triple(atom):
         FiniteDistribution([(atom, 1.0)])
 
 
+@pytest.mark.parametrize("atom", [(0.0, 1), (0.0, 0, 1.0, 2.0), 5])
+def test_mass_of_rejects_an_observation_that_is_not_a_triple(atom):
+    dist = FiniteDistribution([(((0.0,), 0, 1.0), 1.0)])
+    with pytest.raises(InvalidDistribution, match="not a"):
+        dist.mass_of(atom)
+
+
+@pytest.mark.parametrize("a", [True, False, np.True_])
+def test_observation_rejects_a_bool_treatment(a):
+    with pytest.raises(InvalidDistribution, match="treatment"):
+        Observation((0.0,), a, 1.0)
+    with pytest.raises(InvalidDistribution, match="treatment"):
+        FiniteDistribution([(((0.0,), a, 1.0), 1.0)])
+
+
 def test_observation_validation():
     with pytest.raises(InvalidDistribution):
         Observation((0.0,), 2, 0.0)

@@ -546,6 +546,21 @@ def test_kernel_matches_naive_reference(d, bandwidth):
                            rtol=KERNEL_RTOL, atol=0.0)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+@pytest.mark.parametrize("offset", [1e2, 1e4, 1e6])
+def test_kernel_matches_naive_reference_under_covariate_offsets(d, offset):
+    # the log-weights x.t - |t|^2 / 2 cancel on covariates far from the
+    # origin unless both sides are centered first
+    rng = np.random.default_rng(500 + d)
+    train_w = rng.uniform(-1, 1, (500, d)) + offset
+    train_t = rng.uniform(1.0, 2.0, 500)
+    qhat = fit_outcome(_untreated(train_w, train_t), LearnerSpec("kernel-nw"))
+    for m in _kernel_shapes():
+        probe = rng.uniform(-1.2, 1.2, (m, d)) + offset
+        assert np.allclose(qhat(probe), _naive_nw(train_w, train_t, _default_bw(train_w), probe),
+                           rtol=KERNEL_RTOL, atol=0.0)
+
+
 def test_single_row_query_returns_float():
     rng = np.random.default_rng(7)
     train_w = rng.uniform(-1, 1, (50, 2))
