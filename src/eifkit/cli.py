@@ -29,7 +29,9 @@ remainder mode reads one declared set of keys, and any other key is a
 config problem.
 
 Failures print ``{"error": {"code", "message"}}`` to stdout and exit
-with 2 for config problems and 1 for runtime ones.  Output paths
+with 2 for config problems and 1 for runtime ones.  A usage error (a
+missing ``--config``, an unknown subcommand, a ``--seed`` that is no
+integer) is a config problem; ``-h`` prints help and exits 0.  Output paths
 (``--out``, a simulate config's ``replications_out``) are checked before
 any work: a missing directory or a path that is a directory is a config
 problem.  A write that still fails is a runtime one, and stdout then
@@ -513,8 +515,15 @@ def _cmd_simulate(args) -> dict:
 # parser and entry points
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors are config problems, not exits."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="eifkit",
         description="Influence-function estimation and verification toolkit.",
     )
@@ -541,8 +550,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.out is not None:
             _check_output_path(args.out, "--out")
         _emit(args.handler(args), args.out)

@@ -13,7 +13,14 @@ A :class:`LearnerSpec` names one of a fixed set of procedures:
     with v = -(2z - 1) * eta; the accepted candidate's eta feeds the next
     step.  The backtracking accept test ``cand <= nll + 1e-12`` sits at
     rounding level, so a last-digit change in the likelihood can move the
-    final beta by rounding.
+    final beta by rounding.  The design [1, W] (shared with least squares)
+    and the weighted design of each Hessian are C-ordered arrays written a
+    column at a time: numpy copies or broadcasts into a narrow (n, d + 1)
+    array row by row, about three times slower at n = 20 000 and d = 2,
+    and the column passes write the same values in the same layout, so
+    every matrix product, and beta, is bit-identical to the row-pass form.
+    A Gram matrix, Hessian or gradient that overflows raises
+    NonFiniteNumber.
 ``knn``
     k-nearest-neighbour averaging, Euclidean metric, default
     k = ceil(sqrt(#fitting rows)).
@@ -61,6 +68,7 @@ from .errors import (
     DegenerateTreatment,
     InvalidLearnerSpec,
     IrlsDivergence,
+    NonFiniteNumber,
     NoUntreatedRows,
     SingularDesign,
 )
@@ -107,8 +115,9 @@ class Dataset:
     """Immutable sample of (W, A, Y) rows backed by numpy arrays.
 
     ``w`` has shape (n, d); ``a`` is an integer 0/1 vector; ``y`` is float.
-    Arrays are copied and marked read-only at construction.  ``subset`` is
-    the one way to take rows of a Dataset.
+    Arrays are copied and marked read-only at construction; ``_owning``
+    takes over freshly drawn arrays without the copy.  ``subset`` is the
+    one way to take rows of a Dataset.
     """
 
     w: np.ndarray
@@ -121,16 +130,27 @@ class Dataset:
             w = w[:, None]
         if w.ndim != 2 or w.shape[0] == 0 or w.shape[1] == 0:
             raise ValueError(f"covariate matrix must be (n, d) with n, d >= 1, got shape {w.shape}")
-        a = np.asarray(self.a).reshape(-1)
+        a = np.array(self.a).reshape(-1)
         y = np.array(self.y, dtype=float).reshape(-1)
         if not (len(a) == len(y) == w.shape[0]):
             raise ValueError("w, a, y must have matching lengths")
+        self._adopt(w, a, y)
+
+    @classmethod
+    def _owning(cls, w, a, y) -> "Dataset":
+        """The constructor without its copies, for a float (n, d) ``w`` and
+        length-n ``a`` and ``y`` that the caller has just made and gives up."""
+        out = object.__new__(cls)
+        out._adopt(w, a, y)
+        return out
+
+    def _adopt(self, w, a, y):
         # checked on the values as given, so 0.5 or 2 is refused, not truncated
         if not ((a == 0) | (a == 1)).all():
             raise ValueError("treatment values must be 0 or 1")
         if not (np.isfinite(w).all() and np.isfinite(y).all()):
             raise ValueError("covariates and outcomes must be finite")
-        self._set_arrays(w, a.astype(np.int64), y)
+        self._set_arrays(w, a.astype(np.int64, copy=False), y)
 
     def _set_arrays(self, w, a, y):
         for arr in (w, a, y):
@@ -285,11 +305,34 @@ def truncate_propensity(p, eps: float):
     return np.clip(p, eps, 1.0 - eps)
 
 
+def _design(x: np.ndarray) -> np.ndarray:
+    """The C-ordered design [1, x], written a column at a time."""
+    design = np.empty((len(x), x.shape[1] + 1))
+    design[:, 0] = 1.0
+    for j in range(x.shape[1]):
+        design[:, j + 1] = x[:, j]
+    return design
+
+
+def _scale_rows(weights: np.ndarray, design: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """weights[:, None] * design into ``out``, written a column at a time."""
+    for j in range(design.shape[1]):
+        np.multiply(weights, design[:, j], out=out[:, j])
+    return out
+
+
+def _finite(values: np.ndarray, what: str) -> np.ndarray:
+    if not np.isfinite(values).all():
+        raise NonFiniteNumber(f"{what} is not finite: the data overflow it")
+    return values
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused by _finite
 def _ols_beta(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    design = np.column_stack([np.ones(len(x)), x])
-    gram = design.T @ design + RIDGE_JITTER * np.eye(design.shape[1])
+    design = _design(x)
+    gram = _finite(design.T @ design, "the Gram matrix") + RIDGE_JITTER * np.eye(design.shape[1])
     try:
-        return np.linalg.solve(gram, design.T @ y)
+        return np.linalg.solve(gram, _finite(design.T @ y, "the normal equations' right side"))
     except np.linalg.LinAlgError as err:
         raise SingularDesign(f"normal equations singular despite jitter: {err}") from err
 
@@ -318,11 +361,12 @@ def _softplus(v):
     return np.maximum(v, 0.0) + np.log1p(np.exp(-np.abs(v)))
 
 
-def _logistic_nll(eta: np.ndarray, sign: np.ndarray) -> float:
-    """Negative log-likelihood sum log(1 + exp(-sign * eta)), sign = 2z - 1."""
-    return float(_softplus(-sign * eta).sum())
+def _logistic_nll(eta: np.ndarray, flip: np.ndarray) -> float:
+    """Negative log-likelihood sum log(1 + exp(flip * eta)), flip = -(2z - 1)."""
+    return float(_softplus(flip * eta).sum())
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused by _finite
 def _irls_beta(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     # z is the binary target I(A=0); damped Newton with a tiny Hessian
     # jitter so saturated weights cannot make the solve blow up.  The
@@ -331,21 +375,22 @@ def _irls_beta(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     # the gradient reaches exact zero instead of oscillating.  The linear
     # predictor eta = design @ beta of the accepted candidate is carried
     # into the next step's probabilities and gradient.
-    design = np.column_stack([np.ones(len(x)), x])
-    sign = 2.0 * z - 1.0
+    design = _design(x)
+    weighted = np.empty_like(design)
+    flip = -(2.0 * z - 1.0)
     beta = np.zeros(design.shape[1])
     eta = design @ beta
     eye = np.eye(design.shape[1])
-    nll = _logistic_nll(eta, sign)
+    nll = _logistic_nll(eta, flip)
     for _ in range(IRLS_MAX_ITER):
         p = logistic(eta)
-        grad = design.T @ (z - p)
+        grad = _finite(design.T @ (z - p), "the IRLS gradient")
         if math.sqrt(float(grad @ grad)) <= IRLS_GRADIENT_TOL:
             return beta
-        weights = p * (1.0 - p)
         # the jitter must stay far below the curvature of near-boundary
         # rows, or separated fits stall before the gradient tolerance
-        hessian = design.T @ (weights[:, None] * design) + 1e-12 * eye
+        hessian = _finite(design.T @ _scale_rows(p * (1.0 - p), design, weighted),
+                          "the IRLS Hessian") + 1e-12 * eye
         try:
             step = np.linalg.solve(hessian, grad)
         except np.linalg.LinAlgError as err:
@@ -353,7 +398,7 @@ def _irls_beta(x: np.ndarray, z: np.ndarray) -> np.ndarray:
         for _halving in range(60):
             candidate = beta + step
             cand_eta = design @ candidate
-            cand_nll = _logistic_nll(cand_eta, sign)
+            cand_nll = _logistic_nll(cand_eta, flip)
             if cand_nll <= nll + 1e-12:
                 beta, eta, nll = candidate, cand_eta, cand_nll
                 break

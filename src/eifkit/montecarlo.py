@@ -202,12 +202,11 @@ def generate_with_counterfactual(dgp: DGPSpec, n: int, seed):
     d = dgp.d
     w = rng.uniform(-1.0, 1.0, size=(n, d))
     g = dgp.g(w)
-    a = (rng.uniform(size=n) >= g).astype(np.int64)
+    treated = rng.uniform(size=n) >= g
     q = dgp.q(w)
     y0 = q + dgp.noise_sd * rng.standard_normal(n)
     y1 = q + dgp.treated_shift + dgp.noise_sd * rng.standard_normal(n)
-    y = np.where(a == 0, y0, y1)
-    return Dataset(w=w, a=a, y=y), y0
+    return Dataset._owning(w, treated.astype(np.int64), np.where(treated, y1, y0)), y0
 
 
 def _rng(n, seed):
@@ -225,6 +224,7 @@ def _draw_discrete(table: FiniteDistribution, n: int, rng):
     stratum, atom_a, atom_y, masses = t.atom_stratum, t.atom_a, t.atom_y, t.atom_p
     idx = rng.choice(len(masses), size=n, p=masses / masses.sum())
     a = atom_a[idx]
+    is_treated = a == 1
     # a treated row's counterfactual y0 is a draw from the untreated law of
     # its stratum.  Atoms are sorted by (w, a, y), so each stratum's
     # untreated atoms are contiguous: [first, first + untreated count).
@@ -233,16 +233,17 @@ def _draw_discrete(table: FiniteDistribution, n: int, rng):
     untreated_mass = np.where(atom_a == 0, masses, 0.0)
     upper = np.cumsum(untreated_mass)
     lower = upper - untreated_mass
-    treated = idx[a == 1]
+    treated = idx[is_treated]
     first, stop = first[treated], stop[treated]
     last = np.maximum(stop - 1, first)
     # inverse CDF of the stratum's untreated masses, clipped against rounding
     target = lower[first] + rng.random(len(treated)) * (upper[last] - lower[first])
     pick = np.clip(np.searchsorted(upper, target, side="right"), first, last)
-    y0 = atom_y[idx]
+    y = atom_y[idx]
+    y0 = y.copy()
     # a stratum without untreated atoms has no counterfactual law
-    y0[a == 1] = np.where(stop > first, atom_y[pick], np.nan)
-    return Dataset(w=t.atom_w[idx], a=a, y=atom_y[idx]), y0
+    y0[is_treated] = np.where(stop > first, atom_y[pick], np.nan)
+    return Dataset._owning(t.atom_w[idx], a, y), y0
 
 
 def draw_dataset(dist: FiniteDistribution, n: int, seed) -> Dataset:

@@ -601,6 +601,29 @@ def test_overflowing_verify_eif_leaves_stderr_empty(tmp_path):
     assert result.stderr == ""
 
 
+@pytest.mark.parametrize("q_kind", ["linear-ols", "misspecified-omit"])
+def test_overflowing_covariates_exit_one_with_empty_stderr(tmp_path, q_kind):
+    # covariates near +-1e200 overflow the normal equations; the fit refuses
+    # them at once, with no RuntimeWarning on stderr
+    rng = np.random.default_rng(8)
+    w = rng.uniform(-1.0, 1.0, (60, 2)) * 1e200
+    rows = [f"{float(w1)!r},{float(w2)!r},{i % 2},{float(y)!r}"
+            for i, (w1, w2, y) in enumerate(zip(w[:, 0], w[:, 1], rng.standard_normal(60)))]
+    (tmp_path / "big.csv").write_text("w1,w2,a,y\n" + "\n".join(rows) + "\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"data": "big.csv", "estimator": "plugin",
+                               "learners": {"q": {"kind": q_kind}}}))
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run([sys.executable, "-m", "eifkit.cli", "estimate", "--config",
+                             str(cfg)], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert result.returncode == 1
+    assert json.loads(result.stdout) == {"error": {
+        "code": "numeric/non-finite",
+        "message": "the Gram matrix is not finite: the data overflow it"}}
+    assert result.stderr == ""
+
+
 def test_overflow_in_the_other_arm_is_no_nan(tmp_path, capsys):
     # each treated atom's y - q overflows, but its psi influence value is
     # q - psi = +-1.7e308: selecting the arm, not multiplying by I(a=0),
@@ -790,13 +813,35 @@ def test_config_relative_paths(workspace, capsys, tmp_path, monkeypatch):
     assert code == 0
 
 
-def test_argparse_failures_exit_two(workspace):
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["estimate"],
+                 "eifkit estimate: the following arguments are required: --config",
+                 id="no-config"),
+    pytest.param(["frobnicate", "--config", "x.json"],
+                 "eifkit: argument command: invalid choice: 'frobnicate' (choose from "
+                 "'estimate', 'verify-eif', 'decompose', 'remainder', 'simulate')",
+                 id="unknown-subcommand"),
+    pytest.param(["estimate", "--config", "x.json", "--seed", "abc"],
+                 "eifkit estimate: argument --seed: invalid int value: 'abc'", id="seed-abc"),
+    pytest.param(["simulate", "--config", "x.json", "--workers", "x"],
+                 "eifkit simulate: argument --workers: invalid int value: 'x'", id="workers-x"),
+    pytest.param([], "eifkit: the following arguments are required: command", id="no-command"),
+])
+def test_argparse_failures_exit_two(capsys, argv, message):
+    # a usage error is a config problem: the error document, then exit 2
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out) == {"error": {"code": "config/invalid", "message": message}}
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["estimate", "-h"], ["simulate", "--help"]])
+def test_help_still_prints_usage_and_exits_zero(capsys, argv):
     with pytest.raises(SystemExit) as err:
-        main(["estimate"])
-    assert err.value.code == 2
-    with pytest.raises(SystemExit) as err:
-        main(["frobnicate", "--config", "x.json"])
-    assert err.value.code == 2
+        main(argv)
+    assert err.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: eifkit")
 
 
 @pytest.mark.parametrize("command", ["estimate", "simulate"])

@@ -14,7 +14,11 @@ from eifkit.learners import (
     IRLS_GRADIENT_TOL,
     IRLS_MAX_ITER,
     KERNEL_BLOCK_PAIRS,
+    RIDGE_JITTER,
+    _design,
     _irls_beta,
+    _ols_beta,
+    _scale_rows,
     _softplus,
     fit_nuisance,
     logistic,
@@ -24,6 +28,7 @@ from eifkit.learners import (
 from eifkit.errors import (
     DegenerateTreatment,
     InvalidLearnerSpec,
+    NonFiniteNumber,
     NoUntreatedRows,
 )
 
@@ -200,6 +205,117 @@ def test_irls_matches_the_logaddexp_reference_loop(seed):
     design = np.column_stack([np.ones(n), x])
     grad = design.T @ (z - logistic(design @ beta))
     assert math.sqrt(float(grad @ grad)) <= IRLS_GRADIENT_TOL
+
+
+# ---------------------------------------------------------------------------
+# column-pass designs against the row-pass forms
+#
+# The two fits below build the design with np.column_stack and weight it
+# with weights[:, None] * design, the row-pass forms the learners used
+# before they wrote both a column at a time; the column passes must give
+# the same arrays, and so the same beta, bit for bit.
+
+
+def _row_pass_ols_beta(x, y):
+    design = np.column_stack([np.ones(len(x)), x])
+    gram = design.T @ design + RIDGE_JITTER * np.eye(design.shape[1])
+    return np.linalg.solve(gram, design.T @ y)
+
+
+def _row_pass_irls_beta(x, z):
+    design = np.column_stack([np.ones(len(x)), x])
+    sign = 2.0 * z - 1.0
+    beta = np.zeros(design.shape[1])
+    eta = design @ beta
+    nll = float(_softplus(-sign * eta).sum())
+    for _ in range(IRLS_MAX_ITER):
+        p = logistic(eta)
+        grad = design.T @ (z - p)
+        if math.sqrt(float(grad @ grad)) <= IRLS_GRADIENT_TOL:
+            return beta
+        weights = p * (1.0 - p)
+        hessian = design.T @ (weights[:, None] * design) + 1e-12 * np.eye(design.shape[1])
+        step = np.linalg.solve(hessian, grad)
+        for _halving in range(60):
+            candidate = beta + step
+            cand_eta = design @ candidate
+            cand_nll = float(_softplus(-sign * cand_eta).sum())
+            if cand_nll <= nll + 1e-12:
+                beta, eta, nll = candidate, cand_eta, cand_nll
+                break
+            step = 0.5 * step
+        else:
+            break
+    return beta
+
+
+def _column_pass_cases():
+    rng = np.random.default_rng(41)
+    for d in (0, 1, 2, 7):
+        yield f"d={d}", rng.uniform(-1.0, 1.0, (257, d))
+    # the strided view misspecified-omit fits on
+    yield "w[:, 1:]", rng.uniform(-1.0, 1.0, (257, 3))[:, 1:]
+
+
+@pytest.mark.parametrize("label, x", list(_column_pass_cases()))
+def test_design_and_weighting_match_the_row_pass_forms(label, x):
+    design = _design(x)
+    assert design.flags.c_contiguous
+    assert np.array_equal(design, np.column_stack([np.ones(len(x)), x]))
+    weights = np.random.default_rng(len(label)).uniform(0.0, 0.25, len(x))
+    weighted = _scale_rows(weights, design, np.empty_like(design))
+    assert weighted.flags.c_contiguous
+    assert np.array_equal(weighted, weights[:, None] * design)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_column_pass_fits_match_the_row_pass_reference_bitwise(seed):
+    rng = np.random.default_rng([seed, 12])
+    n = int(rng.integers(50, 5000))
+    d = int(rng.integers(1, 5))
+    x = rng.uniform(-1.0, 1.0, (n, d))
+    coef = rng.normal(0.0, 1.0, d + 1)
+    z = (rng.uniform(size=n) < logistic(coef[0] + x @ coef[1:])).astype(float)
+    y = coef[0] + x @ coef[1:] + rng.standard_normal(n)
+    assert np.array_equal(_irls_beta(x, z), _row_pass_irls_beta(x, z))
+    assert np.array_equal(_ols_beta(x, y), _row_pass_ols_beta(x, y))
+    # the strided first-covariate drop of misspecified-omit
+    assert np.array_equal(_irls_beta(x[:, 1:], z), _row_pass_irls_beta(x[:, 1:], z))
+    assert np.array_equal(_ols_beta(x[:, 1:], y), _row_pass_ols_beta(x[:, 1:], y))
+
+
+def test_column_pass_irls_matches_the_row_pass_reference_under_separation():
+    x = np.linspace(-1.0, 1.0, 200).reshape(-1, 1)
+    z = (x[:, 0] < 0.0).astype(float)
+    beta = _irls_beta(x, z)
+    assert np.array_equal(beta, _row_pass_irls_beta(x, z))
+    assert beta[1] < -10.0  # separated: the slope keeps growing until margins saturate
+
+
+@pytest.mark.parametrize("fit", ["ols", "irls"])
+def test_overflowing_normal_equations_raise_at_once_without_warnings(fit):
+    rng = np.random.default_rng(3)
+    x = rng.uniform(-1.0, 1.0, (60, 2)) * 1e200
+    z = (rng.uniform(size=60) < 0.5).astype(float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteNumber, match="is not finite"):
+            if fit == "ols":
+                _ols_beta(x, rng.standard_normal(60))
+            else:
+                _irls_beta(x, z)
+
+
+def test_overflowing_fits_raise_non_finite_through_the_learners():
+    rng = np.random.default_rng(4)
+    w = rng.uniform(-1.0, 1.0, (60, 2)) * 1e200
+    data = _dataset(w, rng.uniform(size=60) < 0.5, rng.standard_normal(60))
+    for fit, kind in ((fit_outcome, "linear-ols"), (fit_outcome, "misspecified-omit"),
+                      (fit_propensity, "logistic-irls"), (fit_propensity, "misspecified-omit"),
+                      (fit_propensity, "misspecified-wronglink")):
+        with pytest.raises(NonFiniteNumber) as err:
+            fit(data, LearnerSpec(kind))
+        assert err.value.code == "numeric/non-finite"
 
 
 def test_propensity_always_truncated():

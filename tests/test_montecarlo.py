@@ -223,6 +223,44 @@ def test_discrete_generate_stays_on_support(five_atom):
     assert {(float(w[0]), float(v)) for w, v in zip(data.w, y0)} <= untreated_y
 
 
+def _draws(five_atom):
+    yield generate_with_counterfactual(default_logistic_linear(), 300, 5)
+    yield generate_with_counterfactual(DGPSpec(kind="discrete-saturated", table=five_atom), 300, 5)
+
+
+def test_drawn_datasets_are_read_only(five_atom):
+    datasets = [data for data, _ in _draws(five_atom)]
+    datasets += [generate(default_logistic_linear(), 50, 1), draw_dataset(five_atom, 50, 1)]
+    for data in datasets:
+        for arr in (data.w, data.a, data.y):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+        assert data.a.dtype == np.int64 and data.w.dtype == data.y.dtype == np.float64
+
+
+def test_counterfactual_is_not_the_dataset_outcome(five_atom):
+    for data, y0 in _draws(five_atom):
+        assert not np.shares_memory(y0, data.y)
+        assert not np.shares_memory(y0, data.w)
+        assert y0.flags.writeable
+
+
+def test_generate_refuses_an_overflowing_outcome():
+    # every draw of this DGP holds outcomes beyond the float range; the
+    # truth function's own overflow warning is silenced, so what the test
+    # sees is the Dataset's refusal of the non-finite outcome
+    dgp = DGPSpec(beta=(1e308, 1e308, 1e308))
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="covariates and outcomes must be finite"):
+            generate(dgp, 200, 0)
+        with pytest.raises(ConfigError) as err:
+            run_coverage(dgp, _oracle_config(), 200, 4, 8, workers=1)
+    assert str(err.value) == ("every replication failed; nothing to summarize; "
+                              "first failure, replication 0: "
+                              "ValueError: covariates and outcomes must be finite")
+
+
 # ---------------------------------------------------------------------------
 # estimator configuration
 
