@@ -16,6 +16,13 @@ names each entry whose digest differs (or that only one side has) on
 stderr and exits 1 on any difference.  With config names given, only
 the entries those configs produce are compared.
 
+``scripts/digests.json`` is the tracked baseline, the document this
+script prints for the current outputs; the test suite compares the
+configs that read law files with it.  A change to that file goes with a
+CHANGES.md line saying which outputs changed and why:
+
+    python3 scripts/output_digests.py --against scripts/digests.json
+
 The configs and their data run from a temporary copy, so the checkout
 (including ``scripts/configs/coverage_replications.csv``) is left as it
 is, and the package is imported from this checkout's ``src/``: nothing

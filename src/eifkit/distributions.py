@@ -12,11 +12,15 @@ Support table
 A law is its ``SupportTable``, built by ``_law`` when the law is made:
 the atoms sorted by (w, a, y), with their covariates, a, y, p and stratum,
 and per covariate stratum Pr(W=w), Pr(W=w, A=0), Pr(W=w, A=1), q and g.
-The public constructor, ``mix``, the quadrature tables and the empirical
-law all hand ``_law`` arrays.  Stratum sums add their atoms' terms in atom
-order, as a running sum does.  ``FiniteDistribution.atoms``, the
-(Observation, mass) pairs, is built on first use.  The exact routines pass
-array terms to ``_fsum``, exactly rounded whatever the order.
+``mix``, the quadrature tables and the empirical law hand ``_law`` arrays.
+Values from outside (the constructor, ``distribution_from_dict``,
+``Observation``, ``mass_of`` and the scalar lookups) first pass one
+validator, ``_columns``, which owns the rule for each atom field (w, a, y,
+p) and checks a column at a time; ``_law`` keeps the mass range, duplicate
+and total checks.  Stratum sums add their atoms' terms in atom order, as a
+running sum does.  ``FiniteDistribution.atoms``, the (Observation, mass)
+pairs, is built unchecked on first use.  The exact routines pass array
+terms to ``_fsum``, exactly rounded whatever the order.
 
 Parameters of interest
 ----------------------
@@ -39,8 +43,10 @@ by Richardson-extrapolated one-sided differencing.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Sequence
 
@@ -55,7 +61,7 @@ from .errors import (
     SupportViolation,
     ZeroMassConditioning,
 )
-from .learners import _is_list_of, _is_real
+from .learners import _is_int, _is_list_of, _is_real
 
 __all__ = [
     "Observation",
@@ -82,20 +88,6 @@ MASS_TOLERANCE = 1e-12
 DEFAULT_STEP_GRID = (1e-3, 5e-4)
 
 
-def _canonical_w(w) -> tuple:
-    if isinstance(w, (int, float)):
-        w = (w,)
-    try:
-        out = tuple(float(x) for x in w)
-    except (TypeError, ValueError) as err:
-        raise InvalidDistribution(f"covariate value {w!r} is not numeric") from err
-    if not out:
-        raise InvalidDistribution("covariate vector must have at least one entry")
-    if not all(math.isfinite(x) for x in out):
-        raise InvalidDistribution(f"covariate vector {out!r} has non-finite entries")
-    return out
-
-
 def _fsum(terms: np.ndarray) -> float:
     """Exactly rounded sum of an array of terms; NonFiniteNumber if a term or the sum is not."""
     if not np.isfinite(terms).all():
@@ -106,31 +98,86 @@ def _fsum(terms: np.ndarray) -> float:
         raise NonFiniteNumber("an exact sum overflowed") from None
 
 
+def _all_numbers(values, kind=numbers.Real) -> bool:
+    """Whether every item is a ``kind`` number and no bool, tested once per distinct type."""
+    return all(issubclass(t, kind) and t is not bool for t in set(map(type, values)))
+
+
+def _w_row(x):
+    """One atom's w as a list or tuple of its entries: a 1-d array as a list, a value
+    that is no list or tuple as a 1-tuple, and an empty w as (None,), which no rule passes."""
+    if isinstance(x, np.ndarray) and x.ndim == 1:
+        x = x.tolist()
+    return (x or (None,)) if isinstance(x, (list, tuple)) else (x,)
+
+
+# each atom field's rule, as its message states it and as a test of one value
+_RULES = {"w": ("a finite number or a non-empty list of them",
+                lambda x: all(map(_is_real, _w_row(x)))),
+          "a": ("the integer 0 or 1, a treatment code", lambda x: _is_int(x) and x in (0, 1)),
+          "y": ("a finite number", _is_real), "p": ("a finite number", _is_real)}
+
+
+def _columns(w, a=None, y=None, p=None, row="atom {}: "):
+    """The arrays ``_law`` takes, w (atoms, d), int a, y and p (None stays None),
+    once each value passes its field's rule in ``_RULES`` and every w has one
+    length.  Types are tested once per distinct type; a failure names the first
+    atom that breaks the rule, prefixed by ``row`` formatted with its index."""
+    def check(name, column, passes):
+        if not passes:
+            rule, ok = _RULES[name]
+            i = next(i for i, x in enumerate(column) if not ok(x))
+            raise InvalidDistribution(f"{row.format(i)}{name!r} must be {rule}, got {column[i]!r}")
+
+    def floats(name, column, rows, values):
+        check(name, column, _all_numbers(values))
+        try:
+            out = np.array(rows, dtype=float)
+        except ValueError:  # w rows of unequal lengths
+            raise InvalidDistribution(f"covariate vectors must share one dimension, got lengths "
+                                      f"{sorted(set(map(len, rows)))}") from None
+        check(name, column, np.isfinite(out).all())
+        return out
+
+    if not len(w):
+        raise InvalidDistribution("distribution needs at least one atom")
+    # lists and tuples, the usual case, need no _w_row pass: only the empty check
+    rows = w if set(map(type, w)) <= {tuple, list} else list(map(_w_row, w))
+    check("w", w, all(rows))
+    w = floats("w", w, rows, itertools.chain.from_iterable(rows))
+    if a is not None:
+        check("a", a, _all_numbers(a, numbers.Integral) and set(a) <= {0, 1})
+        a = np.array(a, dtype=np.int64)
+    y, p = (c if c is None else floats(name, c, c, c) for name, c in (("y", y), ("p", p)))
+    return w, a, y, p
+
+
+def _stratum(dist, w):
+    """The checked table key of one covariate vector, and its stratum row in ``dist`` or None."""
+    key = tuple(_columns([w], row="")[0][0].tolist())
+    return key, dist.support_table.index.get(key)
+
+
 @dataclass(frozen=True)
 class Observation:
-    """One support point (w, a, y).
-
-    ``w`` is canonicalized to a tuple of floats so that atoms compare by
-    exact value; ``a`` must be 0 or 1.
-    """
+    """One support point (w, a, y), checked by the atom rule of ``_columns``: ``w``
+    becomes a tuple of floats, so atoms compare by exact value, ``a`` an int, ``y`` a float."""
 
     w: tuple
     a: int
     y: float
 
     def __post_init__(self):
-        object.__setattr__(self, "w", _canonical_w(self.w))
-        # a bool is no treatment code, as in distribution files
-        if isinstance(self.a, (bool, np.bool_)) or self.a not in (0, 1):
-            raise InvalidDistribution(f"treatment must be 0 or 1, got {self.a!r}")
-        object.__setattr__(self, "a", int(self.a))
-        try:
-            y = float(self.y)
-        except (TypeError, ValueError) as err:
-            raise InvalidDistribution(f"outcome {self.y!r} is not numeric") from err
-        if not math.isfinite(y):
-            raise InvalidDistribution(f"outcome must be finite, got {self.y!r}")
-        object.__setattr__(self, "y", y)
+        w, a, y, _ = _columns([self.w], [self.a], [self.y], row="")
+        self._set(tuple(w[0].tolist()), a.item(), y.item())
+
+    def _set(self, w: tuple, a: int, y: float) -> "Observation":
+        """Store checked values and return self: on ``object.__new__(Observation)``, the
+        constructor without its checks.  Field by field, as the frozen __init__ does; a
+        ``__dict__`` update would give each Observation its own dict, about 150 bytes more."""
+        for name, value in (("w", w), ("a", a), ("y", y)):
+            object.__setattr__(self, name, value)
+        return self
 
     @property
     def key(self):
@@ -233,8 +280,9 @@ class FiniteDistribution:
     Parameters
     ----------
     atoms : iterable of (Observation, mass) or ((w, a, y), mass)
-        Masses must be in (0, 1] and sum to one within ``MASS_TOLERANCE``.
-        Atoms must be distinct by exact (w, a, y) key.
+        Each atom's values pass ``_columns``, the rule distribution files
+        follow too.  Masses must be in (0, 1] and sum to one within
+        ``MASS_TOLERANCE``, and atoms be distinct by exact (w, a, y) key.
 
     Notes
     -----
@@ -244,38 +292,29 @@ class FiniteDistribution:
     """
 
     def __init__(self, atoms):
-        observations, masses = [], []
+        keys, p = [], []
         for entry in atoms:
             try:
-                obs, p = entry
-                obs = obs if isinstance(obs, Observation) else Observation(*obs)
+                obs, mass = entry
+                w, a, y = key = obs.key if isinstance(obs, Observation) else obs
             except (TypeError, ValueError) as err:
-                raise InvalidDistribution(
-                    f"atom entry {entry!r} is not an (observation, mass) pair "
-                    "with a (w, a, y) observation"
-                ) from err
-            try:
-                masses.append(float(p))
-            except (TypeError, ValueError) as err:
-                raise InvalidDistribution(f"atom mass {p!r} is not numeric") from err
-            observations.append(obs)
-        if not observations:
-            raise InvalidDistribution("distribution needs at least one atom")
-        d = sorted({len(obs.w) for obs in observations})
-        if len(d) > 1:
-            raise InvalidDistribution(f"covariate vectors must share one dimension, got lengths {d}")
-        w, a, y = zip(*(obs.key for obs in observations))
-        self.support_table = _law(np.array(w), np.array(a, dtype=np.int64), np.array(y),
-                                  np.array(masses)).support_table
+                raise InvalidDistribution(f"atom entry {entry!r} is not an (observation, mass) "
+                                          "pair with a (w, a, y) observation") from err
+            keys.append(key)
+            p.append(mass)
+        # no atoms: an empty w, which _columns refuses
+        self.support_table = _law(*_columns(*(zip(*keys) if keys else [()]), p)).support_table
 
     # -- support access ----------------------------------------------------
 
     @functools.cached_property
     def atoms(self) -> tuple:
-        """The (Observation, mass) pairs in atom order, built on first use."""
+        """The (Observation, mass) pairs in atom order, built unchecked on first use."""
         t = self.support_table
-        return tuple((Observation(w, a, y), p) for w, a, y, p in zip(
-            t.atom_w.tolist(), t.atom_a.tolist(), t.atom_y.tolist(), t.atom_p.tolist()))
+        new = functools.partial(object.__new__, Observation)
+        return tuple((new()._set(w, a, y), p) for w, a, y, p in zip(
+            map(tuple, t.atom_w.tolist()), t.atom_a.tolist(), t.atom_y.tolist(),
+            t.atom_p.tolist()))
 
     @property
     def w_support(self) -> tuple:
@@ -284,18 +323,16 @@ class FiniteDistribution:
 
     def mass_of(self, obs) -> float:
         """Mass of an exact atom (Observation or (w, a, y) triple); 0.0 if absent."""
-        if not isinstance(obs, Observation):
-            try:
-                obs = Observation(*obs)
-            except (TypeError, ValueError) as err:
-                raise InvalidDistribution(f"{obs!r} is not a (w, a, y) observation") from err
+        try:
+            w, a, y = obs.key if isinstance(obs, Observation) else obs
+        except (TypeError, ValueError) as err:
+            raise InvalidDistribution(f"{obs!r} is not a (w, a, y) observation") from err
         t = self.support_table
-        row = _match((t.atom_w, t.atom_a, t.atom_y),
-                     (np.array([obs.w]), np.array([obs.a]), np.array([obs.y])))[0]
+        row = _match((t.atom_w, t.atom_a, t.atom_y), _columns([w], [a], [y], row="")[:3])[0]
         return 0.0 if row < 0 else t.atom_p[row].item()
 
     def w_mass(self, w) -> float:
-        i = self.support_table.index.get(_canonical_w(w))
+        i = _stratum(self, w)[1]
         return 0.0 if i is None else self.support_table.pw[i].item()
 
     @property
@@ -322,9 +359,8 @@ def q_of(dist: FiniteDistribution, w) -> float:
     ZeroMassConditioning
         If Pr(W = w, A = 0) = 0, i.e. the conditioning event has no mass.
     """
-    key = _canonical_w(w)
+    key, i = _stratum(dist, w)
     t = dist.support_table
-    i = t.index.get(key)
     if i is None or t.pw0[i] == 0.0:
         raise ZeroMassConditioning(f"Pr(W={key}, A=0) = 0; E(Y | W=w, A=0) undefined")
     return t.q[i].item()
@@ -332,8 +368,7 @@ def q_of(dist: FiniteDistribution, w) -> float:
 
 def g_of(dist: FiniteDistribution, w) -> float:
     """Untreated propensity Pr(A = 0 | W = w)."""
-    key = _canonical_w(w)
-    i = dist.support_table.index.get(key)
+    key, i = _stratum(dist, w)
     if i is None:
         raise ZeroMassConditioning(f"Pr(W={key}) = 0; Pr(A=0 | W=w) undefined")
     return dist.support_table.g[i].item()
@@ -507,15 +542,17 @@ def fields_dict(report, omit=()) -> dict:
     Tuples become lists.  Fields named in ``omit`` and fields holding None
     are left out.
     """
-    out = {}
-    for f in fields(report):
-        value = getattr(report, f.name)
-        if f.name not in omit and value is not None:
-            out[f.name] = list(value) if isinstance(value, tuple) else value
-    return out
+    values = {f.name: getattr(report, f.name) for f in fields(report) if f.name not in omit}
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in values.items() if v is not None}
 
 
 _FUNCTIONALS = {"psi": psi_of, "theta": theta_of}
+
+
+def _functional(name: str):
+    if name not in _FUNCTIONALS:
+        raise ConfigError(f"unknown functional {name!r}")
+    return _FUNCTIONALS[name]
 
 
 def _check_estimand(estimand) -> None:
@@ -529,14 +566,9 @@ def _extrapolate_to_zero(steps: Sequence[float], values: Sequence[float]) -> flo
     # (h_j, D_j).  With the default grid (h, h/2) this reduces to the
     # classical second-order combination 2*D(h/2) - D(h).
     tableau = list(values)
-    m = len(tableau)
-    for level in range(1, m):
-        nxt = []
-        for j in range(m - level):
-            h_hi = steps[j]
-            h_lo = steps[j + level]
-            nxt.append((h_hi * tableau[j + 1] - h_lo * tableau[j]) / (h_hi - h_lo))
-        tableau = nxt
+    for level in range(1, len(tableau)):
+        tableau = [(steps[j] * tableau[j + 1] - steps[j + level] * tableau[j])
+                   / (steps[j] - steps[j + level]) for j in range(len(tableau) - 1)]
     return tableau[0]
 
 
@@ -553,22 +585,11 @@ def pathwise_derivative_check(
     extrapolation to step zero.  The analytic value is the direction-mass
     weighted sum of the influence function evaluated under the base, which
     equals the integral against the direction because the influence function
-    is mean zero under the base.
-
-    Parameters
-    ----------
-    functional : {"psi", "theta"}
-    step_grid : decreasing sequence of positive steps, default (1e-3, 5e-4)
-
-    Returns
-    -------
-    CheckReport
-        Both values and their absolute discrepancy.
+    is mean zero under the base.  ``functional`` is "psi" or "theta", and
+    ``step_grid`` a decreasing sequence of positive steps, (1e-3, 5e-4) by
+    default.  The CheckReport holds both values and their absolute discrepancy.
     """
-    try:
-        value_fn = _FUNCTIONALS[functional]
-    except KeyError:
-        raise ConfigError(f"unknown functional {functional!r}") from None
+    value_fn = _functional(functional)
     steps = DEFAULT_STEP_GRID if step_grid is None else step_grid
     if not _is_list_of(steps, _is_real):
         raise ConfigError(f"'step_grid' must be a list of finite numbers, got {step_grid!r}")
@@ -581,10 +602,8 @@ def pathwise_derivative_check(
         raise ConfigError("'step_grid' must stay inside the mixture range (0, 1]")
 
     f0 = value_fn(base)
-    diffs = [
-        (value_fn(mix(SubmodelMix(base, direction, h))) - f0) / h for h in grid
-    ]
-    fd = diffs[0] if len(diffs) == 1 else _extrapolate_to_zero(grid, diffs)
+    diffs = [(value_fn(mix(SubmodelMix(base, direction, h))) - f0) / h for h in grid]
+    fd = _extrapolate_to_zero(grid, diffs)
     integral = eif_integral(functional, base, direction)
     return CheckReport(functional, fd, integral, abs(fd - integral), grid)
 
@@ -595,10 +614,7 @@ def eif_integral(functional: str, dist: FiniteDistribution, weights: FiniteDistr
     With ``weights`` = ``dist`` it is the influence function's mean, zero
     up to rounding.
     """
-    try:
-        value = _FUNCTIONALS[functional](dist)
-    except KeyError:
-        raise ConfigError(f"unknown functional {functional!r}") from None
+    value = _functional(functional)(dist)
     table, atoms = dist.support_table, weights.support_table
     rows = _match((table.w,), (atoms.w,))
     off = np.flatnonzero(rows < 0)
@@ -613,41 +629,24 @@ def eif_integral(functional: str, dist: FiniteDistribution, weights: FiniteDistr
 
 def distribution_to_dict(dist: FiniteDistribution) -> dict:
     """JSON-ready atom table: {"atoms": [{"w": [...], "a": 0|1, "y": ..., "p": ...}]}."""
-    return {
-        "atoms": [
-            {"w": list(obs.w), "a": obs.a, "y": obs.y, "p": p}
-            for obs, p in dist.atoms
-        ]
-    }
+    return {"atoms": [{"w": list(obs.w), "a": obs.a, "y": obs.y, "p": p} for obs, p in dist.atoms]}
 
 
 def distribution_from_dict(doc: dict) -> FiniteDistribution:
-    """Parse and fully validate the atom-table schema."""
+    """Parse the atom-table schema: the document's shape here, the atoms' values
+    by the one atom rule of ``_columns``."""
     if not isinstance(doc, dict) or "atoms" not in doc:
         raise InvalidDistribution('distribution document must have an "atoms" key')
     entries = doc["atoms"]
     if not isinstance(entries, list):
         raise InvalidDistribution('"atoms" must be a list')
-    atoms = []
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise InvalidDistribution(f"atom {i} is not an object")
-        missing = {"w", "a", "y", "p"} - set(entry)
+        missing = {"w", "a", "y", "p"} - entry.keys()
         if missing:
             raise InvalidDistribution(f"atom {i} missing fields {sorted(missing)}")
-        w, a = entry["w"], entry["a"]
-        # JSON numbers only: a string or a bool is no number here
-        if not (_is_real(w) or _is_list_of(w, _is_real)):
-            raise InvalidDistribution(f"atom {i}: 'w' must be a finite number or a list "
-                                      f"of them, got {w!r}")
-        if type(a) is not int or a not in (0, 1):
-            raise InvalidDistribution(f"atom {i}: 'a' must be the integer 0 or 1, got {a!r}")
-        for key in ("y", "p"):
-            if not _is_real(entry[key]):
-                raise InvalidDistribution(f"atom {i}: {key!r} must be a finite number, "
-                                          f"got {entry[key]!r}")
-        atoms.append((Observation(w, a, entry["y"]), entry["p"]))
-    return FiniteDistribution(atoms)
+    return _law(*_columns(*([entry[key] for entry in entries] for key in "wayp")))
 
 
 def load_distribution(path) -> FiniteDistribution:

@@ -247,15 +247,10 @@ class LearnerSpec:
                 raise InvalidLearnerSpec(f"unknown perturbation shape {self.shape!r}")
 
     def to_dict(self) -> dict:
-        out = {"kind": self.kind}
-        for name in ("k", "bandwidth", "rate_exponent", "amplitude"):
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value
-        out["shape"] = self.shape
-        out["truncation"] = self.truncation
-        out["seed"] = self.seed
-        return out
+        options = {name: getattr(self, name) for name in ("k", "bandwidth", "rate_exponent",
+                                                          "amplitude")}
+        return {"kind": self.kind, **{k: v for k, v in options.items() if v is not None},
+                "shape": self.shape, "truncation": self.truncation, "seed": self.seed}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "LearnerSpec":
@@ -432,14 +427,18 @@ def _knn_core(train_w: np.ndarray, train_t: np.ndarray, k: int) -> Callable:
     n = len(train_t)
     k = min(k, n)
     t_cols = np.ascontiguousarray(train_w.T)
+    t_lo, t_hi = train_w.min(axis=0), train_w.max(axis=0)
 
+    @np.errstate(over="ignore", invalid="ignore")  # an overflow is refused by _finite
     def core(w):
         # per block: (rows, n) distances, their argpartition index and the
         # gathered targets, each at most KERNEL_BLOCK_PAIRS elements.  The
         # distances accumulate (q_j - t_j)**2 in covariate order, so no
         # (rows, n, d) array exists.
-        if k == n:
+        if k == n or not len(w):
             return np.full(len(w), train_t.mean())
+        reach = np.maximum(w.max(axis=0) - t_lo, t_hi - w.min(axis=0))  # largest |q_j - t_j|
+        _finite(np.square(reach).sum(), "the kNN squared-distance bound")  # bounds every distance
         out = np.empty(len(w))
         for rows in _query_blocks(len(w), n):
             q = w[rows]
@@ -457,14 +456,16 @@ def _knn_core(train_w: np.ndarray, train_t: np.ndarray, k: int) -> Callable:
     return core
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused by _finite
 def _nw_core(train_w: np.ndarray, train_t: np.ndarray, bandwidth: np.ndarray) -> Callable:
     # fit: rows centered at their mean and scaled by the bandwidth, t, as
     # right = [t'; -|t|^2 / 2] of shape (d + 1, n), and targets [y, 1]
     center = train_w.mean(axis=0)
     t = (train_w - center) / bandwidth
-    right = np.vstack([t.T, -0.5 * np.square(t).sum(axis=1)])
+    right = _finite(np.vstack([t.T, -0.5 * np.square(t).sum(axis=1)]), "the kernel matrix")
     targets = np.column_stack([train_t, np.ones(len(train_t))])
 
+    @np.errstate(over="ignore", invalid="ignore")
     def core(w):
         # per block: one (rows, n) log-weight product, turned into the
         # weights in place, and one (rows, 2) product with the targets
@@ -479,15 +480,16 @@ def _nw_core(train_w: np.ndarray, train_t: np.ndarray, bandwidth: np.ndarray) ->
             weights = np.exp(logk, out=logk)
             sums = weights @ targets
             out[rows] = sums[:, 0] / sums[:, 1]
-        return out
+        return _finite(out, "the kernel-NW prediction")
 
     return core
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused by _finite
 def _default_bandwidth(train_w: np.ndarray) -> np.ndarray:
     m = len(train_w)
     sd = train_w.std(axis=0, ddof=1) if m > 1 else np.ones(train_w.shape[1])
-    sd = np.where(sd > 0.0, sd, 1.0)
+    sd = np.where(_finite(sd, "the covariates' standard deviation") > 0.0, sd, 1.0)
     return sd * m ** (-0.2)
 
 
@@ -542,11 +544,7 @@ def fit_propensity(data: Dataset, spec: LearnerSpec) -> Callable:
         core = _linear_core(_ols_beta(data.w, z), drop_first=False)
     else:
         core = _smoother_core(data.w, z, spec)
-
-    def truncated(w):
-        return truncate_propensity(core(w), eps)
-
-    return _predictor(truncated)
+    return _predictor(lambda w: truncate_propensity(core(w), eps))
 
 
 def fit_side(side: str, data: Dataset, spec: LearnerSpec, truth=None) -> Callable:

@@ -145,6 +145,7 @@ class DGPSpec:
         # the covariate marginal is centered, so beta' E[W] drops out
         return float(self.beta[0])
 
+    @np.errstate(over="ignore", invalid="ignore")  # an overflowing outcome makes it NaN
     def theta(self) -> float:
         """True mean untreated outcome among the treated."""
         if self.kind == "discrete-saturated":
@@ -203,7 +204,8 @@ def generate_with_counterfactual(dgp: DGPSpec, n: int, seed):
     w = rng.uniform(-1.0, 1.0, size=(n, d))
     g = dgp.g(w)
     treated = rng.uniform(size=n) >= g
-    q = dgp.q(w)
+    with np.errstate(over="ignore", invalid="ignore"):  # Dataset refuses an overflowed outcome
+        q = dgp.q(w)
     y0 = q + dgp.noise_sd * rng.standard_normal(n)
     y1 = q + dgp.treated_shift + dgp.noise_sd * rng.standard_normal(n)
     return Dataset._owning(w, treated.astype(np.int64), np.where(treated, y1, y0)), y0

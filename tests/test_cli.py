@@ -601,26 +601,45 @@ def test_overflowing_verify_eif_leaves_stderr_empty(tmp_path):
     assert result.stderr == ""
 
 
-@pytest.mark.parametrize("q_kind", ["linear-ols", "misspecified-omit"])
-def test_overflowing_covariates_exit_one_with_empty_stderr(tmp_path, q_kind):
-    # covariates near +-1e200 overflow the normal equations; the fit refuses
-    # them at once, with no RuntimeWarning on stderr
+def _estimate_on_overflowing_covariates(tmp_path, estimator, learners):
+    """``eifkit estimate`` in a subprocess on 60 rows whose covariates are near +-1e200."""
     rng = np.random.default_rng(8)
     w = rng.uniform(-1.0, 1.0, (60, 2)) * 1e200
     rows = [f"{float(w1)!r},{float(w2)!r},{i % 2},{float(y)!r}"
             for i, (w1, w2, y) in enumerate(zip(w[:, 0], w[:, 1], rng.standard_normal(60)))]
     (tmp_path / "big.csv").write_text("w1,w2,a,y\n" + "\n".join(rows) + "\n")
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"data": "big.csv", "estimator": "plugin",
-                               "learners": {"q": {"kind": q_kind}}}))
+    cfg.write_text(json.dumps({"data": "big.csv", "estimator": estimator, "learners": learners}))
     path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
-    result = subprocess.run([sys.executable, "-m", "eifkit.cli", "estimate", "--config",
-                             str(cfg)], capture_output=True, text=True,
-                            env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    return subprocess.run([sys.executable, "-m", "eifkit.cli", "estimate", "--config",
+                           str(cfg)], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
+
+
+@pytest.mark.parametrize("q_kind", ["linear-ols", "misspecified-omit"])
+def test_overflowing_covariates_exit_one_with_empty_stderr(tmp_path, q_kind):
+    # covariates near +-1e200 overflow the normal equations; the fit refuses
+    # them at once, with no RuntimeWarning on stderr
+    result = _estimate_on_overflowing_covariates(tmp_path, "plugin", {"q": {"kind": q_kind}})
     assert result.returncode == 1
     assert json.loads(result.stdout) == {"error": {
         "code": "numeric/non-finite",
         "message": "the Gram matrix is not finite: the data overflow it"}}
+    assert result.stderr == ""
+
+
+@pytest.mark.parametrize("estimator, learners, what", [
+    ("plugin", {"q": {"kind": "knn"}}, "the kNN squared-distance bound"),
+    ("onestep", {"q": {"kind": "knn"}, "g": {"kind": "knn"}}, "the kNN squared-distance bound"),
+    ("plugin", {"q": {"kind": "kernel-nw"}}, "the covariates' standard deviation"),
+    ("plugin", {"q": {"kind": "kernel-nw", "bandwidth": 1.0}}, "the kernel matrix")])
+def test_overflowing_covariates_are_refused_by_the_smoothers(tmp_path, estimator, learners, what):
+    # the smoothers used to answer with a point estimate from inf distances
+    # or an inf bandwidth, with a RuntimeWarning on stderr
+    result = _estimate_on_overflowing_covariates(tmp_path, estimator, learners)
+    assert result.returncode == 1
+    assert json.loads(result.stdout) == {"error": {
+        "code": "numeric/non-finite", "message": f"{what} is not finite: the data overflow it"}}
     assert result.stderr == ""
 
 

@@ -417,6 +417,73 @@ def test_from_dict_rejects_malformed():
             distribution_from_dict({"atoms": [dict(good, **{key: value})]})
 
 
+# ---------------------------------------------------------------------------
+# one atom rule at every entry point
+#
+# Each entry point gets one bad value in one field; the law entry points put
+# it in a second atom after a good one.  The string, bytes and dict cases
+# were taken (iterated or parsed as numbers) by the Python entry points
+# before the rule was shared with distribution files.
+
+_LAW = FiniteDistribution([(((0.0,), 0, 1.0), 1.0)])
+_GOOD_ATOM = {"w": [0.0], "a": 0, "y": 1.0, "p": 0.5}
+
+# entry point -> (the fields it takes, a call with one atom's w, a, y, p)
+_ENTRY_POINTS = {
+    "constructor, triple": (
+        "wayp", lambda w, a, y, p: FiniteDistribution([(((0.0,), 0, 1.0), 0.5), ((w, a, y), p)])),
+    "constructor, Observation": (
+        "wayp", lambda w, a, y, p: FiniteDistribution(
+            [(Observation((0.0,), 0, 1.0), 0.5), (Observation(w, a, y), p)])),
+    "Observation": ("way", lambda w, a, y, p: Observation(w, a, y)),
+    "distribution_from_dict": (
+        "wayp", lambda w, a, y, p: distribution_from_dict(
+            {"atoms": [_GOOD_ATOM, {"w": w, "a": a, "y": y, "p": p}]})),
+    "mass_of": ("way", lambda w, a, y, p: _LAW.mass_of((w, a, y))),
+    "q_of": ("w", lambda w, a, y, p: q_of(_LAW, w)),
+    "g_of": ("w", lambda w, a, y, p: g_of(_LAW, w)),
+    "w_mass": ("w", lambda w, a, y, p: _LAW.w_mass(w)),
+}
+_BAD_VALUES = [("w", "12"), ("w", b"1"), ("w", {0.5: 1}), ("w", (math.nan,)),
+               ("w", [[0.0], [1.0, 2.0]]), ("y", "2.5"), ("p", "1.0"), ("a", True), ("a", 1.0)]
+
+
+@pytest.mark.parametrize("entry, field, value", [
+    (entry, field, value) for entry, (fields, _) in _ENTRY_POINTS.items()
+    for field, value in _BAD_VALUES if field in fields])
+def test_every_entry_point_refuses_a_value_the_atom_rule_refuses(entry, field, value):
+    atom = {"w": (1.0,), "a": 0, "y": 2.0, "p": 0.5, field: value}
+    with pytest.raises(InvalidDistribution, match=f"'{field}' must be"):
+        _ENTRY_POINTS[entry][1](**atom)
+
+
+@pytest.mark.parametrize("entry", ["constructor, triple", "constructor, Observation",
+                                   "distribution_from_dict"])
+def test_law_entry_points_refuse_covariate_rows_of_two_lengths(entry):
+    with pytest.raises(InvalidDistribution, match=r"share one dimension, got lengths \[1, 2\]"):
+        _ENTRY_POINTS[entry][1]((1.0, 2.0), 0, 2.0, 0.5)
+
+
+def test_entry_points_share_one_message_and_one_table():
+    bad = {"w": [0.0], "a": 0, "y": 1.0, "p": 1.0}, {"w": "12", "a": 0, "y": 2.0, "p": 0.5}
+    messages = set()
+    for build in (lambda: distribution_from_dict({"atoms": list(bad)}),
+                  lambda: FiniteDistribution([((b["w"], b["a"], b["y"]), b["p"]) for b in bad])):
+        with pytest.raises(InvalidDistribution) as err:
+            build()
+        messages.add(str(err.value))
+    assert messages == {"atom 1: 'w' must be a finite number or a non-empty list of them, "
+                        "got '12'"}
+    # numpy values, a bare number and a 1-d array are taken alike
+    doc = {"atoms": [{"w": [0.5], "a": 0, "y": 1.0, "p": 0.25},
+                     {"w": [0.5], "a": 1, "y": -2.0, "p": 0.75}]}
+    want = distribution_from_dict(doc)
+    got = FiniteDistribution([((np.array([0.5]), np.int64(0), np.float32(1.0)), np.float64(0.25)),
+                              (Observation(0.5, 1, -2.0), 0.75)])
+    assert repr(got.support_table) == repr(want.support_table)
+    assert got.atoms == want.atoms and [type(obs.a) for obs, _ in got.atoms] == [int, int]
+
+
 def test_observation_accepts_numpy_scalars():
     obs = Observation(np.array([0.5, -1.0]), np.int64(1), np.float32(2.5))
     assert obs.key == ((0.5, -1.0), 1, 2.5) and type(obs.a) is int

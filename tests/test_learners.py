@@ -318,6 +318,36 @@ def test_overflowing_fits_raise_non_finite_through_the_learners():
         assert err.value.code == "numeric/non-finite"
 
 
+@pytest.mark.parametrize("fit, spec", [
+    (fit_outcome, LearnerSpec("knn")), (fit_propensity, LearnerSpec("knn", k=3)),
+    (fit_outcome, LearnerSpec("kernel-nw")), (fit_propensity, LearnerSpec("kernel-nw")),
+    (fit_outcome, LearnerSpec("kernel-nw", bandwidth=1.0))])
+def test_overflowing_covariates_refuse_the_smoothers_without_warnings(fit, spec):
+    # squared distances (kNN), the standard deviation of the default
+    # bandwidth or the scaled squares (kernel-NW) overflow at 1e200; the
+    # refusal comes from the (rows, d) inputs, and no RuntimeWarning escapes
+    rng = np.random.default_rng(4)
+    w = rng.uniform(-1.0, 1.0, (60, 2)) * 1e200
+    data = _dataset(w, rng.uniform(size=60) < 0.5, rng.standard_normal(60))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteNumber, match="is not finite: the data overflow it"):
+            fit(data, spec)(w)
+
+
+@pytest.mark.parametrize("spec, far", [(LearnerSpec("knn", k=3), 1e200),
+                                       (LearnerSpec("kernel-nw", bandwidth=1e-5), 1e300)])
+def test_an_overflowing_query_is_refused_by_a_smoother_fit_on_plain_rows(spec, far):
+    rng = np.random.default_rng(5)
+    w = rng.uniform(-1.0, 1.0, (40, 2))
+    predict = fit_outcome(_dataset(w, np.zeros(40), rng.standard_normal(40)), spec)
+    assert np.isfinite(predict(w)).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteNumber, match="the data overflow it"):
+            predict(np.array([[far, -far], [0.0, 0.0]]))
+
+
 def test_propensity_always_truncated():
     rng = np.random.default_rng(2)
     w = rng.uniform(-1, 1, (50, 1))

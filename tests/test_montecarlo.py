@@ -261,6 +261,19 @@ def test_generate_refuses_an_overflowing_outcome():
                               "ValueError: covariates and outcomes must be finite")
 
 
+@pytest.mark.parametrize("estimand", ["psi", "theta"])
+def test_an_overflowing_outcome_fails_each_replication_without_a_warning(estimand):
+    # no errstate here: the draw evaluates the overflowing outcome with no
+    # RuntimeWarning, the Dataset refuses it, and the study records the
+    # refusal as a failed replication
+    dgp = DGPSpec(beta=(1e308, 1e308, 1e308))
+    with pytest.raises(ValueError, match="covariates and outcomes must be finite"):
+        generate(dgp, 200, 0)
+    with pytest.raises(ConfigError, match="every replication failed; .* replication 0: "
+                                          "ValueError: covariates and outcomes must be finite"):
+        run_coverage(dgp, _oracle_config(estimand), 200, 4, 8, workers=1)
+
+
 # ---------------------------------------------------------------------------
 # estimator configuration
 

@@ -50,6 +50,18 @@ def test_output_digests_script_hashes_the_cli_output():
         assert doc[name] == hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
+def test_law_file_configs_match_the_tracked_digests():
+    # the configs that read law files, run in-process; scripts/digests.json
+    # changes only with a CHANGES.md note on the outputs that changed
+    tracked = json.loads((ROOT / "scripts" / "digests.json").read_text(encoding="utf-8"))
+    for name, command in (("verify_eif", "verify-eif"), ("decompose", "decompose"),
+                          ("remainder_sweep", "remainder")):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main([command, "--config", str(CONFIGS / f"{name}.json")]) == 0
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == tracked[name], name
+
+
 def test_output_digests_against_a_saved_document_names_each_difference(tmp_path):
     saved = {}
     for name, command in (("decompose", "decompose"), ("verify_eif", "verify-eif")):
