@@ -268,7 +268,9 @@ def _load_config(path) -> dict:
         raise ConfigError(f"cannot read config {path}: {err}") from None
     except UnicodeDecodeError as err:
         raise ConfigError(f"{path}: config is not UTF-8 ({err})") from None
-    except json.JSONDecodeError as err:
+    except ConfigError:
+        raise
+    except ValueError as err:  # bad JSON, or an int literal past Python's digit limit
         raise ConfigError(f"{path}: invalid JSON ({err})") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")

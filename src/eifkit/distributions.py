@@ -133,6 +133,8 @@ def _columns(w, a=None, y=None, p=None, row="atom {}: "):
         check(name, column, _all_numbers(values))
         try:
             out = np.array(rows, dtype=float)
+        except OverflowError:  # an int beyond the float range, which the rule refuses
+            check(name, column, False)
         except ValueError:  # w rows of unequal lengths
             raise InvalidDistribution(f"covariate vectors must share one dimension, got lengths "
                                       f"{sorted(set(map(len, rows)))}") from None
@@ -327,9 +329,17 @@ class FiniteDistribution:
             w, a, y = obs.key if isinstance(obs, Observation) else obs
         except (TypeError, ValueError) as err:
             raise InvalidDistribution(f"{obs!r} is not a (w, a, y) observation") from err
+        w, (a,), (y,), _ = _columns([w], [a], [y], row="")
         t = self.support_table
-        row = _match((t.atom_w, t.atom_a, t.atom_y), _columns([w], [a], [y], row="")[:3])[0]
-        return 0.0 if row < 0 else t.atom_p[row].item()
+        i = t.index.get(tuple(w[0].tolist()))
+        if i is None:
+            return 0.0
+        # the stratum's atoms are contiguous and sorted by (a, y); searchsorted
+        # compares, so -0.0 finds 0.0
+        lo, hi = np.searchsorted(t.atom_stratum, (i, i + 1))
+        lo, hi = lo + np.searchsorted(t.atom_a[lo:hi], (a, a + 1))
+        j = lo + np.searchsorted(t.atom_y[lo:hi], y)
+        return t.atom_p[j].item() if j < hi and t.atom_y[j] == y else 0.0
 
     def w_mass(self, w) -> float:
         i = _stratum(self, w)[1]
@@ -657,7 +667,7 @@ def load_distribution(path) -> FiniteDistribution:
         raise ConfigError(f"cannot read distribution file {path}: {err}") from None
     except UnicodeDecodeError as err:
         raise ConfigError(f"{path}: distribution file is not UTF-8 ({err})") from None
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # bad JSON, or an int literal past Python's digit limit
         raise InvalidDistribution(f"{path}: not valid JSON ({err})") from err
     return distribution_from_dict(doc)
 

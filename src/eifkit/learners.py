@@ -23,7 +23,10 @@ A :class:`LearnerSpec` names one of a fixed set of procedures:
     NonFiniteNumber.
 ``knn``
     k-nearest-neighbour averaging, Euclidean metric, default
-    k = ceil(sqrt(#fitting rows)).
+    k = ceil(sqrt(#fitting rows)).  The k nearest are the first k fitting
+    rows by (squared distance, row index), so a tie at the k-th distance
+    keeps the lower rows, and their targets are summed in that order;
+    k >= #fitting rows averages every row in row order.
 ``kernel-nw``
     Nadaraya-Watson with a Gaussian product kernel; default per-covariate
     bandwidth sd(W_j) * m**(-1/5) over the m fitting rows.
@@ -49,13 +52,29 @@ fitting rows' mean and scaled by the bandwidth: the row max cancels each
 query's own -|x|^2 / 2, so its log-weights are x.t - |t|^2 / 2, and a
 product of the weights with [y, 1] gives numerator and denominator.
 Uncentered, that expanded form cancels on covariates with a large mean.
-kNN alone sums the exact squared differences (q_j - t_j)**2: it ranks
-distances, and the expanded form, even centered, can reorder near-tied
-neighbours.
+kNN alone sums the exact squared differences (q_j - t_j)**2, in covariate
+order: it ranks distances, and the expanded form, even centered, can
+reorder near-tied neighbours.
+
+kNN ranks all n fitting rows for each query unless a cell index pays.  The
+index buckets the rows into a uniform grid of about k / 2 rows per cell,
+with at least KNN_MIN_AXIS_CELLS cells per axis (else one cell), and is
+used when the queries are many enough per cell (KNN_MIN_CELL_PAIRS): the
+400-row cross-fit folds of a study rank all rows, an in-sample fit at
+n = 5000 and d = 2 uses the index.  The queries of one cell rank only
+the rows of its 3**d neighbouring cells, with the same squared
+differences, so each distance is bit-identical to the all-rows pass.  A
+query takes its answer from that box only when its k-th distance is
+strictly below fl(gap**2), gap being the distance to the nearest fitting
+row outside the box, from the rows' actual coordinate extremes per slab;
+rounding is monotone, so the bound needs no slack.  The other queries
+rank all rows.  The index holds n row indices and one start per cell (at
+most 2n / k cells), and a box at most n more while its cell is ranked.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -97,6 +116,15 @@ DEFAULT_TRUNCATION = 0.01
 # core's L2 cache; on a Xeon with 2 MB of L2 per core, 2 MB blocks
 # (1 << 18) ran the kernels 1.6-1.9x slower.
 KERNEL_BLOCK_PAIRS = 1 << 15
+# kNN cell index: at least this many cells per axis (a query's box then
+# holds at most (3/4)**d of the rows), and a floor on the queries per
+# cell, counted as the (query, fitting row) pairs that a cell's queries
+# would rank without the index.  Each cell costs about 60 us of numpy
+# calls, which brute force spends on about 6000 pairs; on a 2-core Xeon
+# the index won from 8 to 30 queries per cell at 400 to 2500 rows, d = 2
+# and 3, and lost below.
+KNN_MIN_AXIS_CELLS = 4
+KNN_MIN_CELL_PAIRS = 1 << 14
 
 OUTCOME_KINDS = ("linear-ols", "knn", "kernel-nw", "misspecified-omit", "oracle-rate")
 PROPENSITY_KINDS = (
@@ -186,9 +214,14 @@ class Dataset:
 
 
 def _is_real(value) -> bool:
-    """True for a finite int or float that is not a bool."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
+    """True for a finite int or float that is not a bool; an int beyond the
+    float range is no finite number."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _is_int(value) -> bool:
@@ -423,34 +456,174 @@ def _query_blocks(m: int, n: int):
         yield slice(start, start + rows)
 
 
+def _knn_block(q: np.ndarray, t_cols: np.ndarray, targets: np.ndarray, k: int, bufs):
+    """Each query row's k-th smallest squared distance to the fitting rows
+    ``t_cols`` (d, n columns) and the mean of ``targets`` over its k nearest.
+
+    The distances sum (q_j - t_j)**2 in covariate order, so a pair's
+    distance does not depend on which rows share its block, and no
+    (rows, n, d) array exists.  Columns rank by (distance, column): a tie
+    at the k-th distance keeps the lower columns, and the mean sums the k
+    targets in that order.  ``bufs`` is two float arrays of at least
+    (rows, n), reused across blocks: fresh 256 KB temporaries per block
+    cost about 8% at 800 fitting rows.
+    """
+    d2, spare = (buf[:len(q)] for buf in bufs)
+    np.subtract(q[:, 0, None], t_cols[0], out=d2)
+    np.square(d2, out=d2)
+    for j in range(1, q.shape[1]):
+        np.subtract(q[:, j, None], t_cols[j], out=spare)
+        np.square(spare, out=spare)
+        d2 += spare
+    np.copyto(spare, d2)
+    spare.partition(k - 1, axis=1)
+    kth = spare[:, k - 1, None]
+    near = d2 <= kth
+    if np.count_nonzero(near) > k * len(d2):  # some row ties at its k-th distance
+        tied = d2 == kth
+        quota = k - np.count_nonzero(d2 < kth, axis=1, keepdims=True)
+        near &= ~tied | (np.cumsum(tied, axis=1) <= quota)
+    flat = near.ravel().nonzero()[0].reshape(-1, k)  # each row's k columns, ascending
+    order = d2.take(flat).argsort(axis=1, kind="stable")
+    order += np.arange(0, order.size, k).reshape(-1, 1)
+    cols = flat.take(order)
+    cols %= d2.shape[1]
+    # sum / k is numpy's mean, without its wrapper
+    return kth[:, 0], targets.take(cols).sum(axis=1) / k
+
+
+def _bucket(cell: np.ndarray, cells: int):
+    """The indices ordered by ``cell`` (ascending within a cell) and each cell's start."""
+    return (np.argsort(cell, kind="stable"),
+            np.concatenate([[0], np.cumsum(np.bincount(cell, minlength=cells))]))
+
+
+def _block_buffers(m: int, n: int) -> tuple:
+    """The two (rows, n) arrays of ``_knn_block`` for the blocks of m queries."""
+    rows = min(m, max(1, KERNEL_BLOCK_PAIRS // n))
+    return np.empty((rows, n)), np.empty((rows, n))
+
+
+class _CellGrid:
+    """The fitting rows bucketed into ``cells`` equal slabs per covariate.
+
+    A query ranks the rows of the 3**d cells around its own (its box).
+    ``exact_below`` bounds from below every distance to a row outside the
+    box, from the rows' actual coordinates in each slab, so it holds
+    however the floating-point cell arithmetic rounds.
+    """
+
+    def __init__(self, train_w: np.ndarray, cells: int):
+        self.cells, d = cells, train_w.shape[1]
+        self.lo = train_w.min(axis=0)
+        with np.errstate(divide="ignore", over="ignore"):
+            scale = cells / (train_w.max(axis=0) - self.lo)
+        self.scale = np.where(np.isfinite(scale), scale, 0.0)  # a constant column is one slab
+        slabs = self.slabs(train_w)
+        self.rows, self.starts = _bucket(self.flat(slabs), cells ** d)
+        # per covariate, the least coordinate in slab s or above (index s)
+        # and the greatest in slab s or below (index s + 2), padded so that
+        # the slabs two past a query's own exist
+        self.above, self.below = [], []
+        for j in range(d):
+            least, most = np.full(cells, np.inf), np.full(cells, -np.inf)
+            np.minimum.at(least, slabs[:, j], train_w[:, j])
+            np.maximum.at(most, slabs[:, j], train_w[:, j])
+            self.above.append(np.append(np.minimum.accumulate(least[::-1])[::-1], [np.inf] * 2))
+            self.below.append(np.append([-np.inf] * 2, np.maximum.accumulate(most)))
+
+    def slabs(self, w: np.ndarray) -> np.ndarray:
+        """Each row's slab per covariate; rows beyond the fitting range take the end slab."""
+        return np.clip(np.floor((w - self.lo) * self.scale), 0, self.cells - 1).astype(np.intp)
+
+    def flat(self, slabs: np.ndarray) -> np.ndarray:
+        return np.ravel_multi_index(tuple(slabs.T), (self.cells,) * slabs.shape[1])
+
+    def exact_below(self, w: np.ndarray, slabs: np.ndarray) -> np.ndarray:
+        """fl(gap**2), gap the least |q_j - t_j| over rows t outside each query's box.
+
+        Rounding is monotone, so every computed squared distance to such a
+        row is at least this bound; so is the slab arithmetic, so a row in
+        a higher slab than the query's lies above it, and gap > 0.
+        """
+        gap = np.full(len(w), np.inf)
+        for j, (above, below) in enumerate(zip(self.above, self.below)):
+            np.minimum(gap, above[slabs[:, j] + 2] - w[:, j], out=gap)
+            np.minimum(gap, w[:, j] - below[slabs[:, j]], out=gap)
+        return np.square(gap)
+
+    def box(self, cell: np.ndarray) -> np.ndarray:
+        """Ascending indices of the fitting rows in the 3**d cells around ``cell``."""
+        spans = [range(max(c - 1, 0), min(c + 2, self.cells)) for c in cell]
+        last = spans.pop()  # the box's cells along the last axis are consecutive
+        runs = []
+        for lead in itertools.product(*spans):
+            first = 0
+            for c in (*lead, last[0]):
+                first = first * self.cells + c
+            runs.append(self.rows[self.starts[first]:self.starts[first + len(last)]])
+        return np.sort(np.concatenate(runs))
+
+
+def _knn_cells(n: int, d: int, k: int) -> int:
+    """Cells per axis for about k / 2 fitting rows a cell; 1 below KNN_MIN_AXIS_CELLS."""
+    cells = int((2.0 * n / k) ** (1.0 / d))
+    return cells if cells >= KNN_MIN_AXIS_CELLS else 1
+
+
 def _knn_core(train_w: np.ndarray, train_t: np.ndarray, k: int) -> Callable:
-    n = len(train_t)
+    n, d = train_w.shape
     k = min(k, n)
     t_cols = np.ascontiguousarray(train_w.T)
     t_lo, t_hi = train_w.min(axis=0), train_w.max(axis=0)
+    cells = _knn_cells(n, d, k)
+    grid = None  # the _CellGrid, built by the first call that uses it
+
+    def all_rows(w):
+        # per block: (rows, n) distances, the selection's masks and indices,
+        # each at most KERNEL_BLOCK_PAIRS elements
+        out, bufs = np.empty(len(w)), _block_buffers(len(w), n)
+        for rows in _query_blocks(len(w), n):
+            out[rows] = _knn_block(w[rows], t_cols, train_t, k, bufs)[1]
+        return out
+
+    def by_cell(w, out) -> np.ndarray:
+        # each cell's queries rank the rows of its box; a query keeps that
+        # answer only when its k-th distance lies strictly below every
+        # distance to a row outside the box.  Returns the other queries.
+        slabs = grid.slabs(w)
+        bound = grid.exact_below(w, slabs)
+        order, starts = _bucket(grid.flat(slabs), cells ** d)
+        done = np.zeros(len(w), dtype=bool)
+        for cell in np.flatnonzero(np.diff(starts)):
+            box = grid.box(np.unravel_index(cell, (cells,) * d))
+            if len(box) < k:
+                continue
+            members, box_cols = order[starts[cell]:starts[cell + 1]], t_cols[:, box]
+            bufs = _block_buffers(len(members), len(box))
+            for rows in _query_blocks(len(members), len(box)):
+                queries = members[rows]
+                kth, mean = _knn_block(w[queries], box_cols, train_t[box], k, bufs)
+                inside = kth < bound[queries]
+                out[queries[inside]] = mean[inside]
+                done[queries[inside]] = True
+        return np.flatnonzero(~done)
 
     @np.errstate(over="ignore", invalid="ignore")  # an overflow is refused by _finite
     def core(w):
-        # per block: (rows, n) distances, their argpartition index and the
-        # gathered targets, each at most KERNEL_BLOCK_PAIRS elements.  The
-        # distances accumulate (q_j - t_j)**2 in covariate order, so no
-        # (rows, n, d) array exists.
+        nonlocal grid
         if k == n or not len(w):
             return np.full(len(w), train_t.mean())
         reach = np.maximum(w.max(axis=0) - t_lo, t_hi - w.min(axis=0))  # largest |q_j - t_j|
         _finite(np.square(reach).sum(), "the kNN squared-distance bound")  # bounds every distance
+        if cells == 1 or len(w) * n < KNN_MIN_CELL_PAIRS * cells ** d:
+            return all_rows(w)
+        if grid is None:
+            grid = _CellGrid(train_w, cells)
         out = np.empty(len(w))
-        for rows in _query_blocks(len(w), n):
-            q = w[rows]
-            d2 = np.subtract(q[:, 0, None], t_cols[0])
-            np.square(d2, out=d2)
-            diff = np.empty_like(d2)
-            for j in range(1, q.shape[1]):
-                np.subtract(q[:, j, None], t_cols[j], out=diff)
-                np.square(diff, out=diff)
-                d2 += diff
-            idx = np.argpartition(d2, kth=k - 1, axis=1)[:, :k]
-            out[rows] = train_t[idx].mean(axis=1)
+        rest = by_cell(w, out)
+        if len(rest):
+            out[rest] = all_rows(w[rest])
         return out
 
     return core

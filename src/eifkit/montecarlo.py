@@ -24,7 +24,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -314,6 +313,10 @@ def _run_tasks(tasks, workers: int):
     workers = min(workers, os.cpu_count() or 1, len(tasks))
     if workers <= 1:
         return [_replication_worker(t) for t in tasks]
+    # imported here: concurrent.futures and multiprocessing cost every CLI
+    # call about 20 ms of import, and only a study with workers > 1 uses them
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         chunk = max(1, len(tasks) // (workers * 8))
         return list(pool.map(_replication_worker, tasks, chunksize=chunk))

@@ -471,8 +471,10 @@ def test_simulate_rate_subcommand(workspace, capsys):
 @pytest.mark.parametrize("overrides", [
     {"learners": {"q": {"kind": "knn", "k": "x"}}},
     {"learners": {"q": {"kind": "kernel-nw", "bandwidth": "x"}}},
+    {"learners": {"q": {"kind": "kernel-nw", "bandwidth": 10**400}}},
     {"learners": {"g": {"kind": "knn", "k": True}}},
     {"level": 1.5},
+    {"level": 10**400},
     {"level": 0},
     {"folds": 500},
     {"include_eif": "yes"},
@@ -493,6 +495,7 @@ def test_estimate_bad_values_exit_two(workspace, capsys, overrides):
     {"study": "rate", "n_grid": [30, 100], "reps": 4, "estimator": {"folds": 40}},
     {"study": "coverage", "n": 50, "reps": 4, "dgp": {"gamma": ["a", 1, 1]}},
     {"study": "coverage", "n": 50, "reps": 4, "dgp": {"beta": "abc"}},
+    {"study": "coverage", "n": 50, "reps": 4, "dgp": {"beta": [10**400, 1, 1]}},
     {"study": "coverage", "n": 50, "reps": 4, "dgp": {"gamma": [True, 1, 1]}},
     {"study": "coverage", "n": 50, "reps": 4, "include_replications": "yes"},
 ])
@@ -586,6 +589,18 @@ def test_overflowing_exact_sums_exit_one(tmp_path, capsys, command, doc):
     assert error["code"] == "numeric/non-finite"
 
 
+def test_importing_the_cli_leaves_the_process_pool_unimported():
+    # concurrent.futures and multiprocessing cost about 20 ms of every CLI
+    # call's import; only a study with workers > 1 imports them
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, eifkit.cli; print(sorted(m for m in sys.modules "
+         "if m.split('.')[0] in ('multiprocessing', 'concurrent')))"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
 def test_overflowing_verify_eif_leaves_stderr_empty(tmp_path):
     # the error document is the whole output: the overflow in the arm that
     # np.where discards prints no RuntimeWarning
@@ -599,6 +614,45 @@ def test_overflowing_verify_eif_leaves_stderr_empty(tmp_path):
     assert result.returncode == 1
     assert json.loads(result.stdout)["error"]["code"] == "numeric/non-finite"
     assert result.stderr == ""
+
+
+def test_an_int_beyond_the_float_range_in_a_law_file_is_refused_like_any_bad_atom(tmp_path):
+    # json reads a 401-digit literal as an int, which escaped the atom rule
+    # as an OverflowError with a traceback; a law file's bad atom exits 1
+    digits = "1" * 401
+    (tmp_path / "law.json").write_text(
+        '{"atoms": [{"w": [0.0], "a": 0, "y": 1.0, "p": 0.5}, '
+        f'{{"w": [{digits}], "a": 1, "y": 1.0, "p": 0.5}}]}}')
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"distribution": "law.json", "direction": "law.json"}))
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run([sys.executable, "-m", "eifkit.cli", "verify-eif", "--config",
+                             str(cfg)], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert result.returncode == 1
+    assert json.loads(result.stdout) == {"error": {
+        "code": "distribution/invalid",
+        "message": f"atom 1: 'w' must be a finite number or a non-empty list of them, "
+                   f"got [{digits}]"}}
+    assert result.stderr == ""
+
+
+def test_an_int_literal_past_the_digit_limit_exits_with_an_error_document(workspace, capsys):
+    # json.load raises a bare ValueError on an int literal of more than 4300
+    # digits; the config exits 2 and the law file 1, as other bad JSON does
+    tmp_path, _ = workspace
+    digits = "1" * 5000
+    (tmp_path / "cfg.json").write_text('{"distribution": "dist.json", "direction": '
+                                       f'"direction.json", "step_grid": [{digits}]}}')
+    error = _only_error_document(
+        capsys, main(["verify-eif", "--config", str(tmp_path / "cfg.json")]), 2)
+    assert error["code"] == "config/invalid" and "invalid JSON" in error["message"]
+    (tmp_path / "law.json").write_text(f'{{"atoms": [{{"w": [{digits}], "a": 0, "y": 1.0, '
+                                       '"p": 1.0}]}')
+    (tmp_path / "cfg.json").write_text('{"distribution": "law.json", "direction": "law.json"}')
+    error = _only_error_document(
+        capsys, main(["verify-eif", "--config", str(tmp_path / "cfg.json")]), 1)
+    assert error["code"] == "distribution/invalid" and "not valid JSON" in error["message"]
 
 
 def _estimate_on_overflowing_covariates(tmp_path, estimator, learners):

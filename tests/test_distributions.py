@@ -27,7 +27,7 @@ from eifkit import (
     save_distribution,
     theta_of,
 )
-from eifkit.distributions import DEFAULT_STEP_GRID, _extrapolate_to_zero
+from eifkit.distributions import DEFAULT_STEP_GRID, _columns, _extrapolate_to_zero, _match
 from eifkit.errors import (
     ConfigError,
     InvalidDistribution,
@@ -36,6 +36,7 @@ from eifkit.errors import (
     SupportViolation,
     ZeroMassConditioning,
 )
+from eifkit.montecarlo import default_logistic_linear, quadrature_distribution
 
 from conftest import RefLaw, assert_close, direction_from, random_distribution
 
@@ -335,6 +336,28 @@ def test_mass_of_rejects_an_observation_that_is_not_a_triple(atom):
         dist.mass_of(atom)
 
 
+def test_mass_of_matches_the_whole_table_match_on_every_atom():
+    # the stratum lookup and searchsorted against one sort-merge of the whole
+    # atom table, on the 31-node quadrature law: every atom, the other arm,
+    # a y one step off, a y between atoms, a -0.0 for 0.0 and an absent w
+    law = quadrature_distribution(default_logistic_linear(), nodes=31)
+    t = law.support_table
+    assert len(law) == 1922
+    keys = []
+    for obs, p in law.atoms:
+        w, a, y = obs.key
+        assert law.mass_of(obs) == p
+        keys += [(w, a, y), (w, 1 - a, y), (w, a, np.nextafter(y, np.inf)), (w, a, y - 1e-3),
+                 ((-0.0,) + w[1:], a, y), ((w[0] + 0.25,) + w[1:], a, y)]
+    rows = _match((t.atom_w, t.atom_a, t.atom_y), _columns(*zip(*keys))[:3])
+    want = np.where(rows < 0, 0.0, t.atom_p[rows])
+    assert [law.mass_of(key) for key in keys] == want.tolist()
+    zero = FiniteDistribution([(((0.0,), 0, 0.0), 0.5), (((0.0,), 1, -1.0), 0.5)])
+    assert zero.mass_of(((-0.0,), 0, -0.0)) == 0.5
+    assert zero.mass_of(((0.0,), 1, -1.0)) == 0.5
+    assert zero.mass_of(((0.0,), 1, 0.0)) == 0.0
+
+
 @pytest.mark.parametrize("a", [True, False, np.True_])
 def test_observation_rejects_a_bool_treatment(a):
     with pytest.raises(InvalidDistribution, match="treatment"):
@@ -445,7 +468,9 @@ _ENTRY_POINTS = {
     "w_mass": ("w", lambda w, a, y, p: _LAW.w_mass(w)),
 }
 _BAD_VALUES = [("w", "12"), ("w", b"1"), ("w", {0.5: 1}), ("w", (math.nan,)),
-               ("w", [[0.0], [1.0, 2.0]]), ("y", "2.5"), ("p", "1.0"), ("a", True), ("a", 1.0)]
+               ("w", [[0.0], [1.0, 2.0]]), ("w", (10**400,)), ("w", -10**400),
+               ("y", "2.5"), ("y", 10**400), ("p", "1.0"), ("p", 10**400), ("a", True),
+               ("a", 1.0)]
 
 
 @pytest.mark.parametrize("entry, field, value", [

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from eifkit import Dataset, LearnerSpec, fit_outcome, fit_propensity, oracle_rate_nuisance
+from eifkit import (Dataset, LearnerSpec, fit_outcome, fit_propensity, learners,
+                    oracle_rate_nuisance)
 from eifkit.learners import (
     DEFAULT_TRUNCATION,
     IRLS_GRADIENT_TOL,
@@ -601,7 +602,7 @@ def _broadcast_knn(train_w, train_t, k, w):
     if k == len(train_t):
         idx = np.broadcast_to(np.arange(len(train_t)), (len(w), len(train_t)))
     else:
-        idx = np.argpartition(d2, kth=k - 1, axis=1)[:, :k]
+        idx = np.argsort(d2, axis=1, kind="stable")[:, :k]
     return train_t[idx].mean(axis=1)
 
 
@@ -675,6 +676,123 @@ def test_knn_matches_naive_reference_in_high_dimension(d):
         probe = rng.uniform(-1, 1, (m, d))
         assert np.allclose(qhat(probe), _naive_knn(train_w, train_t, 7, probe),
                            rtol=KERNEL_RTOL, atol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# the kNN cell index: a query answers from its box of 3**d cells only when
+# no row outside the box can be as near as its k-th neighbour, so every
+# prediction equals the stated rule over all rows, bit for bit
+
+
+def _knn_by_cells(monkeypatch, train_w, train_t, k, probe):
+    """kNN predictions at ``probe``, the cell grid they used (the test fails if
+    none was built), and the column count of every (rows, columns) ranking."""
+    grids, ranked = [], []
+
+    class Recording(learners._CellGrid):
+        def __init__(self, *args):
+            super().__init__(*args)
+            grids.append(self)
+
+    def block(q, t_cols, *args):
+        ranked.extend([t_cols.shape[1]] * len(q))
+        return real_block(q, t_cols, *args)
+
+    real_block = learners._knn_block
+    monkeypatch.setattr(learners, "_CellGrid", Recording)
+    monkeypatch.setattr(learners, "_knn_block", block)
+    got = fit_outcome(_untreated(train_w, train_t), LearnerSpec("knn", k=k))(probe)
+    monkeypatch.undo()
+    assert len(grids) == 1, "the predictions did not go through the cell index"
+    assert np.array_equal(got, _naive_knn(train_w, train_t, k, probe))
+    return got, grids[0], np.array(ranked)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_knn_cell_index_matches_the_stated_rule_over_all_rows(monkeypatch, d):
+    # a tenth of the queries lie beyond the fitting range, some far beyond
+    rng = np.random.default_rng(600 + d)
+    train_w = rng.uniform(-1, 1, (1200, d))
+    train_t = rng.standard_normal(1200)
+    probe = rng.uniform(-1, 1, (2000, d))
+    probe[::10] *= rng.choice([1.3, 5.0], (200, 1))
+    _, grid, ranked = _knn_by_cells(monkeypatch, train_w, train_t, 20, probe)
+    assert grid.cells == {1: 120, 2: 10, 3: 4}[d]
+    # most queries answer from their box; the rest rank all 1200 rows
+    assert 0 < np.count_nonzero(ranked == 1200) < 0.25 * len(probe)
+
+
+def test_knn_cell_index_keeps_the_lower_row_on_a_tie_at_the_kth_distance(monkeypatch):
+    # the 33 x 33 integer lattice in shuffled row order; k = 8 gives 16 cells
+    # per axis of width 2, so every even coordinate lies exactly on a cell
+    # face, and a lattice query ties 4 rows at squared distance 2 for its
+    # last 3 places
+    rng = np.random.default_rng(700)
+    lattice = np.stack(np.meshgrid(np.arange(33.0), np.arange(33.0)), -1).reshape(-1, 2)
+    train_w = lattice[rng.permutation(len(lattice))]
+    train_t = rng.standard_normal(len(lattice))
+    probe = np.concatenate([np.repeat(lattice, 4, axis=0), rng.uniform(-3, 36, (300, 2)),
+                            rng.integers(-2, 18, (300, 2)) * 2.0])
+    got, grid, _ = _knn_by_cells(monkeypatch, train_w, train_t, 8, probe)
+    assert grid.cells == 16 and grid.scale.tolist() == [0.5, 0.5]
+    # at (10, 10): itself, its 4 rows at distance 1 and the 3 lowest-index
+    # rows of the 4 at squared distance 2, summed in (distance, row) order
+    d2 = ((train_w - [10.0, 10.0]) ** 2).sum(axis=1)
+    rows = [i for dist in (0.0, 1.0, 2.0) for i in np.flatnonzero(d2 == dist)][:8]
+    at = np.flatnonzero((probe == [10.0, 10.0]).all(axis=1))[0]
+    assert got[at] == train_t[rows].sum() / 8
+    # covariates offset by 1e6 keep every coordinate and squared distance exact
+    assert np.array_equal(
+        _knn_by_cells(monkeypatch, train_w + 1e6, train_t, 8, probe + 1e6)[0], got)
+
+
+@pytest.mark.parametrize("d, k", [(1, 9), (2, 7)])
+def test_knn_cell_index_with_duplicate_rows_on_an_integer_grid(monkeypatch, d, k):
+    # integer rows with many duplicates: a row outside a query's box can tie
+    # its k-th neighbour exactly, and then the box may not answer
+    rng = np.random.default_rng(1100 + d)
+    train_w = rng.integers(0, 24, (200, d)).astype(float)
+    train_t = rng.standard_normal(200)
+    probe = rng.integers(-2, 27, (4200, d)).astype(float)
+    ranked = _knn_by_cells(monkeypatch, train_w, train_t, k, probe)[2]
+    assert 0 < np.count_nonzero(ranked == 200) < len(probe)
+
+
+def test_knn_cell_index_answers_do_not_depend_on_the_query_set(monkeypatch):
+    rng = np.random.default_rng(800)
+    train_w = rng.uniform(-1, 1, (1000, 2)) + 1e6
+    train_t = rng.standard_normal(1000)
+    probe = rng.uniform(-1.1, 1.1, (3000, 2)) + 1e6
+    got = _knn_by_cells(monkeypatch, train_w, train_t, 12, probe)[0]
+    predict = fit_outcome(_untreated(train_w, train_t), LearnerSpec("knn", k=12))
+    order = rng.permutation(len(probe))
+    assert np.array_equal(predict(probe[order]), got[order])
+    # a split in two calls: the small part ranks all rows, without the index
+    parts = np.concatenate([predict(probe[:2900]), predict(probe[2900:])])
+    assert np.array_equal(parts, got)
+
+
+def test_knn_cell_index_with_a_constant_covariate(monkeypatch):
+    # the constant column is one slab, so a box spans a strip of cells;
+    # queries off the constant value add the same term to every distance
+    rng = np.random.default_rng(900)
+    train_w = np.column_stack([rng.uniform(-1, 1, 1500), np.full(1500, 0.5)])
+    train_t = rng.standard_normal(1500)
+    probe = np.column_stack([rng.uniform(-1.2, 1.2, 2500), rng.choice([0.5, 0.7], 2500)])
+    _, grid, ranked = _knn_by_cells(monkeypatch, train_w, train_t, 30, probe)
+    assert grid.scale[1] == 0.0 and np.count_nonzero(ranked < 1500) >= len(probe)
+
+
+def test_knn_cell_index_ranks_a_box_of_exactly_k_rows(monkeypatch):
+    # 100 evenly spaced rows, k = 10: 20 cells of 5 rows, so an end cell's
+    # box holds the 10 rows of two cells, and its queries rank exactly k
+    rng = np.random.default_rng(1000)
+    train_w = np.arange(100.0)[:, None]
+    train_t = rng.standard_normal(100)
+    probe = np.concatenate([rng.uniform(-5, 104, (3300, 1)), np.linspace(0, 4.5, 10)[:, None]])
+    _, grid, ranked = _knn_by_cells(monkeypatch, train_w, train_t, 10, probe)
+    assert len(grid.box((0,))) == len(grid.box((19,))) == 10
+    assert np.count_nonzero(ranked == 10) >= 10
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 8])

@@ -1,5 +1,6 @@
 """Benchmark DGP truths, replication seeding, and the three study runners."""
 
+import concurrent.futures
 import math
 
 import numpy as np
@@ -108,6 +109,11 @@ def test_dgp_validation():
         DGPSpec(noise_sd=-1.0)
     with pytest.raises(ConfigError):
         DGPSpec(kind="discrete-saturated")
+    # an int beyond the float range is no finite number
+    with pytest.raises(ConfigError, match="'beta' must be a list of finite numbers"):
+        DGPSpec(beta=(10**400, 1.0, 1.0))
+    with pytest.raises(ConfigError, match="'noise_sd' must be a finite number"):
+        DGPSpec(noise_sd=-10**400)
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +562,7 @@ class _RecordingPool:
 def test_worker_pool_is_capped_by_cores_and_tasks(monkeypatch, workers, cores, reps,
                                                   pool_size):
     monkeypatch.setattr(_RecordingPool, "sizes", [])
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cores)
     dgp, config = default_logistic_linear(), _oracle_config()
     summary = run_coverage(dgp, config, 120, reps, 9, workers=workers)

@@ -51,11 +51,14 @@ def test_output_digests_script_hashes_the_cli_output():
 
 
 def test_law_file_configs_match_the_tracked_digests():
-    # the configs that read law files, run in-process; scripts/digests.json
-    # changes only with a CHANGES.md note on the outputs that changed
+    # the configs that read law files, and estimate (five-fold kNN with k = 15
+    # on demo.csv), run in-process; scripts/digests.json changes only with a
+    # CHANGES.md note on the outputs that changed.  demo.csv has y = w1 on
+    # every row, so no choice among tied kNN neighbours moves the estimate
+    # digest: test_learners.py pins the tie rule itself
     tracked = json.loads((ROOT / "scripts" / "digests.json").read_text(encoding="utf-8"))
     for name, command in (("verify_eif", "verify-eif"), ("decompose", "decompose"),
-                          ("remainder_sweep", "remainder")):
+                          ("remainder_sweep", "remainder"), ("estimate", "estimate")):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             assert main([command, "--config", str(CONFIGS / f"{name}.json")]) == 0
