@@ -31,7 +31,8 @@ config problem.
 Failures print ``{"error": {"code", "message"}}`` to stdout and exit
 with 2 for config problems and 1 for runtime ones.  A usage error (a
 missing ``--config``, an unknown subcommand, a ``--seed`` that is no
-integer) is a config problem; ``-h`` prints help and exits 0.  Output paths
+integer) is a config problem; ``-h`` prints help and exits 0.  A path
+field must be a non-empty string whenever it is present.  Output paths
 (``--out``, a simulate config's ``replications_out``) are checked before
 any work: a missing directory or a path that is a directory is a config
 problem.  A write that still fails is a runtime one, and stdout then
@@ -102,6 +103,8 @@ REPLICATION_HEADER = ("rep", "n", "point", "variance", "covered", "scaled_error"
 SIMULATE_KEYS = {"coverage": ("n", "estimator"), "rate": ("n_grid", "estimator"),
                  "dr": ("n_grid", "arm", "estimand")}
 REMAINDER_KEYS = {"exact": ("sample", "n", "pn_a"), "sweep": ("n_grid",)}
+# the fields an estimate config and a simulate config's 'estimator' block both set
+ESTIMATOR_FIELDS = ("estimand", "estimator", "folds", "level")
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +177,7 @@ def _write_csv(path, header, rows) -> None:
 def ingest_csv(path) -> Dataset:
     """Load a (W, A, Y) sample from a CSV file, validating the schema."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             raw = [row for row in csv.reader(fh) if row]
     except OSError as err:
         raise ConfigError(f"cannot read data file {path}: {err}") from None
@@ -262,7 +265,7 @@ def _load_config(path) -> dict:
         raise ConfigError(f"{path}: {token} is not a finite number")
 
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             doc = json.load(fh, parse_constant=refuse)
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from None
@@ -286,9 +289,11 @@ def _check_keys(cfg: dict, allowed, required, where: str) -> None:
         raise ConfigError(f"{where}: missing required keys {missing}")
 
 
-def _resolve(config_path, value) -> str:
+def _resolve(config_path, cfg: dict, key: str, where: str) -> str:
+    """The path ``cfg[key]`` names, relative to the config file's directory."""
+    value = cfg[key]
     if not isinstance(value, str) or not value or "\0" in value:
-        raise ConfigError(f"expected a file path string, got {value!r}")
+        raise ConfigError(f"{where}: {key!r}: expected a file path string, got {value!r}")
     p = Path(value)
     return str(p if p.is_absolute() else Path(config_path).parent / p)
 
@@ -343,22 +348,16 @@ def _bool_field(cfg, key, default, where):
 
 def _cmd_estimate(args) -> dict:
     cfg = _load_config(args.config)
-    _check_keys(
-        cfg,
-        ("data", "estimand", "estimator", "learners", "folds", "level",
-         "seed", "include_eif"),
-        ("data",),
-        "estimate config",
-    )
     seed = _flag_or_field(args, cfg, "seed", 0, "estimate config")
-    config = _estimator_config(cfg, "estimate config", fold_seed=seed)
+    config = _estimator_config(cfg, "estimate config", ("data", "seed", "include_eif"),
+                               ("data",), fold_seed=seed)
     if "oracle-rate" in (config.spec_q.kind, config.spec_g.kind):
         raise ConfigError(
             "estimate config: oracle-rate learners need a known truth and "
             "cannot run from a data file"
         )
     include_eif = _bool_field(cfg, "include_eif", False, "estimate config")
-    data = ingest_csv(_resolve(args.config, cfg["data"]))
+    data = ingest_csv(_resolve(args.config, cfg, "data", "estimate config"))
     with _refused("estimate config"):
         config.check_folds(data.n)
     return estimate(data, config).to_dict(include_eif=include_eif)
@@ -370,8 +369,8 @@ def _cmd_verify_eif(args) -> dict:
                 ("distribution", "direction"), "verify-eif config")
     functional = _str_field(cfg, "functional", "both",
                             ("psi", "theta", "both"), "verify-eif config")
-    base = load_distribution(_resolve(args.config, cfg["distribution"]))
-    direction = load_distribution(_resolve(args.config, cfg["direction"]))
+    base = load_distribution(_resolve(args.config, cfg, "distribution", "verify-eif config"))
+    direction = load_distribution(_resolve(args.config, cfg, "direction", "verify-eif config"))
     names = ("psi", "theta") if functional == "both" else (functional,)
     out = {}
     for name in names:
@@ -382,9 +381,9 @@ def _cmd_verify_eif(args) -> dict:
     return out
 
 
-def _sample_from(dist, config_path, value, where: str) -> Dataset:
+def _sample_from(dist, config_path, cfg: dict, where: str) -> Dataset:
     """The sample CSV a config names; its covariates must match the law's dimension."""
-    data = ingest_csv(_resolve(config_path, value))
+    data = ingest_csv(_resolve(config_path, cfg, "sample", where))
     d = len(dist.w_support[0])
     if data.d != d:
         raise ConfigError(
@@ -398,8 +397,8 @@ def _cmd_decompose(args) -> dict:
     _check_keys(cfg, ("distribution", "sample", "estimand", "learners"),
                 ("distribution", "sample"), "decompose config")
     spec_q, spec_g = _learner_pair(cfg, "decompose config")
-    dist = load_distribution(_resolve(args.config, cfg["distribution"]))
-    data = _sample_from(dist, args.config, cfg["sample"], "decompose config")
+    dist = load_distribution(_resolve(args.config, cfg, "distribution", "decompose config"))
+    data = _sample_from(dist, args.config, cfg, "decompose config")
     with _refused("decompose config"):
         nuis = fit_nuisance(data, spec_q, spec_g, truth=truth_functions(dist))
         return decompose_error(dist, nuis, data, estimand=cfg.get("estimand", "psi")).to_dict()
@@ -411,7 +410,7 @@ def _cmd_remainder(args) -> dict:
     _check_keys(cfg, ("distribution", "estimand", "mode", "learners", *REMAINDER_KEYS[mode]),
                 ("distribution",), f"remainder config ({mode} mode)")
     spec_q, spec_g = _learner_pair(cfg, "remainder config")
-    dist = load_distribution(_resolve(args.config, cfg["distribution"]))
+    dist = load_distribution(_resolve(args.config, cfg, "distribution", "remainder config"))
     truth = truth_functions(dist)
 
     if mode == "sweep":
@@ -425,7 +424,7 @@ def _cmd_remainder(args) -> dict:
         raise ConfigError("remainder config: 'pn_a' only applies to the theta estimand")
     if ("sample" in cfg) == ("n" in cfg):
         raise ConfigError("remainder config: exact mode needs exactly one of 'sample' and 'n'")
-    data = (_sample_from(dist, args.config, cfg["sample"], "remainder config")
+    data = (_sample_from(dist, args.config, cfg, "remainder config")
             if "sample" in cfg else None)
     with _refused("remainder config"):
         if data is not None:
@@ -443,35 +442,29 @@ def _parse_dgp(cfg: dict, config_path) -> DGPSpec:
     block = cfg.get("dgp", {})
     if not isinstance(block, dict):
         raise ConfigError("simulate config: 'dgp' must be an object")
+    where = "simulate config.dgp"
     if block.get("kind") == "discrete-saturated":
-        _check_keys(block, ("kind", "distribution"), ("distribution",),
-                    "simulate config.dgp")
-        table = load_distribution(_resolve(config_path, block["distribution"]))
+        _check_keys(block, ("kind", "distribution"), ("distribution",), where)
+        table = load_distribution(_resolve(config_path, block, "distribution", where))
         block = {"kind": "discrete-saturated", "table": table}
     else:
-        _check_keys(block, ("kind", "gamma", "beta", "noise_sd", "treated_shift"),
-                    (), "simulate config.dgp")
-    with _refused("simulate config.dgp"):
+        _check_keys(block, ("kind", "gamma", "beta", "noise_sd", "treated_shift"), (), where)
+    with _refused(where):
         return DGPSpec(**block)
 
 
-def _estimator_config(block: dict, where: str, **fixed) -> EstimatorConfig:
-    """The estimator an estimate config, or a simulate config's estimator block, names."""
+def _estimator_config(block, where: str, keys=("fold_seed",), required=(),
+                      **fixed) -> EstimatorConfig:
+    """The estimator a block of config keys names: 'learners', ESTIMATOR_FIELDS and ``keys``.
+    By default it is a simulate config's 'estimator' block; an estimate config
+    passes its own keys, its ``required`` 'data' and, in ``fixed``, its fold seed."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be an object")
+    _check_keys(block, ("learners", *ESTIMATOR_FIELDS, *keys), required, where)
     spec_q, spec_g = _learner_pair(block, where)
-    fields = {key: block[key] for key in ("estimand", "estimator", "folds", "level", "fold_seed")
-              if key in block}
+    fields = {key: block[key] for key in (*ESTIMATOR_FIELDS, "fold_seed") if key in block}
     with _refused(where):
         return EstimatorConfig(spec_q=spec_q, spec_g=spec_g, **fields, **fixed)
-
-
-def _parse_estimator(cfg: dict) -> EstimatorConfig:
-    block = cfg.get("estimator", {})
-    if not isinstance(block, dict):
-        raise ConfigError("simulate config: 'estimator' must be an object")
-    where = "simulate config.estimator"
-    _check_keys(block, ("estimand", "estimator", "learners", "folds", "level",
-                        "fold_seed"), (), where)
-    return _estimator_config(block, where)
 
 
 def _cmd_simulate(args) -> dict:
@@ -484,11 +477,12 @@ def _cmd_simulate(args) -> dict:
     workers = _flag_or_field(args, cfg, "workers", 1, "simulate config", minimum=1)
     include_replications = _bool_field(cfg, "include_replications", False, "simulate config")
     replications_out = None
-    if cfg.get("replications_out"):
-        replications_out = _resolve(args.config, cfg["replications_out"])
+    if "replications_out" in cfg:
+        replications_out = _resolve(args.config, cfg, "replications_out", "simulate config")
         _check_output_path(replications_out, "simulate config: 'replications_out'")
     dgp = _parse_dgp(cfg, args.config)
-    config = None if study == "dr" else _parse_estimator(cfg)  # dr builds its own
+    config = (None if study == "dr"  # dr builds its own
+              else _estimator_config(cfg.get("estimator", {}), "simulate config.estimator"))
     with _refused("simulate config"):
         if study == "coverage":
             summary = run_coverage(dgp, config, cfg.get("n"), cfg["reps"], seed,

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -308,21 +308,15 @@ def remainder_rate_sweep(
     """
     _check_estimand(estimand)
     grid = _check_n_grid(n_grid)
-    truth_q, truth_g = truth
     rows = []
     for n in grid:
-        nuis = oracle_rate_nuisance(truth_q, truth_g, n, spec_q, spec_g)
+        nuis = oracle_rate_nuisance(*truth, n, spec_q, spec_g)
         if estimand == "psi":
             rep = remainder_exact_psi(dist, nuis)
         else:
             rep = remainder_exact_theta(dist, nuis, pn_a=dist.pr_a1)
         rows.append((n, rep.remainder_direct, rep.cs_bound))
-    magnitudes = [abs(r) for _, r, _ in rows]
-    if min(magnitudes) == 0.0:
-        raise ConfigError("remainder vanished on the grid; slope undefined (amplitude 0?)")
-    slope = float(
-        np.polyfit(np.log([n for n, _, _ in rows]), np.log(magnitudes), 1)[0]
-    )
+    slope = _loglog_slope(grid, [abs(r) for _, r, _ in rows], "remainder")
     return RateSweepReport(estimand=estimand, rows=tuple(rows), slope=slope)
 
 
@@ -333,6 +327,14 @@ def _check_n_grid(n_grid: Sequence[int]) -> list:
         raise ConfigError(f"'n_grid' must be a list of at least two strictly increasing "
                           f"positive integers, got {n_grid!r}")
     return [int(n) for n in n_grid]
+
+
+def _loglog_slope(grid: list, values: list, what: str) -> float:
+    """The least-squares slope of log ``values`` on log ``grid``; ConfigError
+    naming ``what``, the curve, when one of its values is zero."""
+    if min(values) == 0.0:
+        raise ConfigError(f"{what} vanished on the grid; slope undefined (amplitude 0?)")
+    return float(np.polyfit(np.log(grid), np.log(values), 1)[0])
 
 
 def truth_functions(dist: FiniteDistribution):

@@ -37,7 +37,9 @@ functions, the one-step estimators, the exact remainders, the error
 decomposition and ``eif_integral`` all evaluate it.
 ``pathwise_derivative_check`` verifies the gradient property of the
 influence function along mixture paths toward a direction distribution
-by Richardson-extrapolated one-sided differencing.
+by Richardson-extrapolated one-sided differencing; ``mix(base, direction,
+e)`` is the law (1-e)*base + e*direction on such a path, for a direction
+supported inside the base.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ import itertools
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -67,7 +69,6 @@ __all__ = [
     "Observation",
     "FiniteDistribution",
     "SupportTable",
-    "SubmodelMix",
     "CheckReport",
     "q_of",
     "g_of",
@@ -487,49 +488,30 @@ def _mean_phi(estimand: str, table: SupportTable, q, g, centre, p1) -> float:
 # mixture submodel
 
 
-@dataclass(frozen=True)
-class SubmodelMix:
-    """Mixture point (1-e)*base + e*direction along a one-parameter path.
+def mix(base: FiniteDistribution, direction: FiniteDistribution, e: float) -> FiniteDistribution:
+    """The mixture (1-e)*base + e*direction, the point at ``e`` on the path from
+    the base (e = 0) to the direction (e = 1).
 
-    The direction's support must be contained in the base's support, so the
-    path stays inside the family dominated by the base.  e ranges over
-    [0, 1]; e = 0 reproduces the base exactly and e = 1 the direction.
+    ``e`` must lie in [0, 1] (ValueError), and the direction's support inside
+    the base's (SupportViolation), so the path stays in the family the base
+    dominates.  Atom masses combine exactly over the base support, dropping
+    atoms whose combined mass is zero (only possible at e = 1).
     """
-
-    base: FiniteDistribution
-    direction: FiniteDistribution
-    e: float
-    # the base's row of each direction atom
-    _rows: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        e = float(self.e)
-        if not 0.0 <= e <= 1.0:
-            raise ValueError(f"mixture weight must lie in [0, 1], got {e!r}")
-        object.__setattr__(self, "e", e)
-        b, d = self.base.support_table, self.direction.support_table
-        rows = _match((b.atom_w, b.atom_a, b.atom_y), (d.atom_w, d.atom_a, d.atom_y))
-        outside = np.flatnonzero(rows < 0)
-        if outside.size:
-            i = outside[0]
-            key = (tuple(d.atom_w[i].tolist()), int(d.atom_a[i]), float(d.atom_y[i]))
-            raise SupportViolation(f"direction atom {key} lies outside the base support")
-        object.__setattr__(self, "_rows", rows)
-
-
-def mix(sub: SubmodelMix) -> FiniteDistribution:
-    """Materialize the mixture distribution at the submodel's weight.
-
-    Atom masses combine exactly: (1-e)*p_base + e*p_direction over the base
-    support, dropping atoms whose combined mass is zero (only possible at
-    e = 1).
-    """
-    base = sub.base.support_table
-    direction = np.zeros(len(base.atom_p))
-    direction[sub._rows] = sub.direction.support_table.atom_p
-    m = (1.0 - sub.e) * base.atom_p + sub.e * direction
+    e = float(e)
+    if not 0.0 <= e <= 1.0:
+        raise ValueError(f"mixture weight must lie in [0, 1], got {e!r}")
+    b, d = base.support_table, direction.support_table
+    rows = _match((b.atom_w, b.atom_a, b.atom_y), (d.atom_w, d.atom_a, d.atom_y))
+    outside = np.flatnonzero(rows < 0)
+    if outside.size:
+        i = outside[0]
+        key = (tuple(d.atom_w[i].tolist()), int(d.atom_a[i]), float(d.atom_y[i]))
+        raise SupportViolation(f"direction atom {key} lies outside the base support")
+    toward = np.zeros(len(b.atom_p))
+    toward[rows] = d.atom_p
+    m = (1.0 - e) * b.atom_p + e * toward
     keep = m > 0.0
-    return _law(base.atom_w[keep], base.atom_a[keep], base.atom_y[keep], m[keep])
+    return _law(b.atom_w[keep], b.atom_a[keep], b.atom_y[keep], m[keep])
 
 
 @dataclass(frozen=True)
@@ -556,13 +538,9 @@ def fields_dict(report, omit=()) -> dict:
     return {k: list(v) if isinstance(v, tuple) else v for k, v in values.items() if v is not None}
 
 
-_FUNCTIONALS = {"psi": psi_of, "theta": theta_of}
-
-
 def _functional(name: str):
-    if name not in _FUNCTIONALS:
-        raise ConfigError(f"unknown functional {name!r}")
-    return _FUNCTIONALS[name]
+    _check_estimand(name)
+    return psi_of if name == "psi" else theta_of
 
 
 def _check_estimand(estimand) -> None:
@@ -612,7 +590,7 @@ def pathwise_derivative_check(
         raise ConfigError("'step_grid' must stay inside the mixture range (0, 1]")
 
     f0 = value_fn(base)
-    diffs = [(value_fn(mix(SubmodelMix(base, direction, h))) - f0) / h for h in grid]
+    diffs = [(value_fn(mix(base, direction, h)) - f0) / h for h in grid]
     fd = _extrapolate_to_zero(grid, diffs)
     integral = eif_integral(functional, base, direction)
     return CheckReport(functional, fd, integral, abs(fd - integral), grid)
@@ -661,7 +639,7 @@ def distribution_from_dict(doc: dict) -> FiniteDistribution:
 
 def load_distribution(path) -> FiniteDistribution:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             doc = json.load(fh)
     except OSError as err:
         raise ConfigError(f"cannot read distribution file {path}: {err}") from None

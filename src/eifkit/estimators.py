@@ -255,20 +255,28 @@ def _report(estimand, data, point, eif, level, estimator, plan, specs) -> Estima
     )
 
 
-def onestep_psi(data: Dataset, nuis: FittedNuisance, level: float = 0.95) -> EstimateReport:
-    """One-step estimate of the mean untreated outcome."""
+def _onestep(estimand, data: Dataset, qv, gv, level, specs, plan=None) -> EstimateReport:
+    """The one-step report of ``estimand`` from nuisance values at the rows of ``data``."""
+    report = _psi_report if estimand == "psi" else _theta_report
+    estimator = "onestep" if plan is None else "onestep-crossfit"
+    return report(data, qv, gv, level, estimator, plan, specs)
+
+
+def _in_sample(estimand, data: Dataset, nuis: FittedNuisance, level) -> EstimateReport:
+    """The one-step report of ``estimand`` with ``nuis`` predicted at the rows of ``data``."""
     qv = np.asarray(nuis.predict_q(data.w), dtype=float)
     gv = np.asarray(nuis.predict_g(data.w), dtype=float)
-    specs = {"q": nuis.spec_q, "g": nuis.spec_g}
-    return _psi_report(data, qv, gv, level, "onestep", specs=specs)
+    return _onestep(estimand, data, qv, gv, level, {"q": nuis.spec_q, "g": nuis.spec_g})
+
+
+def onestep_psi(data: Dataset, nuis: FittedNuisance, level: float = 0.95) -> EstimateReport:
+    """One-step estimate of the mean untreated outcome."""
+    return _in_sample("psi", data, nuis, level)
 
 
 def onestep_theta(data: Dataset, nuis: FittedNuisance, level: float = 0.95) -> EstimateReport:
     """One-step estimate of the mean untreated outcome among the treated."""
-    qv = np.asarray(nuis.predict_q(data.w), dtype=float)
-    gv = np.asarray(nuis.predict_g(data.w), dtype=float)
-    specs = {"q": nuis.spec_q, "g": nuis.spec_g}
-    return _theta_report(data, qv, gv, level, "onestep", specs=specs)
+    return _in_sample("theta", data, nuis, level)
 
 
 def crossfit(
@@ -301,10 +309,7 @@ def crossfit(
         w_test = data.w.compress(test, axis=0)
         qv[test] = nuis.predict_q(w_test)
         gv[test] = nuis.predict_g(w_test)
-    specs = {"q": spec_q, "g": spec_g}
-    if estimand == "psi":
-        return _psi_report(data, qv, gv, level, "onestep-crossfit", plan, specs)
-    return _theta_report(data, qv, gv, level, "onestep-crossfit", plan, specs)
+    return _onestep(estimand, data, qv, gv, level, {"q": spec_q, "g": spec_g}, plan)
 
 
 def estimate(data: Dataset, config: EstimatorConfig, truth=None) -> EstimateReport:
@@ -313,14 +318,13 @@ def estimate(data: Dataset, config: EstimatorConfig, truth=None) -> EstimateRepo
     ``truth`` is the (q, g) pair of vectorized callables that oracle-rate
     learners perturb; data-driven learners ignore it.
     """
+    if config.estimator == "onestep" and config.folds >= 2:
+        return crossfit(data, config.spec_q, config.spec_g, config.folds,
+                        estimand=config.estimand, seed=config.fold_seed,
+                        level=config.level, truth=truth)
     if config.estimator == "onestep":
-        if config.folds >= 2:
-            return crossfit(data, config.spec_q, config.spec_g, config.folds,
-                            estimand=config.estimand, seed=config.fold_seed,
-                            level=config.level, truth=truth)
         nuis = fit_nuisance(data, config.spec_q, config.spec_g, truth=truth)
-        fn = onestep_psi if config.estimand == "psi" else onestep_theta
-        return fn(data, nuis, level=config.level)
+        return _in_sample(config.estimand, data, nuis, config.level)
     if config.estimator == "plugin":
         qhat = fit_side("q", data, config.spec_q, truth)
         if config.estimand == "psi":

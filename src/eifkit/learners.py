@@ -77,7 +77,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -276,8 +276,7 @@ class LearnerSpec:
                 raise InvalidLearnerSpec(
                     f"oracle-rate needs amplitude >= 0, got {self.amplitude!r}"
                 )
-            if self.shape not in (0, 1, 2):
-                raise InvalidLearnerSpec(f"unknown perturbation shape {self.shape!r}")
+            perturbation_shape(self.shape)  # refuses an unknown shape
 
     def to_dict(self) -> dict:
         options = {name: getattr(self, name) for name in ("k", "bandwidth", "rate_exponent",
@@ -289,9 +288,7 @@ class LearnerSpec:
     def from_dict(cls, doc: dict) -> "LearnerSpec":
         if not isinstance(doc, dict) or "kind" not in doc:
             raise InvalidLearnerSpec(f'learner spec must be an object with a "kind": {doc!r}')
-        allowed = {"kind", "k", "bandwidth", "rate_exponent", "amplitude",
-                   "shape", "truncation", "seed"}
-        unknown = set(doc) - allowed
+        unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise InvalidLearnerSpec(f"unknown learner spec fields {sorted(unknown)}")
         return cls(**doc)
@@ -442,11 +439,8 @@ def _irls_beta(x: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _logistic_core(beta: np.ndarray, drop_first: bool) -> Callable:
-    def core(w):
-        x = w[:, 1:] if drop_first else w
-        return logistic(beta[0] + x @ beta[1:])
-
-    return core
+    linear = _linear_core(beta, drop_first)
+    return lambda w: logistic(linear(w))
 
 
 def _query_blocks(m: int, n: int):
@@ -731,9 +725,7 @@ def fit_side(side: str, data: Dataset, spec: LearnerSpec, truth=None) -> Callabl
         return fit_outcome(data, spec) if side == "q" else fit_propensity(data, spec)
     if truth is None:
         raise InvalidLearnerSpec("oracle-rate learners need the (q, g) truth callables")
-    if side == "q":
-        return _oracle_side(truth[0], data.n, spec, clip_eps=None)
-    return _oracle_side(truth[1], data.n, spec, clip_eps=spec.truncation)
+    return _oracle(side, truth, data.n, spec)
 
 
 def fit_nuisance(
@@ -765,6 +757,13 @@ def perturbation_shape(shape_id: int) -> Callable:
     if shape_id == 2:
         return lambda w: np.ones(len(w))
     raise InvalidLearnerSpec(f"unknown perturbation shape {shape_id!r}")
+
+
+def _oracle(side: str, truth, n: int, spec: LearnerSpec) -> Callable:
+    """The oracle-rate ``side`` at size ``n``: its side of ``truth``, perturbed; g truncated."""
+    if side == "q":
+        return _oracle_side(truth[0], n, spec, clip_eps=None)
+    return _oracle_side(truth[1], n, spec, clip_eps=spec.truncation)
 
 
 def _oracle_side(truth_fn: Callable, n: int, spec: LearnerSpec, clip_eps) -> Callable:
@@ -800,9 +799,6 @@ def oracle_rate_nuisance(
             raise InvalidLearnerSpec(f"oracle-rate nuisances need oracle-rate learners, got {spec.kind!r}")
     if not (_is_int(n) and n >= 1):
         raise ConfigError(f"'n' must be a positive integer, got {n!r}")
-    return FittedNuisance(
-        predict_q=_oracle_side(truth_q, n, spec_q, clip_eps=None),
-        predict_g=_oracle_side(truth_g, n, spec_g, clip_eps=spec_g.truncation),
-        spec_q=spec_q,
-        spec_g=spec_g,
-    )
+    truth = (truth_q, truth_g)
+    return FittedNuisance(_oracle("q", truth, n, spec_q), _oracle("g", truth, n, spec_g),
+                          spec_q, spec_g)

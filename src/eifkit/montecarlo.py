@@ -32,7 +32,7 @@ import numpy as np
 from .distributions import FiniteDistribution, _law, fields_dict, psi_of, theta_of
 from .errors import ConfigError, EifkitError, NoTreatedRows
 from .estimators import EstimatorConfig, estimate
-from .decomposition import _check_n_grid, truth_functions
+from .decomposition import _check_n_grid, _loglog_slope, truth_functions
 from .learners import Dataset, LearnerSpec, _is_int, _is_list_of, _is_real, _predictor, logistic
 
 __all__ = [
@@ -276,6 +276,13 @@ def quadrature_distribution(dgp: DGPSpec, nodes: int = 24) -> FiniteDistribution
 # replication machinery
 
 
+class _Study:
+    """A study's summary; ``to_dict`` leaves its replications out."""
+
+    def to_dict(self) -> dict:
+        return fields_dict(self, omit=("replications",))
+
+
 @dataclass(frozen=True)
 class ReplicationResult:
     rep: int
@@ -358,7 +365,7 @@ def _run_grid(dgp: DGPSpec, config: EstimatorConfig, grid, reps: int,
 
 
 @dataclass(frozen=True)
-class CoverageSummary:
+class CoverageSummary(_Study):
     """Aggregate coverage and normality diagnostics for one configuration."""
 
     estimand: str
@@ -379,9 +386,6 @@ class CoverageSummary:
     ks_flag: bool
     failures: int
     replications: tuple
-
-    def to_dict(self) -> dict:
-        return fields_dict(self, omit=("replications",))
 
 
 def ks_distance(x, sd: float) -> float:
@@ -473,7 +477,7 @@ def run_coverage(
 
 
 @dataclass(frozen=True)
-class RateExperimentReport:
+class RateExperimentReport(_Study):
     """Root-mean-square error along a sample-size grid, with fitted slope."""
 
     estimand: str
@@ -488,9 +492,6 @@ class RateExperimentReport:
     failures: int
     replications: tuple
 
-    def to_dict(self) -> dict:
-        return fields_dict(self, omit=("replications",))
-
 
 def run_rate_experiment(
     dgp: DGPSpec,
@@ -500,7 +501,8 @@ def run_rate_experiment(
     master_seed: int,
     workers: int = 1,
 ) -> RateExperimentReport:
-    """RMSE(n) over the grid and the least-squares slope of log RMSE on log n."""
+    """RMSE(n) over the grid and the least-squares slope of log RMSE on log n,
+    which a zero RMSE leaves undefined (ConfigError)."""
     grid = _check_n_grid(n_grid)
     truth_value, by_n, failures = _run_grid(dgp, config, grid, reps, master_seed, workers, 1,
                                             "all replications failed at n={n}")
@@ -511,7 +513,6 @@ def run_rate_experiment(
         rmse.append(float(np.sqrt(np.mean(errs**2))))
         mean_scaled.append(float(scaled.mean()))
         var_scaled.append(float(scaled.var(ddof=1)) if scaled.size > 1 else math.nan)
-    slope = float(np.polyfit(np.log(grid), np.log(rmse), 1)[0])
     return RateExperimentReport(
         estimand=config.estimand,
         estimator=config.estimator,
@@ -521,7 +522,7 @@ def run_rate_experiment(
         rmse_by_n=tuple(rmse),
         mean_scaled_error_by_n=tuple(mean_scaled),
         var_scaled_error_by_n=tuple(var_scaled),
-        slope=slope,
+        slope=_loglog_slope(grid, rmse, "RMSE"),
         failures=failures,
         replications=tuple(r for results in by_n for r in results),
     )
@@ -532,7 +533,7 @@ def run_rate_experiment(
 
 
 @dataclass(frozen=True)
-class DrConsistencyReport:
+class DrConsistencyReport(_Study):
     """Bias of the one-step under targeted nuisance misspecification."""
 
     estimand: str
@@ -544,9 +545,6 @@ class DrConsistencyReport:
     mc_se_by_n: tuple
     failures: int
     replications: tuple
-
-    def to_dict(self) -> dict:
-        return fields_dict(self, omit=("replications",))
 
 
 def dr_arm_specs(arm: str):

@@ -15,7 +15,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eifkit import EstimatorConfig, draw_dataset, estimate, montecarlo, save_distribution
+from eifkit import (
+    Dataset,
+    EstimatorConfig,
+    FoldPlan,
+    LearnerSpec,
+    draw_dataset,
+    estimate,
+    fit_propensity,
+    montecarlo,
+    save_distribution,
+)
 from eifkit.cli import ingest_csv, main
 from eifkit.distributions import FiniteDistribution, Observation
 from eifkit.errors import (
@@ -262,6 +272,42 @@ def test_estimate_document_is_the_library_report(workspace, capsys, estimator, e
                       EstimatorConfig(estimator=estimator, estimand=estimand,
                                       folds=folds, fold_seed=3))
     assert doc == json.loads(json.dumps(report.to_dict()))
+
+
+def test_estimate_knn_on_a_continuous_outcome_equals_the_stable_argsort_reference(
+        tmp_path, capsys):
+    # scripts/data/demo.csv has y = w1, so its digest cannot see which
+    # neighbours kNN keeps; here every q-hat is rebuilt on the same folds from
+    # a stable argsort of the fitting rows' squared distances
+    rng = np.random.default_rng(15)
+    n, k, folds = 240, 15, 5
+    w = rng.uniform(-1.0, 1.0, (n, 2))
+    a = (rng.uniform(size=n) < 0.4).astype(int)
+    y = np.sin(3.0 * w[:, 0]) + w[:, 1] ** 2 + 0.3 * rng.standard_normal(n)
+    _write_sample(tmp_path / "sample.csv", Dataset(w, a, y))
+    (tmp_path / "est.json").write_text(json.dumps({
+        "data": "sample.csv", "folds": folds, "seed": 4, "include_eif": True,
+        "learners": {"q": {"kind": "knn", "k": k}, "g": {"kind": "logistic-irls"}}}))
+    code, doc = run_cli(capsys, ["estimate", "--config", str(tmp_path / "est.json")])
+    assert code == 0
+
+    data = ingest_csv(tmp_path / "sample.csv")
+    plan = FoldPlan.build(n, folds, 4)
+    qv, gv = np.empty(n), np.empty(n)
+    for fold in range(folds):
+        test = plan.assignment == fold
+        fit = ~test & (data.a == 0)
+        for i in np.flatnonzero(test):
+            d2 = ((data.w[fit] - data.w[i]) ** 2).sum(axis=1)
+            qv[i] = data.y[fit][np.argsort(d2, kind="stable")[:k]].mean()
+        ghat = fit_propensity(data.subset(~test), LearnerSpec("logistic-irls"))
+        gv[test] = ghat(data.w[test])
+    contrib = np.where(data.a == 0, (data.y - qv) / gv, 0.0) + qv
+    point = float(np.mean(contrib))
+    # the centered values show a last-digit change in any row's q-hat, which
+    # the mean of 240 terms can round away
+    assert doc["point"] == point
+    assert doc["eif_values"] == (contrib - point).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -601,18 +647,47 @@ def test_importing_the_cli_leaves_the_process_pool_unimported():
     assert result.stdout == "[]\n"
 
 
+def _cli_process(*argv):
+    """``python -m eifkit.cli *argv`` in a fresh interpreter, importing the checkout's package."""
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "eifkit.cli", *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+
+
 def test_overflowing_verify_eif_leaves_stderr_empty(tmp_path):
     # the error document is the whole output: the overflow in the arm that
     # np.where discards prints no RuntimeWarning
     (tmp_path / "law.json").write_text(json.dumps(_OVERFLOW_LAW))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"distribution": "law.json", "direction": "law.json"}))
-    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
-    result = subprocess.run([sys.executable, "-m", "eifkit.cli", "verify-eif", "--config",
-                             str(cfg)], capture_output=True, text=True,
-                            env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    result = _cli_process("verify-eif", "--config", str(cfg))
     assert result.returncode == 1
     assert json.loads(result.stdout)["error"]["code"] == "numeric/non-finite"
+    assert result.stderr == ""
+
+
+_EXACT = {"kind": "oracle-rate", "rate_exponent": 0.25, "amplitude": 0.0}
+
+
+@pytest.mark.parametrize("command, doc, curve", [
+    # exact oracles: the remainder is zero at every n
+    ("remainder", {"distribution": "dist.json", "mode": "sweep", "n_grid": [100, 200],
+                   "learners": {"q": _EXACT, "g": _EXACT}}, "remainder"),
+    # the plug-in with the exact regression of an outcome mean that no
+    # covariate moves: every point equals the truth
+    ("simulate", {"study": "rate", "n_grid": [100, 200], "reps": 4,
+                  "dgp": {"beta": [1.0, 0.0, 0.0]},
+                  "estimator": {"estimator": "plugin",
+                                "learners": {"q": _EXACT, "g": _EXACT}}}, "RMSE"),
+])
+def test_a_curve_that_vanishes_on_the_grid_has_no_slope(workspace, command, doc, curve):
+    _, config = workspace
+    result = _cli_process(command, "--config", config("cfg.json", doc))
+    assert result.returncode == 2
+    assert json.loads(result.stdout)["error"] == {
+        "code": "config/invalid",
+        "message": f"{command} config: {curve} vanished on the grid; slope undefined "
+                   "(amplitude 0?)"}
     assert result.stderr == ""
 
 
@@ -847,6 +922,44 @@ def test_simulate_replications_out_write_failure_exits_one(workspace, capsys, mo
     assert error["code"] == "output/write-failed" and "x.csv" in error["message"]
 
 
+@pytest.mark.parametrize("value", ["", False, 0, []])
+def test_simulate_refuses_a_replications_out_that_is_no_path(workspace, capsys, monkeypatch,
+                                                             value):
+    # a falsy value is refused like any other, not taken as "no output file"
+    _, config = workspace
+
+    def no_replications(*args, **kwargs):
+        raise AssertionError("replications ran for a rejected replications_out")
+
+    monkeypatch.setattr(montecarlo, "_run_tasks", no_replications)
+    cfg = config("sim.json", {"study": "coverage", "n": 50, "reps": 3,
+                              "replications_out": value})
+    error = _only_error_document(capsys, main(["simulate", "--config", cfg]), 2)
+    assert error == {"code": "config/invalid",
+                     "message": f"simulate config: 'replications_out': expected a file path "
+                                f"string, got {value!r}"}
+
+
+@pytest.mark.parametrize("command, doc, where, key", [
+    ("estimate", {"data": 0}, "estimate config", "data"),
+    ("verify-eif", {"distribution": 0, "direction": "direction.json"},
+     "verify-eif config", "distribution"),
+    ("verify-eif", {"distribution": "dist.json", "direction": 0}, "verify-eif config",
+     "direction"),
+    ("decompose", {"distribution": "dist.json", "sample": 0}, "decompose config", "sample"),
+    ("remainder", {"distribution": 0}, "remainder config", "distribution"),
+    ("remainder", {"distribution": "dist.json", "sample": 0}, "remainder config", "sample"),
+    ("simulate", {"study": "coverage", "n": 50, "reps": 3,
+                  "dgp": {"kind": "discrete-saturated", "distribution": 0}},
+     "simulate config.dgp", "distribution"),
+])
+def test_a_path_that_is_no_string_names_its_key(workspace, capsys, command, doc, where, key):
+    _, config = workspace
+    error = _only_error_document(capsys, main([command, "--config", config("c.json", doc)]), 2)
+    assert error == {"code": "config/invalid",
+                     "message": f"{where}: {key!r}: expected a file path string, got 0"}
+
+
 def test_stdout_is_sorted_pretty_json(workspace, capsys):
     _, config = workspace
     cfg = config("est.json", {"data": "sample.csv"})
@@ -977,6 +1090,22 @@ def test_files_that_are_not_utf8_exit_two(workspace, capsys, target):
     code, doc = run_cli(capsys, argv)
     assert code == 2
     assert doc["error"]["code"] == "config/invalid" and "UTF-8" in doc["error"]["message"]
+
+
+@pytest.mark.parametrize("target", ["config", "csv", "distribution"])
+def test_a_utf8_byte_order_mark_is_dropped(workspace, capsys, target):
+    # editors on Windows save UTF-8 with a leading BOM; each reader drops it
+    tmp_path, config = workspace
+    name = {"config": "est.json", "csv": "sample.csv", "distribution": "dist.json"}[target]
+    argv = (["estimate", "--config", config("est.json", {"data": "sample.csv"})]
+            if target != "distribution" else
+            ["verify-eif", "--config",
+             config("v.json", {"distribution": "dist.json", "direction": "direction.json"})])
+    code, plain = run_cli(capsys, argv)
+    assert code == 0
+    path = tmp_path / name
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert run_cli(capsys, argv) == (0, plain)
 
 
 # ---------------------------------------------------------------------------

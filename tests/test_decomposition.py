@@ -25,7 +25,7 @@ from eifkit import (
 from eifkit.cli import main
 from eifkit.distributions import DEFAULT_STEP_GRID, _extrapolate_to_zero, save_distribution
 from eifkit.learners import FittedNuisance, fit_nuisance
-from eifkit.errors import PositivityViolation, ZeroMassConditioning
+from eifkit.errors import ConfigError, PositivityViolation, ZeroMassConditioning
 
 from conftest import RefLaw, direction_from, perturbed_nuisance, random_distribution
 
@@ -240,6 +240,15 @@ def test_sweep_validation(four_atom):
     degenerate = LearnerSpec("oracle-rate", rate_exponent=0.25, amplitude=0.0)
     with pytest.raises(ValueError):
         remainder_rate_sweep(four_atom, (tq, tg), degenerate, degenerate, [100, 200])
+
+
+def test_sweep_refuses_a_remainder_that_vanishes(four_atom):
+    # with the exact outcome regression the remainder is zero at every n,
+    # where log |R| has no slope
+    exact = LearnerSpec("oracle-rate", rate_exponent=0.25, amplitude=0.0)
+    perturbed = LearnerSpec("oracle-rate", rate_exponent=0.25, amplitude=0.05)
+    with pytest.raises(ConfigError, match=r"^remainder vanished on the grid; slope undefined"):
+        remainder_rate_sweep(four_atom, truth_functions(four_atom), exact, perturbed, [100, 200])
 
 
 def test_truth_functions_vectorized(five_atom):

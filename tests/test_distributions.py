@@ -11,7 +11,6 @@ from eifkit import (
     DGPSpec,
     FiniteDistribution,
     Observation,
-    SubmodelMix,
     distribution_from_dict,
     distribution_to_dict,
     draw_dataset,
@@ -133,7 +132,7 @@ def test_mix_is_convex_combination(four_atom, five_atom):
     # so build the direction from four_atom itself
     direction = FiniteDistribution([((0.0, 0, 0.0), 0.5), ((1.0, 1, 1.0), 0.5)])
     e = 0.25
-    mixed = mix(SubmodelMix(four_atom, direction, e))
+    mixed = mix(four_atom, direction, e)
     for obs, p in four_atom.atoms:
         want = (1 - e) * p + e * direction.mass_of(obs)
         assert mixed.mass_of(obs) == pytest.approx(want, abs=1e-15)
@@ -141,25 +140,25 @@ def test_mix_is_convex_combination(four_atom, five_atom):
 
 def test_mix_endpoints(four_atom):
     direction = FiniteDistribution([((1.0, 0, 1.0), 1.0)])
-    at_zero = mix(SubmodelMix(four_atom, direction, 0.0))
+    at_zero = mix(four_atom, direction, 0.0)
     assert psi_of(at_zero) == pytest.approx(psi_of(four_atom), abs=1e-15)
-    at_one = mix(SubmodelMix(four_atom, direction, 1.0))
+    at_one = mix(four_atom, direction, 1.0)
     assert len(at_one.atoms) == 1
 
 
 def test_mix_rejects_bad_inputs(four_atom):
     with pytest.raises(ValueError):
-        SubmodelMix(four_atom, four_atom, 1.5)
+        mix(four_atom, four_atom, 1.5)
     off_support = FiniteDistribution([((9.0, 0, 9.0), 1.0)])
     with pytest.raises(SupportViolation):
-        SubmodelMix(four_atom, off_support, 0.5)
+        mix(four_atom, off_support, 0.5)
 
 
 def test_psi_continuous_along_path(four_atom):
     direction = FiniteDistribution([((1.0, 0, 1.0), 1.0)])
     base_val = psi_of(four_atom)
     gaps = [
-        abs(psi_of(mix(SubmodelMix(four_atom, direction, 10.0**-k))) - base_val)
+        abs(psi_of(mix(four_atom, direction, 10.0**-k)) - base_val)
         for k in range(1, 7)
     ]
     assert all(g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))
@@ -289,7 +288,7 @@ def test_array_law_equals_per_atom_reference(atoms, e, seed):
     counts = rng.integers(1, 10, size=len(picks))
     direction = [(atoms[i][0], int(c) / float(counts.sum())) for i, c in zip(picks, counts)]
     got = _outcome(lambda: _law_state(
-        mix(SubmodelMix(dist, FiniteDistribution(direction), e)), atoms))
+        mix(dist, FiniteDistribution(direction), e), atoms))
     assert got == _outcome(lambda: _ref_state(ref.mix(RefLaw(direction), e), atoms))
     # a seeded draw, with the treated rows' counterfactual outcomes
     n = int(rng.integers(1, 50))

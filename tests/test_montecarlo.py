@@ -450,6 +450,15 @@ def test_run_rate_experiment_validation():
         )
 
 
+def test_run_rate_experiment_refuses_an_rmse_that_vanishes():
+    # the plug-in with the exact regression of an outcome mean that no
+    # covariate moves: every point equals the truth, where log RMSE has no slope
+    exact = LearnerSpec("oracle-rate", rate_exponent=0.25, amplitude=0.0)
+    config = EstimatorConfig(estimator="plugin", spec_q=exact, spec_g=exact)
+    with pytest.raises(ConfigError, match=r"^RMSE vanished on the grid; slope undefined"):
+        run_rate_experiment(DGPSpec(beta=[1.0, 0.0, 0.0]), config, [100, 200], 4, 0)
+
+
 def test_run_dr_consistency_smoke():
     report = run_dr_consistency(
         default_logistic_linear(), "none", [200, 400], 40, 404
