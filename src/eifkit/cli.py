@@ -56,13 +56,13 @@ from pathlib import Path
 import numpy as np
 
 from .decomposition import (
+    _remainder,
     decompose_error,
-    remainder_exact_psi,
-    remainder_exact_theta,
     remainder_rate_sweep,
     truth_functions,
 )
 from .distributions import (
+    _check_estimand,
     eif_integral,
     load_distribution,
     pathwise_derivative_check,
@@ -412,14 +412,13 @@ def _cmd_remainder(args) -> dict:
     spec_q, spec_g = _learner_pair(cfg, "remainder config")
     dist = load_distribution(_resolve(args.config, cfg, "distribution", "remainder config"))
     truth = truth_functions(dist)
-
-    if mode == "sweep":
-        with _refused("remainder config"):
+    estimand = cfg.get("estimand", "psi")
+    with _refused("remainder config"):
+        _check_estimand(estimand)
+        if mode == "sweep":
             return remainder_rate_sweep(dist, truth, spec_q, spec_g, cfg.get("n_grid"),
-                                        estimand=cfg.get("estimand", "psi")).to_dict()
-
-    # exact mode: the estimand picks which remainder to compute
-    estimand = _str_field(cfg, "estimand", "psi", ("psi", "theta"), "remainder config")
+                                        estimand=estimand).to_dict()
+    # exact mode: one remainder, of a sample's fits or of the oracle at n
     if estimand == "psi" and "pn_a" in cfg:
         raise ConfigError("remainder config: 'pn_a' only applies to the theta estimand")
     if ("sample" in cfg) == ("n" in cfg):
@@ -433,9 +432,7 @@ def _cmd_remainder(args) -> dict:
         else:
             nuis = oracle_rate_nuisance(*truth, cfg["n"], spec_q, spec_g)
             default_pn_a = dist.pr_a1
-        if estimand == "psi":
-            return remainder_exact_psi(dist, nuis).to_dict()
-        return remainder_exact_theta(dist, nuis, cfg.get("pn_a", default_pn_a)).to_dict()
+        return _remainder(estimand, dist, nuis, cfg.get("pn_a", default_pn_a)).to_dict()
 
 
 def _parse_dgp(cfg: dict, config_path) -> DGPSpec:

@@ -167,13 +167,6 @@ def _plugin(estimand: str, dist: FiniteDistribution, table: SupportTable, qh) ->
     return _fsum(table.pw * (1.0 - table.g) * qh) / dist.pr_a1
 
 
-def _l2_errors(table: SupportTable, qh, gh):
-    """The L2(P_W) errors of ghat and qhat."""
-    pw = table.pw
-    return (math.sqrt(_fsum(pw * (table.g - gh) ** 2)),
-            math.sqrt(_fsum(pw * (table.q - qh) ** 2)))
-
-
 # ---------------------------------------------------------------------------
 # remainder identities
 
@@ -184,15 +177,7 @@ def remainder_exact_psi(dist: FiniteDistribution, nuis: FittedNuisance) -> Remai
     The plug-in value uses the estimated regression under the *true*
     covariate marginal: plugin = E_P[qhat(W)].
     """
-    table, qh, gh = _on_support(dist, nuis)
-    pw, q, g = table.pw, table.q, table.g
-    psi_true = psi_of(dist)
-    psi_hat = _plugin("psi", dist, table, qh)
-    direct = psi_true - psi_hat - _mean_phi("psi", table, qh, gh, psi_hat, None)
-    closed = -_fsum(pw * (g - gh) * (q - qh) / gh)
-    l2_g, l2_q = _l2_errors(table, qh, gh)
-    cs_bound = float(np.max(1.0 / gh)) * l2_g * l2_q
-    return RemainderReport("psi", direct, closed, cs_bound)
+    return _remainder("psi", dist, nuis, None)
 
 
 def remainder_exact_theta(
@@ -212,23 +197,34 @@ def remainder_exact_theta(
     the plug-in equals the truth (in particular for pn_a = Pr(A=1) it is
     the only term not of product form).
     """
-    if not (_is_real(pn_a) and 0.0 < pn_a <= 1.0):
-        raise ConfigError(f"'pn_a', the treated fraction, must lie in (0, 1], got {pn_a!r}")
-    pn_a = float(pn_a)
+    return _remainder("theta", dist, nuis, pn_a)
+
+
+def _remainder(estimand: str, dist: FiniteDistribution, nuis: FittedNuisance,
+               pn_a) -> RemainderReport:
+    """The remainder of ``estimand`` by both routes, with its Cauchy-Schwarz
+    bound; ``pn_a`` is theta's treated fraction and unused for psi."""
+    if estimand == "theta":
+        if not (_is_real(pn_a) and 0.0 < pn_a <= 1.0):
+            raise ConfigError(f"'pn_a', the treated fraction, must lie in (0, 1], got {pn_a!r}")
+        pn_a = float(pn_a)
     table, qh, gh = _on_support(dist, nuis)
     pw, q, g = table.pw, table.q, table.g
-    theta_true = theta_of(dist)
-    theta_hat = _plugin("theta", dist, table, qh)
-    direct = theta_true - theta_hat - _mean_phi("theta", table, qh, gh, theta_hat, pn_a)
-    s1 = -_fsum(pw * (g - gh) / gh * (1.0 - gh) * (q - qh)) / pn_a
-    s2 = -_fsum(pw * (gh - g) * (qh - q)) / pn_a
-    s3 = -(dist.pr_a1 - pn_a) / pn_a * (theta_true - theta_hat)
-    closed = s1 + s2 + s3
-    l2_g, l2_q = _l2_errors(table, qh, gh)
-    cs_bound = (float(np.max((1.0 - gh) / gh)) + 1.0) / pn_a * l2_g * l2_q + abs(s3)
-    return RemainderReport(
-        "theta", direct, closed, cs_bound, terms={"s1": s1, "s2": s2, "s3": s3}
-    )
+    truth = psi_of(dist) if estimand == "psi" else theta_of(dist)
+    hat = _plugin(estimand, dist, table, qh)
+    direct = truth - hat - _mean_phi(estimand, table, qh, gh, hat, pn_a)
+    if estimand == "psi":
+        closed, terms = -_fsum(pw * (g - gh) * (q - qh) / gh), None
+        factor, offset = float(np.max(1.0 / gh)), 0.0
+    else:
+        s1 = -_fsum(pw * (g - gh) / gh * (1.0 - gh) * (q - qh)) / pn_a
+        s2 = -_fsum(pw * (gh - g) * (qh - q)) / pn_a
+        s3 = -(dist.pr_a1 - pn_a) / pn_a * (truth - hat)
+        closed, terms = s1 + s2 + s3, {"s1": s1, "s2": s2, "s3": s3}
+        factor, offset = (float(np.max((1.0 - gh) / gh)) + 1.0) / pn_a, abs(s3)
+    l2_g = math.sqrt(_fsum(pw * (g - gh) ** 2))  # the L2(P_W) errors of ghat and qhat
+    l2_q = math.sqrt(_fsum(pw * (q - qh) ** 2))
+    return RemainderReport(estimand, direct, closed, factor * l2_g * l2_q + offset, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -310,11 +306,8 @@ def remainder_rate_sweep(
     grid = _check_n_grid(n_grid)
     rows = []
     for n in grid:
-        nuis = oracle_rate_nuisance(*truth, n, spec_q, spec_g)
-        if estimand == "psi":
-            rep = remainder_exact_psi(dist, nuis)
-        else:
-            rep = remainder_exact_theta(dist, nuis, pn_a=dist.pr_a1)
+        rep = _remainder(estimand, dist, oracle_rate_nuisance(*truth, n, spec_q, spec_g),
+                         dist.pr_a1)
         rows.append((n, rep.remainder_direct, rep.cs_bound))
     slope = _loglog_slope(grid, [abs(r) for _, r, _ in rows], "remainder")
     return RateSweepReport(estimand=estimand, rows=tuple(rows), slope=slope)

@@ -617,7 +617,9 @@ def eif_integral(functional: str, dist: FiniteDistribution, weights: FiniteDistr
 
 def distribution_to_dict(dist: FiniteDistribution) -> dict:
     """JSON-ready atom table: {"atoms": [{"w": [...], "a": 0|1, "y": ..., "p": ...}]}."""
-    return {"atoms": [{"w": list(obs.w), "a": obs.a, "y": obs.y, "p": p} for obs, p in dist.atoms]}
+    t = dist.support_table
+    return {"atoms": [{"w": w, "a": a, "y": y, "p": p} for w, a, y, p in zip(
+        t.atom_w.tolist(), t.atom_a.tolist(), t.atom_y.tolist(), t.atom_p.tolist())]}
 
 
 def distribution_from_dict(doc: dict) -> FiniteDistribution:

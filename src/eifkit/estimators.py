@@ -1,7 +1,9 @@
 """Plug-in, IPW, and one-step estimators, with optional K-fold cross-fitting.
 
 :func:`estimate` runs the estimator an :class:`EstimatorConfig` names; the
-CLI and the Monte Carlo studies both go through it.
+CLI and the Monte Carlo studies both go through it.  It fits the nuisances
+the estimator reads (on each fold's complement when K >= 2, so plug-in and
+IPW cross-fit as the one-step does), predicts them at every row and reports.
 
 The one-step estimator for the mean untreated outcome is the augmented IPW
 average
@@ -42,7 +44,6 @@ from .learners import (
     LearnerSpec,
     _is_int,
     _is_real,
-    fit_nuisance,
     fit_side,
 )
 
@@ -103,9 +104,10 @@ class EstimatorConfig:
     misspecified-wronglink, oracle-rate).  Oracle-rate learners need the
     truth passed to :func:`estimate`.
 
-    ``folds`` >= 2 cross-fits the one-step estimator over a fold plan seeded
-    by ``fold_seed``; 0 or 1 fits the nuisances once on the whole sample.
-    Plug-in and IPW fit only the nuisance they use and ignore the folds.
+    Each estimator fits only the nuisances it reads: one-step both, plug-in
+    q and IPW g.  ``folds`` >= 2 cross-fits them, whatever the estimator,
+    over a fold plan seeded by ``fold_seed``; 0 or 1 fits them once on the
+    whole sample.
     Every field is checked here, and a bad value raises ConfigError.
     """
 
@@ -194,16 +196,27 @@ class EstimateReport:
 
 def plugin_psi(data: Dataset, qhat: Callable) -> float:
     """Plug-in estimate: sample mean of qhat over all covariate rows."""
-    return float(np.mean(qhat(data.w)))
+    return _baseline_point("plugin", "psi", data, qhat(data.w))
 
 
 def ipw_psi(data: Dataset, ghat: Callable) -> float:
     """Inverse-probability-weighted estimate (1/n) sum I(A=0) Y / ghat(W)."""
-    g = np.asarray(ghat(data.w), dtype=float)
-    if (g <= 0.0).any():
-        raise ZeroMassConditioning("propensity estimate must be positive for weighting")
-    ind0 = (data.a == 0).astype(float)
-    return float(np.mean(ind0 * data.y / g))
+    return _baseline_point("ipw", "psi", data, ghat(data.w))
+
+
+def _baseline_point(estimator, estimand, data: Dataset, values) -> float:
+    """The plug-in (``values`` are qhat) or IPW (``values`` are ghat) point from
+    nuisance values at the rows of ``data``; IPW is defined for psi only."""
+    values = np.asarray(values, dtype=float)
+    if estimator == "ipw":
+        if (values <= 0.0).any():
+            raise ZeroMassConditioning("propensity estimate must be positive for weighting")
+        return float(np.mean((data.a == 0).astype(float) * data.y / values))
+    if estimand == "theta":
+        if not (data.a == 1).any():
+            raise NoTreatedRows("plugin treated mean needs a treated row")
+        values = values[data.a == 1]
+    return float(np.mean(values))
 
 
 def variance_and_ci(eif_values, point: float, level: float):
@@ -247,9 +260,12 @@ def _theta_report(data: Dataset, qv, gv, level, estimator, plan=None, specs=None
 
 
 def _report(estimand, data, point, eif, level, estimator, plan, specs) -> EstimateReport:
-    variance, lo, hi = variance_and_ci(eif, point, level)
+    """The report of a point and its influence values (None for plug-in and IPW);
+    a cross-fitted estimator, one with a ``plan``, is labelled ``<estimator>-crossfit``."""
+    variance, lo, hi = (math.nan,) * 3 if eif is None else variance_and_ci(eif, point, level)
     return EstimateReport(
-        estimand=estimand, estimator=estimator, point=point, variance=variance,
+        estimand=estimand, point=point, variance=variance,
+        estimator=estimator if plan is None else f"{estimator}-crossfit",
         ci_low=lo, ci_high=hi, level=level, n=data.n, eif_values=eif,
         fold_plan=plan, nuisance_specs=specs,
     )
@@ -258,8 +274,7 @@ def _report(estimand, data, point, eif, level, estimator, plan, specs) -> Estima
 def _onestep(estimand, data: Dataset, qv, gv, level, specs, plan=None) -> EstimateReport:
     """The one-step report of ``estimand`` from nuisance values at the rows of ``data``."""
     report = _psi_report if estimand == "psi" else _theta_report
-    estimator = "onestep" if plan is None else "onestep-crossfit"
-    return report(data, qv, gv, level, estimator, plan, specs)
+    return report(data, qv, gv, level, "onestep", plan, specs)
 
 
 def _in_sample(estimand, data: Dataset, nuis: FittedNuisance, level) -> EstimateReport:
@@ -279,71 +294,59 @@ def onestep_theta(data: Dataset, nuis: FittedNuisance, level: float = 0.95) -> E
     return _in_sample("theta", data, nuis, level)
 
 
-def crossfit(
-    data: Dataset,
-    spec_q: LearnerSpec,
-    spec_g: LearnerSpec,
-    folds: int,
-    estimand: str = "psi",
-    seed: int = 0,
-    level: float = 0.95,
-    truth=None,
-) -> EstimateReport:
-    """K-fold cross-fitted one-step estimate.
+def crossfit(data: Dataset, spec_q: LearnerSpec, spec_g: LearnerSpec, folds: int,
+             estimand: str = "psi", seed: int = 0, level: float = 0.95,
+             truth=None) -> EstimateReport:
+    """K-fold cross-fitted one-step estimate: :func:`estimate` with K >= 2 folds.
 
-    Nuisances are fit on each fold's complement and evaluated on the fold;
-    the point estimate pools all n per-row contributions.  The treated
-    fraction for the theta estimand is the *global* empirical P_n(A).
-    Bit-reproducible for a fixed (data, specs, K, seed).
+    The treated fraction for the theta estimand is the *global* empirical
+    P_n(A).  Bit-reproducible for a fixed (data, specs, K, seed).
     """
-    _check_estimand(estimand)
-    plan = FoldPlan.build(data.n, folds, seed)
-    qv = np.empty(data.n)
-    gv = np.empty(data.n)
+    config = EstimatorConfig(estimand=estimand, spec_q=spec_q, spec_g=spec_g, folds=folds,
+                             level=level, fold_seed=seed)
+    if folds < 2:
+        raise ConfigError(f"need an integer 2 <= K <= n, got K={folds!r}, n={data.n}")
+    return estimate(data, config, truth)
+
+
+def _nuisance_values(data: Dataset, specs: dict, plan, truth) -> dict:
+    """Each side in ``specs`` predicted at the rows of ``data``: fit on all rows
+    without a ``plan``, else on each fold's complement and predicted on the fold."""
+    if plan is None:
+        fits = {side: fit_side(side, data, spec, truth) for side, spec in specs.items()}
+        return {side: np.asarray(fit(data.w), dtype=float) for side, fit in fits.items()}
+    values = {side: np.empty(data.n) for side in specs}
     for k in range(plan.folds):
         test = plan.assignment == k
         try:
-            nuis = fit_nuisance(data.subset(~test), spec_q, spec_g, truth=truth)
+            train = data.subset(~test)
+            fits = {side: fit_side(side, train, spec, truth) for side, spec in specs.items()}
         except EifkitError as err:
             raise type(err)(f"fold {k}: {err}") from err
         w_test = data.w.compress(test, axis=0)
-        qv[test] = nuis.predict_q(w_test)
-        gv[test] = nuis.predict_g(w_test)
-    return _onestep(estimand, data, qv, gv, level, {"q": spec_q, "g": spec_g}, plan)
+        for side, fit in fits.items():
+            values[side][test] = fit(w_test)
+    return values
 
 
 def estimate(data: Dataset, config: EstimatorConfig, truth=None) -> EstimateReport:
     """Run the estimator that ``config`` names on ``data``.
 
+    The estimator's nuisance sides are fit once, or once per fold, and
+    predicted at every row; the report is formed from those values.
     ``truth`` is the (q, g) pair of vectorized callables that oracle-rate
     learners perturb; data-driven learners ignore it.
     """
-    if config.estimator == "onestep" and config.folds >= 2:
-        return crossfit(data, config.spec_q, config.spec_g, config.folds,
-                        estimand=config.estimand, seed=config.fold_seed,
-                        level=config.level, truth=truth)
+    # each estimator fits only the sides it reads
+    sides = {"onestep": ("q", "g"), "plugin": ("q",), "ipw": ("g",)}[config.estimator]
+    specs = {side: getattr(config, f"spec_{side}") for side in sides}
+    plan = FoldPlan.build(data.n, config.folds, config.fold_seed) if config.folds >= 2 else None
+    values = _nuisance_values(data, specs, plan, truth)
     if config.estimator == "onestep":
-        nuis = fit_nuisance(data, config.spec_q, config.spec_g, truth=truth)
-        return _in_sample(config.estimand, data, nuis, config.level)
-    if config.estimator == "plugin":
-        qhat = fit_side("q", data, config.spec_q, truth)
-        if config.estimand == "psi":
-            point = plugin_psi(data, qhat)
-        else:
-            treated = data.a == 1
-            if not treated.any():
-                raise NoTreatedRows("plugin treated mean needs a treated row")
-            point = float(np.mean(np.asarray(qhat(data.w))[treated]))
-        specs = {"q": config.spec_q}
-    else:
-        # ipw; EstimatorConfig admits it for psi only
-        point = ipw_psi(data, fit_side("g", data, config.spec_g, truth))
-        specs = {"g": config.spec_g}
-    return EstimateReport(
-        estimand=config.estimand, estimator=config.estimator, point=point,
-        variance=math.nan, ci_low=math.nan, ci_high=math.nan, level=config.level,
-        n=data.n, nuisance_specs=specs,
-    )
+        return _onestep(config.estimand, data, values["q"], values["g"], config.level, specs, plan)
+    (side_values,) = values.values()  # plug-in and IPW each read one side
+    point = _baseline_point(config.estimator, config.estimand, data, side_values)
+    return _report(config.estimand, data, point, None, config.level, config.estimator, plan, specs)
 
 
 # ---------------------------------------------------------------------------

@@ -414,6 +414,17 @@ def test_remainder_exact_takes_exactly_one_of_sample_and_n(workspace, capsys, gi
     assert error["message"] == "remainder config: exact mode needs exactly one of 'sample' and 'n'"
 
 
+@pytest.mark.parametrize("mode", ["exact", "sweep"])
+def test_remainder_refuses_an_unknown_estimand_alike_in_both_modes(workspace, capsys, mode):
+    _, config = workspace
+    doc = {"distribution": "dist.json", "mode": mode, "estimand": "tau",
+           "learners": {"q": _ORACLE, "g": _ORACLE},
+           **({"n_grid": [100, 1000]} if mode == "sweep" else {"n": 100})}
+    error = _only_error_document(capsys, main(["remainder", "--config", config("r.json", doc)]), 2)
+    assert error == {"code": "config/invalid",
+                     "message": "remainder config: unknown estimand 'tau'; use 'psi' or 'theta'"}
+
+
 # ---------------------------------------------------------------------------
 # simulate
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +39,8 @@ from eifkit.errors import (
 from eifkit.montecarlo import default_logistic_linear, quadrature_distribution
 
 from conftest import RefLaw, assert_close, direction_from, random_distribution
+
+SCRIPTS_DATA = Path(__file__).resolve().parent.parent / "scripts" / "data"
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +423,17 @@ def test_file_round_trip(tmp_path, five_atom):
     # the on-disk form is stable JSON
     doc = json.loads(path.read_text())
     assert set(doc) == {"atoms"}
+
+
+@pytest.mark.parametrize("law", ["four_atom.json", "quadrature-31"])
+def test_saved_file_is_byte_equal_to_the_writer_through_observations(tmp_path, law):
+    # the writer built every atom as an Observation; the table's columns give the same bytes
+    dist = (load_distribution(SCRIPTS_DATA / law) if law.endswith(".json")
+            else quadrature_distribution(default_logistic_linear(), nodes=31))
+    doc = {"atoms": [{"w": list(obs.w), "a": obs.a, "y": obs.y, "p": p} for obs, p in dist.atoms]}
+    save_distribution(dist, tmp_path / "law.json")
+    want = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "law.json").read_bytes() == want.encode("utf-8")
 
 
 def test_from_dict_rejects_malformed():

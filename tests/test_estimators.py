@@ -1,6 +1,8 @@
 """Estimator oracles: hand-computed points, collapse, cross-fit plumbing."""
 
+import importlib.util
 import math
+from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
@@ -25,7 +27,9 @@ from eifkit import (
 )
 from eifkit.estimators import FoldPlan
 from eifkit.learners import FittedNuisance, fit_nuisance, logistic
-from eifkit.errors import ConfigError, EmptyEif, NoTreatedRows, ZeroMassConditioning
+from eifkit.errors import ConfigError, EifkitError, EmptyEif, NoTreatedRows, ZeroMassConditioning
+
+TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
 Z_975 = 1.959963984540054  # standard normal 97.5% quantile
 
@@ -338,10 +342,8 @@ def _assert_matches_reference(report, estimand, data, qv, gv, level):
     assert np.array_equal(report.eif_values, eif)
 
 
-@pytest.mark.parametrize("folds", [0, 5])
-@pytest.mark.parametrize("estimand", ["psi", "theta"])
-@pytest.mark.parametrize("seed", range(6))
-def test_onestep_reports_are_bit_identical_to_the_reference(seed, estimand, folds):
+def _random_oracle_case(seed, folds):
+    """A sample, random per-row nuisances as the truth, an oracle spec and a level."""
     rng = np.random.default_rng([seed, folds])
     n = int(rng.integers(40, 200))
     w = rng.uniform(-1, 1, (n, 1))
@@ -357,14 +359,96 @@ def test_onestep_reports_are_bit_identical_to_the_reference(seed, estimand, fold
     eps = float(rng.uniform(0.01, 0.1))
     spec = LearnerSpec("oracle-rate", rate_exponent=0.3, amplitude=float(rng.uniform(0, 0.5)),
                        shape=0, truncation=eps)
-    level = float(rng.uniform(0.5, 0.99))
+    return data, truth, spec, float(rng.uniform(0.5, 0.99))
+
+
+@pytest.mark.parametrize("folds", [0, 5])
+@pytest.mark.parametrize("estimand", ["psi", "theta"])
+@pytest.mark.parametrize("seed", range(6))
+def test_onestep_reports_are_bit_identical_to_the_reference(seed, estimand, folds):
+    data, truth, spec, level = _random_oracle_case(seed, folds)
     qv, gv = _fitted_rows(data, spec, spec, folds, seed, truth)
+    eps = spec.truncation
     assert (gv == eps).any() and (gv == 1.0 - eps).any()
 
     config = EstimatorConfig(estimand=estimand, spec_q=spec, spec_g=spec, folds=folds,
                              level=level, fold_seed=seed)
     report = estimate(data, config, truth=truth)
     _assert_matches_reference(report, estimand, data, qv, gv, level)
+
+
+@pytest.mark.parametrize("folds", [0, 5])
+@pytest.mark.parametrize("estimator, estimand", [("plugin", "psi"), ("plugin", "theta"),
+                                                 ("ipw", "psi")])
+@pytest.mark.parametrize("seed", range(6))
+def test_plugin_and_ipw_points_are_bit_identical_to_the_reference(seed, estimator, estimand,
+                                                                  folds):
+    # the same per-row values as the one-step, with folds 5 cross-fitted
+    data, truth, spec, level = _random_oracle_case(seed, folds)
+    qv, gv = _fitted_rows(data, spec, spec, folds, seed, truth)
+    if estimator == "ipw":
+        point = float(np.mean((data.a == 0).astype(float) * data.y / gv))
+    else:
+        point = float(np.mean(qv if estimand == "psi" else qv[data.a == 1]))
+    config = EstimatorConfig(estimand=estimand, estimator=estimator, spec_q=spec, spec_g=spec,
+                             folds=folds, level=level, fold_seed=seed)
+    report = estimate(data, config, truth=truth)
+    assert report.point == point
+    assert report.estimator == (estimator if folds == 0 else f"{estimator}-crossfit")
+    assert report.eif_values is None and math.isnan(report.variance)
+
+
+@pytest.mark.parametrize("folds", [0, 5])
+@pytest.mark.parametrize("estimator, unread", [("plugin", "spec_g"), ("ipw", "spec_q")])
+def test_a_side_the_estimator_does_not_read_is_never_fit(estimator, unread, folds):
+    # an oracle-rate side with no truth to perturb would refuse to fit
+    rng = np.random.default_rng(41)
+    w = rng.uniform(-1, 1, (120, 2))
+    a = (rng.uniform(size=120) < logistic(w @ [0.5, -0.5])).astype(np.int64)
+    data = _dataset(w, a, w @ [1.0, 2.0] + rng.normal(0.0, 1.0, 120))
+    oracle = LearnerSpec("oracle-rate", rate_exponent=0.25, amplitude=0.1)
+    config = EstimatorConfig(estimator=estimator, folds=folds, **{unread: oracle})
+    report = estimate(data, config, truth=None)
+    assert math.isfinite(report.point)
+    assert set(report.nuisance_specs) == {"plugin": {"q"}, "ipw": {"g"}}[estimator]
+
+
+@pytest.mark.parametrize("estimator", ["plugin", "ipw"])
+def test_cross_fitted_plugin_and_ipw_report_their_plan_and_failing_fold(estimator):
+    rng = np.random.default_rng(42)
+    w = rng.uniform(-1, 1, (90, 1))
+    a = (rng.uniform(size=90) < 0.5).astype(np.int64)
+    config = EstimatorConfig(estimator=estimator, folds=3, fold_seed=7)
+    doc = estimate(_dataset(w, a, w[:, 0] + 1.0), config).to_dict()
+    assert (doc["estimator"], doc["folds"], doc["fold_seed"]) == (f"{estimator}-crossfit", 3, 7)
+    # the one untreated row's fold leaves a complement of treated rows only,
+    # which neither side can be fit on
+    data = _dataset([[0.0], [1.0], [2.0], [3.0]], [0, 1, 1, 1], [1.0, 2.0, 3.0, 4.0])
+    k = int(FoldPlan.build(4, 4, 0).assignment[0])
+    with pytest.raises(EifkitError, match=f"^fold {k}: "):
+        estimate(data, EstimatorConfig(estimator=estimator, folds=4))
+
+
+def test_a_traced_cross_fit_opens_one_fold_plan_and_a_fit_per_fold_and_side():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    rng = np.random.default_rng(43)
+    w = rng.uniform(-1, 1, (300, 2))
+    a = (rng.uniform(size=300) < logistic(w @ [0.5, -0.5])).astype(np.int64)
+    data = _dataset(w, a, w @ [1.0, 2.0] + rng.normal(0.0, 1.0, 300))
+    tracer = module.Tracer()
+    try:
+        tracer.install_eifkit()
+        estimate(data, EstimatorConfig(folds=3))
+    finally:
+        tracer.uninstall()
+    totals = tracer.totals()
+    assert totals["estimators.foldplan"]["calls"] == 1
+    assert totals["learners.fit.q.linear-ols"]["calls"] == 3
+    assert totals["learners.fit.g.logistic-irls"]["calls"] == 3
+    assert totals["learners.predict.q.linear-ols"]["rows"] == 300
+    assert totals["learners.predict.g.logistic-irls"]["rows"] == 300
 
 
 @pytest.mark.parametrize("kinds", [("linear-ols", "logistic-irls"),
