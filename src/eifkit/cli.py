@@ -358,8 +358,6 @@ def _cmd_estimate(args) -> dict:
         )
     include_eif = _bool_field(cfg, "include_eif", False, "estimate config")
     data = ingest_csv(_resolve(args.config, cfg, "data", "estimate config"))
-    with _refused("estimate config"):
-        config.check_folds(data.n)
     return estimate(data, config).to_dict(include_eif=include_eif)
 
 

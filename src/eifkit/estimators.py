@@ -340,6 +340,7 @@ def estimate(data: Dataset, config: EstimatorConfig, truth=None) -> EstimateRepo
     # each estimator fits only the sides it reads
     sides = {"onestep": ("q", "g"), "plugin": ("q",), "ipw": ("g",)}[config.estimator]
     specs = {side: getattr(config, f"spec_{side}") for side in sides}
+    config.check_folds(data.n)
     plan = FoldPlan.build(data.n, config.folds, config.fold_seed) if config.folds >= 2 else None
     values = _nuisance_values(data, specs, plan, truth)
     if config.estimator == "onestep":

@@ -48,10 +48,16 @@ at most KERNEL_BLOCK_PAIRS // n rows against the n fitting rows, so no
 (rows, n) temporary exceeds KERNEL_BLOCK_PAIRS floats (256 KB), or one row
 of n floats when n is larger, whatever the query count or dimension.
 Kernel-NW is two matrix products per block, on rows centered at the
-fitting rows' mean and scaled by the bandwidth: the row max cancels each
-query's own -|x|^2 / 2, so its log-weights are x.t - |t|^2 / 2, and a
-product of the weights with [y, 1] gives numerator and denominator.
-Uncentered, that expanded form cancels on covariates with a large mean.
+fitting rows' mean and scaled by the bandwidth: [x, 1, -|x|^2 / 2] times
+[t; -|t|^2 / 2; 1] gives the exact log-weights -|x - t|^2 / 2, exp turns
+them into the weights in place, and a product with [y, 1] gives numerator
+and denominator.  Uncentered, that expanded form cancels on covariates
+with a large mean.  A row whose denominator is not finite or below
+NW_MIN_DENOMINATOR (a query more than about 35 bandwidths from every
+fitting row, an overflowing |x|^2, or rounding past exp's range on rows
+some 1e10 bandwidths apart) is recomputed in the row-max form, log-weights
+x.t - |t|^2 / 2 less their row max, where the nearest row weighs 1, so it
+degrades to a nearest-neighbour average.
 kNN alone sums the exact squared differences (q_j - t_j)**2, in covariate
 order: it ranks distances, and the expanded form, even centered, can
 reorder near-tied neighbours.
@@ -116,6 +122,11 @@ DEFAULT_TRUNCATION = 0.01
 # core's L2 cache; on a Xeon with 2 MB of L2 per core, 2 MB blocks
 # (1 << 18) ran the kernels 1.6-1.9x slower.
 KERNEL_BLOCK_PAIRS = 1 << 15
+# a kernel-NW denominator at least this large keeps its largest weight in
+# the normal range, and a weight rounded to a subnormal then errs by less
+# than 2**-174 of it; a smaller one (a query more than about 35 bandwidths
+# from every fitting row) is recomputed in the row-max form
+NW_MIN_DENOMINATOR = 2.0 ** -900
 # kNN cell index: at least this many cells per axis (a query's box then
 # holds at most (3/4)**d of the rows), and a floor on the queries per
 # cell, counted as the (query, fitting row) pairs that a cell's queries
@@ -478,8 +489,15 @@ def _knn_block(q: np.ndarray, t_cols: np.ndarray, targets: np.ndarray, k: int, b
         quota = k - np.count_nonzero(d2 < kth, axis=1, keepdims=True)
         near &= ~tied | (np.cumsum(tied, axis=1) <= quota)
     flat = near.ravel().nonzero()[0].reshape(-1, k)  # each row's k columns, ascending
-    order = d2.take(flat).argsort(axis=1, kind="stable")
-    order += np.arange(0, order.size, k).reshape(-1, 1)
+    # with no two equal distances in a row, any sort gives the stable
+    # (distance, column) order; the stable sort, about 3x slower at k = 50,
+    # runs only on a block with a tie
+    chosen = d2.take(flat)
+    offsets = np.arange(0, chosen.size, k).reshape(-1, 1)
+    order = chosen.argsort(axis=1) + offsets
+    ranked = chosen.take(order)
+    if (ranked[:, 1:] == ranked[:, :-1]).any():
+        order = chosen.argsort(axis=1, kind="stable") + offsets
     cols = flat.take(order)
     cols %= d2.shape[1]
     # sum / k is numpy's mean, without its wrapper
@@ -492,10 +510,11 @@ def _bucket(cell: np.ndarray, cells: int):
             np.concatenate([[0], np.cumsum(np.bincount(cell, minlength=cells))]))
 
 
-def _block_buffers(m: int, n: int) -> tuple:
-    """The two (rows, n) arrays of ``_knn_block`` for the blocks of m queries."""
+def _block_buffers(m: int, n: int, count: int) -> tuple:
+    """``count`` float arrays of (rows, n), reused by the blocks of m queries
+    against n fitting rows (two for ``_knn_block``, one for kernel-NW)."""
     rows = min(m, max(1, KERNEL_BLOCK_PAIRS // n))
-    return np.empty((rows, n)), np.empty((rows, n))
+    return tuple(np.empty((rows, n)) for _ in range(count))
 
 
 class _CellGrid:
@@ -576,7 +595,7 @@ def _knn_core(train_w: np.ndarray, train_t: np.ndarray, k: int) -> Callable:
     def all_rows(w):
         # per block: (rows, n) distances, the selection's masks and indices,
         # each at most KERNEL_BLOCK_PAIRS elements
-        out, bufs = np.empty(len(w)), _block_buffers(len(w), n)
+        out, bufs = np.empty(len(w)), _block_buffers(len(w), n, 2)
         for rows in _query_blocks(len(w), n):
             out[rows] = _knn_block(w[rows], t_cols, train_t, k, bufs)[1]
         return out
@@ -594,7 +613,7 @@ def _knn_core(train_w: np.ndarray, train_t: np.ndarray, k: int) -> Callable:
             if len(box) < k:
                 continue
             members, box_cols = order[starts[cell]:starts[cell + 1]], t_cols[:, box]
-            bufs = _block_buffers(len(members), len(box))
+            bufs = _block_buffers(len(members), len(box), 2)
             for rows in _query_blocks(len(members), len(box)):
                 queries = members[rows]
                 kth, mean = _knn_block(w[queries], box_cols, train_t[box], k, bufs)
@@ -626,28 +645,41 @@ def _knn_core(train_w: np.ndarray, train_t: np.ndarray, k: int) -> Callable:
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is refused by _finite
 def _nw_core(train_w: np.ndarray, train_t: np.ndarray, bandwidth: np.ndarray) -> Callable:
     # fit: rows centered at their mean and scaled by the bandwidth, t, as
-    # right = [t'; -|t|^2 / 2] of shape (d + 1, n), and targets [y, 1]
+    # right = [t'; -|t|^2 / 2; 1] of shape (d + 2, n), and targets [y, 1]
+    n, d = train_w.shape
     center = train_w.mean(axis=0)
     t = (train_w - center) / bandwidth
-    right = _finite(np.vstack([t.T, -0.5 * np.square(t).sum(axis=1)]), "the kernel matrix")
-    targets = np.column_stack([train_t, np.ones(len(train_t))])
+    right = _finite(np.vstack([t.T, -0.5 * np.square(t).sum(axis=1), np.ones(n)]),
+                    "the kernel matrix")
+    targets = np.column_stack([train_t, np.ones(n)])
 
     @np.errstate(over="ignore", invalid="ignore")
     def core(w):
-        # per block: one (rows, n) log-weight product, turned into the
-        # weights in place, and one (rows, 2) product with the targets
-        left = np.column_stack([(w - center) / bandwidth, np.ones(len(w))])
-        out = np.empty(len(w))
-        for rows in _query_blocks(len(w), len(train_t)):
-            logk = left[rows] @ right
-            # per-row stabilization keeps the nearest point's weight at 1, so
-            # the denominator never underflows and far queries degrade to a
-            # nearest-neighbour average instead of 0/0
+        # left = [x, 1, -|x|^2 / 2], so one product gives each block's exact
+        # log-weights -|x - t|^2 / 2, exponentiated in place in one (rows, n)
+        # buffer, and one (rows, 2) product with the targets sums them
+        x = (w - center) / bandwidth
+        left = np.column_stack([x, np.ones(len(w)), -0.5 * np.square(x).sum(axis=1)])
+        sums = np.empty((len(w), 2))
+        (buf,) = _block_buffers(len(w), n, 1)
+        for rows in _query_blocks(len(w), n):
+            block = left[rows]
+            weights = np.matmul(block, right, out=buf[:len(block)])
+            sums[rows] = np.exp(weights, out=weights) @ targets
+        # far queries' weights underflow, an overflowing |x|^2 makes them 0
+        # or NaN, and rounding on huge scaled rows can overflow one: a row
+        # whose denominator is not finite or below NW_MIN_DENOMINATOR takes
+        # the row-max form x.t - |t|^2 / 2 less its row max, where the
+        # nearest row weighs 1, so it degrades to a nearest-neighbour
+        # average instead of 0/0
+        den = sums[:, 1]
+        far = np.flatnonzero(~(np.isfinite(den) & (den >= NW_MIN_DENOMINATOR)))
+        for rows in _query_blocks(len(far), n):
+            block = left[far[rows], :d + 1]
+            logk = np.matmul(block, right[:d + 1], out=buf[:len(block)])
             logk -= logk.max(axis=1, keepdims=True)
-            weights = np.exp(logk, out=logk)
-            sums = weights @ targets
-            out[rows] = sums[:, 0] / sums[:, 1]
-        return _finite(out, "the kernel-NW prediction")
+            sums[far[rows]] = np.exp(logk, out=logk) @ targets
+        return _finite(sums[:, 0] / sums[:, 1], "the kernel-NW prediction")
 
     return core
 

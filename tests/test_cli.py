@@ -20,6 +20,7 @@ from eifkit import (
     EstimatorConfig,
     FoldPlan,
     LearnerSpec,
+    crossfit,
     draw_dataset,
     estimate,
     fit_propensity,
@@ -272,6 +273,21 @@ def test_estimate_document_is_the_library_report(workspace, capsys, estimator, e
                       EstimatorConfig(estimator=estimator, estimand=estimand,
                                       folds=folds, fold_seed=3))
     assert doc == json.loads(json.dumps(report.to_dict()))
+
+
+def test_more_folds_than_rows_gives_one_message_everywhere(tmp_path, capsys):
+    data = Dataset(w=[[0.0], [0.5], [1.0]], a=[0, 1, 0], y=[1.0, 2.0, 3.0])
+    _write_sample(tmp_path / "three.csv", data)
+    (tmp_path / "est.json").write_text(json.dumps({"data": "three.csv", "folds": 5}))
+    text = "5 folds need at least 5 rows, but a sample has only 3"
+    for run in (lambda: estimate(data, EstimatorConfig(folds=5)),
+                lambda: crossfit(data, LearnerSpec("linear-ols"), LearnerSpec("logistic-irls"), 5)):
+        with pytest.raises(ConfigError) as err:
+            run()
+        assert str(err.value) == text
+    code, doc = run_cli(capsys, ["estimate", "--config", str(tmp_path / "est.json")])
+    assert code == 2
+    assert doc["error"] == {"code": "config/invalid", "message": text}
 
 
 def test_estimate_knn_on_a_continuous_outcome_equals_the_stable_argsort_reference(

@@ -858,6 +858,63 @@ def test_kernel_far_query_in_every_block_degrades_to_nearest_neighbor():
                        rtol=KERNEL_RTOL, atol=0.0)
 
 
+def _rowmax_nw(train_w, train_t, bandwidth, w):
+    """Kernel-NW in the centered row-max form: log-weights x.t - |t|^2 / 2
+    less their row max, in one product over all of ``w``."""
+    center = train_w.mean(axis=0)
+    t = (train_w - center) / bandwidth
+    right = np.vstack([t.T, -0.5 * np.square(t).sum(axis=1)])
+    logk = np.column_stack([(w - center) / bandwidth, np.ones(len(w))]) @ right
+    logk -= logk.max(axis=1, keepdims=True)
+    sums = np.exp(logk) @ np.column_stack([train_t, np.ones(len(train_t))])
+    return sums[:, 0] / sums[:, 1]
+
+
+def test_kernel_block_mixing_near_and_far_queries():
+    # a third of one block's queries lie 37 to 45 bandwidths from every
+    # fitting row, where every exact weight underflows: those rows take the
+    # row-max form, the others keep the exact form
+    rng = np.random.default_rng(12)
+    train_w = rng.uniform(-1, 1, (500, 2))
+    train_t = rng.uniform(1.0, 2.0, 500)
+    qhat = fit_outcome(_untreated(train_w, train_t), LearnerSpec("kernel-nw", bandwidth=0.1))
+    probe = rng.uniform(-1, 1, (BLOCK_ROWS_AT_500, 2))
+    far = np.arange(0, len(probe), 3)
+    probe[far, 0] = train_w[:, 0].max() + rng.uniform(3.7, 4.5, len(far))
+    vals = qhat(probe)
+    assert np.array_equal(vals[far], _rowmax_nw(train_w, train_t, np.full(2, 0.1), probe[far]))
+    near = np.setdiff1d(np.arange(len(probe)), far)
+    assert np.allclose(vals[near], _naive_nw(train_w, train_t, np.full(2, 0.1), probe[near]),
+                       rtol=KERNEL_RTOL, atol=0.0)
+
+
+@pytest.mark.parametrize("fit", [fit_outcome, fit_propensity])
+def test_kernel_predicts_far_and_overflowing_queries_without_warnings(fit):
+    # far queries underflow every weight, and at 1e154 the query's own
+    # |x|^2 overflows; both fall back to the row-max form, silently
+    rng = np.random.default_rng(13)
+    w = rng.uniform(-1, 1, (300, 2))
+    data = _dataset(w, rng.uniform(size=300) < 0.5, rng.standard_normal(300))
+    probe = np.concatenate([w, w + 4.5, [[1e154, 0.0], [0.0, -1e154]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = fit(data, LearnerSpec("kernel-nw", bandwidth=0.1))(probe)
+    assert np.isfinite(vals).all()
+
+
+def test_kernel_with_a_tiny_bandwidth_returns_each_rows_own_target():
+    # rows about 1e10 bandwidths apart: rounding in the exact log-weights
+    # overflows some denominators, and those rows fall back to the row-max
+    # form, where every other row's weight underflows to 0
+    rng = np.random.default_rng(14)
+    w = rng.uniform(-1, 1, (200, 2))
+    y = rng.standard_normal(200)
+    qhat = fit_outcome(_untreated(w, y), LearnerSpec("kernel-nw", bandwidth=1e-10))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(qhat(w), y)
+
+
 def test_smoother_predictions_run_in_bounded_memory():
     # the broadcast kernels held an (m, n, d) float array: about 256 MB
     # per temporary at m = n = 4000, d = 2
