@@ -14,7 +14,11 @@ byte-identical outputs.
 ``--against FILE`` compares the document with one saved earlier: it
 names each entry whose digest differs (or that only one side has) on
 stderr and exits 1 on any difference.  With config names given, only
-the entries those configs produce are compared.
+the entries those configs produce are compared.  On a difference it
+also prints the running platform on stderr, as one line: the numpy
+version, the SIMD targets numpy found on this machine and the BLAS it
+was built with, which the last bits of the floating-point outputs
+depend on (README.md names the platform of ``scripts/digests.json``).
 
 ``scripts/digests.json`` is the tracked baseline, the document this
 script prints for the current outputs; the test suite compares the
@@ -58,6 +62,20 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def platform() -> str:
+    """numpy's version, the SIMD targets it found and the BLAS it was built with."""
+    import numpy as np
+
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy before 1.26 only prints its configuration
+        config = {}
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    found = config.get("SIMD Extensions", {}).get("found", "unknown")
+    return (f"numpy {np.__version__}, SIMD found {found}, "
+            f"BLAS {blas.get('name', 'unknown')} {blas.get('version', 'unknown')}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("names", nargs="*", help="config names (default: every config)")
@@ -97,6 +115,8 @@ def main(argv=None) -> int:
                     if digests.get(name) != saved.get(name))
     for name in differ:
         sys.stderr.write(f"output_digests: {name} differs from {args.against}\n")
+    if differ:
+        sys.stderr.write(f"output_digests: running platform: {platform()}\n")
     return 1 if differ else 0
 
 

@@ -50,6 +50,7 @@ from .distributions import (
     SupportTable,
     _check_estimand,
     _fsum,
+    _functional,
     _influence,
     _match,
     _mean_phi,
@@ -146,13 +147,19 @@ class RateSweepReport:
 # support-level evaluation
 
 
-def _on_support(dist: FiniteDistribution, nuis: FittedNuisance):
-    """The law's support table, with the nuisances predicted on its strata."""
+def _untreated_everywhere(dist: FiniteDistribution) -> SupportTable:
+    """The law's support table; ZeroMassConditioning if a stratum has no untreated mass."""
     table = dist.support_table
     missing = np.flatnonzero(table.pw0 == 0.0)
     if missing.size:
         raise ZeroMassConditioning(
             f"Pr(W={table.strata[missing[0]]}, A=0) = 0; E(Y | W=w, A=0) undefined")
+    return table
+
+
+def _on_support(dist: FiniteDistribution, nuis: FittedNuisance):
+    """The law's support table, with the nuisances predicted on its strata."""
+    table = _untreated_everywhere(dist)
     qh = np.asarray(nuis.predict_q(table.w), dtype=float)
     gh = np.asarray(nuis.predict_g(table.w), dtype=float)
     if (gh <= 0.0).any() or (gh > 1.0).any():
@@ -201,16 +208,18 @@ def remainder_exact_theta(
 
 
 def _remainder(estimand: str, dist: FiniteDistribution, nuis: FittedNuisance,
-               pn_a) -> RemainderReport:
+               pn_a, truth=None) -> RemainderReport:
     """The remainder of ``estimand`` by both routes, with its Cauchy-Schwarz
-    bound; ``pn_a`` is theta's treated fraction and unused for psi."""
+    bound; ``pn_a`` is theta's treated fraction and unused for psi, and
+    ``truth`` the law's value of ``estimand``, computed when None."""
+    table, qh, gh = _on_support(dist, nuis)
+    if truth is None:  # before pn_a: a law with Pr(A=1) = 0 raises NoTreatedMass
+        truth = _functional(estimand)(dist)
     if estimand == "theta":
         if not (_is_real(pn_a) and 0.0 < pn_a <= 1.0):
             raise ConfigError(f"'pn_a', the treated fraction, must lie in (0, 1], got {pn_a!r}")
         pn_a = float(pn_a)
-    table, qh, gh = _on_support(dist, nuis)
     pw, q, g = table.pw, table.q, table.g
-    truth = psi_of(dist) if estimand == "psi" else theta_of(dist)
     hat = _plugin(estimand, dist, table, qh)
     direct = truth - hat - _mean_phi(estimand, table, qh, gh, hat, pn_a)
     if estimand == "psi":
@@ -302,12 +311,14 @@ def remainder_rate_sweep(
     estimand the treated fraction is held at the true Pr(A=1), isolating
     the product terms.
     """
-    _check_estimand(estimand)
+    value_fn = _functional(estimand)
     grid = _check_n_grid(n_grid)
+    nuisances = [oracle_rate_nuisance(*truth, n, spec_q, spec_g) for n in grid]
+    _untreated_everywhere(dist)  # the error each remainder raises before its truth's
+    value = value_fn(dist)
     rows = []
-    for n in grid:
-        rep = _remainder(estimand, dist, oracle_rate_nuisance(*truth, n, spec_q, spec_g),
-                         dist.pr_a1)
+    for n, nuis in zip(grid, nuisances):
+        rep = _remainder(estimand, dist, nuis, dist.pr_a1, value)
         rows.append((n, rep.remainder_direct, rep.cs_bound))
     slope = _loglog_slope(grid, [abs(r) for _, r, _ in rows], "remainder")
     return RateSweepReport(estimand=estimand, rows=tuple(rows), slope=slope)

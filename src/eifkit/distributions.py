@@ -9,18 +9,22 @@ of nearby atoms is ever performed.
 
 Support table
 -------------
-A law is its ``SupportTable``, built by ``_law`` when the law is made:
-the atoms sorted by (w, a, y), with their covariates, a, y, p and stratum,
-and per covariate stratum Pr(W=w), Pr(W=w, A=0), Pr(W=w, A=1), q and g.
-``mix``, the quadrature tables and the empirical law hand ``_law`` arrays.
-Values from outside (the constructor, ``distribution_from_dict``,
-``Observation``, ``mass_of`` and the scalar lookups) first pass one
-validator, ``_columns``, which owns the rule for each atom field (w, a, y,
-p) and checks a column at a time; ``_law`` keeps the mass range, duplicate
-and total checks.  Stratum sums add their atoms' terms in atom order, as a
-running sum does.  ``FiniteDistribution.atoms``, the (Observation, mass)
-pairs, is built unchecked on first use.  The exact routines pass array
-terms to ``_fsum``, exactly rounded whatever the order.
+A law is its ``SupportTable``: the atoms sorted by (w, a, y), with their
+covariates, a, y, p and stratum, and per covariate stratum Pr(W=w),
+Pr(W=w, A=0), Pr(W=w, A=1), q and g.  ``_law`` checks and sorts atoms and
+``_tabulate`` builds the table from sorted, distinct ones; the quadrature
+tables and the empirical law hand ``_law`` arrays.  A mixture path
+(``_path``, behind ``mix`` and the derivative check) aligns its direction
+once and tabulates each point on the base's sorted atoms, reusing the
+base's strata where no atom drops.  Values from outside (the constructor,
+``distribution_from_dict``, ``Observation``, ``mass_of`` and the scalar
+lookups) first pass one validator, ``_columns``, which owns the rule for
+each atom field (w, a, y, p) and checks a column at a time; ``_law`` keeps
+the mass range and duplicate checks, and ``_tabulate`` the total.  Stratum
+sums add their atoms' terms in atom order, as a running sum does.
+``FiniteDistribution.atoms``, the (Observation, mass) pairs, is built
+unchecked on first use.  The exact routines pass array terms to ``_fsum``,
+exactly rounded whatever the order.
 
 Parameters of interest
 ----------------------
@@ -251,21 +255,31 @@ def _law(w, a, y, p) -> FiniteDistribution:
         i = np.argmin(new_key) - 1  # the first of two equal keys
         key = (tuple(w[i].tolist()), int(a[i]), float(y[i]))
         raise InvalidDistribution(f"duplicate atom {key}")
+    return _tabulate(w, a, y, p, new_w)
+
+
+def _tabulate(w, a, y, p, new_w=None, like=None) -> FiniteDistribution:
+    """The law of checked atoms, already sorted by (w, a, y) and distinct: ``new_w``
+    marks each atom whose w differs from the atom before, or ``like``, the table
+    of a law on the same atoms, lends its strata.  InvalidDistribution if the
+    masses do not sum to one."""
     total = _fsum(p)
     if abs(total - 1.0) > MASS_TOLERANCE:
         raise InvalidDistribution(f"masses sum to {total!r}, not 1")
-
-    stratum = np.cumsum(new_w) - 1
-    k = int(stratum[-1]) + 1
+    if like is None:
+        strata = tuple(map(tuple, w[new_w].tolist()))
+        index = {key: i for i, key in enumerate(strata)}
+        sw, stratum = w[new_w], np.cumsum(new_w) - 1
+    else:
+        strata, index, sw, stratum = like.strata, like.index, like.w, like.atom_stratum
+    k = len(strata)
     # bincount adds each bin's terms in atom order; bin 2s + a is stratum s's arm a
     arm = stratum * 2 + a
     pw0, pw1 = np.bincount(arm, weights=p, minlength=2 * k).reshape(k, 2).T
     ymass0 = np.bincount(arm, weights=p * y, minlength=2 * k)[::2]
     pw = np.bincount(stratum, weights=p, minlength=k)
-    strata = tuple(map(tuple, w[new_w].tolist()))
     table = SupportTable(
-        strata=strata, index={key: i for i, key in enumerate(strata)}, w=w[new_w],
-        pw=pw, pw0=pw0, pw1=pw1,
+        strata=strata, index=index, w=sw, pw=pw, pw0=pw0, pw1=pw1,
         q=np.divide(ymass0, pw0, out=np.full(k, np.nan), where=pw0 != 0.0), g=pw0 / pw,
         atom_w=w, atom_stratum=stratum, atom_a=a, atom_y=y, atom_p=p,
         pr_a1=_fsum(p[a == 1]),
@@ -492,14 +506,21 @@ def mix(base: FiniteDistribution, direction: FiniteDistribution, e: float) -> Fi
     """The mixture (1-e)*base + e*direction, the point at ``e`` on the path from
     the base (e = 0) to the direction (e = 1).
 
-    ``e`` must lie in [0, 1] (ValueError), and the direction's support inside
-    the base's (SupportViolation), so the path stays in the family the base
-    dominates.  Atom masses combine exactly over the base support, dropping
-    atoms whose combined mass is zero (only possible at e = 1).
+    ``e`` must be a finite real number in [0, 1], not a bool or a string
+    (ValueError), and the direction's support lie inside the base's
+    (SupportViolation), so the path stays in the family the base dominates.
+    Atom masses combine exactly over the base support, dropping atoms whose
+    combined mass is zero: at e = 1, or where a subnormal mass underflows.
     """
-    e = float(e)
-    if not 0.0 <= e <= 1.0:
-        raise ValueError(f"mixture weight must lie in [0, 1], got {e!r}")
+    if not (_is_real(e) and 0.0 <= e <= 1.0):
+        raise ValueError(f"mixture weight must be a number in [0, 1], got {e!r}")
+    return _path(base, direction)(float(e))
+
+
+def _path(base: FiniteDistribution, direction: FiniteDistribution):
+    """e -> mix(base, direction, e), for a float e in [0, 1] left unchecked.  The
+    support check and the alignment of the direction's atoms to the base's run
+    once; every point is tabulated on the base's sorted atoms, with no sort."""
     b, d = base.support_table, direction.support_table
     rows = _match((b.atom_w, b.atom_a, b.atom_y), (d.atom_w, d.atom_a, d.atom_y))
     outside = np.flatnonzero(rows < 0)
@@ -509,9 +530,20 @@ def mix(base: FiniteDistribution, direction: FiniteDistribution, e: float) -> Fi
         raise SupportViolation(f"direction atom {key} lies outside the base support")
     toward = np.zeros(len(b.atom_p))
     toward[rows] = d.atom_p
-    m = (1.0 - e) * b.atom_p + e * toward
-    keep = m > 0.0
-    return _law(b.atom_w[keep], b.atom_a[keep], b.atom_y[keep], m[keep])
+
+    # a kept mass lies in (0, 1]: masses are at most 1, fl(1 - e) + e rounds to at
+    # most 1, and rounding is monotone
+    def at(e: float) -> FiniteDistribution:
+        m = (1.0 - e) * b.atom_p + e * toward
+        keep = m > 0.0
+        if keep.all():  # the base's atoms, so its strata
+            return _tabulate(b.atom_w, b.atom_a, b.atom_y, m, like=b)
+        # the kept atoms stay sorted and distinct; a stratum starts where the base's changes
+        s = b.atom_stratum[keep]
+        return _tabulate(b.atom_w[keep], b.atom_a[keep], b.atom_y[keep], m[keep],
+                         np.r_[True, s[1:] != s[:-1]])
+
+    return at
 
 
 @dataclass(frozen=True)
@@ -590,7 +622,8 @@ def pathwise_derivative_check(
         raise ConfigError("'step_grid' must stay inside the mixture range (0, 1]")
 
     f0 = value_fn(base)
-    diffs = [(value_fn(mix(base, direction, h)) - f0) / h for h in grid]
+    path = _path(base, direction)
+    diffs = [(value_fn(path(h)) - f0) / h for h in grid]
     fd = _extrapolate_to_zero(grid, diffs)
     integral = eif_integral(functional, base, direction)
     return CheckReport(functional, fd, integral, abs(fd - integral), grid)

@@ -171,10 +171,20 @@ def default_logistic_linear() -> DGPSpec:
     return DGPSpec()
 
 
-def _legendre_grid(nodes: int, d: int):
-    """Tensor Gauss-Legendre nodes/weights over [-1, 1]^d, weights summing to 1."""
+@functools.lru_cache(maxsize=64, typed=True)  # typed: 24.0 reaches leggauss, which refuses it
+def _legendre_rule(nodes: int):
+    """The 1-D Gauss-Legendre nodes and weights over [-1, 1], weights summing to 1,
+    as read-only arrays computed once per node count."""
     x, w = np.polynomial.legendre.leggauss(nodes)
     w = w / 2.0
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+def _legendre_grid(nodes: int, d: int):
+    """Tensor Gauss-Legendre nodes/weights over [-1, 1]^d, weights summing to 1."""
+    x, w = _legendre_rule(nodes)
     mesh = np.meshgrid(*[x] * d, indexing="ij")
     points = np.stack([m.reshape(-1) for m in mesh], axis=1)
     weights = np.ones(1)

@@ -681,6 +681,22 @@ def _cli_process(*argv):
                           text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
 
 
+@pytest.mark.parametrize("mode_keys", [{"mode": "sweep", "n_grid": [100, 200]},
+                                       {"mode": "exact", "n": 100}])
+def test_theta_remainder_without_treated_mass_exits_one(tmp_path, mode_keys):
+    # the default treated fraction is Pr(A=1) = 0: the law, not a config value, is at fault
+    (tmp_path / "law.json").write_text(json.dumps({"atoms": [
+        {"w": [0.0], "a": 0, "y": 1.0, "p": 0.5}, {"w": [1.0], "a": 0, "y": 2.0, "p": 0.5}]}))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"distribution": "law.json", "estimand": "theta",
+                               "learners": {"q": _ORACLE, "g": _ORACLE}, **mode_keys}))
+    result = _cli_process("remainder", "--config", str(cfg))
+    assert result.returncode == 1, result.stdout
+    assert json.loads(result.stdout)["error"] == {
+        "code": "distribution/no-treated-mass",
+        "message": "Pr(A=1) = 0; treated-conditional mean undefined"}
+
+
 def test_overflowing_verify_eif_leaves_stderr_empty(tmp_path):
     # the error document is the whole output: the overflow in the arm that
     # np.where discards prints no RuntimeWarning

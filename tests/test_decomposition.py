@@ -24,8 +24,13 @@ from eifkit import (
 )
 from eifkit.cli import main
 from eifkit.distributions import DEFAULT_STEP_GRID, _extrapolate_to_zero, save_distribution
-from eifkit.learners import FittedNuisance, fit_nuisance
-from eifkit.errors import ConfigError, PositivityViolation, ZeroMassConditioning
+from eifkit.learners import FittedNuisance, fit_nuisance, oracle_rate_nuisance
+from eifkit.errors import (
+    ConfigError,
+    NoTreatedMass,
+    PositivityViolation,
+    ZeroMassConditioning,
+)
 
 from conftest import RefLaw, direction_from, perturbed_nuisance, random_distribution
 
@@ -249,6 +254,35 @@ def test_sweep_refuses_a_remainder_that_vanishes(four_atom):
     perturbed = LearnerSpec("oracle-rate", rate_exponent=0.25, amplitude=0.05)
     with pytest.raises(ConfigError, match=r"^remainder vanished on the grid; slope undefined"):
         remainder_rate_sweep(four_atom, truth_functions(four_atom), exact, perturbed, [100, 200])
+
+
+@pytest.mark.parametrize("estimand", ["psi", "theta"])
+def test_sweep_rows_equal_per_n_remainder_calls(five_atom, estimand):
+    spec_q = LearnerSpec("oracle-rate", rate_exponent=0.25, amplitude=0.05, shape=2)
+    spec_g = LearnerSpec("oracle-rate", rate_exponent=0.5, amplitude=0.1, shape=1)
+    grid = [64, 256, 1024, 4096]
+    for dist in (five_atom, quadrature_distribution(default_logistic_linear(), nodes=6)):
+        truth = truth_functions(dist)
+        rep = remainder_rate_sweep(dist, truth, spec_q, spec_g, grid, estimand=estimand)
+        want = []
+        for n in grid:
+            nuis = oracle_rate_nuisance(*truth, n, spec_q, spec_g)
+            one = (remainder_exact_psi(dist, nuis) if estimand == "psi"
+                   else remainder_exact_theta(dist, nuis, dist.pr_a1))
+            want.append((n, one.remainder_direct, one.cs_bound))
+        assert rep.rows == tuple(want)
+
+
+def test_theta_remainder_without_treated_mass_names_the_law():
+    # the treated fraction defaults to Pr(A=1) = 0 here, which is not the cause
+    dist = FiniteDistribution([(((0.0,), 0, 1.0), 0.5), (((1.0,), 0, 2.0), 0.5)])
+    truth = truth_functions(dist)
+    spec = LearnerSpec("oracle-rate", rate_exponent=0.25, amplitude=0.05)
+    message = r"^Pr\(A=1\) = 0; treated-conditional mean undefined$"
+    with pytest.raises(NoTreatedMass, match=message):
+        remainder_rate_sweep(dist, truth, spec, spec, [100, 200], estimand="theta")
+    with pytest.raises(NoTreatedMass, match=message):
+        remainder_exact_theta(dist, oracle_rate_nuisance(*truth, 100, spec, spec), dist.pr_a1)
 
 
 def test_truth_functions_vectorized(five_atom):

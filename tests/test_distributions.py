@@ -15,6 +15,7 @@ from eifkit import (
     distribution_from_dict,
     distribution_to_dict,
     draw_dataset,
+    eif_integral,
     eif_psi,
     eif_theta,
     g_of,
@@ -155,6 +156,95 @@ def test_mix_rejects_bad_inputs(four_atom):
     off_support = FiniteDistribution([((9.0, 0, 9.0), 1.0)])
     with pytest.raises(SupportViolation):
         mix(four_atom, off_support, 0.5)
+
+
+@pytest.mark.parametrize("e", ["0.5", " 1e-1 ", True, False, None, [0.5]])
+def test_mix_refuses_a_weight_that_is_no_real_number(four_atom, e):
+    # the rule step_grid follows in pathwise_derivative_check
+    with pytest.raises(ValueError, match="mixture weight must be a number in"):
+        mix(four_atom, four_atom, e)
+
+
+@pytest.mark.parametrize("e", [np.float64(0.25), np.float32(0.25), 0.25, 1])
+def test_mix_takes_a_numpy_float_or_an_int_weight(four_atom, e):
+    direction = FiniteDistribution([((1.0, 0, 1.0), 1.0)])
+    got, want = mix(four_atom, direction, e), mix(four_atom, direction, float(e))
+    assert got.support_table.atom_p.tolist() == want.support_table.atom_p.tolist()
+
+
+def _signed_zero_atoms(rng, d):
+    """Atoms on a few strata whose zero covariates are 0.0 or -0.0 at random, atom by
+    atom, so a stratum's key is its first atom's signs; masses are integer ratios."""
+    strata = {tuple(rng.choice([0.0, 1.0, -2.5], size=d).tolist()) for _ in range(4)}
+    atoms = []
+    for w in sorted(strata):
+        for a, y in sorted({(int(rng.integers(2)), float(rng.integers(3))) for _ in range(3)}):
+            atoms.append((tuple(-x if x == 0.0 and rng.random() < 0.5 else x for x in w), a, y))
+    counts = rng.integers(1, 10, size=len(atoms))
+    return [(key, int(c) / float(counts.sum())) for key, c in zip(atoms, counts)]
+
+
+def _assert_same_table(got, want):
+    """Every support-table column equal by np.array_equal and ==, signs of zero
+    included, and every array column read-only."""
+    for name in RefLaw.COLUMNS:
+        x, y = getattr(got, name), getattr(want, name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and np.array_equal(x, y, equal_nan=True), name
+            assert repr(x.tolist()) == repr(y.tolist()), name
+            assert not x.flags.writeable, name
+        else:
+            assert x == y and repr(x) == repr(y), name
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_mix_equals_the_law_built_from_the_mixed_atoms(d, seed):
+    rng = np.random.default_rng([d, seed])
+    base = FiniteDistribution(_signed_zero_atoms(rng, d))
+    atoms = base.atoms
+    # a direction on a subset of the atoms that leaves out the first, so at e = 1
+    # the first stratum's key comes from its next atom, if it has one
+    picks = rng.choice(np.arange(1, len(atoms)), size=max(1, (len(atoms) - 1) // 2),
+                       replace=False)
+    counts = rng.integers(1, 10, size=len(picks))
+    direction = FiniteDistribution([(atoms[i][0], int(c) / float(counts.sum()))
+                                    for i, c in zip(picks, counts)])
+    for e in (0.0, 1e-3, 0.375, 1.0):
+        mixed = [(obs, (1.0 - e) * p + e * direction.mass_of(obs)) for obs, p in atoms]
+        want = FiniteDistribution([(obs, m) for obs, m in mixed if m > 0.0])
+        got = mix(base, direction, e)
+        assert len(got) == len(want) == (len(picks) if e == 1.0 else len(atoms))
+        _assert_same_table(got.support_table, want.support_table)
+
+
+def test_mix_drops_an_atom_whose_subnormal_mass_underflows():
+    # (1 - e) * 5e-324 rounds to zero at e = 0.5: an atom drops inside the path,
+    # the first of its stratum, whose key then comes from the next atom
+    base = FiniteDistribution([((-0.0, 0, 1.0), 5e-324), ((0.0, 0, 2.0), 0.5),
+                               ((1.0, 0, 1.0), 0.5 - 5e-324)])
+    direction = FiniteDistribution([((1.0, 0, 1.0), 1.0)])
+    e = 0.5
+    want = FiniteDistribution([(obs, (1.0 - e) * p + e * direction.mass_of(obs))
+                               for obs, p in base.atoms[1:]])
+    _assert_same_table(mix(base, direction, e).support_table, want.support_table)
+
+
+def test_pathwise_check_equals_a_per_step_mix_reference():
+    rng = np.random.default_rng(17)
+    for d in (1, 2):
+        base = random_distribution(rng, d=d, max_y_per_stratum=3)
+        direction = direction_from(base, rng)
+        for functional, value_fn in (("psi", psi_of), ("theta", theta_of)):
+            for grid in (DEFAULT_STEP_GRID, (0.5, 0.1, 0.01)):
+                f0 = value_fn(base)
+                diffs = [(value_fn(mix(base, direction, h)) - f0) / h for h in grid]
+                fd = _extrapolate_to_zero(grid, diffs)
+                integral = eif_integral(functional, base, direction)
+                rep = pathwise_derivative_check(functional, base, direction, step_grid=grid)
+                assert (rep.functional, rep.finite_difference, rep.eif_integral,
+                        rep.discrepancy, rep.step_grid) == \
+                    (functional, fd, integral, abs(fd - integral), tuple(grid))
 
 
 def test_psi_continuous_along_path(four_atom):

@@ -217,6 +217,22 @@ def test_theta_refuses_oversized_quadrature_grid(monkeypatch):
         dgp.theta()
 
 
+def test_legendre_rule_is_computed_once_per_node_count():
+    from eifkit import montecarlo
+
+    x, w = np.polynomial.legendre.leggauss(12)
+    rule = montecarlo._legendre_rule(12)
+    assert montecarlo._legendre_rule(12) is rule
+    assert x.tolist() == rule[0].tolist() and (w / 2.0).tolist() == rule[1].tolist()
+    assert not (rule[0].flags.writeable or rule[1].flags.writeable)
+    # the grid built on the cached rule is the caller's own array
+    points, weights = montecarlo._legendre_grid(12, 2)
+    assert points.flags.writeable and weights.flags.writeable
+    # a float node count still reaches leggauss, which refuses it
+    with pytest.raises(TypeError):
+        montecarlo._legendre_rule(12.0)
+
+
 def test_discrete_generate_stays_on_support(five_atom):
     dgp = DGPSpec(kind="discrete-saturated", table=five_atom)
     data, y0 = generate_with_counterfactual(dgp, 400, 2)

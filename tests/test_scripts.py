@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from eifkit.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -78,5 +80,7 @@ def test_output_digests_against_a_saved_document_names_each_difference(tmp_path)
     result = _script("scripts/output_digests.py", "decompose", "verify_eif",
                      "--against", str(path))
     assert result.returncode == 1
-    assert result.stderr.splitlines() == [f"output_digests: verify_eif differs from {path}"]
+    difference, platform = result.stderr.splitlines()
+    assert difference == f"output_digests: verify_eif differs from {path}"
+    assert platform.startswith(f"output_digests: running platform: numpy {np.__version__}, ")
     assert json.loads(result.stdout)["decompose"] == saved["decompose"]
