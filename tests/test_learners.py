@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from eifkit import (Dataset, LearnerSpec, fit_outcome, fit_propensity, learners,
-                    oracle_rate_nuisance)
+from eifkit import (Dataset, FoldPlan, LearnerSpec, default_logistic_linear, fit_outcome,
+                    fit_propensity, generate, learners, oracle_rate_nuisance)
 from eifkit.learners import (
     DEFAULT_TRUNCATION,
     IRLS_GRADIENT_TOL,
@@ -694,9 +694,11 @@ def _knn_by_cells(monkeypatch, train_w, train_t, k, probe):
             super().__init__(*args)
             grids.append(self)
 
-    def block(q, t_cols, *args):
-        ranked.extend([t_cols.shape[1]] * len(q))
-        return real_block(q, t_cols, *args)
+    def block(q, t_cols, targets, k, bufs, box=None):
+        # a box pass pads each box with columns of +inf
+        width = np.isfinite(t_cols[0]).sum(axis=-1)
+        ranked.extend(np.broadcast_to(width if box is None else width[box], len(q)))
+        return real_block(q, t_cols, targets, k, bufs, box)
 
     real_block = learners._knn_block
     monkeypatch.setattr(learners, "_CellGrid", Recording)
@@ -793,6 +795,66 @@ def test_knn_cell_index_ranks_a_box_of_exactly_k_rows(monkeypatch):
     _, grid, ranked = _knn_by_cells(monkeypatch, train_w, train_t, 10, probe)
     assert len(grid.box((0,))) == len(grid.box((19,))) == 10
     assert np.count_nonzero(ranked == 10) >= 10
+
+
+def test_knn_cells_takes_the_integer_root_exactly():
+    # 64 ** (1 / 3) is 3.9999999999999996 in floating point
+    assert learners._knn_cells(1600, 3, 50) == 4
+    # 2n / k = c**d exactly gives c cells per axis, one row fewer c - 1
+    for c, d in [(4, 2), (5, 2), (10, 2), (12, 2), (4, 3), (5, 3), (10, 3), (4, 4), (5, 4)]:
+        n = c ** d * 5
+        assert learners._knn_cells(n, d, 10) == c
+        assert learners._knn_cells(n - 1, d, 10) == (c - 1 if c > 4 else 1)
+
+
+def test_knn_at_the_cross_fit_fold_shape(monkeypatch):
+    # five folds of 2000 rows of the default process: q is fit on about 800
+    # untreated rows at the default k (29) over 7 x 7 cells, and predicts
+    # the fold's 400 rows through the cell index
+    grids = []
+
+    class Recording(learners._CellGrid):
+        def __init__(self, *args):
+            super().__init__(*args)
+            grids.append(self)
+
+    monkeypatch.setattr(learners, "_CellGrid", Recording)
+    data = generate(default_logistic_linear(), 2000, 3)
+    plan = FoldPlan.build(2000, 5, 0)
+    for fold in range(5):
+        test = plan.assignment == fold
+        train = data.subset(~test)
+        w0, y0 = train.w[train.a == 0], train.y[train.a == 0]
+        k = math.ceil(math.sqrt(len(y0)))
+        predict = fit_outcome(train, LearnerSpec("knn"))
+        probe = data.w[test]
+        assert np.array_equal(predict(probe), _naive_knn(w0, y0, k, probe))
+        assert len(grids) == fold + 1 and grids[-1].cells == 7
+        # one query, and fewer queries than cells, on the same fit
+        for part in (probe[:1], probe[:48]):
+            assert np.array_equal(predict(part), _naive_knn(w0, y0, k, part))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_knn_cell_index_with_clustered_duplicate_rows(monkeypatch, d):
+    # 90% of 2000 rows are 60 points, each repeated, inside one cell; the
+    # rest spread over [-1, 1]**d.  k = 8 gives 500, 22, 7 and 4 cells per
+    # axis, so the index applies at d = 4 too.
+    rng = np.random.default_rng(1300 + d)
+    points = 0.2013 + rng.uniform(0.0, 1e-4, (60, d))
+    train_w = np.concatenate([points[rng.integers(0, 60, 1800)], rng.uniform(-1, 1, (200, d))])
+    train_w[-2:] = [[-1.0] * d, [1.0] * d]
+    train_t = rng.standard_normal(2000)
+    probe = np.concatenate([points[rng.integers(0, 60, 500)], points + 5e-5,
+                            rng.uniform(-1.1, 1.1, (1000, d))])
+    _, grid, _ = _knn_by_cells(monkeypatch, train_w, train_t, 8, probe)
+    assert grid.cells == {1: 500, 2: 22, 3: 7, 4: 4}[d]
+    assert grid.box_sizes.max() >= 1800  # one cell's box holds the cluster
+    # each box once: at most 3**d row indices a fitting row, and one offset
+    # a cell; a table padded to the widest box would hold many more
+    assert grid.box_rows.size == grid.box_sizes.sum() <= 3 ** d * 2000
+    assert len(grid.box_starts) == grid.cells ** d + 1
+    assert grid.cells ** d * grid.box_sizes.max() > 3 ** d * 2000
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 8])
