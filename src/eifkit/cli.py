@@ -89,14 +89,13 @@ from .learners import (
 )
 from .montecarlo import (
     DGPSpec,
+    ReplicationResult,
     run_coverage,
     run_dr_consistency,
     run_rate_experiment,
 )
 
 __all__ = ["main", "entrypoint", "ingest_csv"]
-
-REPLICATION_HEADER = ("rep", "n", "point", "variance", "covered", "scaled_error")
 
 # the keys each simulate study and remainder mode reads beyond those every
 # study or mode reads; any other key is a config error
@@ -492,12 +491,12 @@ def _cmd_simulate(args) -> dict:
 
     doc = {key: _null_nan(value) for key, value in summary.to_dict().items()}
     doc["seed"] = seed
+    columns = ReplicationResult.COLUMNS
     if replications_out is not None:
-        _write_csv(replications_out, REPLICATION_HEADER,
-                   [r.to_row() for r in summary.replications])
+        _write_csv(replications_out, columns, [r.to_row() for r in summary.replications])
     if include_replications:
         doc["replications"] = [
-            dict(zip(REPLICATION_HEADER, map(_null_nan, r.to_row()))) for r in summary.replications
+            dict(zip(columns, map(_null_nan, r.to_row()))) for r in summary.replications
         ]
     return doc
 

@@ -78,7 +78,7 @@ class FoldPlan:
 
     @classmethod
     def build(cls, n: int, folds: int, seed: int) -> "FoldPlan":
-        if not (_is_int(folds) and 2 <= folds <= n):
+        if not (_is_int(n) and _is_int(folds) and 2 <= folds <= n):
             raise ConfigError(f"need an integer 2 <= K <= n, got K={folds!r}, n={n}")
         # numpy's SeedSequence takes no negative entropy
         if not (_is_int(seed) and seed >= 0):

@@ -26,10 +26,10 @@ A :class:`LearnerSpec` names one of a fixed set of procedures:
     k = ceil(sqrt(#fitting rows)).  The k nearest are the first k fitting
     rows by (squared distance, row index), so a tie at the k-th distance
     keeps the lower rows, and their targets are summed in that order;
-    k >= #fitting rows averages every row in row order.  A call with at
-    least one query per cell of the index below ranks each query's box of
-    3**d cells in one vectorized pass, and every other call, or query,
-    ranks all rows, with the same answer bit for bit.
+    k >= #fitting rows averages every row in row order.  With the index
+    below, each query ranks its box of 3**d cells, in one vectorized pass
+    whatever the call's size; without it, or for a query its box cannot
+    answer, it ranks all rows, with the same answer bit for bit.
 ``kernel-nw``
     Nadaraya-Watson with a Gaussian product kernel; default per-covariate
     bandwidth sd(W_j) * m**(-1/5) over the m fitting rows.
@@ -73,12 +73,12 @@ kNN alone sums the exact squared differences (q_j - t_j)**2, in covariate
 order: it ranks distances, and the expanded form, even centered, can
 reorder near-tied neighbours.
 
-kNN ranks all n fitting rows for each query unless a cell index applies.
-The index buckets the rows into a uniform grid of about k / 2 rows per
-cell, with at least KNN_MIN_AXIS_CELLS cells per axis (else one cell), and
-serves every call with at least as many queries as cells: the cross-fit
-folds of a study (about 800 fitting rows, 400 queries, 7 x 7 cells) and an
-in-sample fit at n = 5000.  Each cell's box, the rows of its 3**d
+kNN ranks each query's box of fitting rows through one block routine.  A
+cell index buckets the rows into a uniform grid of about k / 2 rows per
+cell when that gives KNN_MIN_AXIS_CELLS cells per axis or more, and serves
+every call: the cross-fit folds of a study (about 800 fitting rows, 400
+queries, 7 x 7 cells) and an in-sample fit at n = 5000.  Without the
+index, a query's box is all n rows.  Each cell's box, the rows of its 3**d
 neighbouring cells, is stored once, ascending, in one flat array: at most
 3**d * n row indices whatever the rows' spread, and one offset per cell.
 The queries, sorted by (box size, cell), rank their boxes in blocks of at
@@ -89,7 +89,7 @@ pair at most.  A query takes its answer from its box only when its k-th
 distance is strictly below fl(gap**2), gap being the distance to the
 nearest fitting row outside the box, from the rows' actual coordinate
 extremes per slab; rounding is monotone, so the bound needs no slack.  The
-other queries rank all rows.
+other queries rank the box of all rows, in the same routine.
 """
 
 from __future__ import annotations
@@ -470,15 +470,14 @@ def _query_blocks(m: int, n: int):
 
 
 def _knn_block(q: np.ndarray, t_cols: np.ndarray, targets: np.ndarray, k: int, bufs,
-               box: Optional[np.ndarray] = None):
-    """Each query row's k-th smallest squared distance to its fitting rows
-    and the mean of ``targets`` over its k nearest.
+               box: np.ndarray):
+    """Each query row's k-th smallest squared distance to the fitting rows
+    of its box and the mean of ``targets`` over its k nearest.
 
-    The fitting rows are the columns of ``t_cols`` (d, n), with ``targets``
-    (n,), for every query; or, given ``box``, t_cols is (d, boxes, width)
-    and targets (boxes, width), and query i ranks the columns of box
-    box[i].  Columns of +inf coordinates pad a box: their distance, +inf,
-    is never chosen.  The distances sum
+    ``t_cols`` (d, boxes, width) and ``targets`` (boxes, width) hold the
+    boxes, and query i ranks the columns of box box[i]; the all-rows pass
+    is one box of every row.  Columns of +inf coordinates pad a box: their
+    distance, +inf, is never chosen.  The distances sum
     (q_j - t_j)**2 in covariate order, so a pair's distance does not depend
     on which rows share its block, and no (rows, width, d) array exists.
     Columns rank by (distance, column): a tie at the k-th distance keeps
@@ -491,11 +490,8 @@ def _knn_block(q: np.ndarray, t_cols: np.ndarray, targets: np.ndarray, k: int, b
     d2, spare = (buf[:len(q) * width].reshape(len(q), width) for buf in bufs)
     for j in range(q.shape[1]):
         diff = spare if j else d2
-        if box is None:
-            np.subtract(q[:, j, None], t_cols[j], out=diff)
-        else:
-            t_cols[j].take(box, axis=0, out=diff, mode="clip")  # clip: take unbuffered
-            np.subtract(q[:, j, None], diff, out=diff)
+        t_cols[j].take(box, axis=0, out=diff, mode="clip")  # clip: take unbuffered
+        np.subtract(q[:, j, None], diff, out=diff)
         np.square(diff, out=diff)
         if j:
             d2 += spare
@@ -518,10 +514,8 @@ def _knn_block(q: np.ndarray, t_cols: np.ndarray, targets: np.ndarray, k: int, b
     if (ranked[:, 1:] == ranked[:, :-1]).any():
         order = chosen.argsort(axis=1, kind="stable") + offsets
     cols = flat.take(order)
-    if box is None:
-        cols %= width
-    else:  # row i's columns, moved from row i to row box[i] of targets
-        cols += ((box - np.arange(len(box))) * width)[:, None]
+    # row i's columns, moved from row i to row box[i] of targets
+    cols += ((box - np.arange(len(box))) * width)[:, None]
     # sum / k is numpy's mean, without its wrapper
     return kth[:, 0], targets.take(cols).sum(axis=1) / k
 
@@ -608,12 +602,6 @@ class _CellGrid:
         gap = np.minimum(self.above.take(at + 2) - w.T, w.T - self.below.take(at))
         return np.square(gap.min(axis=0))
 
-    def box(self, cell) -> np.ndarray:
-        """Ascending indices of the fitting rows in the 3**d cells around
-        ``cell``, given as one slab per covariate."""
-        c = np.ravel_multi_index(cell, (self.cells,) * len(cell))
-        return self.box_rows[self.box_starts[c]:self.box_starts[c + 1]]
-
 
 def _knn_cells(n: int, d: int, k: int) -> int:
     """Cells per axis for about k / 2 fitting rows a cell, the largest c with
@@ -648,7 +636,7 @@ def _knn_core(train_w: np.ndarray, train_t: np.ndarray, k: int) -> Callable:
     t_ext = np.full((d + 1, n + 1), np.inf)
     t_ext[:d, :n] = train_w.T
     t_ext[d, :n] = train_t
-    t_cols = t_ext[:d, :n]
+    every = t_ext[:, None, :n]  # the one box of every row, (d + 1, 1, n)
     t_lo, t_hi = train_w.min(axis=0), train_w.max(axis=0)
     cells = _knn_cells(n, d, k)
     grid = None  # the _CellGrid, built by the first call
@@ -658,7 +646,8 @@ def _knn_core(train_w: np.ndarray, train_t: np.ndarray, k: int) -> Callable:
         # each at most KERNEL_BLOCK_PAIRS elements
         out = np.empty(len(w))
         for rows in _query_blocks(len(w), n):
-            out[rows] = _knn_block(w[rows], t_cols, train_t, k, bufs)[1]
+            q = w[rows]
+            out[rows] = _knn_block(q, every[:d], every[d], k, bufs, np.zeros(len(q), np.intp))[1]
         return out
 
     def by_box(w, out, bufs) -> np.ndarray:
@@ -709,10 +698,7 @@ def _knn_core(train_w: np.ndarray, train_t: np.ndarray, k: int) -> Callable:
         # when first written, so once a call, and only the pages written
         size = min(len(w) * n, max(KERNEL_BLOCK_PAIRS, n))
         bufs = (np.empty(size), np.empty(size))
-        # fewer queries than cells rank all rows: on a 2-core Xeon, at 800
-        # rows and 7 x 7 cells, one query took 124 us through the boxes and
-        # 50 us over all rows, 49 queries 490 us either way
-        if cells == 1 or len(w) < cells ** d:
+        if cells == 1:
             return all_rows(w, bufs)
         if grid is None:
             grid = _CellGrid(train_w, t_lo, t_hi, cells)

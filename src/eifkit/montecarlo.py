@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .distributions import FiniteDistribution, _law, fields_dict, psi_of, theta_of
+from .distributions import FiniteDistribution, _check_estimand, _law, fields_dict, psi_of, theta_of
 from .errors import ConfigError, EifkitError, NoTreatedRows
 from .estimators import EstimatorConfig, estimate
 from .decomposition import _check_n_grid, _loglog_slope, truth_functions
@@ -163,6 +163,7 @@ class DGPSpec:
         return float((treated * self.q(w)).sum() / denom)
 
     def truth(self, estimand: str) -> float:
+        _check_estimand(estimand)
         return self.psi() if estimand == "psi" else self.theta()
 
 
@@ -304,9 +305,11 @@ class ReplicationResult:
     covered: bool
     scaled_error: float
 
+    # the names of to_row's values, in order: a replication row's header
+    COLUMNS = ("rep", "n", "point", "variance", "covered", "scaled_error")
+
     def to_row(self) -> tuple:
-        return (self.rep, self.n, self.point, self.variance,
-                self.covered, self.scaled_error)
+        return tuple(getattr(self, name) for name in self.COLUMNS)
 
 
 def _replication_worker(task):

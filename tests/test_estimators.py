@@ -206,6 +206,8 @@ def test_fold_plan_validation():
         FoldPlan.build(3, 4, seed=0)
     with pytest.raises(ValueError):
         FoldPlan.build(10, 1, seed=0)
+    with pytest.raises(ConfigError, match=r"need an integer 2 <= K <= n, got K=2, n=2.5"):
+        FoldPlan.build(2.5, 2, seed=0)
 
 
 @pytest.mark.parametrize("folds, seed", [("x", 0), (2.5, 0), (True, 0), (1, 0), (11, 0),

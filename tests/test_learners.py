@@ -694,10 +694,9 @@ def _knn_by_cells(monkeypatch, train_w, train_t, k, probe):
             super().__init__(*args)
             grids.append(self)
 
-    def block(q, t_cols, targets, k, bufs, box=None):
+    def block(q, t_cols, targets, k, bufs, box):
         # a box pass pads each box with columns of +inf
-        width = np.isfinite(t_cols[0]).sum(axis=-1)
-        ranked.extend(np.broadcast_to(width if box is None else width[box], len(q)))
+        ranked.extend(np.isfinite(t_cols[0]).sum(axis=-1)[box])
         return real_block(q, t_cols, targets, k, bufs, box)
 
     real_block = learners._knn_block
@@ -769,7 +768,8 @@ def test_knn_cell_index_answers_do_not_depend_on_the_query_set(monkeypatch):
     predict = fit_outcome(_untreated(train_w, train_t), LearnerSpec("knn", k=12))
     order = rng.permutation(len(probe))
     assert np.array_equal(predict(probe[order]), got[order])
-    # a split in two calls: the small part ranks all rows, without the index
+    # a split in two calls, the 100-query part fewer than the 144 cells:
+    # both go through the index
     parts = np.concatenate([predict(probe[:2900]), predict(probe[2900:])])
     assert np.array_equal(parts, got)
 
@@ -793,7 +793,7 @@ def test_knn_cell_index_ranks_a_box_of_exactly_k_rows(monkeypatch):
     train_t = rng.standard_normal(100)
     probe = np.concatenate([rng.uniform(-5, 104, (3300, 1)), np.linspace(0, 4.5, 10)[:, None]])
     _, grid, ranked = _knn_by_cells(monkeypatch, train_w, train_t, 10, probe)
-    assert len(grid.box((0,))) == len(grid.box((19,))) == 10
+    assert grid.box_sizes[0] == grid.box_sizes[19] == 10
     assert np.count_nonzero(ranked == 10) >= 10
 
 
@@ -816,7 +816,12 @@ def test_knn_at_the_cross_fit_fold_shape(monkeypatch):
     class Recording(learners._CellGrid):
         def __init__(self, *args):
             super().__init__(*args)
+            self.queries = []  # the query count of each call through the index
             grids.append(self)
+
+        def exact_below(self, w, slabs):
+            self.queries.append(len(w))
+            return super().exact_below(w, slabs)
 
     monkeypatch.setattr(learners, "_CellGrid", Recording)
     data = generate(default_logistic_linear(), 2000, 3)
@@ -830,9 +835,10 @@ def test_knn_at_the_cross_fit_fold_shape(monkeypatch):
         probe = data.w[test]
         assert np.array_equal(predict(probe), _naive_knn(w0, y0, k, probe))
         assert len(grids) == fold + 1 and grids[-1].cells == 7
-        # one query, and fewer queries than cells, on the same fit
+        # one query, and fewer queries than cells, on the same fit and index
         for part in (probe[:1], probe[:48]):
             assert np.array_equal(predict(part), _naive_knn(w0, y0, k, part))
+            assert len(grids) == fold + 1 and grids[-1].queries[-1] == len(part)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])

@@ -114,6 +114,9 @@ def test_dgp_validation():
         DGPSpec(beta=(10**400, 1.0, 1.0))
     with pytest.raises(ConfigError, match="'noise_sd' must be a finite number"):
         DGPSpec(noise_sd=-10**400)
+    # truth checks its estimand: 'tau' is neither psi nor theta
+    with pytest.raises(ConfigError, match="unknown estimand 'tau'"):
+        DGPSpec().truth("tau")
 
 
 # ---------------------------------------------------------------------------
