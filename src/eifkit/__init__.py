@@ -7,141 +7,14 @@ functions, one-step corrected estimators, exact second-order remainders,
 and seeded Monte Carlo studies of coverage and convergence rates.
 """
 
-from .distributions import (
-    CheckReport,
-    FiniteDistribution,
-    Observation,
-    distribution_from_dict,
-    distribution_to_dict,
-    eif_integral,
-    eif_psi,
-    eif_theta,
-    g_of,
-    load_distribution,
-    mix,
-    pathwise_derivative_check,
-    psi_of,
-    q_of,
-    save_distribution,
-    theta_of,
-)
-from .learners import (
-    Dataset,
-    FittedNuisance,
-    LearnerSpec,
-    fit_nuisance,
-    fit_outcome,
-    fit_propensity,
-    oracle_rate_nuisance,
-    truncate_propensity,
-)
-from .estimators import (
-    EstimateReport,
-    EstimatorConfig,
-    FoldPlan,
-    crossfit,
-    empirical_distribution,
-    estimate,
-    ipw_psi,
-    onestep_psi,
-    onestep_theta,
-    plugin_psi,
-    saturated_nuisance,
-    variance_and_ci,
-)
-from .decomposition import (
-    DecompositionReport,
-    RateSweepReport,
-    RemainderReport,
-    decompose_error,
-    remainder_exact_psi,
-    remainder_exact_theta,
-    remainder_rate_sweep,
-    truth_functions,
-)
-from .montecarlo import (
-    DR_ARMS,
-    CoverageSummary,
-    DGPSpec,
-    DrConsistencyReport,
-    RateExperimentReport,
-    ReplicationResult,
-    default_logistic_linear,
-    draw_dataset,
-    dr_arm_specs,
-    generate,
-    generate_with_counterfactual,
-    ks_critical_value,
-    quadrature_distribution,
-    run_coverage,
-    run_dr_consistency,
-    run_rate_experiment,
-)
-from . import errors
+from .distributions import *  # noqa: F403  (each module's __all__ says what it exports)
+from .learners import *  # noqa: F403
+from .estimators import *  # noqa: F403
+from .decomposition import *  # noqa: F403
+from .montecarlo import *  # noqa: F403
+from . import decomposition, distributions, errors, estimators, learners, montecarlo
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CheckReport",
-    "FiniteDistribution",
-    "Observation",
-    "distribution_from_dict",
-    "distribution_to_dict",
-    "eif_integral",
-    "eif_psi",
-    "eif_theta",
-    "g_of",
-    "load_distribution",
-    "mix",
-    "pathwise_derivative_check",
-    "psi_of",
-    "q_of",
-    "save_distribution",
-    "theta_of",
-    "Dataset",
-    "FittedNuisance",
-    "LearnerSpec",
-    "fit_nuisance",
-    "fit_outcome",
-    "fit_propensity",
-    "oracle_rate_nuisance",
-    "truncate_propensity",
-    "EstimateReport",
-    "EstimatorConfig",
-    "FoldPlan",
-    "crossfit",
-    "empirical_distribution",
-    "estimate",
-    "ipw_psi",
-    "onestep_psi",
-    "onestep_theta",
-    "plugin_psi",
-    "saturated_nuisance",
-    "variance_and_ci",
-    "DecompositionReport",
-    "RateSweepReport",
-    "RemainderReport",
-    "decompose_error",
-    "remainder_exact_psi",
-    "remainder_exact_theta",
-    "remainder_rate_sweep",
-    "truth_functions",
-    "CoverageSummary",
-    "DR_ARMS",
-    "DGPSpec",
-    "DrConsistencyReport",
-    "RateExperimentReport",
-    "ReplicationResult",
-    "default_logistic_linear",
-    "draw_dataset",
-    "dr_arm_specs",
-    "generate",
-    "generate_with_counterfactual",
-    "ks_critical_value",
-    "quadrature_distribution",
-    "run_coverage",
-    "run_dr_consistency",
-    "run_rate_experiment",
-    "errors",
-    "__version__",
-]
+__all__ = [*distributions.__all__, *learners.__all__, *estimators.__all__,
+           *decomposition.__all__, *montecarlo.__all__, "errors", "__version__"]

@@ -56,8 +56,9 @@ from pathlib import Path
 import numpy as np
 
 from .decomposition import (
-    _remainder,
     decompose_error,
+    remainder_exact_psi,
+    remainder_exact_theta,
     remainder_rate_sweep,
     truth_functions,
 )
@@ -429,7 +430,9 @@ def _cmd_remainder(args) -> dict:
         else:
             nuis = oracle_rate_nuisance(*truth, cfg["n"], spec_q, spec_g)
             default_pn_a = dist.pr_a1
-        return _remainder(estimand, dist, nuis, cfg.get("pn_a", default_pn_a)).to_dict()
+        if estimand == "psi":
+            return remainder_exact_psi(dist, nuis).to_dict()
+        return remainder_exact_theta(dist, nuis, cfg.get("pn_a", default_pn_a)).to_dict()
 
 
 def _parse_dgp(cfg: dict, config_path) -> DGPSpec:

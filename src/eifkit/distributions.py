@@ -72,7 +72,6 @@ from .learners import _is_int, _is_list_of, _is_real
 __all__ = [
     "Observation",
     "FiniteDistribution",
-    "SupportTable",
     "CheckReport",
     "q_of",
     "g_of",

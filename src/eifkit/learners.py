@@ -119,12 +119,8 @@ __all__ = [
     "fit_outcome",
     "fit_propensity",
     "fit_nuisance",
-    "fit_side",
     "oracle_rate_nuisance",
-    "perturbation_shape",
     "truncate_propensity",
-    "OUTCOME_KINDS",
-    "PROPENSITY_KINDS",
 ]
 
 RIDGE_JITTER = 1e-8
@@ -257,9 +253,13 @@ def _is_list_of(value, each) -> bool:
 class LearnerSpec:
     """Declarative description of one nuisance fit.
 
-    ``rate_exponent`` (a), ``amplitude`` (c) and ``shape`` only apply to
-    ``oracle-rate``; ``k`` to ``knn``; ``bandwidth`` to ``kernel-nw``.
-    ``truncation`` bounds propensity outputs away from 0 and 1.
+    ``k`` applies to ``knn`` (default ceil(sqrt(m)) for m fitting rows);
+    ``bandwidth`` to ``kernel-nw`` (default: each covariate's standard
+    deviation times m ** -0.2); ``rate_exponent`` (a, required), ``amplitude``
+    (c, required) and ``shape`` (default 0) to ``oracle-rate``.
+    ``truncation`` clips every propensity to [truncation, 1 - truncation].
+    A field its kind does not read is still checked and echoed by
+    ``to_dict``, but changes nothing.
     """
 
     kind: str
@@ -269,7 +269,6 @@ class LearnerSpec:
     amplitude: Optional[float] = None
     shape: int = 0
     truncation: float = DEFAULT_TRUNCATION
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in _ALL_KINDS:
@@ -278,9 +277,8 @@ class LearnerSpec:
             raise InvalidLearnerSpec(f"truncation must lie in (0, 0.5), got {self.truncation!r}")
         if self.k is not None and not (_is_int(self.k) and self.k >= 1):
             raise InvalidLearnerSpec(f"k must be a positive integer, got {self.k!r}")
-        for name in ("shape", "seed"):
-            if not _is_int(getattr(self, name)):
-                raise InvalidLearnerSpec(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not _is_int(self.shape):
+            raise InvalidLearnerSpec(f"shape must be an integer, got {self.shape!r}")
         if self.bandwidth is not None and not (_is_real(self.bandwidth) and self.bandwidth > 0.0):
             raise InvalidLearnerSpec(
                 f"bandwidth must be a positive finite number, got {self.bandwidth!r}"
@@ -301,7 +299,7 @@ class LearnerSpec:
         options = {name: getattr(self, name) for name in ("k", "bandwidth", "rate_exponent",
                                                           "amplitude")}
         return {"kind": self.kind, **{k: v for k, v in options.items() if v is not None},
-                "shape": self.shape, "truncation": self.truncation, "seed": self.seed}
+                "shape": self.shape, "truncation": self.truncation}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "LearnerSpec":

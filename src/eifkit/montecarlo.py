@@ -37,7 +37,6 @@ from .learners import Dataset, LearnerSpec, _is_int, _is_list_of, _is_real, _pre
 
 __all__ = [
     "DGPSpec",
-    "EstimatorConfig",
     "ReplicationResult",
     "CoverageSummary",
     "RateExperimentReport",
@@ -52,6 +51,7 @@ __all__ = [
     "run_dr_consistency",
     "dr_arm_specs",
     "DR_ARMS",
+    "ks_critical_value",
 ]
 
 QUADRATURE_NODES = 48

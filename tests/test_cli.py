@@ -546,6 +546,7 @@ def test_simulate_rate_subcommand(workspace, capsys):
     {"learners": {"q": {"kind": "kernel-nw", "bandwidth": "x"}}},
     {"learners": {"q": {"kind": "kernel-nw", "bandwidth": 10**400}}},
     {"learners": {"g": {"kind": "knn", "k": True}}},
+    {"learners": {"q": {"kind": "knn", "seed": 1}}},
     {"level": 1.5},
     {"level": 10**400},
     {"level": 0},

@@ -1,8 +1,18 @@
-"""The package's export list: which names ``eifkit`` exports, and which module owns each."""
+"""The package's export list, and the private code that ``src/eifkit`` keeps.
 
+``eifkit`` exports the names its modules list in ``__all__``, plus
+``errors`` and ``__version__``; each name has one owner module.  A
+top-level private function or class that nothing in the package uses is
+dead code and should be deleted, not kept.
+"""
+
+import ast
 import importlib
+from pathlib import Path
 
 import eifkit
+
+SRC = Path(eifkit.__file__).resolve().parent
 
 # each exported name, under the one module that defines and exports it
 OWNERS = {
@@ -48,3 +58,27 @@ def test_each_exported_name_is_its_owner_modules_object():
         for name in names:
             assert getattr(eifkit, name) is getattr(module, name), (module_name, name)
     assert eifkit.errors is importlib.import_module("eifkit.errors")
+
+
+def test_no_name_is_listed_by_two_modules():
+    listed = [name for module_name in OWNERS
+              for name in importlib.import_module(f"eifkit.{module_name}").__all__]
+    assert sorted({name for name in listed if listed.count(name) > 1}) == []
+
+
+def test_every_private_top_level_name_has_a_use():
+    defined, used = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+                defined[node.name] = path.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    assert defined
+    assert {name: where for name, where in defined.items() if name not in used} == {}
