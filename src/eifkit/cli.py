@@ -382,7 +382,7 @@ def _cmd_verify_eif(args) -> dict:
 def _sample_from(dist, config_path, cfg: dict, where: str) -> Dataset:
     """The sample CSV a config names; its covariates must match the law's dimension."""
     data = ingest_csv(_resolve(config_path, cfg, "sample", where))
-    d = len(dist.w_support[0])
+    d = dist.support_table.w.shape[1]
     if data.d != d:
         raise ConfigError(
             f"{where}: the sample has {data.d} covariate columns, the distribution {d}"

@@ -153,7 +153,7 @@ def _untreated_everywhere(dist: FiniteDistribution) -> SupportTable:
     missing = np.flatnonzero(table.pw0 == 0.0)
     if missing.size:
         raise ZeroMassConditioning(
-            f"Pr(W={table.strata[missing[0]]}, A=0) = 0; E(Y | W=w, A=0) undefined")
+            f"Pr(W={dist.w_support[missing[0]]}, A=0) = 0; E(Y | W=w, A=0) undefined")
     return table
 
 

@@ -12,16 +12,19 @@ Support table
 A law is its ``SupportTable``: the atoms sorted by (w, a, y), with their
 covariates, a, y, p and stratum, and per covariate stratum Pr(W=w),
 Pr(W=w, A=0), Pr(W=w, A=1), q and g.  ``_law`` checks and sorts atoms and
-``_tabulate`` builds the table from sorted, distinct ones; the quadrature
-tables and the empirical law hand ``_law`` arrays.  A mixture path
-(``_path``, behind ``mix`` and the derivative check) aligns its direction
-once and tabulates each point on the base's sorted atoms, reusing the
-base's strata where no atom drops.  Values from outside (the constructor,
-``distribution_from_dict``, ``Observation``, ``mass_of`` and the scalar
-lookups) first pass one validator, ``_columns``, which owns the rule for
-each atom field (w, a, y, p) and checks a column at a time; ``_law`` keeps
-the mass range and duplicate checks, and ``_tabulate`` the total.  Stratum
-sums add their atoms' terms in atom order, as a running sum does.
+``_tabulate`` builds the table from sorted, distinct ones and the marks of
+where their w changes; the quadrature tables and the empirical law hand
+``_law`` arrays.  A mixture path (``_path``, behind ``mix`` and the
+derivative check) aligns its direction once and tabulates each point on the
+base's sorted atoms, a stratum starting where the base's does.  Values from
+outside (the constructor, ``distribution_from_dict``, ``Observation``,
+``mass_of`` and the scalar lookups) first pass one validator, ``_columns``,
+which owns the rule for each atom field (w, a, y, p) and checks a column at
+a time; ``_law`` keeps the mass range and duplicate checks, and
+``_tabulate`` the total.  ``_match`` answers every exact lookup of a
+covariate vector or an atom in a table, so one routine decides when two
+keys are equal (-0.0 equals 0.0).  Stratum sums add their atoms' terms in
+atom order, as a running sum does.
 ``FiniteDistribution.atoms``, the (Observation, mass) pairs, is built
 unchecked on first use.  The exact routines pass array terms to ``_fsum``,
 exactly rounded whatever the order.
@@ -159,9 +162,9 @@ def _columns(w, a=None, y=None, p=None, row="atom {}: "):
 
 
 def _stratum(dist, w):
-    """The checked table key of one covariate vector, and its stratum row in ``dist`` or None."""
-    key = tuple(_columns([w], row="")[0][0].tolist())
-    return key, dist.support_table.index.get(key)
+    """The checked table key of one covariate vector, and its stratum row in ``dist`` or -1."""
+    w = _columns([w], row="")[0]
+    return tuple(w[0].tolist()), _match((dist.support_table.w,), (w,)).item()
 
 
 @dataclass(frozen=True)
@@ -195,8 +198,6 @@ class SupportTable(NamedTuple):
     strata in that order, each keyed by its first atom's covariates (-0.0
     and 0.0 are one value).  ``q`` is NaN on a stratum without untreated mass."""
 
-    strata: tuple             # covariate keys
-    index: dict               # covariate key -> stratum row
     w: np.ndarray             # (strata, d) covariate matrix
     pw: np.ndarray            # Pr(W = w)
     pw0: np.ndarray           # Pr(W = w, A = 0)
@@ -257,33 +258,27 @@ def _law(w, a, y, p) -> FiniteDistribution:
     return _tabulate(w, a, y, p, new_w)
 
 
-def _tabulate(w, a, y, p, new_w=None, like=None) -> FiniteDistribution:
+def _tabulate(w, a, y, p, new_w) -> FiniteDistribution:
     """The law of checked atoms, already sorted by (w, a, y) and distinct: ``new_w``
-    marks each atom whose w differs from the atom before, or ``like``, the table
-    of a law on the same atoms, lends its strata.  InvalidDistribution if the
-    masses do not sum to one."""
+    marks each atom whose w differs from the atom before.  InvalidDistribution if
+    the masses do not sum to one."""
     total = _fsum(p)
     if abs(total - 1.0) > MASS_TOLERANCE:
         raise InvalidDistribution(f"masses sum to {total!r}, not 1")
-    if like is None:
-        strata = tuple(map(tuple, w[new_w].tolist()))
-        index = {key: i for i, key in enumerate(strata)}
-        sw, stratum = w[new_w], np.cumsum(new_w) - 1
-    else:
-        strata, index, sw, stratum = like.strata, like.index, like.w, like.atom_stratum
-    k = len(strata)
+    sw, stratum = w[new_w], np.cumsum(new_w) - 1
+    k = len(sw)
     # bincount adds each bin's terms in atom order; bin 2s + a is stratum s's arm a
     arm = stratum * 2 + a
     pw0, pw1 = np.bincount(arm, weights=p, minlength=2 * k).reshape(k, 2).T
     ymass0 = np.bincount(arm, weights=p * y, minlength=2 * k)[::2]
     pw = np.bincount(stratum, weights=p, minlength=k)
     table = SupportTable(
-        strata=strata, index=index, w=sw, pw=pw, pw0=pw0, pw1=pw1,
+        w=sw, pw=pw, pw0=pw0, pw1=pw1,
         q=np.divide(ymass0, pw0, out=np.full(k, np.nan), where=pw0 != 0.0), g=pw0 / pw,
         atom_w=w, atom_stratum=stratum, atom_a=a, atom_y=y, atom_p=p,
         pr_a1=_fsum(p[a == 1]),
     )
-    for column in table[2:-1]:
+    for column in table[:-1]:
         column.setflags(write=False)
     law = FiniteDistribution.__new__(FiniteDistribution)
     law.support_table = table
@@ -332,10 +327,10 @@ class FiniteDistribution:
             map(tuple, t.atom_w.tolist()), t.atom_a.tolist(), t.atom_y.tolist(),
             t.atom_p.tolist()))
 
-    @property
+    @functools.cached_property
     def w_support(self) -> tuple:
         """Covariate values carrying positive mass, in canonical order."""
-        return self.support_table.strata
+        return tuple(map(tuple, self.support_table.w.tolist()))
 
     def mass_of(self, obs) -> float:
         """Mass of an exact atom (Observation or (w, a, y) triple); 0.0 if absent."""
@@ -343,21 +338,13 @@ class FiniteDistribution:
             w, a, y = obs.key if isinstance(obs, Observation) else obs
         except (TypeError, ValueError) as err:
             raise InvalidDistribution(f"{obs!r} is not a (w, a, y) observation") from err
-        w, (a,), (y,), _ = _columns([w], [a], [y], row="")
         t = self.support_table
-        i = t.index.get(tuple(w[0].tolist()))
-        if i is None:
-            return 0.0
-        # the stratum's atoms are contiguous and sorted by (a, y); searchsorted
-        # compares, so -0.0 finds 0.0
-        lo, hi = np.searchsorted(t.atom_stratum, (i, i + 1))
-        lo, hi = lo + np.searchsorted(t.atom_a[lo:hi], (a, a + 1))
-        j = lo + np.searchsorted(t.atom_y[lo:hi], y)
-        return t.atom_p[j].item() if j < hi and t.atom_y[j] == y else 0.0
+        i = _match((t.atom_w, t.atom_a, t.atom_y), _columns([w], [a], [y], row="")[:3]).item()
+        return 0.0 if i < 0 else t.atom_p[i].item()
 
     def w_mass(self, w) -> float:
         i = _stratum(self, w)[1]
-        return 0.0 if i is None else self.support_table.pw[i].item()
+        return 0.0 if i < 0 else self.support_table.pw[i].item()
 
     @property
     def pr_a1(self) -> float:
@@ -385,7 +372,7 @@ def q_of(dist: FiniteDistribution, w) -> float:
     """
     key, i = _stratum(dist, w)
     t = dist.support_table
-    if i is None or t.pw0[i] == 0.0:
+    if i < 0 or t.pw0[i] == 0.0:
         raise ZeroMassConditioning(f"Pr(W={key}, A=0) = 0; E(Y | W=w, A=0) undefined")
     return t.q[i].item()
 
@@ -393,7 +380,7 @@ def q_of(dist: FiniteDistribution, w) -> float:
 def g_of(dist: FiniteDistribution, w) -> float:
     """Untreated propensity Pr(A = 0 | W = w)."""
     key, i = _stratum(dist, w)
-    if i is None:
+    if i < 0:
         raise ZeroMassConditioning(f"Pr(W={key}) = 0; Pr(A=0 | W=w) undefined")
     return dist.support_table.g[i].item()
 
@@ -409,8 +396,8 @@ def psi_of(dist: FiniteDistribution) -> float:
     t = dist.support_table
     if (t.pw0 == 0.0).any():
         i = np.argmax(t.pw0 == 0.0)
-        raise PositivityViolation(f"covariate value {t.strata[i]} has mass {t.pw[i].item()!r} "
-                                  f"but no untreated mass")
+        raise PositivityViolation(f"covariate value {dist.w_support[i]} has mass "
+                                  f"{t.pw[i].item()!r} but no untreated mass")
     return _fsum(t.pw * t.q)
 
 
@@ -432,8 +419,8 @@ def theta_of(dist: FiniteDistribution) -> float:
     treated = t.pw1 > 0.0
     missing = np.flatnonzero(treated & (t.pw0 == 0.0))
     if missing.size:
-        raise PositivityViolation(f"covariate value {t.strata[missing[0]]} is reachable under "
-                                  f"A=1 but has no untreated mass")
+        raise PositivityViolation(f"covariate value {dist.w_support[missing[0]]} is reachable "
+                                  f"under A=1 but has no untreated mass")
     return _fsum(t.pw1[treated] / t.pr_a1 * t.q[treated])
 
 
@@ -535,8 +522,6 @@ def _path(base: FiniteDistribution, direction: FiniteDistribution):
     def at(e: float) -> FiniteDistribution:
         m = (1.0 - e) * b.atom_p + e * toward
         keep = m > 0.0
-        if keep.all():  # the base's atoms, so its strata
-            return _tabulate(b.atom_w, b.atom_a, b.atom_y, m, like=b)
         # the kept atoms stay sorted and distinct; a stratum starts where the base's changes
         s = b.atom_stratum[keep]
         return _tabulate(b.atom_w[keep], b.atom_a[keep], b.atom_y[keep], m[keep],
@@ -639,7 +624,8 @@ def eif_integral(functional: str, dist: FiniteDistribution, weights: FiniteDistr
     rows = _match((table.w,), (atoms.w,))
     off = np.flatnonzero(rows < 0)
     if off.size:
-        raise ZeroMassConditioning(f"covariate value {atoms.strata[off[0]]} outside the support")
+        raise ZeroMassConditioning(
+            f"covariate value {weights.w_support[off[0]]} outside the support")
     return _mean_phi(functional, atoms, table.q[rows], table.g[rows], value, table.pr_a1)
 
 

@@ -108,7 +108,7 @@ class DGPSpec:
     @property
     def d(self) -> int:
         if self.kind == "discrete-saturated":
-            return len(self.table.w_support[0])
+            return self.table.support_table.w.shape[1]
         return len(self.beta) - 1
 
     # -- truth functions ---------------------------------------------------

@@ -71,8 +71,8 @@ class RefLaw:
     one stratum or one atom at a time, raising what the library raises.
     """
 
-    COLUMNS = ("strata", "index", "w", "pw", "pw0", "pw1", "q", "g", "atom_w", "atom_stratum",
-               "atom_a", "atom_y", "atom_p", "pr_a1")
+    COLUMNS = ("w", "pw", "pw0", "pw1", "q", "g", "atom_w", "atom_stratum", "atom_a", "atom_y",
+               "atom_p", "pr_a1")
 
     def __init__(self, atoms):
         pairs = [(obs if isinstance(obs, Observation) else Observation(*obs), float(p))
@@ -170,7 +170,7 @@ class RefLaw:
         ymass0 = np.array([self.w0_ymass.get(w, 0.0) for w in strata])
         pw = np.array(list(self.w_mass.values()))
         return {
-            "strata": strata, "index": index, "w": np.array(strata, dtype=float),
+            "w": np.array(strata, dtype=float),
             "pw": pw, "pw0": pw0, "pw1": np.array([self.w1_mass.get(w, 0.0) for w in strata]),
             "q": np.divide(ymass0, pw0, out=np.full(len(strata), np.nan), where=pw0 != 0.0),
             "g": pw0 / pw,

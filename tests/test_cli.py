@@ -16,15 +16,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eifkit import (
+    DGPSpec,
     Dataset,
     EstimatorConfig,
     FoldPlan,
     LearnerSpec,
+    ReplicationResult,
     crossfit,
     draw_dataset,
     estimate,
     fit_propensity,
+    load_distribution,
     montecarlo,
+    run_coverage,
     save_distribution,
 )
 from eifkit.cli import ingest_csv, main
@@ -194,6 +198,14 @@ def test_estimate_rejects_oracle_learner(workspace, capsys):
     assert code == 2
     assert doc["error"]["code"] == "config/invalid"
     assert "oracle" in doc["error"]["message"]
+    # a complete oracle-rate spec passes the learner checks, then meets the data-file refusal
+    oracle = {"kind": "oracle-rate", "rate_exponent": 0.25, "amplitude": 0.5}
+    for side in ("q", "g"):
+        cfg = config("est.json", {"data": "sample.csv", "learners": {side: oracle}})
+        error = _only_error_document(capsys, main(["estimate", "--config", cfg]), 2)
+        assert error == {"code": "config/invalid",
+                         "message": "estimate config: oracle-rate learners need a known truth "
+                                    "and cannot run from a data file"}
 
 
 def test_estimate_runtime_failure_exits_one(workspace, capsys):
@@ -459,6 +471,23 @@ def test_simulate_coverage_subcommand(workspace, capsys):
     lines = (tmp_path / "reps.csv").read_text().strip().splitlines()
     assert lines[0] == "rep,n,point,variance,covered,scaled_error"
     assert len(lines) == 13
+
+
+def test_simulate_on_a_law_file_is_run_coverage_on_the_loaded_law(workspace, capsys):
+    tmp_path, config = workspace
+    cfg = config("sim.json", {
+        "study": "coverage", "n": 60, "reps": 4, "seed": 3, "include_replications": True,
+        "dgp": {"kind": "discrete-saturated", "distribution": "dist.json"},
+        "estimator": {"estimand": "theta", "folds": 2},
+    })
+    code, doc = run_cli(capsys, ["simulate", "--config", cfg])
+    assert code == 0
+    dgp = DGPSpec(kind="discrete-saturated", table=load_distribution(tmp_path / "dist.json"))
+    assert dgp.d == 1
+    summary = run_coverage(dgp, EstimatorConfig(estimand="theta", folds=2), 60, 4, 3)
+    want = dict(summary.to_dict(), seed=3, replications=[
+        dict(zip(ReplicationResult.COLUMNS, r.to_row())) for r in summary.replications])
+    assert doc == json.loads(json.dumps(want))
 
 
 def test_simulate_dr_subcommand(workspace, capsys):
@@ -1032,6 +1061,13 @@ def test_config_file_errors_exit_two(workspace, capsys, tmp_path):
     cfg = config("est.json", {"estimand": "psi"})
     code, doc = run_cli(capsys, ["estimate", "--config", cfg])
     assert code == 2 and "data" in doc["error"]["message"]
+
+    for command in ("estimate", "simulate"):
+        for doc in ([], ["data", "sample.csv"], "x", 3, None):
+            cfg = config("list.json", doc)
+            error = _only_error_document(capsys, main([command, "--config", cfg]), 2)
+            assert error == {"code": "config/invalid",
+                             "message": f"{cfg}: config must be a JSON object"}
 
 
 def test_config_relative_paths(workspace, capsys, tmp_path, monkeypatch):

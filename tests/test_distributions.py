@@ -429,7 +429,7 @@ def test_mass_of_rejects_an_observation_that_is_not_a_triple(atom):
 
 
 def test_mass_of_matches_the_whole_table_match_on_every_atom():
-    # the stratum lookup and searchsorted against one sort-merge of the whole
+    # one lookup per key against one sort-merge of every key with the whole
     # atom table, on the 31-node quadrature law: every atom, the other arm,
     # a y one step off, a y between atoms, a -0.0 for 0.0 and an absent w
     law = quadrature_distribution(default_logistic_linear(), nodes=31)
@@ -493,6 +493,27 @@ def test_eif_off_support_raises(four_atom):
         eif_psi(Observation((7.0,), 0, 0.0), four_atom)
     with pytest.raises(ZeroMassConditioning):
         eif_theta(Observation((7.0,), 1, 0.0), four_atom)
+
+
+def test_lookups_at_a_covariate_vector_of_another_dimension():
+    # the 1-d law has no stratum at a 2-d w: every lookup misses, as an absent w does
+    dist = load_distribution(SCRIPTS_DATA / "four_atom.json")
+    w = (0.0, 1.0)
+    with pytest.raises(ZeroMassConditioning, match=r"^Pr\(W=\(0\.0, 1\.0\), A=0\) = 0; "):
+        q_of(dist, w)
+    with pytest.raises(ZeroMassConditioning, match=r"^Pr\(W=\(0\.0, 1\.0\)\) = 0; "):
+        g_of(dist, w)
+    assert dist.w_mass(w) == 0.0
+    assert dist.mass_of((w, 0, 0.0)) == 0.0 and dist.mass_of(Observation(w, 1, 0.0)) == 0.0
+    weights = FiniteDistribution([((w, 0, 0.0), 0.5), ((w, 1, 1.0), 0.5)])
+    for functional in ("psi", "theta"):
+        with pytest.raises(ZeroMassConditioning,
+                           match=r"^covariate value \(0\.0, 1\.0\) outside the support$"):
+            eif_integral(functional, dist, weights)
+    # a -0.0 probe finds the 0.0 stratum
+    assert (q_of(dist, (-0.0,)), g_of(dist, (-0.0,)), dist.w_mass((-0.0,))) == (0.0, 0.5, 0.5)
+    assert dist.mass_of(((-0.0,), 1, -0.0)) == 0.25
+    assert dist.w_support == ((0.0,), (1.0,))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from eifkit import (
     default_logistic_linear,
     dr_arm_specs,
     draw_dataset,
+    fit_propensity,
     generate,
     generate_with_counterfactual,
     ks_critical_value,
@@ -27,6 +28,7 @@ from eifkit import (
 from eifkit import (
     crossfit,
     decompose_error,
+    learners,
     montecarlo,
     oracle_rate_nuisance,
     pathwise_derivative_check,
@@ -35,7 +37,7 @@ from eifkit import (
     truth_functions,
 )
 from eifkit.decomposition import _check_n_grid
-from eifkit.errors import ConfigError
+from eifkit.errors import ConfigError, IrlsDivergence
 from eifkit.montecarlo import ks_distance, standardized_moments
 
 from conftest import assert_close
@@ -393,6 +395,23 @@ def test_a_replication_that_raises_is_recorded(monkeypatch, error):
         assert summary.failures == 1
         assert [r.rep for r in summary.replications] == [0, 1, 2, 4, 5, 6, 7]
     assert serial.to_dict() == parallel.to_dict()
+
+
+def test_irls_non_convergence_is_a_recorded_failure(monkeypatch):
+    # one damped Newton step from beta = 0 leaves the gradient far above tolerance
+    monkeypatch.setattr(learners, "IRLS_MAX_ITER", 1)
+    dgp = default_logistic_linear()
+    with pytest.raises(IrlsDivergence, match=r"^gradient norm \S+ after 1 iterations$") as err:
+        fit_propensity(generate(dgp, 400, 5), LearnerSpec("logistic-irls"))
+    assert err.value.code == "learner/irls-divergence"
+    config = EstimatorConfig(folds=2)
+    status, rep, message = montecarlo._replication_worker((dgp, config, 200, 7, 0, 1.0))
+    assert (status, rep) == ("fail", 0)
+    assert message.startswith("IrlsDivergence: fold 0: gradient norm ")
+    with pytest.raises(ConfigError) as err:
+        run_coverage(dgp, config, 200, 3, 7)
+    assert str(err.value) == ("every replication failed; nothing to summarize; first failure, "
+                              f"replication 0: {message}")
 
 
 def test_run_coverage_smoke():

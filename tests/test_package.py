@@ -1,16 +1,21 @@
-"""The package's export list, and the private code that ``src/eifkit`` keeps.
+"""The package's export list, the private code that ``src/eifkit`` keeps,
+and the shape of a finite law.
 
 ``eifkit`` exports the names its modules list in ``__all__``, plus
 ``errors`` and ``__version__``; each name has one owner module.  A
 top-level private function or class that nothing in the package uses is
-dead code and should be deleted, not kept.
+dead code and should be deleted, not kept.  A finite law is its support
+table's arrays, with no Python copy of its strata beside them.
 """
 
 import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
+
 import eifkit
+from eifkit.distributions import SupportTable
 
 SRC = Path(eifkit.__file__).resolve().parent
 
@@ -82,3 +87,19 @@ def test_every_private_top_level_name_has_a_use():
                 used.add(node.name)
     assert defined
     assert {name: where for name, where in defined.items() if name not in used} == {}
+
+
+def test_a_support_table_is_read_only_arrays_and_one_float():
+    law = eifkit.FiniteDistribution([((0.0, 0, 1.0), 0.5), ((-0.0, 1, 2.0), 0.25),
+                                     ((1.0, 0, 0.0), 0.25)])
+    point = eifkit.FiniteDistribution([((1.0, 0, 0.0), 1.0)])
+    laws = (law, eifkit.mix(law, law, 0.5), eifkit.mix(law, point, 1.0),
+            eifkit.quadrature_distribution(eifkit.default_logistic_linear(), 4),
+            eifkit.empirical_distribution(eifkit.draw_dataset(law, 20, 0)))
+    assert len(SupportTable._fields) == 12
+    for dist in laws:
+        for name, value in zip(SupportTable._fields, dist.support_table):
+            if name == "pr_a1":
+                assert type(value) is float
+            else:
+                assert type(value) is np.ndarray and not value.flags.writeable, name
