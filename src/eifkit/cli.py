@@ -91,6 +91,7 @@ from .learners import (
 from .montecarlo import (
     DGPSpec,
     ReplicationResult,
+    _DGP_READS,
     run_coverage,
     run_dr_consistency,
     run_rate_experiment,
@@ -445,7 +446,7 @@ def _parse_dgp(cfg: dict, config_path) -> DGPSpec:
         table = load_distribution(_resolve(config_path, block, "distribution", where))
         block = {"kind": "discrete-saturated", "table": table}
     else:
-        _check_keys(block, ("kind", "gamma", "beta", "noise_sd", "treated_shift"), (), where)
+        _check_keys(block, ("kind", *_DGP_READS["logistic-linear"]), (), where)
     with _refused(where):
         return DGPSpec(**block)
 

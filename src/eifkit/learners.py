@@ -141,16 +141,20 @@ NW_MIN_DENOMINATOR = 2.0 ** -900
 # holds at most (3/4)**d of the rows)
 KNN_MIN_AXIS_CELLS = 4
 
-OUTCOME_KINDS = ("linear-ols", "knn", "kernel-nw", "misspecified-omit", "oracle-rate")
-PROPENSITY_KINDS = (
-    "logistic-irls",
-    "knn",
-    "kernel-nw",
-    "misspecified-omit",
-    "misspecified-wronglink",
-    "oracle-rate",
-)
-_ALL_KINDS = tuple(dict.fromkeys(OUTCOME_KINDS + PROPENSITY_KINDS))
+# each kind: the sides it fits (q the outcome regression, g the propensity)
+# and the LearnerSpec fields it reads, truncation for every kind fitting g
+_KINDS = {
+    "linear-ols": ("q", ()),
+    "logistic-irls": ("g", ("truncation",)),
+    "knn": ("qg", ("k", "truncation")),
+    "kernel-nw": ("qg", ("bandwidth", "truncation")),
+    "misspecified-omit": ("qg", ("truncation",)),
+    "misspecified-wronglink": ("g", ("truncation",)),
+    "oracle-rate": ("qg", ("rate_exponent", "amplitude", "shape", "truncation")),
+}
+OUTCOME_KINDS, PROPENSITY_KINDS = (tuple(kind for kind, (sides, _) in _KINDS.items()
+                                         if side in sides) for side in "qg")
+_READS = {kind: reads for kind, (_, reads) in _KINDS.items()}
 
 
 @dataclass(frozen=True)
@@ -249,6 +253,35 @@ def _is_list_of(value, each) -> bool:
     return isinstance(value, (list, tuple)) and all(map(each, value))
 
 
+def _check_fields(spec, reads, rules, error) -> None:
+    """Check the dataclass ``spec``, raising ``error``: its kind must be a key
+    of ``reads``; a field its kind reads must pass its test in ``rules``, a
+    map of field name to (what it must be, test); any other field must be
+    its default, or pass its test and equal the default."""
+    if not (isinstance(spec.kind, str) and spec.kind in reads):
+        raise error(f"unknown {type(spec).__name__} kind {spec.kind!r}")
+    for field in fields(spec)[1:]:
+        value, (what, test) = getattr(spec, field.name), rules[field.name]
+        if field.name in reads[spec.kind]:
+            if not test(value):
+                raise error(f"{field.name!r} must be {what} for the {spec.kind!r} kind, "
+                            f"got {value!r}")
+        elif not (value is field.default or test(value) and value == field.default):
+            raise error(f"the {spec.kind!r} kind does not read {field.name!r}, got {value!r}")
+
+
+# what each LearnerSpec field must be, and its test, when its kind reads it
+_LEARNER_RULES = {
+    "k": ("a positive integer", lambda v: v is None or _is_int(v) and v >= 1),
+    "bandwidth": ("a positive finite number", lambda v: v is None or _is_real(v) and v > 0.0),
+    "rate_exponent": ("a number in (0, 0.5]", lambda v: _is_real(v) and 0.0 < v <= 0.5),
+    # amplitude 0 is allowed: it degenerates to the exact truth
+    "amplitude": ("a finite number >= 0", lambda v: _is_real(v) and v >= 0.0),
+    "shape": ("0, 1 or 2", lambda v: _is_int(v) and 0 <= v <= 2),
+    "truncation": ("a number in (0, 0.5)", lambda v: _is_real(v) and 0.0 < v < 0.5),
+}
+
+
 @dataclass(frozen=True)
 class LearnerSpec:
     """Declarative description of one nuisance fit.
@@ -257,9 +290,10 @@ class LearnerSpec:
     ``bandwidth`` to ``kernel-nw`` (default: each covariate's standard
     deviation times m ** -0.2); ``rate_exponent`` (a, required), ``amplitude``
     (c, required) and ``shape`` (default 0) to ``oracle-rate``.
-    ``truncation`` clips every propensity to [truncation, 1 - truncation].
-    A field its kind does not read is still checked and echoed by
-    ``to_dict``, but changes nothing.
+    ``truncation`` clips every propensity to [truncation, 1 - truncation],
+    and every kind that fits a propensity reads it.  A field its kind does
+    not read must keep its default (None, or an equal valid ``shape`` or
+    ``truncation``); ``to_dict`` echoes only the fields the kind reads.
     """
 
     kind: str
@@ -271,35 +305,11 @@ class LearnerSpec:
     truncation: float = DEFAULT_TRUNCATION
 
     def __post_init__(self):
-        if self.kind not in _ALL_KINDS:
-            raise InvalidLearnerSpec(f"unknown learner kind {self.kind!r}")
-        if not (_is_real(self.truncation) and 0.0 < self.truncation < 0.5):
-            raise InvalidLearnerSpec(f"truncation must lie in (0, 0.5), got {self.truncation!r}")
-        if self.k is not None and not (_is_int(self.k) and self.k >= 1):
-            raise InvalidLearnerSpec(f"k must be a positive integer, got {self.k!r}")
-        if not _is_int(self.shape):
-            raise InvalidLearnerSpec(f"shape must be an integer, got {self.shape!r}")
-        if self.bandwidth is not None and not (_is_real(self.bandwidth) and self.bandwidth > 0.0):
-            raise InvalidLearnerSpec(
-                f"bandwidth must be a positive finite number, got {self.bandwidth!r}"
-            )
-        if self.kind == "oracle-rate":
-            if not (_is_real(self.rate_exponent) and 0.0 < self.rate_exponent <= 0.5):
-                raise InvalidLearnerSpec(
-                    f"oracle-rate needs rate_exponent in (0, 0.5], got {self.rate_exponent!r}"
-                )
-            # amplitude 0 is allowed: it degenerates to the exact truth
-            if not (_is_real(self.amplitude) and self.amplitude >= 0.0):
-                raise InvalidLearnerSpec(
-                    f"oracle-rate needs amplitude >= 0, got {self.amplitude!r}"
-                )
-            perturbation_shape(self.shape)  # refuses an unknown shape
+        _check_fields(self, _READS, _LEARNER_RULES, InvalidLearnerSpec)
 
     def to_dict(self) -> dict:
-        options = {name: getattr(self, name) for name in ("k", "bandwidth", "rate_exponent",
-                                                          "amplitude")}
-        return {"kind": self.kind, **{k: v for k, v in options.items() if v is not None},
-                "shape": self.shape, "truncation": self.truncation}
+        values = {name: getattr(self, name) for name in _READS[self.kind]}
+        return {"kind": self.kind, **{k: v for k, v in values.items() if v is not None}}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "LearnerSpec":
@@ -759,16 +769,21 @@ def _default_bandwidth(train_w: np.ndarray) -> np.ndarray:
     return sd * m ** (-0.2)
 
 
-def _smoother_core(train_w, train_t, spec: LearnerSpec) -> Callable:
+def _fit_core(side: str, w: np.ndarray, t: np.ndarray, spec: LearnerSpec) -> Callable:
+    """The prediction core of ``spec`` fit to targets ``t`` at rows ``w``; a
+    parametric kind fits least squares for ``side`` "q" or misspecified-wronglink,
+    else IRLS."""
     if spec.kind == "knn":
-        k = spec.k if spec.k is not None else math.ceil(math.sqrt(len(train_t)))
-        return _knn_core(train_w, train_t, k)
-    bw = (
-        np.full(train_w.shape[1], float(spec.bandwidth))
-        if spec.bandwidth is not None
-        else _default_bandwidth(train_w)
-    )
-    return _nw_core(train_w, train_t, bw)
+        return _knn_core(w, t, spec.k if spec.k is not None else math.ceil(math.sqrt(len(t))))
+    if spec.kind == "kernel-nw":
+        bw = (np.full(w.shape[1], float(spec.bandwidth)) if spec.bandwidth is not None
+              else _default_bandwidth(w))
+        return _nw_core(w, t, bw)
+    drop = spec.kind == "misspecified-omit"
+    x = w[:, 1:] if drop else w
+    if side == "q" or spec.kind == "misspecified-wronglink":
+        return _linear_core(_ols_beta(x, t), drop)
+    return _logistic_core(_irls_beta(x, t), drop)
 
 
 # ---------------------------------------------------------------------------
@@ -785,13 +800,7 @@ def fit_outcome(data: Dataset, spec: LearnerSpec) -> Callable:
     mask = data.a == 0
     if not mask.any():
         raise NoUntreatedRows("no rows with a = 0 to fit the outcome regression")
-    w0 = data.w.compress(mask, axis=0)
-    y0 = data.y.compress(mask)
-    if spec.kind == "linear-ols":
-        return _predictor(_linear_core(_ols_beta(w0, y0), drop_first=False))
-    if spec.kind == "misspecified-omit":
-        return _predictor(_linear_core(_ols_beta(w0[:, 1:], y0), drop_first=True))
-    return _predictor(_smoother_core(w0, y0, spec))
+    return _predictor(_fit_core("q", data.w.compress(mask, axis=0), data.y.compress(mask), spec))
 
 
 def fit_propensity(data: Dataset, spec: LearnerSpec) -> Callable:
@@ -801,15 +810,7 @@ def fit_propensity(data: Dataset, spec: LearnerSpec) -> Callable:
     z = (data.a == 0).astype(float)
     if z.min() == z.max():
         raise DegenerateTreatment("all rows share one treatment value")
-    eps = spec.truncation
-    if spec.kind == "logistic-irls":
-        core = _logistic_core(_irls_beta(data.w, z), drop_first=False)
-    elif spec.kind == "misspecified-omit":
-        core = _logistic_core(_irls_beta(data.w[:, 1:], z), drop_first=True)
-    elif spec.kind == "misspecified-wronglink":
-        core = _linear_core(_ols_beta(data.w, z), drop_first=False)
-    else:
-        core = _smoother_core(data.w, z, spec)
+    core, eps = _fit_core("g", data.w, z, spec), spec.truncation
     return _predictor(lambda w: truncate_propensity(core(w), eps))
 
 
@@ -849,13 +850,10 @@ def perturbation_shape(shape_id: int) -> Callable:
     shape 1: sign(w_1)              (discontinuous, mean zero under symmetric laws)
     shape 2: constant 1             (pure offset; nonzero mean)
     """
-    if shape_id == 0:
-        return lambda w: np.sin(math.pi * w[:, 0])
-    if shape_id == 1:
-        return lambda w: np.sign(w[:, 0])
-    if shape_id == 2:
-        return lambda w: np.ones(len(w))
-    raise InvalidLearnerSpec(f"unknown perturbation shape {shape_id!r}")
+    if not _LEARNER_RULES["shape"][1](shape_id):
+        raise InvalidLearnerSpec(f"unknown perturbation shape {shape_id!r}")
+    return (lambda w: np.sin(math.pi * w[:, 0]), lambda w: np.sign(w[:, 0]),
+            lambda w: np.ones(len(w)))[shape_id]
 
 
 def _oracle(side: str, truth, n: int, spec: LearnerSpec) -> Callable:

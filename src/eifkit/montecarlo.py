@@ -11,8 +11,8 @@ Two data-generating processes are supported.
     treated by tensor Gauss-Legendre quadrature.
 
 ``discrete-saturated``
-    An explicit finite-support joint law; truths come from the exact
-    finite-distribution functionals.
+    An explicit finite-support joint law, held in the spec's one field
+    ``table``; truths come from the exact finite-distribution functionals.
 
 Replication streams are derived by hashing (master_seed, replication id)
 through numpy's SeedSequence, so runs are bit-reproducible for any worker
@@ -33,7 +33,8 @@ from .distributions import FiniteDistribution, _check_estimand, _law, fields_dic
 from .errors import ConfigError, EifkitError, NoTreatedRows
 from .estimators import EstimatorConfig, estimate
 from .decomposition import _check_n_grid, _loglog_slope, truth_functions
-from .learners import Dataset, LearnerSpec, _is_int, _is_list_of, _is_real, _predictor, logistic
+from .learners import (Dataset, LearnerSpec, _check_fields, _is_int, _is_list_of, _is_real,
+                       _predictor, logistic)
 
 __all__ = [
     "DGPSpec",
@@ -59,6 +60,16 @@ QUADRATURE_NODES = 48
 # d = 5 would need about 10 GB
 MAX_QUADRATURE_DIM = 4
 DR_ARMS = ("none", "q-wrong", "g-wrong", "both-wrong")
+# the DGPSpec fields each kind reads, and what each field must be
+_DGP_READS = {"logistic-linear": ("gamma", "beta", "noise_sd", "treated_shift"),
+              "discrete-saturated": ("table",)}
+_DGP_RULES = {
+    "gamma": ("a list of finite numbers", lambda v: _is_list_of(v, _is_real)),
+    "beta": ("a list of finite numbers", lambda v: _is_list_of(v, _is_real)),
+    "noise_sd": ("a finite number >= 0", lambda v: _is_real(v) and v >= 0.0),
+    "treated_shift": ("a finite number", _is_real),
+    "table": ("a FiniteDistribution", lambda v: isinstance(v, FiniteDistribution)),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -71,9 +82,12 @@ class DGPSpec:
 
     For ``logistic-linear``, ``gamma`` and ``beta`` are intercept-first
     coefficient vectors of length d+1, lists or tuples of finite numbers,
-    and ``noise_sd`` and ``treated_shift`` are finite numbers.  For
-    ``discrete-saturated``, ``table`` holds the exact joint law and the
-    coefficient fields are ignored.  A bad value raises ConfigError.
+    and ``noise_sd`` (>= 0) and ``treated_shift`` are finite numbers.  For
+    ``discrete-saturated``, ``table`` holds the exact joint law.  A bad
+    value raises ConfigError, and so does a field the kind does not read
+    that holds anything but its default: a ``table`` on logistic-linear,
+    or a coefficient field on discrete-saturated.  ``q`` and ``g`` build
+    their lookups on each call, so a spec holds and pickles its fields only.
     """
 
     kind: str = "logistic-linear"
@@ -84,26 +98,14 @@ class DGPSpec:
     table: Optional[FiniteDistribution] = None
 
     def __post_init__(self):
-        if self.kind not in ("logistic-linear", "discrete-saturated"):
-            raise ConfigError(f"unknown DGP kind {self.kind!r}")
+        _check_fields(self, _DGP_READS, _DGP_RULES, ConfigError)
         if self.kind == "logistic-linear":
             for name in ("gamma", "beta"):
-                value = getattr(self, name)
-                if not _is_list_of(value, _is_real):
-                    raise ConfigError(f"{name!r} must be a list of finite numbers, got {value!r}")
-                object.__setattr__(self, name, tuple(float(v) for v in value))
+                object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
+            for name in ("noise_sd", "treated_shift"):
+                object.__setattr__(self, name, float(getattr(self, name)))
             if len(self.gamma) != len(self.beta) or len(self.gamma) < 2:
                 raise ConfigError("'gamma' and 'beta' must share a length of at least 2")
-            for name in ("noise_sd", "treated_shift"):
-                value = getattr(self, name)
-                if not _is_real(value):
-                    raise ConfigError(f"{name!r} must be a finite number, got {value!r}")
-                object.__setattr__(self, name, float(value))
-            if self.noise_sd < 0.0:
-                raise ConfigError(f"'noise_sd' must be nonnegative, got {self.noise_sd!r}")
-        elif not isinstance(self.table, FiniteDistribution):
-            raise ConfigError(f"a discrete-saturated DGP needs a FiniteDistribution 'table', "
-                              f"got {self.table!r}")
 
     @property
     def d(self) -> int:
@@ -115,27 +117,15 @@ class DGPSpec:
 
     def q(self, w):
         """True untreated-outcome regression, vectorized over rows."""
-        return self._truth[0](w)
+        if self.kind == "discrete-saturated":
+            return truth_functions(self.table)[0](w)
+        return _predictor(lambda x: self.beta[0] + x @ np.array(self.beta[1:]))(w)
 
     def g(self, w):
         """True untreated propensity Pr(A=0 | W=w), vectorized over rows."""
-        return self._truth[1](w)
-
-    @functools.cached_property
-    def _truth(self):
-        # built once per spec; __getstate__ drops it, because closures do
-        # not pickle and the studies send specs to worker processes
         if self.kind == "discrete-saturated":
-            return truth_functions(self.table)
-        beta0, beta = self.beta[0], np.array(self.beta[1:])
-        gamma0, gamma = self.gamma[0], np.array(self.gamma[1:])
-        return (_predictor(lambda w: beta0 + w @ beta),
-                _predictor(lambda w: logistic(gamma0 + w @ gamma)))
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state.pop("_truth", None)
-        return state
+            return truth_functions(self.table)[1](w)
+        return _predictor(lambda x: logistic(self.gamma[0] + x @ np.array(self.gamma[1:])))(w)
 
     def psi(self) -> float:
         """True mean untreated outcome."""
@@ -172,7 +162,7 @@ def default_logistic_linear() -> DGPSpec:
     return DGPSpec()
 
 
-@functools.lru_cache(maxsize=64, typed=True)  # typed: 24.0 reaches leggauss, which refuses it
+@functools.lru_cache(maxsize=64)
 def _legendre_rule(nodes: int):
     """The 1-D Gauss-Legendre nodes and weights over [-1, 1], weights summing to 1,
     as read-only arrays computed once per node count."""
@@ -274,6 +264,8 @@ def quadrature_distribution(dgp: DGPSpec, nodes: int = 24) -> FiniteDistribution
     """
     if dgp.kind != "logistic-linear":
         raise ConfigError("quadrature tables only apply to logistic-linear DGPs")
+    if not (_is_int(nodes) and nodes >= 1):
+        raise ConfigError(f"'nodes' must be an integer >= 1, got {nodes!r}")
     points, weights = _legendre_grid(nodes, dgp.d)
     g = dgp.g(points)
     q = dgp.q(points)

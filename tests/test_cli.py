@@ -33,6 +33,7 @@ from eifkit import (
 )
 from eifkit.cli import ingest_csv, main
 from eifkit.distributions import FiniteDistribution, Observation
+from eifkit.learners import _KINDS
 from eifkit.errors import (
     ConfigError,
     EmptyDataset,
@@ -640,6 +641,49 @@ def test_learner_kind_on_the_wrong_side_exits_two(workspace, capsys, monkeypatch
     assert error["code"] == "config/invalid"
 
 
+@pytest.mark.parametrize("learners, field", [
+    ({"q": {"kind": "linear-ols", "k": 5, "bandwidth": 0.3, "shape": 2}}, "k"),
+    ({"g": {"kind": "logistic-irls", "shape": 1}}, "shape"),
+    ({"q": {"kind": "linear-ols", "truncation": 0.05}}, "truncation"),
+])
+@pytest.mark.parametrize("command, doc", [
+    ("estimate", {"data": "sample.csv"}),
+    ("decompose", {"distribution": "dist.json", "sample": "sample.csv"}),
+    ("remainder", {"distribution": "dist.json", "mode": "exact", "sample": "sample.csv"}),
+    ("simulate", {"study": "coverage", "n": 50, "reps": 4}),
+])
+def test_a_learner_field_its_kind_does_not_read_exits_two(workspace, capsys, monkeypatch,
+                                                          command, doc, learners, field):
+    _, config = workspace
+
+    def no_replications(*args, **kwargs):
+        raise AssertionError("replications ran for a learner field its kind does not read")
+
+    monkeypatch.setattr(montecarlo, "_run_tasks", no_replications)
+    if command == "simulate":
+        doc = dict(doc, estimator={"learners": learners})
+    else:
+        doc = dict(doc, learners=learners)
+    error = _only_error_document(capsys, main([command, "--config", config("cfg.json", doc)]), 2)
+    assert error["code"] == "config/invalid"
+    assert f"kind does not read '{field}'" in error["message"]
+
+
+def test_a_collinear_design_exits_one_with_singular_design(tmp_path, capsys):
+    # w2 = 2 * w1 exactly with |w| up to 1e6: least squares meets an exact zero pivot
+    rng = np.random.default_rng(0)
+    w1 = rng.uniform(-1e6, 1e6, 50)
+    a = (rng.uniform(size=50) < 0.5).astype(int)
+    rows = [f"{v!r},{2.0 * v!r},{t},{y!r}"
+            for v, t, y in zip(w1.tolist(), a.tolist(), rng.standard_normal(50).tolist())]
+    _csv(tmp_path, "w1,w2,a,y\n" + "\n".join(rows) + "\n")
+    (tmp_path / "cfg.json").write_text(json.dumps({"data": "data.csv"}))
+    error = _only_error_document(capsys, main(["estimate", "--config",
+                                               str(tmp_path / "cfg.json")]), 1)
+    assert error["code"] == "learner/singular-design"
+    assert "normal equations singular despite jitter" in error["message"]
+
+
 _ORACLE = {"kind": "oracle-rate", "rate_exponent": 0.25, "amplitude": 0.05, "shape": 2}
 
 
@@ -1200,12 +1244,18 @@ _json_values = st.recursive(
 )
 
 
+_LEARNER_FIELDS = {"k": st.integers(1, 15), "bandwidth": st.floats(0.05, 2.0),
+                   "truncation": st.floats(0.001, 0.2)}
+
+
 def _learner(kinds):
-    return st.fixed_dictionaries(
-        {"kind": st.sampled_from(kinds)},
-        optional={"k": st.integers(1, 15), "bandwidth": st.floats(0.05, 2.0),
-                  "truncation": st.floats(0.001, 0.2)},
-    )
+    """A spec of one of ``kinds`` holding some of the fields its kind reads."""
+    def spec(kind):
+        reads = [name for name in _KINDS[kind][1] if name in _LEARNER_FIELDS]
+        return st.fixed_dictionaries({"kind": st.just(kind)},
+                                     optional={name: _LEARNER_FIELDS[name] for name in reads})
+
+    return st.sampled_from(kinds).flatmap(spec)
 
 
 _ESTIMATE_FIELDS = {

@@ -31,6 +31,7 @@ from eifkit.errors import (
     InvalidLearnerSpec,
     NonFiniteNumber,
     NoUntreatedRows,
+    SingularDesign,
 )
 
 
@@ -319,6 +320,25 @@ def test_overflowing_fits_raise_non_finite_through_the_learners():
         assert err.value.code == "numeric/non-finite"
 
 
+def _collinear_sample(n=50, seed=0):
+    """w2 = 2 * w1 exactly, with |w| up to 1e6: the ridge jitter is lost to
+    rounding in the Gram matrix, and the solves meet an exact zero pivot."""
+    rng = np.random.default_rng(seed)
+    w1 = rng.uniform(-1e6, 1e6, n)
+    return _dataset(np.column_stack([w1, 2.0 * w1]), rng.uniform(size=n) < 0.5,
+                    rng.standard_normal(n))
+
+
+@pytest.mark.parametrize("fit, kind, message", [
+    (fit_outcome, "linear-ols", "normal equations singular despite jitter"),
+    (fit_propensity, "logistic-irls", "IRLS step singular"),
+])
+def test_a_collinear_design_raises_singular_design(fit, kind, message):
+    with pytest.raises(SingularDesign, match=message) as err:
+        fit(_collinear_sample(), LearnerSpec(kind))
+    assert err.value.code == "learner/singular-design"
+
+
 @pytest.mark.parametrize("fit, spec", [
     (fit_outcome, LearnerSpec("knn")), (fit_propensity, LearnerSpec("knn", k=3)),
     (fit_outcome, LearnerSpec("kernel-nw")), (fit_propensity, LearnerSpec("kernel-nw")),
@@ -456,6 +476,8 @@ def test_spec_validation():
         LearnerSpec("nope")
     with pytest.raises(InvalidLearnerSpec):
         LearnerSpec("linear-ols", truncation=0.6)
+    with pytest.raises(InvalidLearnerSpec, match="'truncation' must be a number in"):
+        LearnerSpec("logistic-irls", truncation=0.6)
     with pytest.raises(InvalidLearnerSpec):
         LearnerSpec("oracle-rate")  # needs a rate exponent
     with pytest.raises(InvalidLearnerSpec):
@@ -486,6 +508,7 @@ def test_spec_validation():
     {"kind": "knn", "shape": "x"},
     {"kind": "oracle-rate", "rate_exponent": 0.25, "amplitude": 0.1, "shape": True},
     {"kind": "oracle-rate", "rate_exponent": 0.25, "amplitude": 0.1, "shape": 1.0},
+    {"kind": "oracle-rate", "rate_exponent": 0.25, "amplitude": 0.1, "shape": "x"},
 ])
 def test_spec_rejects_non_numeric_fields(fields):
     with pytest.raises(InvalidLearnerSpec):
@@ -496,6 +519,82 @@ def test_spec_accepts_numpy_numbers():
     assert LearnerSpec("knn", k=np.int64(5)).k == 5
     assert LearnerSpec("kernel-nw", bandwidth=np.float64(0.2)).bandwidth == 0.2
     assert LearnerSpec("kernel-nw", bandwidth=1).bandwidth == 1
+
+
+# the fields each kind reads: README's "Learner specs" table
+_READS = {
+    "linear-ols": (),
+    "logistic-irls": ("truncation",),
+    "knn": ("k", "truncation"),
+    "kernel-nw": ("bandwidth", "truncation"),
+    "misspecified-omit": ("truncation",),
+    "misspecified-wronglink": ("truncation",),
+    "oracle-rate": ("rate_exponent", "amplitude", "shape", "truncation"),
+}
+# a value other than the default for each field; an oracle-rate spec needs
+# its rate exponent and amplitude
+_SET = {"k": 5, "bandwidth": 0.3, "rate_exponent": 0.3, "amplitude": 0.2, "shape": 2,
+        "truncation": 0.05}
+_ORACLE = {"rate_exponent": 0.25, "amplitude": 0.5}
+_UNREAD = [(kind, name) for kind in _READS for name in _SET if name not in _READS[kind]]
+
+
+def _spec_fields(kind, name):
+    return {"kind": kind, **(_ORACLE if kind == "oracle-rate" else {}), name: _SET[name]}
+
+
+@pytest.mark.parametrize("kind, name", _UNREAD)
+def test_a_field_its_kind_does_not_read_is_refused(kind, name):
+    fields = _spec_fields(kind, name)
+    with pytest.raises(InvalidLearnerSpec, match=f"'{kind}' kind does not read '{name}'"):
+        LearnerSpec(**fields)
+    with pytest.raises(InvalidLearnerSpec, match=f"'{kind}' kind does not read '{name}'"):
+        LearnerSpec.from_dict(fields)
+
+
+def test_eleven_kind_and_field_pairs_can_be_set():
+    assert len(_UNREAD) == 31 and sum(map(len, _READS.values())) == 11
+
+
+@pytest.mark.parametrize("kind, name", [(kind, name) for kind in _READS
+                                        for name in _READS[kind]])
+def test_a_field_its_kind_reads_is_set_and_echoed(kind, name):
+    fields = _spec_fields(kind, name)
+    spec = LearnerSpec.from_dict(fields)
+    assert getattr(spec, name) == _SET[name] and spec == LearnerSpec(**fields)
+    assert spec.to_dict()[name] == _SET[name]
+    assert LearnerSpec.from_dict(spec.to_dict()) == spec
+
+
+@pytest.mark.parametrize("kind", sorted(_READS))
+def test_to_dict_echoes_exactly_the_fields_its_kind_reads(kind):
+    spec = LearnerSpec(kind, **{name: _SET[name] for name in _READS[kind]})
+    assert list(spec.to_dict()) == ["kind", *_READS[kind]]
+    # k and bandwidth left at None stay out
+    assert set(LearnerSpec(kind, **(_ORACLE if kind == "oracle-rate" else {})).to_dict()) == (
+        {"kind", *_READS[kind]} - {"k", "bandwidth"})
+
+
+@pytest.mark.parametrize("fields", [
+    {"kind": "linear-ols", "truncation": 0.01},
+    {"kind": "linear-ols", "shape": 0, "k": None, "bandwidth": None},
+    {"kind": "knn", "shape": 0, "rate_exponent": None, "amplitude": None},
+    {"kind": "logistic-irls", "k": None},
+])
+def test_an_unread_field_at_its_default_is_accepted(fields):
+    assert LearnerSpec.from_dict(fields) == LearnerSpec(fields["kind"])
+
+
+@pytest.mark.parametrize("fields", [
+    {"kind": "knn", "shape": 0.0},
+    {"kind": "knn", "shape": False},
+    {"kind": "linear-ols", "truncation": "0.01"},
+    {"kind": "linear-ols", "truncation": 0.6},
+    {"kind": "knn", "rate_exponent": "x"},
+])
+def test_an_unread_field_of_another_sort_than_its_default_is_refused(fields):
+    with pytest.raises(InvalidLearnerSpec, match="kind does not read"):
+        LearnerSpec.from_dict(fields)
 
 
 def test_spec_dict_round_trip():

@@ -91,6 +91,39 @@ def test_quadrature_table_needs_logistic_linear(five_atom):
         quadrature_distribution(dgp)
 
 
+@pytest.mark.parametrize("nodes", [True, 0, 24.0, -3, "24"])
+def test_quadrature_nodes_must_be_an_integer_of_at_least_one(nodes):
+    with pytest.raises(ConfigError, match="'nodes' must be an integer >= 1"):
+        quadrature_distribution(default_logistic_linear(), nodes)
+
+
+def test_quadrature_takes_numpy_integer_nodes():
+    dgp = default_logistic_linear()
+    one = quadrature_distribution(dgp, 1)
+    assert len(one.atoms) == 2 and one.pr_a1 == pytest.approx(0.5)
+    assert quadrature_distribution(dgp, np.int64(6)).atoms == quadrature_distribution(dgp, 6).atoms
+
+
+@pytest.mark.parametrize("field, value", [
+    ("gamma", ("x",)), ("gamma", (0.0, 1.0, 1.0)), ("beta", [1.0, 1.0, 0.5]),
+    ("noise_sd", -5), ("noise_sd", 2.0), ("treated_shift", 0.0), ("treated_shift", True),
+])
+def test_a_discrete_saturated_dgp_refuses_a_coefficient_field(five_atom, field, value):
+    with pytest.raises(ConfigError, match=f"'discrete-saturated' kind does not read '{field}'"):
+        DGPSpec(kind="discrete-saturated", table=five_atom, **{field: value})
+
+
+def test_a_discrete_saturated_dgp_takes_the_coefficient_defaults(five_atom):
+    spec = DGPSpec(kind="discrete-saturated", table=five_atom, gamma=(0.0, 0.8, -0.8),
+                   beta=(1, 1, 0.5), noise_sd=1.0, treated_shift=1)
+    assert spec == DGPSpec(kind="discrete-saturated", table=five_atom)
+
+
+def test_a_logistic_linear_dgp_refuses_a_table(five_atom):
+    with pytest.raises(ConfigError, match="'logistic-linear' kind does not read 'table'"):
+        DGPSpec(table=five_atom)
+
+
 def test_discrete_saturated_dgp_truths(five_atom):
     dgp = DGPSpec(kind="discrete-saturated", table=five_atom)
     assert dgp.psi() == pytest.approx(3.5, abs=1e-12)

@@ -5,19 +5,25 @@ and the shape of a finite law.
 ``errors`` and ``__version__``; each name has one owner module.  A
 top-level private function or class that nothing in the package uses is
 dead code and should be deleted, not kept.  A finite law is its support
-table's arrays, with no Python copy of its strata beside them.
+table's arrays, with no Python copy of its strata beside them.  The
+learner kinds, the sides each fits and the spec fields each reads are
+one table, which README's "Learner specs" table restates.
 """
 
 import ast
+import dataclasses
 import importlib
+import re
 from pathlib import Path
 
 import numpy as np
 
 import eifkit
 from eifkit.distributions import SupportTable
+from eifkit.learners import _KINDS, OUTCOME_KINDS, PROPENSITY_KINDS
 
 SRC = Path(eifkit.__file__).resolve().parent
+README = SRC.parent.parent / "README.md"
 
 # each exported name, under the one module that defines and exports it
 OWNERS = {
@@ -103,3 +109,32 @@ def test_a_support_table_is_read_only_arrays_and_one_float():
                 assert type(value) is float
             else:
                 assert type(value) is np.ndarray and not value.flags.writeable, name
+
+
+def test_the_side_kind_lists_keep_their_order():
+    # error messages list them
+    assert OUTCOME_KINDS == ("linear-ols", "knn", "kernel-nw", "misspecified-omit", "oracle-rate")
+    assert PROPENSITY_KINDS == ("logistic-irls", "knn", "kernel-nw", "misspecified-omit",
+                                "misspecified-wronglink", "oracle-rate")
+
+
+def _readme_learner_fields():
+    """README's "Learner specs" table as {field: kinds that read it}.  A row's
+    "read by" cell names, before any colon, kinds and sides in backticks; a
+    side (`q` or `g`) stands for every kind that fits it."""
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("### Learner specs"):]
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]*) \|", section.split("\n\n")[2], re.M)
+    sides = {"q": OUTCOME_KINDS, "g": PROPENSITY_KINDS}
+    return {field: {kind for name in re.findall(r"`([^`]+)`", cell.split(":")[0])
+                    for kind in sides.get(name, (name,))} for field, cell in rows}
+
+
+def test_readme_learner_table_matches_the_kind_table():
+    documented = _readme_learner_fields()
+    fields = [f.name for f in dataclasses.fields(eifkit.LearnerSpec)][1:]
+    assert sorted(documented) == sorted(fields)
+    assert documented == {field: {kind for kind, (_, reads) in _KINDS.items() if field in reads}
+                          for field in fields}
+    # truncation is read by exactly the kinds that fit a propensity
+    assert documented["truncation"] == set(PROPENSITY_KINDS)
