@@ -309,14 +309,15 @@ def _refused(where: str):
 
 
 def _learner_pair(cfg: dict, where: str):
-    """Parse the optional learners block; defaults are OLS and IRLS."""
+    """Parse the optional learners block; a missing side takes EstimatorConfig's default."""
     block = cfg.get("learners", {})
     if not isinstance(block, dict):
         raise ConfigError(f"{where}: 'learners' must be an object")
     _check_keys(block, ("q", "g"), (), f"{where}.learners")
+    default = EstimatorConfig()
     with _refused(f"{where}.learners"):
-        return (LearnerSpec.from_dict(block.get("q", {"kind": "linear-ols"})),
-                LearnerSpec.from_dict(block.get("g", {"kind": "logistic-irls"})))
+        return tuple(LearnerSpec.from_dict(block[side]) if side in block
+                     else getattr(default, f"spec_{side}") for side in "qg")
 
 
 def _str_field(cfg, key, default, choices, where):
@@ -352,7 +353,7 @@ def _cmd_estimate(args) -> dict:
     seed = _flag_or_field(args, cfg, "seed", 0, "estimate config")
     config = _estimator_config(cfg, "estimate config", ("data", "seed", "include_eif"),
                                ("data",), fold_seed=seed)
-    if "oracle-rate" in (config.spec_q.kind, config.spec_g.kind):
+    if any(spec.kind == "oracle-rate" for spec in config.nuisance_specs.values()):
         raise ConfigError(
             "estimate config: oracle-rate learners need a known truth and "
             "cannot run from a data file"

@@ -78,8 +78,12 @@ class FoldPlan:
 
     @classmethod
     def build(cls, n: int, folds: int, seed: int) -> "FoldPlan":
-        if not (_is_int(n) and _is_int(folds) and 2 <= folds <= n):
+        """The one fold rule: ConfigError unless K is an integer in [2, n] and the seed >= 0."""
+        if not (_is_int(n) and _is_int(folds) and folds >= 2):
             raise ConfigError(f"need an integer 2 <= K <= n, got K={folds!r}, n={n}")
+        if folds > n:
+            raise ConfigError(f"{folds} folds need at least {folds} rows, "
+                              f"but a sample has only {n}")
         # numpy's SeedSequence takes no negative entropy
         if not (_is_int(seed) and seed >= 0):
             raise ConfigError(f"fold seed must be a nonnegative integer, got {seed!r}")
@@ -93,21 +97,22 @@ class FoldPlan:
         return [int((self.assignment == k).sum()) for k in range(self.folds)]
 
 
+# the nuisance sides each estimator fits: one-step both, plug-in q, IPW g
+_SIDES = {"onestep": "qg", "plugin": "q", "ipw": "g"}
+
+
 @dataclass(frozen=True)
 class EstimatorConfig:
     """Which estimator to run, and how.
 
-    ``spec_q`` fits the outcome regression and takes a kind in
-    ``OUTCOME_KINDS`` (linear-ols, knn, kernel-nw, misspecified-omit,
-    oracle-rate); ``spec_g`` fits the propensity and takes a kind in
-    ``PROPENSITY_KINDS`` (logistic-irls, knn, kernel-nw, misspecified-omit,
-    misspecified-wronglink, oracle-rate).  Oracle-rate learners need the
-    truth passed to :func:`estimate`.
+    ``spec_q`` takes a kind in ``OUTCOME_KINDS`` and ``spec_g`` one in
+    ``PROPENSITY_KINDS``; their defaults are the one default learner pair.
+    Oracle-rate learners need the truth passed to :func:`estimate`.
 
-    Each estimator fits only the nuisances it reads: one-step both, plug-in
-    q and IPW g.  ``folds`` >= 2 cross-fits them, whatever the estimator,
-    over a fold plan seeded by ``fold_seed``; 0 or 1 fits them once on the
-    whole sample.
+    ``nuisance_specs`` holds the sides the estimator fits (``_SIDES``); the
+    other side's spec is checked against its side's kinds but never fitted.
+    ``fold_plan(n)`` cross-fits with ``folds`` >= 2, whatever the estimator,
+    over folds seeded by ``fold_seed``; 0 or 1 fits once on the whole sample.
     Every field is checked here, and a bad value raises ConfigError.
     """
 
@@ -121,7 +126,7 @@ class EstimatorConfig:
 
     def __post_init__(self):
         _check_estimand(self.estimand)
-        if self.estimator not in ("onestep", "plugin", "ipw"):
+        if not (isinstance(self.estimator, str) and self.estimator in _SIDES):
             raise ConfigError(f"unknown estimator {self.estimator!r}")
         if self.estimator == "ipw" and self.estimand == "theta":
             raise ConfigError("the ipw estimator is only defined for the psi estimand")
@@ -142,11 +147,14 @@ class EstimatorConfig:
                     f"{name!r} must be a nonnegative integer, got {getattr(self, name)!r}"
                 )
 
-    def check_folds(self, n: int) -> None:
-        """Raise ConfigError when cross-fitting needs more rows than a sample of ``n``."""
-        if self.folds >= 2 and self.folds > n:
-            raise ConfigError(f"{self.folds} folds need at least {self.folds} rows, "
-                              f"but a sample has only {n}")
+    @property
+    def nuisance_specs(self) -> dict:
+        """The spec of each side the estimator fits, by side, q first."""
+        return {side: getattr(self, f"spec_{side}") for side in _SIDES[self.estimator]}
+
+    def fold_plan(self, n: int) -> Optional[FoldPlan]:
+        """The fold plan for a sample of ``n`` rows; None when ``folds`` < 2."""
+        return FoldPlan.build(n, self.folds, self.fold_seed) if self.folds >= 2 else None
 
 
 @dataclass(frozen=True)
@@ -305,7 +313,7 @@ def crossfit(data: Dataset, spec_q: LearnerSpec, spec_g: LearnerSpec, folds: int
     config = EstimatorConfig(estimand=estimand, spec_q=spec_q, spec_g=spec_g, folds=folds,
                              level=level, fold_seed=seed)
     if folds < 2:
-        raise ConfigError(f"need an integer 2 <= K <= n, got K={folds!r}, n={data.n}")
+        FoldPlan.build(data.n, folds, seed)  # refuses K < 2 with the fold rule's message
     return estimate(data, config, truth)
 
 
@@ -337,11 +345,8 @@ def estimate(data: Dataset, config: EstimatorConfig, truth=None) -> EstimateRepo
     ``truth`` is the (q, g) pair of vectorized callables that oracle-rate
     learners perturb; data-driven learners ignore it.
     """
-    # each estimator fits only the sides it reads
-    sides = {"onestep": ("q", "g"), "plugin": ("q",), "ipw": ("g",)}[config.estimator]
-    specs = {side: getattr(config, f"spec_{side}") for side in sides}
-    config.check_folds(data.n)
-    plan = FoldPlan.build(data.n, config.folds, config.fold_seed) if config.folds >= 2 else None
+    specs = config.nuisance_specs
+    plan = config.fold_plan(data.n)
     values = _nuisance_values(data, specs, plan, truth)
     if config.estimator == "onestep":
         return _onestep(config.estimand, data, values["q"], values["g"], config.level, specs, plan)

@@ -348,7 +348,7 @@ def _run_grid(dgp: DGPSpec, config: EstimatorConfig, grid, reps: int,
                                  (reps, 2, "'reps' must be an integer >= 2")):
         if not (_is_int(value) and value >= minimum):
             raise ConfigError(f"{name}, got {value!r}")
-    config.check_folds(grid[0])
+    config.fold_plan(grid[0])  # refuses more folds than the smallest sample's rows
     truth_value = dgp.truth(config.estimand)
     sizes = [n for n in grid for _ in range(reps)]
     tasks = [(dgp, config, n, master_seed, rep, truth_value) for rep, n in enumerate(sizes)]
@@ -553,25 +553,18 @@ class DrConsistencyReport(_Study):
 
 
 def dr_arm_specs(arm: str):
-    """Learner pair for one misspecification arm.
+    """The (q, g) learner pair of one arm of ``DR_ARMS``.
 
-    Misspecified sides omit the first covariate, which the benchmark DGP
-    loads on both nuisances, so the wrong side converges to a genuinely
-    wrong limit while the other side stays correctly specified.
+    A side the arm names as wrong (``<side>-wrong`` or ``both-wrong``) is
+    ``misspecified-omit``: it omits the first covariate, which the benchmark
+    DGP loads on both nuisances, so it converges to a genuinely wrong limit.
+    Every other side is EstimatorConfig's default, correctly specified.
     """
-    good_q = LearnerSpec("linear-ols")
-    good_g = LearnerSpec("logistic-irls")
-    bad_q = LearnerSpec("misspecified-omit")
-    bad_g = LearnerSpec("misspecified-omit")
-    table = {
-        "none": (good_q, good_g),
-        "q-wrong": (bad_q, good_g),
-        "g-wrong": (good_q, bad_g),
-        "both-wrong": (bad_q, bad_g),
-    }
-    if not (isinstance(arm, str) and arm in table):
+    if not (isinstance(arm, str) and arm in DR_ARMS):
         raise ConfigError(f"unknown misspecification arm {arm!r}")
-    return table[arm]
+    default = EstimatorConfig()
+    return tuple(LearnerSpec("misspecified-omit") if arm in (f"{side}-wrong", "both-wrong")
+                 else getattr(default, f"spec_{side}") for side in "qg")
 
 
 def run_dr_consistency(

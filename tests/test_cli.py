@@ -199,11 +199,26 @@ def test_estimate_rejects_oracle_learner(workspace, capsys):
     assert code == 2
     assert doc["error"]["code"] == "config/invalid"
     assert "oracle" in doc["error"]["message"]
-    # a complete oracle-rate spec passes the learner checks, then meets the data-file refusal
+
+
+def test_estimate_refuses_an_oracle_only_on_a_side_it_fits(tmp_path, capsys):
+    # a complete oracle-rate spec passes the learner checks; plug-in fits
+    # only q and IPW only g, so an oracle on the other side needs no truth
+    demo = SCRIPTS_DATA / "demo.csv"
     oracle = {"kind": "oracle-rate", "rate_exponent": 0.25, "amplitude": 0.5}
+    cfg = tmp_path / "est.json"
+    for estimator, fitted, unread in (("plugin", "q", "g"), ("ipw", "g", "q")):
+        cfg.write_text(json.dumps({"data": str(demo), "estimator": estimator,
+                                   "learners": {unread: oracle}}))
+        code, doc = run_cli(capsys, ["estimate", "--config", str(cfg)])
+        assert code == 0
+        report = estimate(ingest_csv(demo), EstimatorConfig(estimator=estimator))
+        assert doc == json.loads(json.dumps(report.to_dict()))
+        assert list(doc["nuisance_specs"]) == [fitted]
+    # the one-step fits both sides, so either oracle meets the data-file refusal
     for side in ("q", "g"):
-        cfg = config("est.json", {"data": "sample.csv", "learners": {side: oracle}})
-        error = _only_error_document(capsys, main(["estimate", "--config", cfg]), 2)
+        cfg.write_text(json.dumps({"data": str(demo), "learners": {side: oracle}}))
+        error = _only_error_document(capsys, main(["estimate", "--config", str(cfg)]), 2)
         assert error == {"code": "config/invalid",
                          "message": "estimate config: oracle-rate learners need a known truth "
                                     "and cannot run from a data file"}
@@ -294,7 +309,9 @@ def test_more_folds_than_rows_gives_one_message_everywhere(tmp_path, capsys):
     (tmp_path / "est.json").write_text(json.dumps({"data": "three.csv", "folds": 5}))
     text = "5 folds need at least 5 rows, but a sample has only 3"
     for run in (lambda: estimate(data, EstimatorConfig(folds=5)),
-                lambda: crossfit(data, LearnerSpec("linear-ols"), LearnerSpec("logistic-irls"), 5)):
+                lambda: crossfit(data, LearnerSpec("linear-ols"), LearnerSpec("logistic-irls"), 5),
+                lambda: FoldPlan.build(3, 5, 0),
+                lambda: run_coverage(DGPSpec(), EstimatorConfig(folds=5), 3, 2, 0)):
         with pytest.raises(ConfigError) as err:
             run()
         assert str(err.value) == text

@@ -9,6 +9,7 @@ from scipy.special import expit
 from scipy.stats import kstest, kurtosis, skew
 
 from eifkit import (
+    DR_ARMS,
     DGPSpec,
     EstimatorConfig,
     FiniteDistribution,
@@ -352,7 +353,8 @@ def test_estimator_config_validation():
     for bad in ({"folds": "x"}, {"folds": True}, {"folds": 2.0},
                 {"fold_seed": "x"}, {"fold_seed": False}, {"fold_seed": 1.5},
                 {"fold_seed": -1}, {"level": "x"}, {"level": True},
-                {"level": float("nan")}, {"spec_q": "linear-ols"}, {"spec_g": None}):
+                {"level": float("nan")}, {"spec_q": "linear-ols"}, {"spec_g": None},
+                {"estimator": []}, {"estimator": {}}):
         with pytest.raises(ConfigError):
             EstimatorConfig(**bad)
     # one fold means no splitting, same as zero
@@ -361,14 +363,20 @@ def test_estimator_config_validation():
 
 
 def test_dr_arm_specs_taxonomy():
-    none_q, none_g = dr_arm_specs("none")
-    assert (none_q.kind, none_g.kind) == ("linear-ols", "logistic-irls")
-    assert dr_arm_specs("q-wrong")[0].kind == "misspecified-omit"
-    assert dr_arm_specs("g-wrong")[1].kind == "misspecified-omit"
-    both = dr_arm_specs("both-wrong")
-    assert both[0].kind == both[1].kind == "misspecified-omit"
-    with pytest.raises(ConfigError):
-        dr_arm_specs("sideways")
+    # a side the arm names as wrong omits a covariate; every other side is
+    # the estimator's default learner
+    default = EstimatorConfig()
+    wrong = {"none": "", "q-wrong": "q", "g-wrong": "g", "both-wrong": "qg"}
+    assert tuple(wrong) == DR_ARMS
+    for arm in DR_ARMS:
+        for side, spec in zip("qg", dr_arm_specs(arm)):
+            expected = (LearnerSpec("misspecified-omit") if side in wrong[arm]
+                        else getattr(default, f"spec_{side}"))
+            assert spec == expected, (arm, side)
+    assert dr_arm_specs("none") == (LearnerSpec("linear-ols"), LearnerSpec("logistic-irls"))
+    for bad in ("sideways", "q", ["none"], None):
+        with pytest.raises(ConfigError):
+            dr_arm_specs(bad)
 
 
 # ---------------------------------------------------------------------------

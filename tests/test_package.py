@@ -7,7 +7,8 @@ top-level private function or class that nothing in the package uses is
 dead code and should be deleted, not kept.  A finite law is its support
 table's arrays, with no Python copy of its strata beside them.  The
 learner kinds, the sides each fits and the spec fields each reads are
-one table, which README's "Learner specs" table restates.
+one table, which README's "Learner specs" table restates; so are the
+sides each estimator fits, which README's estimator paragraph restates.
 """
 
 import ast
@@ -20,6 +21,7 @@ import numpy as np
 
 import eifkit
 from eifkit.distributions import SupportTable
+from eifkit.estimators import _SIDES
 from eifkit.learners import _KINDS, OUTCOME_KINDS, PROPENSITY_KINDS
 
 SRC = Path(eifkit.__file__).resolve().parent
@@ -138,3 +140,17 @@ def test_readme_learner_table_matches_the_kind_table():
                           for field in fields}
     # truncation is read by exactly the kinds that fit a propensity
     assert documented["truncation"] == set(PROPENSITY_KINDS)
+
+
+def _readme_estimator_sides():
+    """README's "fits only the nuisances it reads (...)" list as {estimator:
+    sides}; each item is an estimator's name and its side, or "both"."""
+    text = README.read_text(encoding="utf-8")
+    listed = re.search(r"fits only the\s+nuisances it reads \(([^)]*)\)", text).group(1)
+    names = {"one-step": "onestep", "plug-in": "plugin", "IPW": "ipw"}
+    return {names[name]: "qg" if side == "both" else side
+            for name, side in (item.split() for item in listed.split(","))}
+
+
+def test_readme_estimator_sides_match_the_side_table():
+    assert _readme_estimator_sides() == _SIDES
