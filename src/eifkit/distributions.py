@@ -466,14 +466,37 @@ def _influence(estimand: str, a, y, q, g, centre, p1):
     formed over arrays.
     """
     # select, not multiply by I(a=0): 0 * inf would turn an overflow in the
-    # other arm's term into NaN.  np.where evaluates both arms, so an overflow
-    # in the discarded one is silenced; one the result keeps is refused by
-    # every exact sum (_fsum) and by the CLI's JSON output
-    untreated = a == 0
+    # other arm's term into NaN.  Both arms are evaluated, so an overflow in
+    # the discarded one is silenced; one the result keeps is refused by every
+    # exact sum (_fsum) and by the CLI's JSON output.  The select copies bits:
+    # np.where on a random mask costs about 4 ns a row, an arithmetic pass
+    # 0.25-0.5 ns (80-85 us against 5-10 us at 20 000 rows on an Intel Xeon)
     with np.errstate(over="ignore", invalid="ignore"):
+        arm = np.subtract(y, q)
         if estimand == "psi":
-            return np.where(untreated, (y - q) / g, 0.0) + q - centre
-        return np.where(untreated, (1.0 - g) / g * (y - q), q - centre) / p1
+            out = _bit_select(a, np.divide(arm, g, out=arm))
+            return np.subtract(np.add(out, q, out=out), centre, out=out)
+        weight = np.subtract(1.0, g)
+        arm = np.multiply(np.divide(weight, g, out=weight), arm, out=arm)
+        out = _bit_select(a, arm, np.subtract(q, centre))
+        return np.divide(out, p1, out=out)
+
+
+def _bit_select(a, untreated, treated=None):
+    """np.where(a == 0, untreated, treated) for the int64 0/1 code ``a`` and
+    float64 arms, written into ``treated``; without it the treated arm is
+    +0.0, written into ``untreated``.  On int64 views it is
+    untreated ^ ((untreated ^ treated) & -a): bits are copied, never
+    computed, so NaN, inf and -0.0 pass or drop as np.where has them."""
+    u = untreated.view(np.int64)
+    if treated is None:
+        np.bitwise_and(u, a - 1, out=u)
+        return untreated
+    t = treated.view(np.int64)
+    np.bitwise_xor(t, u, out=t)
+    np.bitwise_and(t, np.negative(a), out=t)
+    np.bitwise_xor(t, u, out=t)
+    return treated
 
 
 def _mean_phi(estimand: str, table: SupportTable, q, g, centre, p1) -> float:

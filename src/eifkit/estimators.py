@@ -26,6 +26,7 @@ variance)/n.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -69,6 +70,7 @@ class FoldPlan:
 
     The assignment vector is a pure function of (n, K, seed): a seeded
     permutation dealt round-robin, so fold sizes differ by at most one.
+    ``build`` makes each plan once, as every replication of a study asks.
     """
 
     n: int
@@ -87,14 +89,21 @@ class FoldPlan:
         # numpy's SeedSequence takes no negative entropy
         if not (_is_int(seed) and seed >= 0):
             raise ConfigError(f"fold seed must be a nonnegative integer, got {seed!r}")
-        order = np.random.default_rng(np.random.SeedSequence([seed, n, folds])).permutation(n)
-        assignment = np.empty(n, dtype=np.int64)
-        assignment[order] = np.arange(n) % folds
-        assignment.setflags(write=False)
-        return cls(n=n, folds=folds, seed=seed, assignment=assignment)
+        return _fold_plan(int(n), int(folds), int(seed))
 
     def fold_sizes(self) -> list:
         return [int((self.assignment == k).sum()) for k in range(self.folds)]
+
+
+@functools.lru_cache(maxsize=16)
+def _fold_plan(n: int, folds: int, seed: int) -> FoldPlan:
+    """The plan of checked Python ints (n, folds, seed); plans are frozen and
+    their assignments read-only, so one object serves every caller."""
+    order = np.random.default_rng(np.random.SeedSequence([seed, n, folds])).permutation(n)
+    assignment = np.empty(n, dtype=np.int64)
+    assignment[order] = np.arange(n) % folds
+    assignment.setflags(write=False)
+    return FoldPlan(n=n, folds=folds, seed=seed, assignment=assignment)
 
 
 # the nuisance sides each estimator fits: one-step both, plug-in q, IPW g

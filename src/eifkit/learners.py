@@ -19,6 +19,9 @@ A :class:`LearnerSpec` names one of a fixed set of procedures:
     array row by row, about three times slower at n = 20 000 and d = 2,
     and the column passes write the same values in the same layout, so
     every matrix product, and beta, is bit-identical to the row-pass form.
+    A fit makes its length-n arrays once and every Newton pass writes into
+    them with ``out=``, in the ufuncs and order of the allocating form, so
+    beta is bit-identical to it.
     A Gram matrix, Hessian or gradient that overflows raises
     NonFiniteNumber.
 ``knn``
@@ -163,8 +166,8 @@ class Dataset:
 
     ``w`` has shape (n, d); ``a`` is an integer 0/1 vector; ``y`` is float.
     Arrays are copied and marked read-only at construction; ``_owning``
-    takes over freshly drawn arrays without the copy.  ``subset`` is the
-    one way to take rows of a Dataset.
+    takes over freshly drawn arrays without the copy or the checks.
+    ``subset`` is the one way to take rows of a Dataset.
     """
 
     w: np.ndarray
@@ -181,23 +184,20 @@ class Dataset:
         y = np.array(self.y, dtype=float).reshape(-1)
         if not (len(a) == len(y) == w.shape[0]):
             raise ValueError("w, a, y must have matching lengths")
-        self._adopt(w, a, y)
-
-    @classmethod
-    def _owning(cls, w, a, y) -> "Dataset":
-        """The constructor without its copies, for a float (n, d) ``w`` and
-        length-n ``a`` and ``y`` that the caller has just made and gives up."""
-        out = object.__new__(cls)
-        out._adopt(w, a, y)
-        return out
-
-    def _adopt(self, w, a, y):
         # checked on the values as given, so 0.5 or 2 is refused, not truncated
         if not ((a == 0) | (a == 1)).all():
             raise ValueError("treatment values must be 0 or 1")
         if not (np.isfinite(w).all() and np.isfinite(y).all()):
             raise ValueError("covariates and outcomes must be finite")
         self._set_arrays(w, a.astype(np.int64, copy=False), y)
+
+    @classmethod
+    def _owning(cls, w, a, y) -> "Dataset":
+        """The constructor without its copies or checks, for valid arrays (a
+        finite float (n, d) ``w`` and ``y``, an int64 0/1 ``a``) just made."""
+        out = object.__new__(cls)
+        out._set_arrays(w, a, y)
+        return out
 
     def _set_arrays(self, w, a, y):
         for arr in (w, a, y):
@@ -226,10 +226,8 @@ class Dataset:
                              f"got {mask.dtype} of shape {mask.shape}")
         if not mask.any():
             raise ValueError("subset selects no rows")
-        out = object.__new__(Dataset)
-        out._set_arrays(self.w.compress(mask, axis=0), self.a.compress(mask),
-                        self.y.compress(mask))
-        return out
+        return Dataset._owning(self.w.compress(mask, axis=0), self.a.compress(mask),
+                               self.y.compress(mask))
 
 
 def _is_real(value) -> bool:
@@ -397,25 +395,31 @@ def _linear_core(beta: np.ndarray, drop_first: bool) -> Callable:
     return core
 
 
-def logistic(x):
-    """1 / (1 + exp(-x)) elementwise; exactly 0.0, with no warning, for x <= -710."""
+def logistic(x, out=None):
+    """1 / (1 + exp(-x)) elementwise, written into ``out`` when given; exactly
+    0.0, with no warning, for x <= -710."""
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+        e = np.exp(np.negative(x, out=out), out=out)
+        return np.divide(1.0, np.add(1.0, e, out=out), out=out)
 
 
-def _softplus(v):
+def _softplus(v, out=None, spare=None):
     """log(1 + exp(v)) elementwise, in numpy's split form of logaddexp(0, v).
 
     max(v, 0) + log1p(exp(-|v|)) never overflows.  numpy runs it on its
     vectorized exp and log1p, where ``np.logaddexp`` is a scalar libm loop,
-    and it stays within a few ULP of ``np.logaddexp``.
+    and it stays within a few ULP of ``np.logaddexp``.  Every pass writes
+    into ``out`` (it may be ``v``) and ``spare`` when they are given.
     """
-    return np.maximum(v, 0.0) + np.log1p(np.exp(-np.abs(v)))
+    top = np.maximum(v, 0.0, out=spare)
+    tail = np.log1p(np.exp(np.negative(np.abs(v, out=out), out=out), out=out), out=out)
+    return np.add(top, tail, out=out)
 
 
-def _logistic_nll(eta: np.ndarray, flip: np.ndarray) -> float:
-    """Negative log-likelihood sum log(1 + exp(flip * eta)), flip = -(2z - 1)."""
-    return float(_softplus(flip * eta).sum())
+def _logistic_nll(eta: np.ndarray, flip: np.ndarray, work: np.ndarray, spare: np.ndarray) -> float:
+    """Negative log-likelihood sum log(1 + exp(flip * eta)), flip = -(2z - 1),
+    computed in the length-n arrays ``work`` and ``spare``."""
+    return float(_softplus(np.multiply(flip, eta, out=work), work, spare).sum())
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is refused by _finite
@@ -432,16 +436,18 @@ def _irls_beta(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     flip = -(2.0 * z - 1.0)
     beta = np.zeros(design.shape[1])
     eta = design @ beta
+    p, resid, work, spare, cand_eta = (np.empty(len(z)) for _ in range(5))
     eye = np.eye(design.shape[1])
-    nll = _logistic_nll(eta, flip)
+    nll = _logistic_nll(eta, flip, work, spare)
     for _ in range(IRLS_MAX_ITER):
-        p = logistic(eta)
-        grad = _finite(design.T @ (z - p), "the IRLS gradient")
+        logistic(eta, out=p)
+        grad = _finite(design.T @ np.subtract(z, p, out=resid), "the IRLS gradient")
         if math.sqrt(float(grad @ grad)) <= IRLS_GRADIENT_TOL:
             return beta
         # the jitter must stay far below the curvature of near-boundary
         # rows, or separated fits stall before the gradient tolerance
-        hessian = _finite(design.T @ _scale_rows(p * (1.0 - p), design, weighted),
+        weights = np.multiply(p, np.subtract(1.0, p, out=resid), out=resid)
+        hessian = _finite(design.T @ _scale_rows(weights, design, weighted),
                           "the IRLS Hessian") + 1e-12 * eye
         try:
             step = np.linalg.solve(hessian, grad)
@@ -449,15 +455,15 @@ def _irls_beta(x: np.ndarray, z: np.ndarray) -> np.ndarray:
             raise SingularDesign(f"IRLS step singular: {err}") from err
         for _halving in range(60):
             candidate = beta + step
-            cand_eta = design @ candidate
-            cand_nll = _logistic_nll(cand_eta, flip)
+            cand_nll = _logistic_nll(np.matmul(design, candidate, out=cand_eta), flip, work, spare)
             if cand_nll <= nll + 1e-12:
-                beta, eta, nll = candidate, cand_eta, cand_nll
+                beta, nll = candidate, cand_nll
+                eta, cand_eta = cand_eta, eta
                 break
             step = 0.5 * step
         else:
             break  # no descent direction left; stationary up to rounding
-    grad = design.T @ (z - logistic(eta))
+    grad = design.T @ np.subtract(z, logistic(eta, out=p), out=resid)
     if math.sqrt(float(grad @ grad)) <= IRLS_GRADIENT_TOL:
         return beta
     raise IrlsDivergence(

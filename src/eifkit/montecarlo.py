@@ -16,7 +16,9 @@ Two data-generating processes are supported.
 
 Replication streams are derived by hashing (master_seed, replication id)
 through numpy's SeedSequence, so runs are bit-reproducible for any worker
-count and doubling the replication count reproduces the original prefix.
+count.  A study numbers its replications across its grid, so a larger
+``reps`` keeps its first size's replications as a prefix and renumbers
+the later sizes': only a coverage study, with one size, extends as a prefix.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .distributions import FiniteDistribution, _check_estimand, _law, fields_dict, psi_of, theta_of
+from .distributions import (FiniteDistribution, _bit_select, _check_estimand, _law, fields_dict,
+                            psi_of, theta_of)
 from .errors import ConfigError, EifkitError, NoTreatedRows
 from .estimators import EstimatorConfig, estimate
 from .decomposition import _check_n_grid, _loglog_slope, truth_functions
@@ -203,12 +206,18 @@ def generate_with_counterfactual(dgp: DGPSpec, n: int, seed):
     d = dgp.d
     w = rng.uniform(-1.0, 1.0, size=(n, d))
     g = dgp.g(w)
-    treated = rng.uniform(size=n) >= g
-    with np.errstate(over="ignore", invalid="ignore"):  # Dataset refuses an overflowed outcome
+    a = (rng.uniform(size=n) >= g).astype(np.int64)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed outcome is refused below
         q = dgp.q(w)
-    y0 = q + dgp.noise_sd * rng.standard_normal(n)
-    y1 = q + dgp.treated_shift + dgp.noise_sd * rng.standard_normal(n)
-    return Dataset._owning(w, treated.astype(np.int64), np.where(treated, y1, y0)), y0
+    # y0 = q + noise_sd * e0 and y1 = (q + treated_shift) + noise_sd * e1,
+    # each written into its draw e
+    y0, y1 = rng.standard_normal(n), rng.standard_normal(n)
+    np.add(q, np.multiply(dgp.noise_sd, y0, out=y0), out=y0)
+    np.add(np.add(q, dgp.treated_shift, out=q), np.multiply(dgp.noise_sd, y1, out=y1), out=y1)
+    y = _bit_select(a, y0, y1)
+    if not np.isfinite(y).all():  # w and a are valid by construction
+        raise ValueError("covariates and outcomes must be finite")
+    return Dataset._owning(w, a, y), y0
 
 
 def _rng(n, seed):

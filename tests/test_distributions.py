@@ -28,7 +28,8 @@ from eifkit import (
     save_distribution,
     theta_of,
 )
-from eifkit.distributions import DEFAULT_STEP_GRID, _columns, _extrapolate_to_zero, _match
+from eifkit.distributions import (DEFAULT_STEP_GRID, _columns, _extrapolate_to_zero, _influence,
+                                  _match)
 from eifkit.errors import (
     ConfigError,
     InvalidDistribution,
@@ -390,6 +391,42 @@ def test_array_law_equals_per_atom_reference(atoms, e, seed):
     want = ref.draw(n, seed)
     assert repr([data.w.tolist(), data.a.tolist(), data.y.tolist(), y0.tolist()]) == \
         repr([column.tolist() for column in want])
+
+
+@pytest.mark.parametrize("estimand", ["psi", "theta"])
+def test_influence_selects_each_rows_arm_bit_for_bit(estimand):
+    # the select form np.where(I(a=0), untreated arm, treated arm), compared
+    # as int64 bits: the dropped arm is NaN, +-inf or an overflow on some
+    # rows, and the kept values include -0.0
+    rng = np.random.default_rng(3)
+    n = 400
+    a = rng.integers(0, 2, n)
+    y, q = rng.normal(size=n), rng.normal(size=n)
+    g = rng.uniform(0.05, 0.95, n)
+    special = {  # row: (y, q, g), each set on an untreated and a treated row
+        0: (np.inf, np.inf, 0.5),        # y - q is NaN
+        2: (1.7e308, -1.7e308, 0.5),     # y - q overflows to +inf
+        4: (-1.7e308, 1.7e308, 0.5),     # ... and to -inf
+        6: (1.0, 0.0, 0.0),              # (y - q) / g is +inf, (1 - g) / g too
+        8: (-0.0, -0.0, 0.5),            # y - q is +0.0, q is -0.0
+        10: (-0.0, 0.0, 0.25),           # y - q is -0.0
+        12: (np.nan, 1.0, 0.5),
+        14: (np.inf, np.inf, np.nan),    # two NaNs of opposite sign meet
+    }
+    for row, values in special.items():
+        a[row], a[row + 1] = 0, 1
+        y[row], q[row], g[row] = y[row + 1], q[row + 1], g[row + 1] = values
+    centre, p1 = (0.0, None) if estimand == "psi" else (-0.0, 0.375)
+    untreated = a == 0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if estimand == "psi":
+            want = np.where(untreated, (y - q) / g, 0.0) + q - centre
+        else:
+            want = np.where(untreated, (1.0 - g) / g * (y - q), q - centre) / p1
+        got = _influence(estimand, a, y, q, g, centre, p1)
+    assert got.dtype == np.float64
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.signbit(got).any() and np.isnan(got).any() and np.isinf(got).any()
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from eifkit import (
     theta_of,
     variance_and_ci,
 )
+from eifkit import estimators
 from eifkit.estimators import FoldPlan
 from eifkit.learners import FittedNuisance, fit_nuisance, logistic
 from eifkit.errors import ConfigError, EifkitError, EmptyEif, NoTreatedRows, ZeroMassConditioning
@@ -208,6 +209,35 @@ def test_fold_plan_validation():
         FoldPlan.build(10, 1, seed=0)
     with pytest.raises(ConfigError, match=r"need an integer 2 <= K <= n, got K=2, n=2.5"):
         FoldPlan.build(2.5, 2, seed=0)
+
+
+def test_fold_plans_are_built_once_per_rows_folds_and_seed():
+    estimators._fold_plan.cache_clear()
+    plan = FoldPlan.build(10, 3, seed=4)
+    # numpy and Python integers are one key, and the plan holds Python ints
+    assert FoldPlan.build(np.int64(10), np.int32(3), np.uint8(4)) is plan
+    assert (plan.n, plan.folds, plan.seed) == (10, 3, 4)
+    assert [type(v) for v in (plan.n, plan.folds, plan.seed)] == [int] * 3
+    assert estimators._fold_plan.cache_info().currsize == 1
+    assert not plan.assignment.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        plan.assignment[0] = 1
+    with pytest.raises(AttributeError):
+        plan.folds = 4
+    assert FoldPlan.build(10, 3, seed=5) is not plan
+
+
+@pytest.mark.parametrize("n, folds, seed, message", [
+    (10, 1, 0, r"need an integer 2 <= K <= n, got K=1, n=10"),
+    (3, 4, 0, r"4 folds need at least 4 rows, but a sample has only 3"),
+    (10, 3, -1, r"fold seed must be a nonnegative integer, got -1"),
+    (10, 3, 1.0, r"fold seed must be a nonnegative integer, got 1.0"),
+])
+def test_a_refused_fold_plan_is_not_cached(n, folds, seed, message):
+    estimators._fold_plan.cache_clear()
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        FoldPlan.build(n, folds, seed)
+    assert estimators._fold_plan.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("folds, seed", [("x", 0), (2.5, 0), (True, 0), (1, 0), (11, 0),

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -193,6 +194,44 @@ def test_generate_with_counterfactual_consistency():
     # treated factual outcomes include the shift, so they differ from the
     # untreated potential outcome by construction
     assert not np.array_equal(data.y[~untreated], y0[~untreated])
+
+
+def _where_draw(dgp, n, seed):
+    """The logistic-linear draw in its plain form: the same draws from the
+    same stream, the outcome picked by np.where."""
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(-1.0, 1.0, size=(n, dgp.d))
+    treated = rng.uniform(size=n) >= dgp.g(w)
+    q = dgp.q(w)
+    y0 = q + dgp.noise_sd * rng.standard_normal(n)
+    y1 = q + dgp.treated_shift + dgp.noise_sd * rng.standard_normal(n)
+    return w, treated.astype(np.int64), np.where(treated, y1, y0), y0
+
+
+@pytest.mark.parametrize("n", [1, 2, 20_000])
+@pytest.mark.parametrize("noise_sd", [1.0, 0.0])
+def test_the_logistic_linear_draw_equals_its_plain_form_bit_for_bit(n, noise_sd):
+    dgp = DGPSpec(noise_sd=noise_sd)
+    for seed in (7, np.random.SeedSequence([3, 1])):
+        data, y0 = generate_with_counterfactual(dgp, n, seed)
+        want = _where_draw(dgp, n, seed)
+        for got, expected in zip((data.w, data.a, data.y, y0), want):
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+        assert data.a.dtype == np.int64 and not data.y.flags.writeable
+
+
+def test_an_overflowing_treated_outcome_is_refused_with_one_overflow_warning():
+    # q is finite, q + treated_shift overflows: the sum warns, as it always
+    # has outside the truth function's errstate, and the Dataset's refusal
+    # of the non-finite outcome follows
+    dgp = DGPSpec(beta=(1e307, 0.0, 0.0), treated_shift=1.75e308)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="^covariates and outcomes must be finite$"):
+            generate(dgp, 200, 0)
+    assert [(w.category, str(w.message)) for w in caught] == [
+        (RuntimeWarning, "overflow encountered in add")]
 
 
 def test_treatment_frequency_tracks_propensity():
@@ -549,6 +588,83 @@ def test_run_dr_consistency_smoke():
     assert abs(report.bias_by_n[-1]) < 6.0 * report.mc_se_by_n[-1]
     doc = report.to_dict()
     assert doc["arm"] == "none"
+
+
+# the repr of every replication's (point, variance) from small calls of the
+# three study runners: the replication loop (draw, fold plan, nuisance fits,
+# report) may change how it computes, never what it returns
+_RATE_ORACLE = LearnerSpec("oracle-rate", rate_exponent=0.25, amplitude=0.5)
+LOOP_PINS = {
+    ("coverage", "psi"): (
+        lambda: run_coverage(default_logistic_linear(), EstimatorConfig(folds=5), 2000, 4, 11),
+        [("0.9671664626143077", "0.0012883047966148358"),
+         ("0.9451636851986918", "0.001408957500278519"),
+         ("0.9903712659159519", "0.0012095547434737037"),
+         ("1.0299806155968687", "0.0013432241925817423")]),
+    ("coverage", "theta"): (
+        lambda: run_coverage(default_logistic_linear(),
+                             EstimatorConfig(estimand="theta", folds=5), 2000, 4, 11),
+        [("0.8670936822764435", "0.001807308058823312"),
+         ("0.9159148879235666", "0.0019716623435098767"),
+         ("0.909099652649435", "0.001732623387100834"),
+         ("0.9516905633740295", "0.0019826235103458743")]),
+    ("rate", "onestep"): (
+        lambda: run_rate_experiment(
+            default_logistic_linear(),
+            EstimatorConfig(spec_q=_RATE_ORACLE, spec_g=_RATE_ORACLE), [200, 2000], 3, 12),
+        [("1.099209082655302", "0.035352784269418576"),
+         ("0.7647341080642656", "0.0314444118980793"),
+         ("1.1618368186110068", "0.013267427349938948"),
+         ("1.0024575644626652", "0.0015389880181897282"),
+         ("1.0044599399731775", "0.0015642682565941322"),
+         ("1.0431236880586616", "0.0014710089311161436")]),
+    ("rate", "plugin"): (
+        lambda: run_rate_experiment(
+            default_logistic_linear(),
+            EstimatorConfig(estimator="plugin", spec_q=_RATE_ORACLE, spec_g=_RATE_ORACLE),
+            [200, 2000], 3, 12),
+        [("1.00054532566224", "nan"), ("0.9683283880546805", "nan"),
+         ("1.0165114442458845", "nan"), ("1.023146642477232", "nan"),
+         ("0.9676749760782919", "nan"), ("1.0064467713250662", "nan")]),
+    ("dr", "q-wrong"): (
+        lambda: run_dr_consistency(default_logistic_linear(), "q-wrong", [300, 2000], 3, 13),
+        [("0.8651362552265599", "0.012026905337145693"),
+         ("0.9625639573675832", "0.013414183191484677"),
+         ("1.0419025732265466", "0.009416526582422044"),
+         ("0.9748183356721467", "0.0017143454865029943"),
+         ("0.9655752919537982", "0.0016133135240185574"),
+         ("1.007909044144968", "0.0015906751965011872")]),
+    ("dr", "g-wrong"): (
+        lambda: run_dr_consistency(default_logistic_linear(), "g-wrong", [300, 2000], 3, 13),
+        [("0.8718916698289813", "0.009043888306675324"),
+         ("0.9288853768130811", "0.010875170714708823"),
+         ("1.0386313879698692", "0.008154766742903993"),
+         ("0.979274051252839", "0.0012918722275230645"),
+         ("0.9653212882207419", "0.0012127632445248081"),
+         ("1.0126527340327467", "0.0012478228912293856")]),
+}
+
+
+@pytest.mark.parametrize("study", list(LOOP_PINS), ids="-".join)
+def test_replication_loop_returns_the_pinned_points_and_variances(study):
+    run, expected = LOOP_PINS[study]
+    report = run()
+    assert report.failures == 0
+    assert [(repr(r.point), repr(r.variance)) for r in report.replications] == expected
+
+
+def test_a_grid_study_keeps_its_first_sizes_replications_as_a_prefix():
+    # a grid study numbers its replications across every size, so more reps
+    # keep the first size's replications and renumber every later size's
+    dgp = default_logistic_linear()
+    config = EstimatorConfig(spec_q=_RATE_ORACLE, spec_g=_RATE_ORACLE)
+    small, large = (run_rate_experiment(dgp, config, [100, 400], reps, 5) for reps in (2, 4))
+    first = [(r.rep, r.point, r.variance) for r in small.replications if r.n == 100]
+    assert first == [(r.rep, r.point, r.variance) for r in large.replications[:2]]
+    assert [repr(r.point) for r in small.replications if r.n == 400] == [
+        "1.1455547044140664", "1.0235844396501652"]
+    assert [repr(r.point) for r in large.replications if r.n == 400][:2] == [
+        "0.981351480655392", "1.0392388536199368"]
 
 
 def test_replication_rows_roundtrip():
