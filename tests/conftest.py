@@ -272,6 +272,22 @@ def five_atom():
     )
 
 
+@pytest.fixture
+def treated_law():
+    """A two-covariate law whose four strata all carry both arms; Pr(A=1) = 0.4.
+
+    Its masses and outcomes are short binary fractions, so with shape-2
+    (constant) oracle nuisances every exact routine on it runs on plain
+    arithmetic: no BLAS call and no vectorized exp or sin.
+    """
+    return FiniteDistribution([
+        (((0.0, -1.0), 0, 0.5), 0.15), (((0.0, -1.0), 1, 2.0), 0.05),
+        (((0.0, 1.0), 0, -1.25), 0.1), (((0.0, 1.0), 0, 3.0), 0.1),
+        (((0.0, 1.0), 1, 0.75), 0.1), (((1.0, -1.0), 0, 1.5), 0.2),
+        (((1.0, -1.0), 1, -0.5), 0.05), (((1.0, 1.0), 0, 2.25), 0.05),
+        (((1.0, 1.0), 1, 4.0), 0.15), (((1.0, 1.0), 1, 1.0), 0.05),
+    ])
+
 def assert_close(a, b, tol, label=""):
     assert math.isfinite(a) and math.isfinite(b), f"{label}: non-finite {a}, {b}"
     assert abs(a - b) <= tol, f"{label}: |{a} - {b}| = {abs(a - b)} > {tol}"

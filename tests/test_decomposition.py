@@ -579,3 +579,31 @@ def test_verify_eif_eif_mean_equals_per_atom_reference(tmp_path, capsys, seed):
         check = _ref_check(functional, base, direction, DEFAULT_STEP_GRID)
         for key, value in check.items():
             assert doc[functional]["check"][key] == value
+
+
+# ---------------------------------------------------------------------------
+# theta's exact outputs, pinned by repr: the shipped configs' digests cover
+# psi's remainder and sweep and theta's decomposition, not these
+
+_CONSTANT_ORACLE = LearnerSpec("oracle-rate", rate_exponent=0.25, amplitude=0.3, shape=2)
+
+
+def test_theta_remainder_away_from_the_treated_fraction_is_pinned(treated_law):
+    nuis = oracle_rate_nuisance(*truth_functions(treated_law), 50, _CONSTANT_ORACLE,
+                                _CONSTANT_ORACLE)
+    rep = remainder_exact_theta(treated_law, nuis, 0.55)  # Pr(A=1) = 0.4
+    assert (repr(rep.remainder_direct), repr(rep.remainder_closed_form), repr(rep.cs_bound)) == (
+        "-0.0698717980302001", "-0.06987179803020008", "0.10474663343889135")
+    assert {name: repr(value) for name, value in rep.terms.items()} == {
+        "s1": "-0.01596155079338799", "s2": "-0.023141676475196098",
+        "s3": "-0.03076857076161598"}
+
+
+def test_theta_sweep_is_pinned(treated_law):
+    rep = remainder_rate_sweep(treated_law, truth_functions(treated_law), _CONSTANT_ORACLE,
+                               _CONSTANT_ORACLE, [16, 256, 4096], estimand="theta")
+    assert [(n, repr(r), repr(b)) for n, r, b in rep.rows] == [
+        (16, "-0.08814446831364121", "0.1607142857142857"),
+        (256, "-0.025899241208230013", "0.05113636363636361"),
+        (4096, "-0.007140736401190277", "0.014802631578947373")]
+    assert repr(rep.slope) == "-0.45321565819597553"

@@ -11,11 +11,13 @@ from scipy.stats import norm
 
 from eifkit import (
     Dataset,
+    DGPSpec,
     EstimatorConfig,
     LearnerSpec,
     crossfit,
     empirical_distribution,
     estimate,
+    generate,
     ipw_psi,
     onestep_psi,
     onestep_theta,
@@ -500,3 +502,16 @@ def test_crossfit_with_fitted_learners_is_bit_identical_to_the_reference(seed, e
     config = EstimatorConfig(estimand=estimand, spec_q=spec_q, spec_g=spec_g, folds=5,
                              fold_seed=seed)
     _assert_matches_reference(estimate(data, config), estimand, data, qv, gv, 0.95)
+
+
+def test_a_plugin_theta_estimate_on_a_table_draw_is_pinned(treated_law):
+    # the shipped configs' digests cover no plug-in theta; a constant
+    # (shape-2) oracle on a discrete-saturated draw keeps it to plain arithmetic
+    dgp = DGPSpec(kind="discrete-saturated", table=treated_law)
+    spec = LearnerSpec("oracle-rate", rate_exponent=0.25, amplitude=0.3, shape=2)
+    data = generate(dgp, 500, 7)
+    points = [repr(estimate(data, EstimatorConfig(estimand="theta", estimator="plugin",
+                                                  spec_q=spec, spec_g=spec, folds=folds,
+                                                  fold_seed=3), truth=(dgp.q, dgp.g)).point)
+              for folds in (0, 4)]
+    assert points == ["1.6581204936282163", "1.6628513798098319"]

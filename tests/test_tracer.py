@@ -3,14 +3,20 @@
 The tracer patches eifkit's functions and methods by name; a wrapped name
 that the package deletes or renames would break only a traced benchmark
 run, so this loads the tracer read-only, installs it and uninstalls it.
+A name the package still defines but no longer calls through its module
+global (a table holding the function object, say) loses its span without
+breaking the install, so the spans of a few calls are pinned too.
 """
 
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
 
 import eifkit.cli  # noqa: F401  (the tracer patches every eifkit module it finds)
-from eifkit import distributions, estimators, montecarlo
+from eifkit import (EstimatorConfig, LearnerSpec, decomposition, default_logistic_linear,
+                    distributions, estimators, montecarlo, oracle_rate_nuisance,
+                    truth_functions)
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -42,3 +48,39 @@ def test_install_wraps_every_traced_name_and_uninstall_restores_it():
         after = dict(vars(owner))
         assert after.keys() == names.keys()
         assert all(after[key] is value for key, value in names.items())
+
+
+def _spans(tracer):
+    """The recorded spans as a count of (name, parent's name) pairs."""
+    spans = tracer.spans
+    return Counter((s["name"], None if s["parent"] is None else spans[s["parent"]]["name"])
+                   for s in spans)
+
+
+def test_a_traced_study_and_remainder_open_the_layer_spans(treated_law):
+    oracle = LearnerSpec("oracle-rate", rate_exponent=0.25, amplitude=0.3, shape=2)
+    tracer = _tracer_module().Tracer()
+    counts = {}
+    try:
+        tracer.install_eifkit()
+        for estimand in ("psi", "theta"):
+            tracer.spans.clear()
+            # called through the module, whose names the tracer rebinds
+            montecarlo.run_coverage(default_logistic_linear(),
+                                    EstimatorConfig(estimand=estimand, folds=2), 100, 2, 5)
+            counts[estimand] = _spans(tracer)
+        tracer.spans.clear()
+        nuis = oracle_rate_nuisance(*truth_functions(treated_law), 50, oracle, oracle)
+        decomposition.remainder_exact_theta(treated_law, nuis, 0.55)
+        counts["remainder"] = _spans(tracer)
+    finally:
+        tracer.uninstall()
+    # per replication: a fold plan, two folds of a q and a g fit and
+    # prediction, and the one-step report around its variance_and_ci span
+    study = Counter({("montecarlo.truth", None): 1, ("montecarlo.generate", None): 2,
+                     ("estimators.foldplan", None): 3, ("learners.fit", None): 8,
+                     ("learners.predict", None): 8, ("estimators.report", None): 2,
+                     ("estimators.report", "estimators.report"): 2})
+    assert counts == {"psi": study, "theta": study, "remainder": Counter(
+        {("learners.fit", None): 2, ("decomposition.remainder", None): 1,
+         ("learners.predict", "decomposition.remainder"): 2})}
