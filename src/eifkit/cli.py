@@ -63,7 +63,8 @@ from .decomposition import (
     truth_functions,
 )
 from .distributions import (
-    _check_estimand,
+    _ESTIMANDS,
+    _estimand,
     eif_integral,
     load_distribution,
     pathwise_derivative_check,
@@ -367,11 +368,11 @@ def _cmd_verify_eif(args) -> dict:
     cfg = _load_config(args.config)
     _check_keys(cfg, ("distribution", "direction", "functional", "step_grid"),
                 ("distribution", "direction"), "verify-eif config")
-    functional = _str_field(cfg, "functional", "both",
-                            ("psi", "theta", "both"), "verify-eif config")
+    functional = _str_field(cfg, "functional", "both", (*_ESTIMANDS, "both"),
+                            "verify-eif config")
     base = load_distribution(_resolve(args.config, cfg, "distribution", "verify-eif config"))
     direction = load_distribution(_resolve(args.config, cfg, "direction", "verify-eif config"))
-    names = ("psi", "theta") if functional == "both" else (functional,)
+    names = tuple(_ESTIMANDS) if functional == "both" else (functional,)
     out = {}
     for name in names:
         with _refused("verify-eif config"):
@@ -414,12 +415,12 @@ def _cmd_remainder(args) -> dict:
     truth = truth_functions(dist)
     estimand = cfg.get("estimand", "psi")
     with _refused("remainder config"):
-        _check_estimand(estimand)
+        treated = _estimand(estimand).treated
         if mode == "sweep":
             return remainder_rate_sweep(dist, truth, spec_q, spec_g, cfg.get("n_grid"),
                                         estimand=estimand).to_dict()
     # exact mode: one remainder, of a sample's fits or of the oracle at n
-    if estimand == "psi" and "pn_a" in cfg:
+    if not treated and "pn_a" in cfg:
         raise ConfigError("remainder config: 'pn_a' only applies to the theta estimand")
     if ("sample" in cfg) == ("n" in cfg):
         raise ConfigError("remainder config: exact mode needs exactly one of 'sample' and 'n'")
@@ -432,9 +433,10 @@ def _cmd_remainder(args) -> dict:
         else:
             nuis = oracle_rate_nuisance(*truth, cfg["n"], spec_q, spec_g)
             default_pn_a = dist.pr_a1
-        if estimand == "psi":
-            return remainder_exact_psi(dist, nuis).to_dict()
-        return remainder_exact_theta(dist, nuis, cfg.get("pn_a", default_pn_a)).to_dict()
+        pn_a = (cfg.get("pn_a", default_pn_a),) if treated else ()
+        # each estimand's wrapper, read from the module when called: a tracer may rebind it
+        remainder = {"psi": remainder_exact_psi, "theta": remainder_exact_theta}[estimand]
+        return remainder(dist, nuis, *pn_a).to_dict()
 
 
 def _parse_dgp(cfg: dict, config_path) -> DGPSpec:

@@ -13,15 +13,19 @@ expectations still taken under the true covariate law.  The remainder R has
 two independent derivations that must agree to float precision:
 
 * direct:      truth - plugin - E_P{phi(O, Phat)}
-* closed form: for the untreated mean, -E_P{(1/ghat)(g - ghat)(q - qhat)};
-  for the treated-subpopulation mean, a three-term sum whose first two
-  pieces are products of the two nuisance errors and whose third is a pure
-  treated-fraction offset  -(Pr(A=1) - pn_a)/pn_a * (truth - plugin).
+* closed form: the product and quotient rules for the weighted mean N/D
+  of the estimand table (``distributions``), with h = E[m | W]:
 
-Both remainders vanish when either nuisance is exact (for the treated
-variant, the two product terms vanish; the offset term vanishes whenever
-the plug-in equals the truth), and the product form is dominated by a
-Cauchy-Schwarz bound built from the L2 nuisance errors.
+      R = - E_P{(g - ghat)/ghat * hhat * (q - qhat)} / Dhat      (s1)
+          + E_P{(hhat - h)(qhat - q)} / Dhat                      (s2)
+          - (D - Dhat)/Dhat * (truth - plugin)                    (s3)
+
+  Psi (h = hhat = 1, D = Dhat = 1) keeps s1 alone; theta has all three,
+  with Dhat = pn_a.  Each row of the table sums its terms in its own order.
+
+s1 and s2 vanish when either nuisance is exact, s3 whenever the plug-in
+equals the truth, and the product form is dominated by a Cauchy-Schwarz
+bound built from the L2 nuisance errors.
 
 All expectations under P are compensated sums over the atom table, so the
 identities hold to ~1e-14 regardless of how adversarial the nuisances are.
@@ -48,17 +52,15 @@ import numpy as np
 from .distributions import (
     FiniteDistribution,
     SupportTable,
-    _check_estimand,
+    _estimand,
     _fsum,
-    _functional,
     _influence,
     _match,
     _mean_phi,
+    _value,
     fields_dict,
-    psi_of,
-    theta_of,
 )
-from .errors import ConfigError, NoTreatedRows, PositivityViolation, ZeroMassConditioning
+from .errors import ConfigError, PositivityViolation, ZeroMassConditioning
 from .learners import (
     Dataset,
     FittedNuisance,
@@ -136,11 +138,8 @@ class RateSweepReport:
     slope: float
 
     def to_dict(self) -> dict:
-        return {
-            "estimand": self.estimand,
-            "rows": [{"n": n, "remainder": r, "cs_bound": b} for n, r, b in self.rows],
-            "slope": self.slope,
-        }
+        rows = [{"n": n, "remainder": r, "cs_bound": b} for n, r, b in self.rows]
+        return {**fields_dict(self), "rows": rows}
 
 
 # ---------------------------------------------------------------------------
@@ -167,11 +166,11 @@ def _on_support(dist: FiniteDistribution, nuis: FittedNuisance):
     return table, qh, gh
 
 
-def _plugin(estimand: str, dist: FiniteDistribution, table: SupportTable, qh) -> float:
-    # the functional with qhat substituted, expectations under the true law
-    if estimand == "psi":
-        return _fsum(table.pw * qh)
-    return _fsum(table.pw * (1.0 - table.g) * qh) / dist.pr_a1
+def _plugin(estimand: str, table: SupportTable, qh) -> float:
+    # the functional with qhat substituted, expectations under the true law:
+    # E[h qhat] / D, with h = 1 - g for theta (1.0, an exact factor, for psi)
+    row = _estimand(estimand)
+    return _fsum(table.pw * row.h(table.g) * qh) / row.denominator(table)
 
 
 # ---------------------------------------------------------------------------
@@ -179,30 +178,21 @@ def _plugin(estimand: str, dist: FiniteDistribution, table: SupportTable, qh) ->
 
 
 def remainder_exact_psi(dist: FiniteDistribution, nuis: FittedNuisance) -> RemainderReport:
-    """Exact remainder for the mean untreated outcome, both derivations.
-
-    The plug-in value uses the estimated regression under the *true*
-    covariate marginal: plugin = E_P[qhat(W)].
-    """
-    return _remainder("psi", dist, nuis, None)
+    """Exact remainder for the mean untreated outcome, both derivations; the
+    plug-in is qhat under the *true* covariate marginal, E_P[qhat(W)]."""
+    return _remainder("psi", dist, nuis, 1.0)
 
 
 def remainder_exact_theta(
     dist: FiniteDistribution, nuis: FittedNuisance, pn_a: float
 ) -> RemainderReport:
-    """Exact remainder for the treated-subpopulation mean.
+    """Exact remainder for the treated-subpopulation mean, both derivations.
 
     ``pn_a`` is the treated fraction plugged into the estimated influence
     function (empirically P_n(A); any value in (0, 1] is accepted so the
-    identity can be checked away from Pr(A=1)).  The closed form is
-
-        s1 = -E[(g-ghat)/ghat * (1-ghat) * (q-qhat)] / pn_a
-        s2 = -E[(ghat-g) * (qhat-q)] / pn_a
-        s3 = -(Pr(A=1) - pn_a)/pn_a * (truth - plugin)
-
-    s1 and s2 vanish when either nuisance is exact; s3 vanishes whenever
-    the plug-in equals the truth (in particular for pn_a = Pr(A=1) it is
-    the only term not of product form).
+    identity can be checked away from Pr(A=1)).  The closed form's terms
+    s1, s2 and s3 (module docstring, with hhat = 1 - ghat and Dhat = pn_a)
+    are reported as ``terms``; s3 vanishes at pn_a = Pr(A=1).
     """
     return _remainder("theta", dist, nuis, pn_a)
 
@@ -210,30 +200,20 @@ def remainder_exact_theta(
 def _remainder(estimand: str, dist: FiniteDistribution, nuis: FittedNuisance,
                pn_a, truth=None) -> RemainderReport:
     """The remainder of ``estimand`` by both routes, with its Cauchy-Schwarz
-    bound; ``pn_a`` is theta's treated fraction and unused for psi, and
-    ``truth`` the law's value of ``estimand``, computed when None."""
+    bound; ``pn_a`` estimates D (theta's treated fraction; 1.0 for psi), and
+    ``truth`` is the law's value of ``estimand``, computed when None."""
     table, qh, gh = _on_support(dist, nuis)
     if truth is None:  # before pn_a: a law with Pr(A=1) = 0 raises NoTreatedMass
-        truth = _functional(estimand)(dist)
-    if estimand == "theta":
-        if not (_is_real(pn_a) and 0.0 < pn_a <= 1.0):
-            raise ConfigError(f"'pn_a', the treated fraction, must lie in (0, 1], got {pn_a!r}")
-        pn_a = float(pn_a)
-    pw, q, g = table.pw, table.q, table.g
-    hat = _plugin(estimand, dist, table, qh)
+        truth = _value(estimand, dist)
+    if not (_is_real(pn_a) and 0.0 < pn_a <= 1.0):
+        raise ConfigError(f"'pn_a', the treated fraction, must lie in (0, 1], got {pn_a!r}")
+    pn_a = float(pn_a)
+    hat = _plugin(estimand, table, qh)
     direct = truth - hat - _mean_phi(estimand, table, qh, gh, hat, pn_a)
-    if estimand == "psi":
-        closed, terms = -_fsum(pw * (g - gh) * (q - qh) / gh), None
-        factor, offset = float(np.max(1.0 / gh)), 0.0
-    else:
-        s1 = -_fsum(pw * (g - gh) / gh * (1.0 - gh) * (q - qh)) / pn_a
-        s2 = -_fsum(pw * (gh - g) * (qh - q)) / pn_a
-        s3 = -(dist.pr_a1 - pn_a) / pn_a * (truth - hat)
-        closed, terms = s1 + s2 + s3, {"s1": s1, "s2": s2, "s3": s3}
-        factor, offset = (float(np.max((1.0 - gh) / gh)) + 1.0) / pn_a, abs(s3)
-    l2_g = math.sqrt(_fsum(pw * (g - gh) ** 2))  # the L2(P_W) errors of ghat and qhat
-    l2_q = math.sqrt(_fsum(pw * (q - qh) ** 2))
-    return RemainderReport(estimand, direct, closed, factor * l2_g * l2_q + offset, terms)
+    closed, terms, factor, shift = _estimand(estimand).closed_form(table, qh, gh, truth, hat, pn_a)
+    l2_g = math.sqrt(_fsum(table.pw * (table.g - gh) ** 2))  # the L2(P_W) errors of ghat
+    l2_q = math.sqrt(_fsum(table.pw * (table.q - qh) ** 2))  # and of qhat
+    return RemainderReport(estimand, direct, closed, factor * l2_g * l2_q + shift, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -252,22 +232,17 @@ def decompose_error(
     sample is the caller's responsibility); the treated-subpopulation
     estimand additionally needs at least one treated row to form P_n(A).
     """
-    _check_estimand(estimand)
+    row = _estimand(estimand)
     table, qh, gh = _on_support(dist, nuis)
     row_idx = _match((table.w,), (sample.w,))
     outside = np.flatnonzero(row_idx < 0)
     if outside.size:
         raise ZeroMassConditioning(f"sample covariate value {tuple(sample.w[outside[0]].tolist())} "
                                    f"outside the support of the truth")
-    # the estimand picks the truth and the treated fractions of the true
-    # and the estimated influence functions (psi uses neither)
-    if estimand == "psi":
-        truth, p_true, p_hat = psi_of(dist), None, None
-    else:
-        if not (sample.a == 1).any():
-            raise NoTreatedRows("treated-mean decomposition needs a treated row for P_n(A)")
-        truth, p_true, p_hat = theta_of(dist), dist.pr_a1, float(np.mean(sample.a))
-    hat = _plugin(estimand, dist, table, qh)
+    # D of the true influence function and its sample estimate in the estimated one
+    p_hat = row.share(sample.a, "treated-mean decomposition needs a treated row for P_n(A)")
+    truth, p_true = _value(estimand, dist), row.denominator(table)
+    hat = _plugin(estimand, table, qh)
     phi_true = _influence(estimand, sample.a, sample.y, table.q[row_idx], table.g[row_idx],
                           truth, p_true)
     phi_hat = _influence(estimand, sample.a, sample.y, qh[row_idx], gh[row_idx], hat, p_hat)
@@ -311,14 +286,14 @@ def remainder_rate_sweep(
     estimand the treated fraction is held at the true Pr(A=1), isolating
     the product terms.
     """
-    value_fn = _functional(estimand)
+    row = _estimand(estimand)
     grid = _check_n_grid(n_grid)
     nuisances = [oracle_rate_nuisance(*truth, n, spec_q, spec_g) for n in grid]
     _untreated_everywhere(dist)  # the error each remainder raises before its truth's
-    value = value_fn(dist)
+    value = _value(estimand, dist)
     rows = []
     for n, nuis in zip(grid, nuisances):
-        rep = _remainder(estimand, dist, nuis, dist.pr_a1, value)
+        rep = _remainder(estimand, dist, nuis, row.denominator(dist.support_table), value)
         rows.append((n, rep.remainder_direct, rep.cs_bound))
     slope = _loglog_slope(grid, [abs(r) for _, r, _ in rows], "remainder")
     return RateSweepReport(estimand=estimand, rows=tuple(rows), slope=slope)

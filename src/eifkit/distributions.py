@@ -38,10 +38,22 @@ Parameters of interest
     Same regression averaged over the covariate law among the treated,
     E{ E(Y | W, A=0) | A=1 }.
 
-Their influence functions (``eif_psi``, ``eif_theta``) are closed-form and
-mean zero.  ``_influence`` is their one array form: the scalar influence
-functions, the one-step estimators, the exact remainders, the error
-decomposition and ``eif_integral`` all evaluate it.
+Both are weighted means N/D of q: N = E[m q(W)] and D = E[m], with m = 1
+for psi and m = A for theta.  The estimand table ``_ESTIMANDS`` holds a
+row per estimand, which every estimand-dependent step reads: m,
+h(W) = E[m | W] (1, or 1 - g), D (1, or Pr(A=1)) and its sample estimate
+(1, or P_n(A)).  By the product and quotient rules both influence
+functions are [I(a=0) h/g (y - q) + m (q - N/D)] / D.  A row keeps its own
+float form where one shared formula would round differently: the
+influence arrays (psi divides y - q by g, theta multiplies it by (1-g)/g)
+and the remainder's closed form with its terms and bound.  The value, the
+plug-in and a report's centring are shared; psi's factors of 1 are exact.
+The public psi/theta pairs here and in the other modules are one-line
+wrappers.
+
+``_influence`` is the one array form of the influence functions: the
+scalar influence functions, the one-step estimators, the exact
+remainders, the error decomposition and ``eif_integral`` all evaluate it.
 ``pathwise_derivative_check`` verifies the gradient property of the
 influence function along mixture paths toward a direction distribution
 by Richardson-extrapolated one-sided differencing; ``mix(base, direction,
@@ -57,7 +69,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, fields
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -65,6 +77,7 @@ from .errors import (
     ConfigError,
     InvalidDistribution,
     NoTreatedMass,
+    NoTreatedRows,
     NonFiniteNumber,
     PositivityViolation,
     SupportViolation,
@@ -385,43 +398,96 @@ def g_of(dist: FiniteDistribution, w) -> float:
     return dist.support_table.g[i].item()
 
 
-def psi_of(dist: FiniteDistribution) -> float:
-    """Mean untreated outcome E{ E(Y | W, A=0) } by exact summation.
+# ---------------------------------------------------------------------------
+# the estimand table
 
-    Raises
-    ------
-    PositivityViolation
-        If some covariate value has positive mass but zero untreated mass.
-    """
-    t = dist.support_table
-    if (t.pw0 == 0.0).any():
-        i = np.argmax(t.pw0 == 0.0)
-        raise PositivityViolation(f"covariate value {dist.w_support[i]} has mass "
-                                  f"{t.pw[i].item()!r} but no untreated mass")
-    return _fsum(t.pw * t.q)
+
+def _psi_phi(arm, a, q, g, centre, share):  # I(a=0) (y - q)/g + q - centre
+    out = _bit_select(a, np.divide(arm, g, out=arm))
+    return np.subtract(np.add(out, q, out=out), centre, out=out)
+
+
+def _theta_phi(arm, a, q, g, centre, share):  # (I(a=0) (1-g)/g (y-q) + I(a=1) (q-centre)) / share
+    h = np.subtract(1.0, g)
+    out = _bit_select(a, np.multiply(np.divide(h, g, out=h), arm, out=arm), np.subtract(q, centre))
+    return np.divide(out, share, out=out)
+
+
+def _psi_closed(t, qh, gh, truth, hat, share):  # -E[(g - ghat)(q - qhat) / ghat]
+    return -_fsum(t.pw * (t.g - gh) * (t.q - qh) / gh), None, float(np.max(1.0 / gh)), 0.0
+
+
+def _theta_closed(t, qh, gh, truth, hat, share):  # s1, s2, s3 of decomposition's docstring
+    s1 = -_fsum(t.pw * (t.g - gh) / gh * (1.0 - gh) * (t.q - qh)) / share
+    s2 = -_fsum(t.pw * (gh - t.g) * (qh - t.q)) / share
+    s3 = -(t.pr_a1 - share) / share * (truth - hat)
+    factor = (float(np.max((1.0 - gh) / gh)) + 1.0) / share
+    return s1 + s2 + s3, {"s1": s1, "s2": s2, "s3": s3}, factor, abs(s3)
+
+
+class _Estimand(NamedTuple):
+    """One row of the estimand table (module docstring): m = A when ``treated``,
+    else m = 1; ``phi`` and ``closed_form`` are its float forms."""
+
+    treated: bool
+    unreached: str
+    phi: Callable
+    closed_form: Callable
+
+    def m(self, a):  # theta's 0/1 floats, psi's scalar 1.0: centring psi costs no pass
+        return (a == 1).astype(float) if self.treated else 1.0
+
+    def h(self, g):
+        return np.subtract(1.0, g) if self.treated else 1.0
+
+    def denominator(self, t: SupportTable) -> float:
+        return t.pr_a1 if self.treated else 1.0
+
+    def share(self, a, message: str) -> float:  # D on a sample; NoTreatedRows(message) at 0
+        if self.treated and not (a == 1).any():
+            raise NoTreatedRows(message)
+        return float(np.mean(a)) if self.treated else 1.0
+
+
+_ESTIMANDS = {
+    "psi": _Estimand(False, "has mass {mass!r} but no untreated mass", _psi_phi, _psi_closed),
+    "theta": _Estimand(True, "is reachable under A=1 but has no untreated mass", _theta_phi,
+                       _theta_closed),
+}
+
+
+def _estimand(name) -> _Estimand:
+    """The table row of ``name``; ConfigError unless it is "psi" or "theta"."""
+    if not (isinstance(name, str) and name in _ESTIMANDS):
+        raise ConfigError(f"unknown estimand {name!r}; use {' or '.join(map(repr, _ESTIMANDS))}")
+    return _ESTIMANDS[name]
+
+
+def _value(estimand: str, dist: FiniteDistribution) -> float:
+    """N/D for ``estimand`` under ``dist``, summed exactly over the strata m reaches;
+    NoTreatedMass if D = 0, PositivityViolation if one of them has no untreated mass."""
+    row, t = _estimand(estimand), dist.support_table
+    d, mass = row.denominator(t), t.pw1 if row.treated else t.pw  # E[m; W = w]
+    if d == 0.0:
+        raise NoTreatedMass("Pr(A=1) = 0; treated-conditional mean undefined")
+    reached = mass > 0.0
+    missing = np.flatnonzero(reached & (t.pw0 == 0.0))
+    if missing.size:
+        raise PositivityViolation(f"covariate value {dist.w_support[missing[0]]} "
+                                  + row.unreached.format(mass=t.pw[missing[0]].item()))
+    return _fsum(mass[reached] / d * t.q[reached])
+
+
+def psi_of(dist: FiniteDistribution) -> float:
+    """Mean untreated outcome E{ E(Y | W, A=0) } by exact summation;
+    PositivityViolation if some covariate value has no untreated mass."""
+    return _value("psi", dist)
 
 
 def theta_of(dist: FiniteDistribution) -> float:
-    """Mean untreated outcome among the treated, E{ E(Y | W, A=0) | A=1 }.
-
-    Positivity is only required where the treated covariate law puts mass.
-
-    Raises
-    ------
-    NoTreatedMass
-        If Pr(A = 1) = 0.
-    PositivityViolation
-        If some w with Pr(W = w, A = 1) > 0 has no untreated mass.
-    """
-    t = dist.support_table
-    if t.pr_a1 == 0.0:
-        raise NoTreatedMass("Pr(A=1) = 0; treated-conditional mean undefined")
-    treated = t.pw1 > 0.0
-    missing = np.flatnonzero(treated & (t.pw0 == 0.0))
-    if missing.size:
-        raise PositivityViolation(f"covariate value {dist.w_support[missing[0]]} is reachable "
-                                  f"under A=1 but has no untreated mass")
-    return _fsum(t.pw1[treated] / t.pr_a1 * t.q[treated])
+    """Mean untreated outcome among the treated, E{ E(Y | W, A=0) | A=1 }; NoTreatedMass
+    if Pr(A=1) = 0, PositivityViolation if a w reachable under A=1 has no untreated mass."""
+    return _value("theta", dist)
 
 
 # ---------------------------------------------------------------------------
@@ -429,20 +495,14 @@ def theta_of(dist: FiniteDistribution) -> float:
 
 
 def eif_psi(o: Observation, dist: FiniteDistribution) -> float:
-    """Influence function of ``psi_of`` at observation ``o`` under ``dist``.
-
-        I(a=0)/g(w) * (y - q(w)) + q(w) - psi
-
-    The observation must lie in the covariate support of ``dist``.
-    """
+    """Influence function of ``psi_of`` at ``o`` under ``dist``, whose covariate
+    support holds o's: I(a=0)/g(w) * (y - q(w)) + q(w) - psi."""
     return _eif_at("psi", o, dist)
 
 
 def eif_theta(o: Observation, dist: FiniteDistribution) -> float:
-    """Influence function of ``theta_of`` at ``o`` under ``dist``.
-
-        I(a=0)/Pr(A=1) * (1-g)/g * (y - q)  +  I(a=1)/Pr(A=1) * (q - theta)
-    """
+    """Influence function of ``theta_of`` at ``o`` under ``dist``:
+    (I(a=0) * (1-g)/g * (y - q) + I(a=1) * (q - theta)) / Pr(A=1)."""
     return _eif_at("theta", o, dist)
 
 
@@ -452,19 +512,9 @@ def _eif_at(functional: str, o: Observation, dist: FiniteDistribution) -> float:
     return eif_integral(functional, dist, _law(np.array([o.w]), np.array([o.a]), o.y * one, one))
 
 
-def _influence(estimand: str, a, y, q, g, centre, p1):
-    """The influence function of ``estimand`` as arrays over rows (a, y).
-
-    ``q`` and ``g`` are the regression and propensity at each row,
-    ``centre`` the functional value subtracted, and ``p1`` the treated
-    fraction dividing the treated-mean version (unused for psi):
-
-        psi:    I(a=0) * (y - q) / g + q - centre
-        theta: (I(a=0) * (1-g)/g * (y - q) + I(a=1) * (q - centre)) / p1
-
-    evaluated in this operation order wherever an influence function is
-    formed over arrays.
-    """
+def _influence(estimand: str, a, y, q, g, centre, share):
+    """The influence function of ``estimand`` over rows (a, y) in its row's float form,
+    with regression ``q``, propensity ``g``, value ``centre`` and D estimated by ``share``."""
     # select, not multiply by I(a=0): 0 * inf would turn an overflow in the
     # other arm's term into NaN.  Both arms are evaluated, so an overflow in
     # the discarded one is silenced; one the result keeps is refused by every
@@ -472,14 +522,7 @@ def _influence(estimand: str, a, y, q, g, centre, p1):
     # np.where on a random mask costs about 4 ns a row, an arithmetic pass
     # 0.25-0.5 ns (80-85 us against 5-10 us at 20 000 rows on an Intel Xeon)
     with np.errstate(over="ignore", invalid="ignore"):
-        arm = np.subtract(y, q)
-        if estimand == "psi":
-            out = _bit_select(a, np.divide(arm, g, out=arm))
-            return np.subtract(np.add(out, q, out=out), centre, out=out)
-        weight = np.subtract(1.0, g)
-        arm = np.multiply(np.divide(weight, g, out=weight), arm, out=arm)
-        out = _bit_select(a, arm, np.subtract(q, centre))
-        return np.divide(out, p1, out=out)
+        return _ESTIMANDS[estimand].phi(np.subtract(y, q), a, q, g, centre, share)
 
 
 def _bit_select(a, untreated, treated=None):
@@ -499,12 +542,12 @@ def _bit_select(a, untreated, treated=None):
     return treated
 
 
-def _mean_phi(estimand: str, table: SupportTable, q, g, centre, p1) -> float:
+def _mean_phi(estimand: str, table: SupportTable, q, g, centre, share) -> float:
     """The atom mean under ``table`` of the influence function with the
     per-stratum regression ``q`` and propensity ``g`` plugged in."""
     s = table.atom_stratum
     return _fsum(table.atom_p * _influence(estimand, table.atom_a, table.atom_y,
-                                           q[s], g[s], centre, p1))
+                                           q[s], g[s], centre, share))
 
 
 # ---------------------------------------------------------------------------
@@ -577,17 +620,6 @@ def fields_dict(report, omit=()) -> dict:
     return {k: list(v) if isinstance(v, tuple) else v for k, v in values.items() if v is not None}
 
 
-def _functional(name: str):
-    _check_estimand(name)
-    return psi_of if name == "psi" else theta_of
-
-
-def _check_estimand(estimand) -> None:
-    """Raise ConfigError unless ``estimand`` is "psi" or "theta"."""
-    if estimand not in ("psi", "theta"):
-        raise ConfigError(f"unknown estimand {estimand!r}; use 'psi' or 'theta'")
-
-
 def _extrapolate_to_zero(steps: Sequence[float], values: Sequence[float]) -> float:
     # Aitken-Neville evaluation at step 0 of the polynomial through
     # (h_j, D_j).  With the default grid (h, h/2) this reduces to the
@@ -616,7 +648,7 @@ def pathwise_derivative_check(
     ``step_grid`` a decreasing sequence of positive steps, (1e-3, 5e-4) by
     default.  The CheckReport holds both values and their absolute discrepancy.
     """
-    value_fn = _functional(functional)
+    _estimand(functional)
     steps = DEFAULT_STEP_GRID if step_grid is None else step_grid
     if not _is_list_of(steps, _is_real):
         raise ConfigError(f"'step_grid' must be a list of finite numbers, got {step_grid!r}")
@@ -628,9 +660,9 @@ def pathwise_derivative_check(
     if grid[0] > 1.0:
         raise ConfigError("'step_grid' must stay inside the mixture range (0, 1]")
 
-    f0 = value_fn(base)
+    f0 = _value(functional, base)
     path = _path(base, direction)
-    diffs = [(value_fn(path(h)) - f0) / h for h in grid]
+    diffs = [(_value(functional, path(h)) - f0) / h for h in grid]
     fd = _extrapolate_to_zero(grid, diffs)
     integral = eif_integral(functional, base, direction)
     return CheckReport(functional, fd, integral, abs(fd - integral), grid)
@@ -642,14 +674,15 @@ def eif_integral(functional: str, dist: FiniteDistribution, weights: FiniteDistr
     With ``weights`` = ``dist`` it is the influence function's mean, zero
     up to rounding.
     """
-    value = _functional(functional)(dist)
+    value = _value(functional, dist)
     table, atoms = dist.support_table, weights.support_table
     rows = _match((table.w,), (atoms.w,))
     off = np.flatnonzero(rows < 0)
     if off.size:
         raise ZeroMassConditioning(
             f"covariate value {weights.w_support[off[0]]} outside the support")
-    return _mean_phi(functional, atoms, table.q[rows], table.g[rows], value, table.pr_a1)
+    return _mean_phi(functional, atoms, table.q[rows], table.g[rows], value,
+                     _estimand(functional).denominator(table))
 
 
 # ---------------------------------------------------------------------------

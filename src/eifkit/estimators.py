@@ -5,23 +5,15 @@ CLI and the Monte Carlo studies both go through it.  It fits the nuisances
 the estimator reads (on each fold's complement when K >= 2, so plug-in and
 IPW cross-fit as the one-step does), predicts them at every row and reports.
 
-The one-step estimator for the mean untreated outcome is the augmented IPW
-average
-
-    (1/n) sum_i  I(A_i=0)/ghat(W_i) * (Y_i - qhat(W_i)) + qhat(W_i),
-
-equivalently the plug-in plus the sample mean of the estimated influence
-function.  For the treated-subpopulation variant the treated fraction is
-always the *empirical* P_n(A), never an estimate of Pr(A=1):
-
-    (1/n) sum_i  I(A_i=0)/P_n(A) * (1-ghat)/ghat * (Y_i - qhat)
-               + I(A_i=1)/P_n(A) * qhat(W_i).
-
-Both summands are ``distributions._influence``, the one array form of the
-influence function, evaluated at centre 0.  Reported influence values are
-centered at the point estimate, so their mean is exactly zero and the
-variance estimate (1/n^2) * sum phi_i^2 coincides with (sample
-variance)/n.
+The one-step estimate is the sample mean of the estimand's influence
+function at centre 0 (``distributions._influence``, in its row's float
+form) with the nuisance estimates plugged in: for psi the augmented IPW
+average of I(A=0)/ghat * (Y - qhat) + qhat; theta's divides by the
+*empirical* P_n(A), never an estimate of Pr(A=1).  Reported influence
+values are centred at the point through m, so their mean is exactly zero
+and the variance estimate (1/n^2) * sum phi_i^2 coincides with (sample
+variance)/n.  ``onestep_psi``/``onestep_theta`` and the tracer's
+``_psi_report``/``_theta_report`` are one-line wrappers.
 """
 
 from __future__ import annotations
@@ -35,8 +27,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .decomposition import truth_functions
-from .distributions import FiniteDistribution, _check_estimand, _influence, _key_order, _law
-from .errors import ConfigError, EifkitError, EmptyEif, NoTreatedRows, ZeroMassConditioning
+from .distributions import (FiniteDistribution, _estimand, _influence, _key_order, _law,
+                            fields_dict)
+from .errors import ConfigError, EifkitError, EmptyEif, ZeroMassConditioning
 from .learners import (
     OUTCOME_KINDS,
     PROPENSITY_KINDS,
@@ -134,10 +127,10 @@ class EstimatorConfig:
     fold_seed: int = 0
 
     def __post_init__(self):
-        _check_estimand(self.estimand)
+        treated = _estimand(self.estimand).treated
         if not (isinstance(self.estimator, str) and self.estimator in _SIDES):
             raise ConfigError(f"unknown estimator {self.estimator!r}")
-        if self.estimator == "ipw" and self.estimand == "theta":
+        if self.estimator == "ipw" and treated:
             raise ConfigError("the ipw estimator is only defined for the psi estimand")
         for side, kinds, what in (("q", OUTCOME_KINDS, "outcome regression"),
                                   ("g", PROPENSITY_KINDS, "propensity")):
@@ -187,20 +180,10 @@ class EstimateReport:
     nuisance_specs: Optional[dict] = None
 
     def to_dict(self, include_eif: bool = False) -> dict:
-        out = {
-            "estimand": self.estimand,
-            "estimator": self.estimator,
-            "point": self.point,
-            "n": self.n,
-        }
-        if self.eif_values is not None:
-            out["variance"] = self.variance
-            out["ci_low"] = self.ci_low
-            out["ci_high"] = self.ci_high
-            out["level"] = self.level
+        interval = () if self.eif_values is not None else ("variance", "ci_low", "ci_high", "level")
+        out = fields_dict(self, omit=("eif_values", "fold_plan", "nuisance_specs", *interval))
         if self.fold_plan is not None:
-            out["folds"] = self.fold_plan.folds
-            out["fold_seed"] = self.fold_plan.seed
+            out.update(folds=self.fold_plan.folds, fold_seed=self.fold_plan.seed)
         if self.nuisance_specs is not None:
             out["nuisance_specs"] = {
                 side: spec.to_dict() if isinstance(spec, LearnerSpec) else spec
@@ -223,15 +206,16 @@ def ipw_psi(data: Dataset, ghat: Callable) -> float:
 
 def _baseline_point(estimator, estimand, data: Dataset, values) -> float:
     """The plug-in (``values`` are qhat) or IPW (``values`` are ghat) point from
-    nuisance values at the rows of ``data``; IPW is defined for psi only."""
+    nuisance values at the rows of ``data``; IPW is defined for psi only.  The
+    plug-in averages qhat over the rows with m = 1: all rows, or the treated."""
     values = np.asarray(values, dtype=float)
     if estimator == "ipw":
         if (values <= 0.0).any():
             raise ZeroMassConditioning("propensity estimate must be positive for weighting")
         return float(np.mean((data.a == 0).astype(float) * data.y / values))
-    if estimand == "theta":
-        if not (data.a == 1).any():
-            raise NoTreatedRows("plugin treated mean needs a treated row")
+    row = _estimand(estimand)
+    if row.treated:
+        row.share(data.a, "plugin treated mean needs a treated row")
         values = values[data.a == 1]
     return float(np.mean(values))
 
@@ -258,22 +242,22 @@ def variance_and_ci(eif_values, point: float, level: float):
 
 
 def _psi_report(data: Dataset, qv, gv, level, estimator, plan=None, specs=None) -> EstimateReport:
-    contrib = _influence("psi", data.a, data.y, qv, gv, 0.0, None)
-    point = float(np.mean(contrib))
-    return _report("psi", data, point, contrib - point, level, estimator, plan, specs)
+    return _influence_report("psi", data, qv, gv, level, estimator, plan, specs)
 
 
 def _theta_report(data: Dataset, qv, gv, level, estimator, plan=None, specs=None) -> EstimateReport:
-    ind1 = (data.a == 1).astype(float)
-    if not ind1.any():
-        raise NoTreatedRows("treated-mean estimand needs at least one row with a = 1")
-    pn_a = float(np.mean(data.a))
-    contrib = _influence("theta", data.a, data.y, qv, gv, 0.0, pn_a)
+    return _influence_report("theta", data, qv, gv, level, estimator, plan, specs)
+
+
+def _influence_report(estimand, data, qv, gv, level, estimator, plan, specs) -> EstimateReport:
+    """The report whose point is the mean of ``estimand``'s influence function at centre 0;
+    its influence values centre those through m, so they average to zero exactly."""
+    row = _estimand(estimand)
+    share = row.share(data.a, "treated-mean estimand needs at least one row with a = 1")
+    contrib = _influence(estimand, data.a, data.y, qv, gv, 0.0, share)
     point = float(np.mean(contrib))
-    # centering only enters through the treated indicator, matching the
-    # influence function; the centered values still average to zero exactly
-    eif = contrib - ind1 * (point / pn_a)
-    return _report("theta", data, point, eif, level, estimator, plan, specs)
+    eif = contrib - row.m(data.a) * (point / share)
+    return _report(estimand, data, point, eif, level, estimator, plan, specs)
 
 
 def _report(estimand, data, point, eif, level, estimator, plan, specs) -> EstimateReport:
@@ -290,7 +274,8 @@ def _report(estimand, data, point, eif, level, estimator, plan, specs) -> Estima
 
 def _onestep(estimand, data: Dataset, qv, gv, level, specs, plan=None) -> EstimateReport:
     """The one-step report of ``estimand`` from nuisance values at the rows of ``data``."""
-    report = _psi_report if estimand == "psi" else _theta_report
+    # each estimand's wrapper, read from the module when called: a tracer may rebind it
+    report = {"psi": _psi_report, "theta": _theta_report}[estimand]
     return report(data, qv, gv, level, "onestep", plan, specs)
 
 

@@ -389,8 +389,8 @@ def _ols_beta(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _linear_core(beta: np.ndarray, drop_first: bool) -> Callable:
     def core(w):
-        x = w[:, 1:] if drop_first else w
-        return beta[0] + x @ beta[1:]
+        v = (w[:, 1:] if drop_first else w) @ beta[1:]
+        return np.add(v, beta[0], out=v)
 
     return core
 
@@ -473,7 +473,7 @@ def _irls_beta(x: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 def _logistic_core(beta: np.ndarray, drop_first: bool) -> Callable:
     linear = _linear_core(beta, drop_first)
-    return lambda w: logistic(linear(w))
+    return lambda w: logistic(v := linear(w), out=v)  # in the predictor just made
 
 
 def _query_blocks(m: int, n: int):

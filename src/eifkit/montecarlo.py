@@ -31,8 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .distributions import (FiniteDistribution, _bit_select, _check_estimand, _law, fields_dict,
-                            psi_of, theta_of)
+from .distributions import FiniteDistribution, _bit_select, _estimand, _law, _value, fields_dict
 from .errors import ConfigError, EifkitError, NoTreatedRows
 from .estimators import EstimatorConfig, estimate
 from .decomposition import _check_n_grid, _loglog_slope, truth_functions
@@ -122,42 +121,45 @@ class DGPSpec:
         """True untreated-outcome regression, vectorized over rows."""
         if self.kind == "discrete-saturated":
             return truth_functions(self.table)[0](w)
-        return _predictor(lambda x: self.beta[0] + x @ np.array(self.beta[1:]))(w)
+        # the intercept added into the linear predictor v: one length-n array, no temporary
+        return _predictor(lambda x: np.add(v := x @ np.array(self.beta[1:]), self.beta[0],
+                                           out=v))(w)
 
     def g(self, w):
         """True untreated propensity Pr(A=0 | W=w), vectorized over rows."""
         if self.kind == "discrete-saturated":
             return truth_functions(self.table)[1](w)
-        return _predictor(lambda x: logistic(self.gamma[0] + x @ np.array(self.gamma[1:])))(w)
+        # the logistic written into the linear predictor v, as in q
+        return _predictor(lambda x: logistic(np.add(v := x @ np.array(self.gamma[1:]),
+                                                    self.gamma[0], out=v), out=v))(w)
 
     def psi(self) -> float:
         """True mean untreated outcome."""
-        if self.kind == "discrete-saturated":
-            return psi_of(self.table)
-        # the covariate marginal is centered, so beta' E[W] drops out
-        return float(self.beta[0])
+        return self.truth("psi")
 
-    @np.errstate(over="ignore", invalid="ignore")  # an overflowing outcome makes it NaN
     def theta(self) -> float:
         """True mean untreated outcome among the treated."""
+        return self.truth("theta")
+
+    @np.errstate(over="ignore", invalid="ignore")  # an overflowing outcome makes it NaN
+    def truth(self, estimand: str) -> float:
+        """The value of ``estimand``, E[h q] / E[h] with its row's h = E[m | W]."""
+        row = _estimand(estimand)
         if self.kind == "discrete-saturated":
-            return theta_of(self.table)
+            return _value(estimand, self.table)
+        if not row.treated:  # h = 1 and the covariate marginal is centered: beta0
+            return float(self.beta[0])
         if self.d > MAX_QUADRATURE_DIM:
             raise ConfigError(
                 f"theta's {QUADRATURE_NODES}^d quadrature grid supports "
                 f"d <= {MAX_QUADRATURE_DIM}, got d = {self.d}"
             )
         w, wt = _legendre_grid(QUADRATURE_NODES, self.d)
-        g = self.g(w)
-        treated = wt * (1.0 - g)
-        denom = float(treated.sum())
+        weights = wt * row.h(self.g(w))
+        denom = float(weights.sum())
         if denom <= 0.0:
             raise NoTreatedRows("DGP assigns no mass to the treated arm")
-        return float((treated * self.q(w)).sum() / denom)
-
-    def truth(self, estimand: str) -> float:
-        _check_estimand(estimand)
-        return self.psi() if estimand == "psi" else self.theta()
+        return float((weights * self.q(w)).sum() / denom)
 
 
 def default_logistic_linear() -> DGPSpec:

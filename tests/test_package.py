@@ -9,6 +9,8 @@ table's arrays, with no Python copy of its strata beside them.  The
 learner kinds, the sides each fits and the spec fields each reads are
 one table, which README's "Learner specs" table restates; so are the
 sides each estimator fits, which README's estimator paragraph restates.
+Each estimand is a row of one table, ``distributions._ESTIMANDS``, so no
+module branches on an estimand's name.
 """
 
 import ast
@@ -95,6 +97,30 @@ def test_every_private_top_level_name_has_a_use():
                 used.add(node.name)
     assert defined
     assert {name: where for name, where in defined.items() if name not in used} == {}
+
+
+def _estimand_branches(tree) -> list:
+    """The lines of ``tree`` that compare a value with the literal "psi" or
+    "theta" (==, !=, in, not in, alone or in a tuple, list or set) or match on one."""
+    def names_an_estimand(node):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return any(map(names_an_estimand, node.elts))
+        return isinstance(node, ast.Constant) and node.value in ("psi", "theta")
+
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Compare)
+                  and any(map(names_an_estimand, [node.left, *node.comparators]))
+                  or isinstance(node, ast.MatchValue) and names_an_estimand(node.value))
+
+
+def test_no_module_branches_on_an_estimand_name():
+    # a branch on "psi" or "theta" is what the estimand table holds as a row
+    found = {path.name: _estimand_branches(ast.parse(path.read_text(encoding="utf-8")))
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    # the scan finds the branches the table replaced
+    assert _estimand_branches(ast.parse('if estimand == "psi" or e in ("theta", "x"):\n'
+                                        '    pass\nmatch e:\n    case "theta": pass')) == [1, 1, 4]
 
 
 def test_a_support_table_is_read_only_arrays_and_one_float():

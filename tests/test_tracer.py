@@ -75,8 +75,9 @@ def test_a_traced_study_and_remainder_open_the_layer_spans(treated_law):
         counts["remainder"] = _spans(tracer)
     finally:
         tracer.uninstall()
-    # per replication: a fold plan, two folds of a q and a g fit and
-    # prediction, and the one-step report around its variance_and_ci span
+    # the study's truth and fold-plan check, then per replication a draw, a
+    # fold plan, two folds of a q and a g fit and prediction, and the
+    # one-step report around its variance_and_ci span
     study = Counter({("montecarlo.truth", None): 1, ("montecarlo.generate", None): 2,
                      ("estimators.foldplan", None): 3, ("learners.fit", None): 8,
                      ("learners.predict", None): 8, ("estimators.report", None): 2,
