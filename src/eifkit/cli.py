@@ -415,12 +415,12 @@ def _cmd_remainder(args) -> dict:
     truth = truth_functions(dist)
     estimand = cfg.get("estimand", "psi")
     with _refused("remainder config"):
-        treated = _estimand(estimand).treated
+        row = _estimand(estimand)
         if mode == "sweep":
             return remainder_rate_sweep(dist, truth, spec_q, spec_g, cfg.get("n_grid"),
                                         estimand=estimand).to_dict()
     # exact mode: one remainder, of a sample's fits or of the oracle at n
-    if not treated and "pn_a" in cfg:
+    if not row.treated and "pn_a" in cfg:
         raise ConfigError("remainder config: 'pn_a' only applies to the theta estimand")
     if ("sample" in cfg) == ("n" in cfg):
         raise ConfigError("remainder config: exact mode needs exactly one of 'sample' and 'n'")
@@ -429,11 +429,12 @@ def _cmd_remainder(args) -> dict:
     with _refused("remainder config"):
         if data is not None:
             nuis = fit_nuisance(data, spec_q, spec_g, truth=truth)
-            default_pn_a = float(np.mean(data.a))
         else:
             nuis = oracle_rate_nuisance(*truth, cfg["n"], spec_q, spec_g)
-            default_pn_a = dist.pr_a1
-        pn_a = (cfg.get("pn_a", default_pn_a),) if treated else ()
+        pn_a = ()
+        if row.treated:  # P_n(A): the config's, else the sample's share or the law's Pr(A=1)
+            pn_a = (cfg["pn_a"] if "pn_a" in cfg else dist.pr_a1 if data is None else
+                    row.share(data.a, "treated-mean remainder needs a treated row for P_n(A)"),)
         # each estimand's wrapper, read from the module when called: a tracer may rebind it
         remainder = {"psi": remainder_exact_psi, "theta": remainder_exact_theta}[estimand]
         return remainder(dist, nuis, *pn_a).to_dict()

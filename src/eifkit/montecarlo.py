@@ -19,6 +19,10 @@ through numpy's SeedSequence, so runs are bit-reproducible for any worker
 count.  A study numbers its replications across its grid, so a larger
 ``reps`` keeps its first size's replications as a prefix and renumbers
 the later sizes': only a coverage study, with one size, extends as a prefix.
+
+Every study runs through one grid routine and summarises each size's
+successful replications by one measure table, ``_MEASURES``: a report
+carries a measure X as a field ``X`` (one size) or ``X_by_n`` (a grid).
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -290,8 +294,15 @@ def quadrature_distribution(dgp: DGPSpec, nodes: int = 24) -> FiniteDistribution
 # replication machinery
 
 
+@dataclass(frozen=True)
 class _Study:
-    """A study's summary; ``to_dict`` leaves its replications out."""
+    """The fields every study's report shares; ``to_dict`` leaves the replications out."""
+
+    estimand: str
+    reps: int
+    truth: float
+    failures: int
+    replications: tuple
 
     def to_dict(self) -> dict:
         return fields_dict(self, omit=("replications",))
@@ -345,14 +356,40 @@ def _run_tasks(tasks, workers: int):
         return list(pool.map(_replication_worker, tasks, chunksize=chunk))
 
 
-def _run_grid(dgp: DGPSpec, config: EstimatorConfig, grid, reps: int,
-              master_seed: int, workers: int, need: int, what: str):
-    """``reps`` replications at each n of ``grid``, numbered consecutively.
+class _Columns(dict):
+    """One size's m successful replications as float columns, each built on first read."""
 
-    ``grid`` is increasing, so its first size is the smallest.  Returns the
-    truth, each size's successful results in replication order, and the
-    number of failures.  A size with fewer than ``need`` successes raises
-    ConfigError: ``what``, formatted with that n, and its first failure.
+    def __init__(self, results: list, n: int, truth: float):
+        super().__init__()
+        self.results, self.n, self.truth, self.m = results, n, truth, len(results)
+
+    def __missing__(self, name: str):
+        self[name] = column = np.array([getattr(r, name) for r in self.results], dtype=float)
+        return column
+
+
+# bias, mc_se (its Monte Carlo SE), rmse, coverage and mc_standard_error (its
+# Monte Carlo SE) follow Morris, White & Crowther (2019, Table 6); each formula
+# reads one size's columns c, and a spread (ddof = 1) is NaN at m = 1
+_MEASURES = {
+    "bias": lambda c: c["point"].mean() - c.truth,
+    "mc_se": lambda c: c["point"].std(ddof=1) / math.sqrt(c.m) if c.m > 1 else math.nan,
+    "rmse": lambda c: np.sqrt(np.mean((c["point"] - c.truth) ** 2)),
+    "coverage": lambda c: c["covered"].mean(),
+    "mc_standard_error": lambda c: math.sqrt((p := c["covered"].mean()) * (1.0 - p) / c.m),
+    "mean_scaled_error": lambda c: c["scaled_error"].mean(),
+    "var_scaled_error": lambda c: c["scaled_error"].var(ddof=1) if c.m > 1 else math.nan,
+    "mean_scaled_variance": lambda c: np.mean(c.n * c["variance"]),
+}
+
+
+def _run_grid(report: type, dgp: DGPSpec, config: EstimatorConfig, grid, reps: int,
+              master_seed: int, workers: int, need: int, what: str) -> dict:
+    """``reps`` replications at each n of the increasing ``grid``, numbered
+    consecutively: the fields every study shares and each measure the study class
+    ``report`` names, its field ``X`` at the one size or ``X_by_n`` along the grid.
+    A size with fewer than ``need`` successes raises ConfigError: ``what``,
+    formatted with that n, and its first failure.
     """
     for value, minimum, name in ((master_seed, 0, "master seed must be a non-negative integer"),
                                  (workers, 1, "workers must be a positive integer"),
@@ -372,8 +409,16 @@ def _run_grid(dgp: DGPSpec, config: EstimatorConfig, grid, reps: int,
             # reps >= 2 >= need, so a size short of successes has a failure
             _, rep, message = next(out for out in at_n if out[0] == "fail")
             raise ConfigError(f"{what.format(n=n)}; first failure, replication {rep}: {message}")
-        by_n.append(results)
-    return truth_value, by_n, len(sizes) - sum(map(len, by_n))
+        by_n.append(_Columns(results, n, truth_value))
+    replications = tuple(r for columns in by_n for r in columns.results)
+    study = {"estimand": config.estimand, "reps": reps, "truth": truth_value,
+             "failures": len(sizes) - len(replications), "replications": replications}
+    for field in fields(report):
+        measure = _MEASURES.get(field.name.removesuffix("_by_n"))
+        if measure is not None:
+            values = tuple(float(measure(columns)) for columns in by_n)
+            study[field.name] = values if field.name.endswith("_by_n") else values[0]
+    return study
 
 
 # ---------------------------------------------------------------------------
@@ -384,12 +429,9 @@ def _run_grid(dgp: DGPSpec, config: EstimatorConfig, grid, reps: int,
 class CoverageSummary(_Study):
     """Aggregate coverage and normality diagnostics for one configuration."""
 
-    estimand: str
     estimator: str
     n: int
-    reps: int
     level: float
-    truth: float
     coverage: float
     mc_standard_error: float
     mean_scaled_error: float
@@ -400,8 +442,6 @@ class CoverageSummary(_Study):
     ks_distance: float
     ks_critical_1pct: float
     ks_flag: bool
-    failures: int
-    replications: tuple
 
 
 def ks_distance(x, sd: float) -> float:
@@ -453,39 +493,17 @@ def run_coverage(
     """
     if not (_is_int(n) and n >= 2):
         raise ConfigError(f"'n' must be an integer >= 2, got {n!r}")
-    truth_value, (results,), failures = _run_grid(
-        dgp, config, [n], reps, master_seed, workers, 1,
-        "every replication failed; nothing to summarize")
-    scaled = np.array([r.scaled_error for r in results])
-    covered = np.array([r.covered for r in results], dtype=float)
-    m = len(results)
-    coverage = float(covered.mean())
-    mc_se = math.sqrt(coverage * (1.0 - coverage) / m)
-    mean_scaled_variance = float(np.mean([n * r.variance for r in results]))
-    sd = math.sqrt(mean_scaled_variance) if mean_scaled_variance > 0 else float("nan")
+    study = _run_grid(CoverageSummary, dgp, config, [n], reps, master_seed, workers, 1,
+                      "every replication failed; nothing to summarize")
+    scaled = np.array([r.scaled_error for r in study["replications"]])
+    variance = study["mean_scaled_variance"]
+    sd = math.sqrt(variance) if variance > 0 else math.nan
     ks = ks_distance(scaled, sd) if math.isfinite(sd) else math.nan
-    ks_crit = ks_critical_value(0.01, m)
+    ks_crit = ks_critical_value(0.01, len(scaled))
     skewness, excess_kurtosis = standardized_moments(scaled)
-    return CoverageSummary(
-        estimand=config.estimand,
-        estimator=config.estimator,
-        n=n,
-        reps=reps,
-        level=config.level,
-        truth=truth_value,
-        coverage=coverage,
-        mc_standard_error=mc_se,
-        mean_scaled_error=float(scaled.mean()),
-        var_scaled_error=float(scaled.var(ddof=1)) if m > 1 else math.nan,
-        skewness=skewness,
-        excess_kurtosis=excess_kurtosis,
-        mean_scaled_variance=mean_scaled_variance,
-        ks_distance=ks,
-        ks_critical_1pct=ks_crit,
-        ks_flag=bool(math.isfinite(ks) and ks > ks_crit),
-        failures=failures,
-        replications=tuple(results),
-    )
+    return CoverageSummary(**study, estimator=config.estimator, n=n, level=config.level,
+                           skewness=skewness, excess_kurtosis=excess_kurtosis, ks_distance=ks,
+                           ks_critical_1pct=ks_crit, ks_flag=ks > ks_crit)  # False at a NaN ks
 
 
 # ---------------------------------------------------------------------------
@@ -496,17 +514,12 @@ def run_coverage(
 class RateExperimentReport(_Study):
     """Root-mean-square error along a sample-size grid, with fitted slope."""
 
-    estimand: str
     estimator: str
     n_grid: tuple
-    reps: int
-    truth: float
     rmse_by_n: tuple
     mean_scaled_error_by_n: tuple
     var_scaled_error_by_n: tuple
     slope: float
-    failures: int
-    replications: tuple
 
 
 def run_rate_experiment(
@@ -520,28 +533,10 @@ def run_rate_experiment(
     """RMSE(n) over the grid and the least-squares slope of log RMSE on log n,
     which a zero RMSE leaves undefined (ConfigError)."""
     grid = _check_n_grid(n_grid)
-    truth_value, by_n, failures = _run_grid(dgp, config, grid, reps, master_seed, workers, 1,
-                                            "all replications failed at n={n}")
-    rmse, mean_scaled, var_scaled = [], [], []
-    for results in by_n:
-        errs = np.array([r.point - truth_value for r in results])
-        scaled = np.array([r.scaled_error for r in results])
-        rmse.append(float(np.sqrt(np.mean(errs**2))))
-        mean_scaled.append(float(scaled.mean()))
-        var_scaled.append(float(scaled.var(ddof=1)) if scaled.size > 1 else math.nan)
-    return RateExperimentReport(
-        estimand=config.estimand,
-        estimator=config.estimator,
-        n_grid=tuple(grid),
-        reps=reps,
-        truth=truth_value,
-        rmse_by_n=tuple(rmse),
-        mean_scaled_error_by_n=tuple(mean_scaled),
-        var_scaled_error_by_n=tuple(var_scaled),
-        slope=_loglog_slope(grid, rmse, "RMSE"),
-        failures=failures,
-        replications=tuple(r for results in by_n for r in results),
-    )
+    study = _run_grid(RateExperimentReport, dgp, config, grid, reps, master_seed, workers, 1,
+                      "all replications failed at n={n}")
+    return RateExperimentReport(**study, estimator=config.estimator, n_grid=tuple(grid),
+                                slope=_loglog_slope(grid, study["rmse_by_n"], "RMSE"))
 
 
 # ---------------------------------------------------------------------------
@@ -552,15 +547,10 @@ def run_rate_experiment(
 class DrConsistencyReport(_Study):
     """Bias of the one-step under targeted nuisance misspecification."""
 
-    estimand: str
     arm: str
     n_grid: tuple
-    reps: int
-    truth: float
     bias_by_n: tuple
     mc_se_by_n: tuple
-    failures: int
-    replications: tuple
 
 
 def dr_arm_specs(arm: str):
@@ -592,21 +582,6 @@ def run_dr_consistency(
     config = EstimatorConfig(estimand=estimand, estimator="onestep",
                              spec_q=spec_q, spec_g=spec_g)
     grid = _check_n_grid(n_grid)
-    truth_value, by_n, failures = _run_grid(dgp, config, grid, reps, master_seed, workers, 2,
-                                            "not enough successful replications at n={n}")
-    bias, mc_se = [], []
-    for results in by_n:
-        points = np.array([r.point for r in results])
-        bias.append(float(points.mean() - truth_value))
-        mc_se.append(float(points.std(ddof=1) / math.sqrt(points.size)))
-    return DrConsistencyReport(
-        estimand=estimand,
-        arm=arm,
-        n_grid=tuple(grid),
-        reps=reps,
-        truth=truth_value,
-        bias_by_n=tuple(bias),
-        mc_se_by_n=tuple(mc_se),
-        failures=failures,
-        replications=tuple(r for results in by_n for r in results),
-    )
+    study = _run_grid(DrConsistencyReport, dgp, config, grid, reps, master_seed, workers, 2,
+                      "not enough successful replications at n={n}")
+    return DrConsistencyReport(**study, arm=arm, n_grid=tuple(grid))

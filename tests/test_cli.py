@@ -788,6 +788,25 @@ def test_theta_remainder_without_treated_mass_exits_one(tmp_path, mode_keys):
         "message": "Pr(A=1) = 0; treated-conditional mean undefined"}
 
 
+def test_theta_remainder_of_a_sample_without_treated_rows_exits_one(workspace, capsys):
+    # the default P_n(A) is the sample's treated share, refused as decompose refuses it
+    tmp_path, config = workspace
+    (tmp_path / "untreated.csv").write_text("w1,a,y\n0.0,0,0.0\n1.0,0,1.0\n0.0,0,0.0\n")
+    keys = {"distribution": "dist.json", "estimand": "theta", "sample": "untreated.csv",
+            "learners": {"q": _ORACLE, "g": _ORACLE}}
+    remainder = _only_error_document(
+        capsys, main(["remainder", "--config", config("r.json", dict(keys, mode="exact"))]), 1)
+    decompose = _only_error_document(
+        capsys, main(["decompose", "--config", config("d.json", keys)]), 1)
+    assert remainder == {"code": "estimator/no-treated-rows",
+                         "message": "treated-mean remainder needs a treated row for P_n(A)"}
+    assert decompose["code"] == "estimator/no-treated-rows"
+    # a config's own P_n(A) needs no treated row in the sample
+    doc = run_cli(capsys, ["remainder", "--config",
+                           config("p.json", dict(keys, mode="exact", pn_a=0.5))])[1]
+    assert set(doc["terms"]) == {"s1", "s2", "s3"}
+
+
 def test_overflowing_verify_eif_leaves_stderr_empty(tmp_path):
     # the error document is the whole output: the overflow in the arm that
     # np.where discards prints no RuntimeWarning

@@ -40,7 +40,7 @@ from eifkit import (
 )
 from eifkit.decomposition import _check_n_grid
 from eifkit.errors import ConfigError, IrlsDivergence
-from eifkit.montecarlo import ks_distance, standardized_moments
+from eifkit.montecarlo import ReplicationResult, ks_distance, standardized_moments
 
 from conftest import assert_close
 
@@ -651,6 +651,105 @@ def test_replication_loop_returns_the_pinned_points_and_variances(study):
     report = run()
     assert report.failures == 0
     assert [(repr(r.point), repr(r.variance)) for r in report.replications] == expected
+
+
+# the repr of every to_dict() value of 3-replication studies on a table DGP
+# with constant (shape-2) oracle nuisances, where no BLAS call and no
+# vectorized exp or sin runs: the summaries may change how they compute,
+# never what they return.  The rate slope goes through np.log and LAPACK,
+# which move it one ULP on some SIMD targets, so it is pinned to 1e-15.
+_CONSTANT_ORACLE = LearnerSpec("oracle-rate", rate_exponent=0.25, amplitude=0.3, shape=2)
+_COVERAGE_SHARED = {"n": "200", "reps": "3", "level": "0.95", "failures": "0",
+                    "ks_critical_1pct": "0.9397089413348545", "ks_flag": "False"}
+STUDY_PINS = {
+    "coverage-psi": (lambda dgp, c: run_coverage(dgp, c(), 200, 3, 4), dict(
+        _COVERAGE_SHARED, estimand="'psi'", estimator="'onestep'", truth="1.3000000000000003",
+        coverage="0.6666666666666666", mc_standard_error="0.2721655269759087",
+        mean_scaled_error="1.108636819357247", var_scaled_error="5.202276304109787",
+        skewness="-0.20648806224511626", excess_kurtosis="-1.5",
+        mean_scaled_variance="1.886668370794147", ks_distance="0.507094875269773")),
+    "coverage-theta": (lambda dgp, c: run_coverage(dgp, c(estimand="theta"), 200, 3, 4), dict(
+        _COVERAGE_SHARED, estimand="'theta'", estimator="'onestep'", truth="1.59375",
+        coverage="0.6666666666666666", mc_standard_error="0.2721655269759087",
+        mean_scaled_error="1.2938049590448877", var_scaled_error="5.034906016600961",
+        skewness="-0.038990094322634075", excess_kurtosis="-1.5000000000000002",
+        mean_scaled_variance="1.7241859443847556", ks_distance="0.5131822303399398")),
+    "coverage-plugin": (
+        lambda dgp, c: run_coverage(dgp, c(estimand="theta", estimator="plugin"), 200, 3, 4),
+        dict(_COVERAGE_SHARED, estimand="'theta'", estimator="'plugin'", truth="1.59375",
+             coverage="0.0", mc_standard_error="0.0", mean_scaled_error="1.8890482546395442",
+             var_scaled_error="1.4108880497471423", skewness="0.35884146118202703",
+             excess_kurtosis="-1.5000000000000007", mean_scaled_variance="nan",
+             ks_distance="nan")),
+    "rate-theta": (
+        lambda dgp, c: run_rate_experiment(dgp, c(estimand="theta"), [100, 400], 3, 22),
+        {"estimand": "'theta'", "estimator": "'onestep'", "n_grid": "[100, 400]", "reps": "3",
+         "truth": "1.59375", "rmse_by_n": "[0.10355684530824671, 0.04985784494873739]",
+         "mean_scaled_error_by_n": "[0.3342968033511566, -0.9948506869857606]",
+         "var_scaled_error_by_n": "[1.4409715024332184, 0.006890987665343409]",
+         "slope": -0.52726524564406, "failures": "0"}),
+}
+
+
+@pytest.mark.parametrize("study", list(STUDY_PINS))
+def test_a_table_dgp_study_summary_is_pinned(treated_law, study):
+    run, expected = STUDY_PINS[study]
+    dgp = DGPSpec(kind="discrete-saturated", table=treated_law)
+    doc = run(dgp, lambda **kw: EstimatorConfig(spec_q=_CONSTANT_ORACLE,
+                                                spec_g=_CONSTANT_ORACLE, **kw)).to_dict()
+    if "slope" in expected:
+        assert doc["slope"] == pytest.approx(expected["slope"], rel=1e-15, abs=0.0)
+        doc["slope"] = expected["slope"]
+    assert {key: value if key == "slope" else repr(value) for key, value in doc.items()} \
+        == expected
+
+
+# hand-written replications of two sizes around the truth 1.0, the second
+# with one success; scaled_error = sqrt(n) (point - truth)
+_FIXED_SIZES = (
+    (100, (ReplicationResult(0, 100, 1.25, 0.015625, 1.0, 1.5, True, 2.5),
+           ReplicationResult(1, 100, 0.875, 0.0234375, 0.9, 1.125, False, -1.25),
+           ReplicationResult(2, 100, 1.5, 0.03125, 0.75, 2.25, True, 5.0),
+           ReplicationResult(3, 100, 1.125, 0.01953125, 0.5, 1.75, True, 1.25))),
+    (400, (ReplicationResult(4, 400, 1.0625, 0.00390625, 0.875, 1.25, True, 1.25),)),
+)
+
+
+def _plain_measures(n, results, truth):
+    """Each measure of the table over ``results``, in plain Python with math.fsum."""
+    m = len(results)
+    points, scaled = [r.point for r in results], [r.scaled_error for r in results]
+
+    def spread(x):  # the ddof = 1 variance, NaN for one value
+        mean = math.fsum(x) / m
+        return math.fsum((v - mean) ** 2 for v in x) / (m - 1) if m > 1 else math.nan
+
+    coverage = math.fsum(float(r.covered) for r in results) / m
+    return {"bias": math.fsum(points) / m - truth,
+            "mc_se": math.sqrt(spread(points)) / math.sqrt(m),
+            "rmse": math.sqrt(math.fsum((p - truth) ** 2 for p in points) / m),
+            "coverage": coverage,
+            "mc_standard_error": math.sqrt(coverage * (1.0 - coverage) / m),
+            "mean_scaled_error": math.fsum(scaled) / m,
+            "var_scaled_error": spread(scaled),
+            "mean_scaled_variance": math.fsum(n * r.variance for r in results) / m}
+
+
+@pytest.mark.parametrize("n, results", _FIXED_SIZES, ids=["four-successes", "one-success"])
+def test_the_measure_table_matches_plain_formulas(n, results):
+    expected = _plain_measures(n, results, 1.0)
+    assert set(montecarlo._MEASURES) == set(expected)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # one success: NaN spreads, and no RuntimeWarning
+        got = {name: float(measure(montecarlo._Columns(list(results), n, 1.0)))
+               for name, measure in montecarlo._MEASURES.items()}
+    for name, want in expected.items():
+        if math.isnan(want):
+            assert len(results) == 1 and math.isnan(got[name]), name
+        else:
+            assert got[name] == pytest.approx(want, rel=1e-15, abs=0.0), name
+    assert [name for name, want in expected.items() if math.isnan(want)] == (
+        ["mc_se", "var_scaled_error"] if len(results) == 1 else [])
 
 
 def test_a_grid_study_keeps_its_first_sizes_replications_as_a_prefix():

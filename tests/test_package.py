@@ -10,7 +10,10 @@ learner kinds, the sides each fits and the spec fields each reads are
 one table, which README's "Learner specs" table restates; so are the
 sides each estimator fits, which README's estimator paragraph restates.
 Each estimand is a row of one table, ``distributions._ESTIMANDS``, so no
-module branches on an estimand's name.
+module branches on an estimand's name.  Each study report is the fields
+every study shares, measures of one table, ``montecarlo._MEASURES``, and
+its runner's own fields, so no runner summarises its replications by hand;
+README's "Study measures" table restates which study reports which measure.
 """
 
 import ast
@@ -22,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 import eifkit
+from eifkit import montecarlo
 from eifkit.distributions import SupportTable
 from eifkit.estimators import _SIDES
 from eifkit.learners import _KINDS, OUTCOME_KINDS, PROPENSITY_KINDS
@@ -180,3 +184,41 @@ def _readme_estimator_sides():
 
 def test_readme_estimator_sides_match_the_side_table():
     assert _readme_estimator_sides() == _SIDES
+
+
+# the fields each study report adds beside the shared ones and its measures
+_STUDY_OWN_FIELDS = {
+    "CoverageSummary": {"estimator", "n", "level", "ks_distance", "ks_critical_1pct", "ks_flag",
+                        "skewness", "excess_kurtosis"},
+    "RateExperimentReport": {"estimator", "n_grid", "slope"},
+    "DrConsistencyReport": {"arm", "n_grid"},
+}
+
+
+def test_a_study_report_is_shared_fields_table_measures_and_its_own():
+    # a new study measure is a row of the measure table, not a runner's own loop
+    shared = [f.name for f in dataclasses.fields(montecarlo._Study)]
+    assert shared == ["estimand", "reps", "truth", "failures", "replications"]
+    named = set()
+    for name, own in _STUDY_OWN_FIELDS.items():
+        report = getattr(montecarlo, name)
+        assert issubclass(report, montecarlo._Study)
+        rest = [f.name for f in dataclasses.fields(report) if f.name not in (*shared, *own)]
+        measures = [field.removesuffix("_by_n") for field in rest]
+        assert [m for m in measures if m not in montecarlo._MEASURES] == [], name
+        named.update(measures)
+    # and the table holds no measure that no report names
+    assert named == set(montecarlo._MEASURES)
+
+
+def test_readme_measure_table_matches_the_study_reports():
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("### Study measures"):]
+    rows = re.findall(r"^\| `(\w+)` \| [^|]* \| ([^|]*) \|$", section.split("\n\n")[2], re.M)
+    documented = {name: set(re.findall(r"`(\w+)`", cell)) for name, cell in rows}
+    studies = {"coverage": montecarlo.CoverageSummary, "rate": montecarlo.RateExperimentReport,
+               "dr": montecarlo.DrConsistencyReport}
+    assert documented == {
+        measure: {study for study, report in studies.items()
+                  if {measure, f"{measure}_by_n"} & {f.name for f in dataclasses.fields(report)}}
+        for measure in montecarlo._MEASURES}
