@@ -246,6 +246,11 @@ def _match(ref, query) -> np.ndarray:
     n, m = len(ref[0]), len(query[0])
     if ref[0].shape[1] != query[0].shape[1]:
         return np.full(m, -1)
+    if m == 1:  # one probe: ref rows compared with it by ==, a column at a time, unsorted
+        hit = np.ones(n, dtype=bool)
+        for column, value in zip((*ref[0].T, *ref[1:]), (*query[0][0], *(k[0] for k in query[1:]))):
+            hit &= column == value
+        return np.append(np.flatnonzero(hit), -1)[:1]
     order, _, new_key = _key_order(*(np.concatenate(pair) for pair in zip(ref, query)))
     first = order[np.maximum.accumulate(np.where(new_key, np.arange(n + m), 0))]
     rows = np.empty(m, dtype=np.int64)

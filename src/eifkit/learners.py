@@ -29,10 +29,12 @@ A :class:`LearnerSpec` names one of a fixed set of procedures:
     k = ceil(sqrt(#fitting rows)).  The k nearest are the first k fitting
     rows by (squared distance, row index), so a tie at the k-th distance
     keeps the lower rows, and their targets are summed in that order;
-    k >= #fitting rows averages every row in row order.  With the index
+    k >= #fitting rows averages every row in row order.  Through the index
     below, each query ranks its box of 3**d cells, in one vectorized pass
-    whatever the call's size; without it, or for a query its box cannot
-    answer, it ranks all rows, with the same answer bit for bit.
+    whatever the call's size; a query that box cannot answer ranks the
+    cells its k-th distance there reaches, and only one that this wider
+    box cannot answer either ranks all rows, with the same answer bit for
+    bit.
 ``kernel-nw``
     Nadaraya-Watson with a Gaussian product kernel; default per-covariate
     bandwidth sd(W_j) * m**(-1/5) over the m fitting rows.
@@ -78,25 +80,42 @@ reorder near-tied neighbours.
 
 kNN ranks each query's box of fitting rows through one block routine.  A
 cell index buckets the rows into a uniform grid of about k / 2 rows per
-cell when that gives KNN_MIN_AXIS_CELLS cells per axis or more, and serves
-every call: the cross-fit folds of a study (about 800 fitting rows, 400
-queries, 7 x 7 cells) and an in-sample fit at n = 5000.  Without the
-index, a query's box is all n rows.  Each cell's box, the rows of its 3**d
-neighbouring cells, is stored once, ascending, in one flat array: at most
-3**d * n row indices whatever the rows' spread, and one offset per cell.
-The queries, sorted by (box size, cell), rank their boxes in blocks of at
-most KERNEL_BLOCK_PAIRS pairs, each box padded to the block's widest with
-a column of +inf, with the same squared differences, so each distance is
-bit-identical to the all-rows pass; a block's boxes add d + 1 floats per
-pair at most.  A query takes its answer from its box only when its k-th
-distance is strictly below fl(gap**2), gap being the distance to the
-nearest fitting row outside the box, from the rows' actual coordinate
-extremes per slab; rounding is monotone, so the bound needs no slack.  The
-other queries rank the box of all rows, in the same routine.
+cell, with KNN_MIN_AXIS_CELLS cells per axis or more (else one cell, whose
+box is all rows), and serves every call: the cross-fit folds of a study
+(about 800 fitting rows, 400 queries, 7 x 7 cells) and an in-sample fit at
+n = 5000 (9 x 9 cells).  Each cell's box, the rows of its 3**d
+neighbouring cells, is stored once, ascending, in one flat array: a row
+lies in at most 3**d boxes, so at most 3**d * n row indices whatever the
+rows' spread, and one offset per cell.  The queries, sorted by (box size,
+box), rank their boxes in blocks of at most KERNEL_BLOCK_PAIRS pairs, each
+box padded to the block's widest with a column of +inf, with the same
+squared differences, so each distance is bit-identical to the all-rows
+pass; a block's boxes add d + 1 floats per pair at most.  A block ranks
+each row by integer keys, a distance's bits with the column in the low
+ones, in one partition and a sort of the k + 1 least (about 15% less
+time per block than selecting the float distances and argsorting the k
+chosen, at box widths of 130 to 2500 on a 2-core Xeon); a block where two
+of a row's k + 1 least keys share their high bits ranks by a stable
+argsort of its distances, so ties keep the stated order.  A query takes
+its answer from a box only when its k-th distance is strictly below
+fl(gap**2), gap being the distance to the nearest fitting row outside the
+box, from the rows' actual coordinate extremes per slab; rounding is
+monotone, so the bound needs no slack.
+A box's k-th distance bounds the true one from above, so a query whose
+box fails (near the data's edge, where its box is cut off, or in a sparse
+region) has its k nearest within that distance's square root on every
+covariate.  Its second box is the rows of the slabs that reach spans, one
+box for the failed queries of each cell, built per call from a
+(boxes, cells) membership table, at most KERNEL_BLOCK_PAIRS (box, row)
+pairs at a time, and answers under the same test.  In a smoother study's
+shapes no query is left after it (4% of the in-sample queries and 8% of a
+fold's fail their first box); one that is, where rounding or a tie sits at
+the second box's edge, ranks all rows.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -480,7 +499,7 @@ def _query_blocks(m: int, n: int):
     """Slices of at most KERNEL_BLOCK_PAIRS // n query rows covering range(m)."""
     rows = max(1, KERNEL_BLOCK_PAIRS // n)
     for start in range(0, m, rows):
-        yield slice(start, start + rows)
+        yield slice(start, min(start + rows, m))
 
 
 def _knn_block(q: np.ndarray, t_cols: np.ndarray, targets: np.ndarray, k: int, bufs,
@@ -496,12 +515,18 @@ def _knn_block(q: np.ndarray, t_cols: np.ndarray, targets: np.ndarray, k: int, b
     on which rows share its block, and no (rows, width, d) array exists.
     Columns rank by (distance, column): a tie at the k-th distance keeps
     the lower columns, and the mean sums the k targets in that order.
-    ``bufs`` is two flat float arrays of at least rows * width, reused
-    across blocks: fresh 256 KB temporaries per block cost about 8% at 800
+    A distance is never negative, so its bits read as an int64 order as it
+    does; a column's key is those bits with the low ones replaced by the
+    column, and one integer partition and a sort of the k + 1 least keys
+    rank a row.  That is the (distance, column) order unless two of the
+    k + 1 share their high bits (a tie, or distances a few ulps apart); a
+    block where two do ranks by a stable argsort of its distances instead.
+    ``bufs`` is a (2, rows * width or more) float array reused across
+    blocks: fresh 256 KB temporaries per block cost about 8% at 800
     fitting rows.
     """
     width = t_cols.shape[-1]
-    d2, spare = (buf[:len(q) * width].reshape(len(q), width) for buf in bufs)
+    d2, spare = bufs[:, :len(q) * width].reshape(2, len(q), width)
     for j in range(q.shape[1]):
         diff = spare if j else d2
         t_cols[j].take(box, axis=0, out=diff, mode="clip")  # clip: take unbuffered
@@ -509,29 +534,19 @@ def _knn_block(q: np.ndarray, t_cols: np.ndarray, targets: np.ndarray, k: int, b
         np.square(diff, out=diff)
         if j:
             d2 += spare
-    np.copyto(spare, d2)
-    spare.partition(k - 1, axis=1)
-    kth = spare[:, k - 1, None]
-    near = d2 <= kth
-    if np.count_nonzero(near) > k * len(d2):  # some row ties at its k-th distance
-        tied = d2 == kth
-        quota = k - np.count_nonzero(d2 < kth, axis=1, keepdims=True)
-        near &= ~tied | (np.cumsum(tied, axis=1) <= quota)
-    flat = near.ravel().nonzero()[0].reshape(-1, k)  # each row's k columns, ascending
-    # with no two equal distances in a row, any sort gives the stable
-    # (distance, column) order; the stable sort, about 3x slower at k = 50,
-    # runs only on a block with a tie
-    chosen = d2.take(flat)
-    offsets = np.arange(0, chosen.size, k).reshape(-1, 1)
-    order = chosen.argsort(axis=1) + offsets
-    ranked = chosen.take(order)
-    if (ranked[:, 1:] == ranked[:, :-1]).any():
-        order = chosen.argsort(axis=1, kind="stable") + offsets
-    cols = flat.take(order)
-    # row i's columns, moved from row i to row box[i] of targets
-    cols += ((box - np.arange(len(box))) * width)[:, None]
+    bits = max(1, (width - 1).bit_length())  # for the widest column
+    keys = np.bitwise_and(d2.view(np.int64), -1 << bits, out=spare.view(np.int64))
+    keys |= np.arange(width)
+    if k < width:
+        keys.partition(k, axis=1)
+    high = np.sort(keys[:, :k + 1], axis=1)
+    cols = high[:, :k] & ((1 << bits) - 1)
+    high >>= bits
+    if (high[:, 1:] == high[:, :-1]).any():
+        cols = d2.argsort(axis=1, kind="stable")[:, :k]
+    kth = d2.take(cols[:, k - 1] + np.arange(0, d2.size, width))
     # sum / k is numpy's mean, without its wrapper
-    return kth[:, 0], targets.take(cols).sum(axis=1) / k
+    return kth, targets.take(cols + (box * width)[:, None]).sum(axis=1) / k
 
 
 def _block_buffer(m: int, n: int) -> np.ndarray:
@@ -545,20 +560,21 @@ class _CellGrid:
 
     A query ranks the rows of the 3**d cells around its own (its box).
     Every cell's box is stored once, its rows ascending, in one flat array:
-    cell c's box is box_rows[box_starts[c]:box_starts[c + 1]], of
-    box_sizes[c] rows.  A fitting row lies in at most 3**d boxes, so
-    box_rows holds at most 3**d * n row indices, whatever the rows' spread.
-    ``exact_below`` bounds from below every distance to a row outside the
-    box, from the rows' actual coordinates in each slab, so it holds
-    however the floating-point cell arithmetic rounds.
+    cell c's box is box_rows[box_starts[c]:box_starts[c + 1]].  A fitting
+    row lies in at most 3**d boxes, so box_rows holds at most 3**d * n row
+    indices, whatever the rows' spread.  ``exact_below`` bounds from below
+    every distance to a row outside a box of slabs, from the rows' actual
+    coordinates in each slab, so it holds however the floating-point cell
+    arithmetic rounds.
     """
 
     def __init__(self, train_w: np.ndarray, lo: np.ndarray, hi: np.ndarray, cells: int):
         self.cells, (n, d) = cells, train_w.shape
         self.lo = lo
-        with np.errstate(divide="ignore", over="ignore"):
-            scale = cells / (hi - lo)
-        self.scale = np.where(np.isfinite(scale), scale, 0.0)  # a constant column is one slab
+        # a constant column is one slab, as is one whose scale overflows
+        # (the grid is built under the caller's errstate)
+        scale = np.divide(cells, hi - lo, out=np.zeros(len(lo)), where=hi > lo)
+        self.scale = np.where(np.isfinite(scale), scale, 0.0)
         slabs = self.slabs(train_w)
         self.offsets = (np.arange(d) * (cells + 2))[:, None]  # covariate j's slabs in above, below
         # row r lies in the box of each cell at most one slab from its own
@@ -567,21 +583,18 @@ class _CellGrid:
         # rows ascending.  One (n,) pass per offset: an (n, 3**d) temporary
         # past 128 KB comes in fresh pages, about 3x slower at n = 2500 on a
         # 2-core Xeon.
-        bits = n.bit_length()
-        base = self.flat(slabs) << bits | np.arange(n)
+        bits, self.row_cells = n.bit_length(), self.flat(slabs)
+        base = self.row_cells << bits | np.arange(n)
         edges = [{-1: slab > 0, 1: slab < cells - 1} for slab in slabs]
         keys = []
-        for shift in itertools.product((-1, 0, 1), repeat=d):
-            inside, offset = None, 0
-            for j, step in enumerate(shift):
-                if step:
-                    offset += step * cells ** (d - 1 - j)
-                    inside = edges[j][step] if inside is None else inside & edges[j][step]
-            keys.append((base if inside is None else base.compress(inside)) + (offset << bits))
+        for shift in itertools.product((-1, 0, 1) if cells > 1 else (0,), repeat=d):
+            inside = [edges[j][step] for j, step in enumerate(shift) if step]
+            offset = sum(step * cells ** (d - 1 - j) for j, step in enumerate(shift)) << bits
+            rows = base.compress(functools.reduce(np.logical_and, inside)) if inside else base
+            keys.append(rows + offset)
         key = np.concatenate(keys)
         key.sort()
         self.box_starts = np.searchsorted(key, np.arange(cells ** d + 1) << bits)
-        self.box_sizes = np.diff(self.box_starts)
         self.box_rows = np.bitwise_and(key, (1 << bits) - 1, out=key)
         # per covariate j, above[j, s] is the least coordinate in slab s or
         # above and below[j, s + 2] the greatest in slab s or below, padded
@@ -605,42 +618,54 @@ class _CellGrid:
     def flat(self, slabs: np.ndarray) -> np.ndarray:
         return np.ravel_multi_index(tuple(slabs), (self.cells,) * len(slabs))
 
-    def exact_below(self, w: np.ndarray, slabs: np.ndarray) -> np.ndarray:
-        """fl(gap**2), gap the least |q_j - t_j| over rows t outside each query's box.
+    def exact_below(self, w: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """fl(gap**2), gap the least |q_j - t_j| over rows t outside each
+        query's box, the slabs lo[j] to hi[j] (d, rows) of each covariate j,
+        which hold the query's own.
 
         Rounding is monotone, so every computed squared distance to such a
         row is at least this bound; so is the slab arithmetic, so a row in
         a higher slab than the query's lies above it, and gap > 0.
         """
-        at = slabs + self.offsets
-        gap = np.minimum(self.above.take(at + 2) - w.T, w.T - self.below.take(at))
+        gap = np.minimum(self.above.take(hi + 1 + self.offsets) - w.T,
+                         w.T - self.below.take(lo + 1 + self.offsets))
         return np.square(gap.min(axis=0))
+
+    def rectangles(self, lo: np.ndarray, hi: np.ndarray):
+        """(starts, rows): the fitting rows within the slabs lo[j, b] to
+        hi[j, b] of every covariate j, ascending, for each box b."""
+        at = np.array(np.unravel_index(np.arange(self.cells ** len(lo)), (self.cells,) * len(lo)))
+        member = ((lo[:, :, None] <= at[:, None]) & (at[:, None] <= hi[:, :, None])).all(axis=0)
+        inside = member.take(self.row_cells, axis=1).ravel().nonzero()[0]  # box * n + row
+        return (np.searchsorted(inside, np.arange(len(member) + 1) * len(self.row_cells)),
+                inside % len(self.row_cells))
 
 
 def _knn_cells(n: int, d: int, k: int) -> int:
     """Cells per axis for about k / 2 fitting rows a cell, the largest c with
     c**d <= 2n / k; 1 below KNN_MIN_AXIS_CELLS."""
-    cells = int((2.0 * n / k) ** (1.0 / d))  # the float root can miss by one either way
-    while (cells + 1) ** d * k <= 2 * n:
-        cells += 1
+    cells = int((2.0 * n / k) ** (1.0 / d)) + 1  # the float root can miss by one either way
     while cells ** d * k > 2 * n:
         cells -= 1
     return cells if cells >= KNN_MIN_AXIS_CELLS else 1
 
 
-def _box_blocks(sizes: np.ndarray, start: int) -> list:
+def _box_blocks(sizes: np.ndarray, start: int):
     """(start, stop) blocks over the queries from ``start`` on, their box
-    ``sizes`` ascending: each the most rows whose count times its widest
-    box fits KERNEL_BLOCK_PAIRS, or one row."""
-    blocks = []
+    ``sizes`` ascending: as many rows as fit KERNEL_BLOCK_PAIRS at the
+    widest box that many rows from the block's first could reach, or one."""
     while start < len(sizes):
-        # no more rows than fit at the block's narrowest box
-        ahead = sizes[start:start + max(1, KERNEL_BLOCK_PAIRS // int(sizes[start]))]
-        pairs = np.arange(1, len(ahead) + 1) * ahead
-        stop = start + max(1, int(np.searchsorted(pairs, KERNEL_BLOCK_PAIRS, side="right")))
-        blocks.append((start, stop))
+        ahead = min(start + KERNEL_BLOCK_PAIRS // int(sizes[start]), len(sizes)) - 1
+        stop = start + max(1, KERNEL_BLOCK_PAIRS // int(sizes[max(start, ahead)]))
+        yield start, min(stop, len(sizes))
         start = stop
-    return blocks
+
+
+def _runs(keys: np.ndarray):
+    """Each element's run of equal ``keys`` (numbered from 0) and each run's
+    first element."""
+    new = np.concatenate(([True], keys[1:] != keys[:-1]))
+    return np.cumsum(new) - 1, np.flatnonzero(new)
 
 
 def _knn_core(train_w: np.ndarray, train_t: np.ndarray, k: int) -> Callable:
@@ -650,76 +675,85 @@ def _knn_core(train_w: np.ndarray, train_t: np.ndarray, k: int) -> Callable:
     t_ext = np.full((d + 1, n + 1), np.inf)
     t_ext[:d, :n] = train_w.T
     t_ext[d, :n] = train_t
-    every = t_ext[:, None, :n]  # the one box of every row, (d + 1, 1, n)
-    t_lo, t_hi = train_w.min(axis=0), train_w.max(axis=0)
+    every = (np.array([0, n]), np.arange(n))  # one box of every row: its starts and rows
+    # the extremes are taken by covariate: numpy reduces a (rows, d) array
+    # over its rows one row of d values at a time, about 20x slower at
+    # 5000 rows and d = 2 on a 2-core Xeon
+    t_lo, t_hi = t_ext[:d, :n].min(axis=1), t_ext[:d, :n].max(axis=1)
     cells = _knn_cells(n, d, k)
     grid = None  # the _CellGrid, built by the first call
-
-    def all_rows(w, bufs):
-        # per block: (rows, n) distances, the selection's masks and indices,
-        # each at most KERNEL_BLOCK_PAIRS elements
-        out = np.empty(len(w))
-        for rows in _query_blocks(len(w), n):
-            q = w[rows]
-            out[rows] = _knn_block(q, every[:d], every[d], k, bufs, np.zeros(len(q), np.intp))[1]
-        return out
-
-    def by_box(w, out, bufs) -> np.ndarray:
-        # the queries, ordered by (box size, cell), rank the rows of their
-        # boxes in blocks of at most KERNEL_BLOCK_PAIRS pairs, each box
-        # taken once per block, as d + 1 rows of values, padded to the
-        # block's widest with the +inf column n.  A query keeps that answer
-        # only when its k-th distance lies strictly below every distance to
-        # a row outside its box.  Returns the other queries, which rank all
-        # rows.
-        slabs = grid.slabs(w)
-        cell = grid.flat(slabs)
-        size = grid.box_sizes.take(cell)
-        order = np.argsort(size * cells ** d + cell)
-        cell, size = cell.take(order), size.take(order)
-        q, bound = w.take(order, axis=0), grid.exact_below(w, slabs).take(order)
-        # a cell's queries lie next to each other: the cell's place among
-        # the call's cells, their first queries and box starts
-        new = np.empty(len(w), dtype=bool)
-        new[0] = True
-        np.not_equal(cell[1:], cell[:-1], out=new[1:])
-        place, firsts = np.cumsum(new) - 1, np.flatnonzero(new)
-        starts, widths = grid.box_starts.take(cell[firsts]), size.take(firsts)
-        # a box of fewer than k rows cannot answer
-        blocks = _box_blocks(size, int(np.searchsorted(size, k)))
-        means, answered = np.empty(len(w)), np.zeros(len(w), dtype=bool)
-        for start, stop in blocks:
-            first, last = place[start], place[stop - 1] + 1
-            cols = np.arange(size[stop - 1])
-            box = grid.box_rows.take(starts[first:last, None] + cols, mode="clip")
-            box[cols >= widths[first:last, None]] = n
-            values = t_ext[:, box]
-            kth, means[start:stop] = _knn_block(q[start:stop], values[:d], values[d], k, bufs,
-                                                place[start:stop] - first)
-            np.less(kth, bound[start:stop], out=answered[start:stop])
-        out[order[answered]] = means[answered]
-        return order[~answered]
 
     @np.errstate(over="ignore", invalid="ignore")  # an overflow is refused by _finite
     def core(w):
         nonlocal grid
         if k == n or not len(w):
             return np.full(len(w), train_t.mean())
-        reach = np.maximum(w.max(axis=0) - t_lo, t_hi - w.min(axis=0))  # largest |q_j - t_j|
-        _finite(np.square(reach).sum(), "the kNN squared-distance bound")  # bounds every distance
+        # the largest |q_j - t_j|, the extremes by covariate as above; far
+        # bounds every distance
+        reach = np.maximum((by_cov := w.T.copy()).max(axis=1) - t_lo, t_hi - by_cov.min(axis=1))
+        far = _finite(np.square(reach).sum(), "the kNN squared-distance bound")
         # two buffers for every block of the call, which pairs at most
         # max(KERNEL_BLOCK_PAIRS, n) and len(w) * n; a page is faulted in
         # when first written, so once a call, and only the pages written
-        size = min(len(w) * n, max(KERNEL_BLOCK_PAIRS, n))
-        bufs = (np.empty(size), np.empty(size))
-        if cells == 1:
-            return all_rows(w, bufs)
+        bufs = np.empty((2, min(len(w) * n, max(KERNEL_BLOCK_PAIRS, n))))
+        out, kth = np.empty(len(w)), np.full(len(w), np.inf)
+
+        def by_box(idx, box, starts, rows, bound):
+            # the queries w[idx], query i in box box[i] of the boxes
+            # rows[starts[b]:starts[b + 1]], ordered by (box size, box), rank
+            # the rows of their boxes in blocks of at most KERNEL_BLOCK_PAIRS
+            # pairs, each box taken once per block, as d + 1 rows of values,
+            # padded to the block's widest with the +inf column n.  Each
+            # ranked query's mean goes to out and its k-th distance to kth;
+            # its answer holds only when that distance lies strictly below
+            # its bound.  Returns the other queries and their boxes, a box's
+            # queries next to each other.
+            size = starts.take(box + 1) - starts.take(box)
+            order = np.argsort(size * len(starts) + box)
+            idx, box, size, bound = (a.take(order) for a in (idx, box, size, bound))
+            # each query's box's place among the call's boxes, their first
+            # queries, first rows and sizes
+            place, firsts = _runs(box)
+            first_rows, widths = starts.take(box.take(firsts)), size.take(firsts)
+            answered = np.zeros(len(idx), dtype=bool)
+            # a box of fewer than k rows cannot answer
+            for start, stop in _box_blocks(size, int(np.searchsorted(size, k))):
+                first, last, at = place[start], place[stop - 1] + 1, idx[start:stop]
+                cols = np.arange(size[stop - 1])
+                ranked = rows.take(first_rows[first:last, None] + cols, mode="clip")
+                ranked[cols >= widths[first:last, None]] = n
+                values = t_ext.take(ranked, axis=1)
+                kth[at], out[at] = _knn_block(w.take(at, axis=0), values[:d], values[d], k, bufs,
+                                              place[start:stop] - first)
+                np.less(kth.take(at), bound[start:stop], out=answered[start:stop])
+            return idx[~answered], box[~answered]
+
         if grid is None:
             grid = _CellGrid(train_w, t_lo, t_hi, cells)
-        out = np.empty(len(w))
-        rest = by_box(w, out, bufs)
+        slabs = grid.slabs(w)
+        rest, cell = by_box(np.arange(len(w)), grid.flat(slabs), grid.box_starts, grid.box_rows,
+                            grid.exact_below(w, slabs - 1, slabs + 1))
         if len(rest):
-            out[rest] = all_rows(w.take(rest, axis=0), bufs)
+            # a box's k-th distance bounds the true one from above, so the
+            # k nearest lie within its square root of the query on every
+            # covariate: each cell's failed queries rank the rows of the
+            # slabs that reach spans for any of them, their boxes in groups
+            # of at most KERNEL_BLOCK_PAIRS (box, row) pairs; far stands in
+            # for the k-th distance of a box of fewer than k rows
+            q = w.take(rest, axis=0)
+            reach = np.sqrt(np.minimum(kth.take(rest), far))[:, None]
+            group, firsts = _runs(cell)
+            lo = np.minimum.reduceat(grid.slabs(q - reach), firsts, axis=1)
+            hi = np.maximum.reduceat(grid.slabs(q + reach), firsts, axis=1)
+            bound = grid.exact_below(q, lo.take(group, axis=1), hi.take(group, axis=1))
+            ends, left = np.append(firsts, len(rest)), []
+            for part in _query_blocks(len(firsts), n):
+                mine = slice(ends[part.start], ends[part.stop])
+                left.append(by_box(rest[mine], group[mine] - part.start,
+                                   *grid.rectangles(lo[:, part], hi[:, part]), bound[mine])[0])
+            rest = np.concatenate(left)
+        if len(rest):  # rounding or a tie at a second box's edge: all rows
+            by_box(rest, np.zeros(len(rest), np.intp), *every, np.full(len(rest), np.inf))
         return out
 
     return core

@@ -487,6 +487,22 @@ def test_mass_of_matches_the_whole_table_match_on_every_atom():
     assert zero.mass_of(((0.0,), 1, 0.0)) == 0.0
 
 
+def test_a_one_probe_match_equals_its_row_of_the_batch_match():
+    # one probe compares it with every reference row by ==, where a batch
+    # sort-merges: the same rule, -0.0 equal to 0.0 and NaN equal to nothing
+    ref = (np.array([[0.0, 1.0], [0.0, -2.0], [1.5, 1.0], [-0.0, 3.0]]), np.array([0, 1, 0, 1]),
+           np.array([2.0, -0.0, 7.0, np.nan]))
+    query = (np.array([[-0.0, 1.0], [0.0, -2.0], [1.5, 1.0], [0.0, 3.0], [0.0, 1.0], [9.0, 9.0]]),
+             np.array([0, 1, 1, 1, 0, 0]), np.array([2.0, 0.0, 7.0, np.nan, np.nan, 2.0]))
+    batch = _match(ref, query)
+    assert batch.tolist() == [0, 1, -1, -1, -1, -1]
+    for i in range(len(batch)):
+        assert _match(ref, tuple(column[i:i + 1] for column in query)).tolist() == [batch[i]]
+    # a probe of another covariate count matches nothing, by both routes
+    other = (np.zeros((1, 3)), np.zeros(1, dtype=np.int64), np.full(1, 2.0))
+    assert _match(ref, other).tolist() == [-1]
+
+
 @pytest.mark.parametrize("a", [True, False, np.True_])
 def test_observation_rejects_a_bool_treatment(a):
     with pytest.raises(InvalidDistribution, match="treatment"):

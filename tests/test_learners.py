@@ -779,13 +779,15 @@ def test_knn_matches_naive_reference_in_high_dimension(d):
 
 # ---------------------------------------------------------------------------
 # the kNN cell index: a query answers from its box of 3**d cells only when
-# no row outside the box can be as near as its k-th neighbour, so every
-# prediction equals the stated rule over all rows, bit for bit
+# no row outside the box can be as near as its k-th neighbour, else from the
+# slabs that box's k-th distance reaches under the same test, else from all
+# rows, so every prediction equals the stated rule over all rows, bit for bit
 
 
 def _knn_by_cells(monkeypatch, train_w, train_t, k, probe):
     """kNN predictions at ``probe``, the cell grid they used (the test fails if
-    none was built), and the column count of every (rows, columns) ranking."""
+    none of more than one cell was built), and the column count of every
+    (rows, columns) ranking, a query ranked again in a wider box counted again."""
     grids, ranked = [], []
 
     class Recording(learners._CellGrid):
@@ -803,7 +805,7 @@ def _knn_by_cells(monkeypatch, train_w, train_t, k, probe):
     monkeypatch.setattr(learners, "_knn_block", block)
     got = fit_outcome(_untreated(train_w, train_t), LearnerSpec("knn", k=k))(probe)
     monkeypatch.undo()
-    assert len(grids) == 1, "the predictions did not go through the cell index"
+    assert len(grids) == 1 and grids[0].cells > 1, "no cell index served the predictions"
     assert np.array_equal(got, _naive_knn(train_w, train_t, k, probe))
     return got, grids[0], np.array(ranked)
 
@@ -815,11 +817,14 @@ def test_knn_cell_index_matches_the_stated_rule_over_all_rows(monkeypatch, d):
     train_w = rng.uniform(-1, 1, (1200, d))
     train_t = rng.standard_normal(1200)
     probe = rng.uniform(-1, 1, (2000, d))
-    probe[::10] *= rng.choice([1.3, 5.0], (200, 1))
+    beyond = rng.choice([1.3, 5.0], (200, 1))
+    probe[::10] *= beyond
     _, grid, ranked = _knn_by_cells(monkeypatch, train_w, train_t, 20, probe)
     assert grid.cells == {1: 120, 2: 10, 3: 4}[d]
-    # most queries answer from their box; the rest rank all 1200 rows
-    assert 0 < np.count_nonzero(ranked == 1200) < 0.25 * len(probe)
+    # most queries answer from their box and the rest from a wider one; only
+    # queries five times beyond the range reach every slab, all 1200 rows
+    assert len(probe) < len(ranked) < 1.25 * len(probe)
+    assert 0 < np.count_nonzero(ranked == 1200) <= np.count_nonzero(beyond == 5.0)
 
 
 def test_knn_cell_index_keeps_the_lower_row_on_a_tie_at_the_kth_distance(monkeypatch):
@@ -849,13 +854,14 @@ def test_knn_cell_index_keeps_the_lower_row_on_a_tie_at_the_kth_distance(monkeyp
 @pytest.mark.parametrize("d, k", [(1, 9), (2, 7)])
 def test_knn_cell_index_with_duplicate_rows_on_an_integer_grid(monkeypatch, d, k):
     # integer rows with many duplicates: a row outside a query's box can tie
-    # its k-th neighbour exactly, and then the box may not answer
+    # its k-th neighbour exactly, and then the box may not answer, and the
+    # query ranks again in the wider box
     rng = np.random.default_rng(1100 + d)
     train_w = rng.integers(0, 24, (200, d)).astype(float)
     train_t = rng.standard_normal(200)
     probe = rng.integers(-2, 27, (4200, d)).astype(float)
     ranked = _knn_by_cells(monkeypatch, train_w, train_t, k, probe)[2]
-    assert 0 < np.count_nonzero(ranked == 200) < len(probe)
+    assert len(probe) < len(ranked) and np.count_nonzero(ranked == 200) < len(probe)
 
 
 def test_knn_cell_index_answers_do_not_depend_on_the_query_set(monkeypatch):
@@ -892,7 +898,7 @@ def test_knn_cell_index_ranks_a_box_of_exactly_k_rows(monkeypatch):
     train_t = rng.standard_normal(100)
     probe = np.concatenate([rng.uniform(-5, 104, (3300, 1)), np.linspace(0, 4.5, 10)[:, None]])
     _, grid, ranked = _knn_by_cells(monkeypatch, train_w, train_t, 10, probe)
-    assert grid.box_sizes[0] == grid.box_sizes[19] == 10
+    assert np.diff(grid.box_starts)[[0, 19]].tolist() == [10, 10]
     assert np.count_nonzero(ranked == 10) >= 10
 
 
@@ -915,12 +921,12 @@ def test_knn_at_the_cross_fit_fold_shape(monkeypatch):
     class Recording(learners._CellGrid):
         def __init__(self, *args):
             super().__init__(*args)
-            self.queries = []  # the query count of each call through the index
+            self.queries = []  # the query count of each bound on this index
             grids.append(self)
 
-        def exact_below(self, w, slabs):
+        def exact_below(self, w, lo, hi):
             self.queries.append(len(w))
-            return super().exact_below(w, slabs)
+            return super().exact_below(w, lo, hi)
 
     monkeypatch.setattr(learners, "_CellGrid", Recording)
     data = generate(default_logistic_linear(), 2000, 3)
@@ -936,8 +942,94 @@ def test_knn_at_the_cross_fit_fold_shape(monkeypatch):
         assert len(grids) == fold + 1 and grids[-1].cells == 7
         # one query, and fewer queries than cells, on the same fit and index
         for part in (probe[:1], probe[:48]):
+            bounds = len(grids[-1].queries)
             assert np.array_equal(predict(part), _naive_knn(w0, y0, k, part))
-            assert len(grids) == fold + 1 and grids[-1].queries[-1] == len(part)
+            # the call's first bound, its boxes', covers all its queries
+            assert len(grids) == fold + 1 and grids[-1].queries[bounds] == len(part)
+
+
+def test_knn_at_the_smoother_study_shapes_ranks_all_rows_for_few_queries(monkeypatch):
+    # the two kNN shapes of a smoother study: an in-sample fit of an n = 5000
+    # draw (its untreated rows fit, k = 51, every row a query, 9 x 9 cells)
+    # and one cross-fit fold of an n = 2000 draw (815 rows fit, k = 29, 400
+    # queries, 7 x 7 cells).  A query its box cannot answer, nearly always
+    # in an edge cell of a sparse corner, ranks the slabs its box's k-th
+    # distance reaches; ranking all rows for it, 4% and 8% of the queries
+    # would take 30% and 36% of the ranked pairs
+    data = generate(default_logistic_linear(), 5000, 11)
+    small = generate(default_logistic_linear(), 2000, 3)
+    fold = FoldPlan.build(2000, 5, 0).assignment == 0
+    train = small.subset(~fold)
+    for fit, probe, cells in ((data, data.w, 9), (train, small.w[fold], 7)):
+        w0, y0 = fit.w[fit.a == 0], fit.y[fit.a == 0]
+        _, grid, ranked = _knn_by_cells(monkeypatch, w0, y0, math.ceil(math.sqrt(len(y0))), probe)
+        assert grid.cells == cells
+        everything = ranked == len(y0)
+        assert np.count_nonzero(everything) < 0.01 * len(probe)
+        assert ranked[everything].sum() < 0.01 * ranked.sum()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("clustered", [False, True])
+def test_knn_stored_boxes_hold_each_row_once_per_neighbouring_cell(d, clustered):
+    # a fitting row is stored once in the box of each cell at most one slab
+    # from its own per covariate: at most 3**d * n row indices, whatever the
+    # rows' spread, and every box's rows ascending
+    rng = np.random.default_rng(1400 + d)
+    w = rng.uniform(-1, 1, (2000, d))
+    if clustered:  # 90% of the rows in one cell, as 60 repeated points
+        w[:1800] = (0.2013 + rng.uniform(0.0, 1e-4, (60, d)))[rng.integers(0, 60, 1800)]
+    cells = learners._knn_cells(2000, d, 8)
+    grid = learners._CellGrid(w, w.min(axis=0), w.max(axis=0), cells)
+    slabs = grid.slabs(w)
+    neighbours = np.prod(1 + (slabs > 0) + (slabs < cells - 1), axis=0)
+    assert grid.box_rows.size == grid.box_starts[-1] == neighbours.sum() <= 3 ** d * 2000
+    assert len(grid.box_starts) == cells ** d + 1
+    assert all((np.diff(box) > 0).all() for box in np.split(grid.box_rows, grid.box_starts[1:-1]))
+
+
+def test_knn_ranks_all_rows_for_queries_no_box_can_answer(monkeypatch):
+    # a wider box whose bound certifies nothing, as rounding at its edge
+    # could make it, leaves its queries to the last pass over all rows
+    rng = np.random.default_rng(1600)
+    train_w = rng.uniform(-1, 1, (1200, 2))
+    train_t = rng.standard_normal(1200)
+    probe = rng.uniform(-1.3, 1.3, (2000, 2))
+    bounds = []
+
+    class Unsure(learners._CellGrid):
+        def exact_below(self, w, lo, hi):
+            bounds.append(len(w))
+            bound = super().exact_below(w, lo, hi)
+            return bound if len(bounds) == 1 else np.zeros_like(bound)
+
+    monkeypatch.setattr(learners, "_CellGrid", Unsure)
+    _, _, ranked = _knn_by_cells(monkeypatch, train_w, train_t, 20, probe)
+    # the queries the first boxes fail rank twice more, the last time all rows
+    assert len(bounds) == 2 and 0 < bounds[1] == np.count_nonzero(ranked == 1200)
+    assert len(ranked) == len(probe) + 2 * bounds[1]
+
+
+def test_knn_wider_boxes_come_in_groups_of_bounded_size(monkeypatch):
+    # queries far beyond the fitting rows fail their boxes in every edge
+    # cell and reach every slab: the wider boxes, 2000 rows each, are built
+    # at most KERNEL_BLOCK_PAIRS (box, row) pairs at a time
+    rng = np.random.default_rng(1500)
+    train_w = rng.uniform(-1, 1, (2000, 2))
+    train_t = rng.standard_normal(2000)
+    probe = np.concatenate([rng.uniform(-1, 1, (500, 2)), rng.uniform(-50, 50, (1500, 2))])
+    built = []
+
+    class Recording(learners._CellGrid):
+        def rectangles(self, lo, hi):
+            starts, rows = super().rectangles(lo, hi)
+            built.append(len(rows))
+            return starts, rows
+
+    monkeypatch.setattr(learners, "_CellGrid", Recording)
+    got = fit_outcome(_untreated(train_w, train_t), LearnerSpec("knn", k=8))(probe)
+    assert np.array_equal(got, _naive_knn(train_w, train_t, 8, probe))
+    assert len(built) > 1 and max(built) <= KERNEL_BLOCK_PAIRS
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -954,12 +1046,13 @@ def test_knn_cell_index_with_clustered_duplicate_rows(monkeypatch, d):
                             rng.uniform(-1.1, 1.1, (1000, d))])
     _, grid, _ = _knn_by_cells(monkeypatch, train_w, train_t, 8, probe)
     assert grid.cells == {1: 500, 2: 22, 3: 7, 4: 4}[d]
-    assert grid.box_sizes.max() >= 1800  # one cell's box holds the cluster
+    sizes = np.diff(grid.box_starts)
+    assert sizes.max() >= 1800  # one cell's box holds the cluster
     # each box once: at most 3**d row indices a fitting row, and one offset
     # a cell; a table padded to the widest box would hold many more
-    assert grid.box_rows.size == grid.box_sizes.sum() <= 3 ** d * 2000
+    assert grid.box_rows.size == sizes.sum() <= 3 ** d * 2000
     assert len(grid.box_starts) == grid.cells ** d + 1
-    assert grid.cells ** d * grid.box_sizes.max() > 3 ** d * 2000
+    assert grid.cells ** d * sizes.max() > 3 ** d * 2000
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 8])
