@@ -309,16 +309,23 @@ def _refused(where: str):
         raise ConfigError(f"{where}: {err}") from None
 
 
-def _learner_pair(cfg: dict, where: str):
-    """Parse the optional learners block; a missing side takes EstimatorConfig's default."""
-    block = cfg.get("learners", {})
+def _object(cfg: dict, key: str, where: str) -> dict:
+    """The optional block ``cfg[key]``, empty when absent; it must be an object."""
+    block = cfg.get(key, {})
     if not isinstance(block, dict):
-        raise ConfigError(f"{where}: 'learners' must be an object")
+        raise ConfigError(f"{where}: {key!r} must be an object")
+    return block
+
+
+def _learner_pair(cfg: dict, where: str):
+    """Parse the optional learners block: EstimatorConfig checks each side's kind
+    and gives a missing side its default."""
+    block = _object(cfg, "learners", where)
     _check_keys(block, ("q", "g"), (), f"{where}.learners")
-    default = EstimatorConfig()
     with _refused(f"{where}.learners"):
-        return tuple(LearnerSpec.from_dict(block[side]) if side in block
-                     else getattr(default, f"spec_{side}") for side in "qg")
+        config = EstimatorConfig(**{f"spec_{side}": LearnerSpec.from_dict(block[side])
+                                    for side in "qg" if side in block})
+    return config.spec_q, config.spec_g
 
 
 def _str_field(cfg, key, default, choices, where):
@@ -434,16 +441,14 @@ def _cmd_remainder(args) -> dict:
         pn_a = ()
         if row.treated:  # P_n(A): the config's, else the sample's share or the law's Pr(A=1)
             pn_a = (cfg["pn_a"] if "pn_a" in cfg else dist.pr_a1 if data is None else
-                    row.share(data.a, "treated-mean remainder needs a treated row for P_n(A)"),)
+                    row.share(data.a),)
         # each estimand's wrapper, read from the module when called: a tracer may rebind it
         remainder = {"psi": remainder_exact_psi, "theta": remainder_exact_theta}[estimand]
         return remainder(dist, nuis, *pn_a).to_dict()
 
 
 def _parse_dgp(cfg: dict, config_path) -> DGPSpec:
-    block = cfg.get("dgp", {})
-    if not isinstance(block, dict):
-        raise ConfigError("simulate config: 'dgp' must be an object")
+    block = _object(cfg, "dgp", "simulate config")
     where = "simulate config.dgp"
     if block.get("kind") == "discrete-saturated":
         _check_keys(block, ("kind", "distribution"), ("distribution",), where)
@@ -460,8 +465,6 @@ def _estimator_config(block, where: str, keys=("fold_seed",), required=(),
     """The estimator a block of config keys names: 'learners', ESTIMATOR_FIELDS and ``keys``.
     By default it is a simulate config's 'estimator' block; an estimate config
     passes its own keys, its ``required`` 'data' and, in ``fixed``, its fold seed."""
-    if not isinstance(block, dict):
-        raise ConfigError(f"{where} must be an object")
     _check_keys(block, ("learners", *ESTIMATOR_FIELDS, *keys), required, where)
     spec_q, spec_g = _learner_pair(block, where)
     fields = {key: block[key] for key in (*ESTIMATOR_FIELDS, "fold_seed") if key in block}
@@ -484,7 +487,8 @@ def _cmd_simulate(args) -> dict:
         _check_output_path(replications_out, "simulate config: 'replications_out'")
     dgp = _parse_dgp(cfg, args.config)
     config = (None if study == "dr"  # dr builds its own
-              else _estimator_config(cfg.get("estimator", {}), "simulate config.estimator"))
+              else _estimator_config(_object(cfg, "estimator", "simulate config"),
+                                     "simulate config.estimator"))
     with _refused("simulate config"):
         if study == "coverage":
             summary = run_coverage(dgp, config, cfg.get("n"), cfg["reps"], seed,

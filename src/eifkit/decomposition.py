@@ -52,15 +52,16 @@ import numpy as np
 from .distributions import (
     FiniteDistribution,
     SupportTable,
+    _Q_UNDEFINED,
     _estimand,
     _fsum,
     _influence,
-    _match,
     _mean_phi,
+    _strata_rows,
     _value,
     fields_dict,
 )
-from .errors import ConfigError, PositivityViolation, ZeroMassConditioning
+from .errors import ConfigError, PositivityViolation
 from .learners import (
     Dataset,
     FittedNuisance,
@@ -149,10 +150,7 @@ class RateSweepReport:
 def _untreated_everywhere(dist: FiniteDistribution) -> SupportTable:
     """The law's support table; ZeroMassConditioning if a stratum has no untreated mass."""
     table = dist.support_table
-    missing = np.flatnonzero(table.pw0 == 0.0)
-    if missing.size:
-        raise ZeroMassConditioning(
-            f"Pr(W={dist.w_support[missing[0]]}, A=0) = 0; E(Y | W=w, A=0) undefined")
+    _strata_rows(table, table.w, _Q_UNDEFINED, table.q)  # q is NaN where Pr(W=w, A=0) = 0
     return table
 
 
@@ -234,13 +232,10 @@ def decompose_error(
     """
     row = _estimand(estimand)
     table, qh, gh = _on_support(dist, nuis)
-    row_idx = _match((table.w,), (sample.w,))
-    outside = np.flatnonzero(row_idx < 0)
-    if outside.size:
-        raise ZeroMassConditioning(f"sample covariate value {tuple(sample.w[outside[0]].tolist())} "
-                                   f"outside the support of the truth")
+    row_idx = _strata_rows(table, sample.w,
+                           "sample covariate value {} outside the support of the truth")
     # D of the true influence function and its sample estimate in the estimated one
-    p_hat = row.share(sample.a, "treated-mean decomposition needs a treated row for P_n(A)")
+    p_hat = row.share(sample.a)
     truth, p_true = _value(estimand, dist), row.denominator(table)
     hat = _plugin(estimand, table, qh)
     phi_true = _influence(estimand, sample.a, sample.y, table.q[row_idx], table.g[row_idx],
@@ -328,15 +323,5 @@ def truth_functions(dist: FiniteDistribution):
 
 
 def _table_lookup(table: SupportTable, column: np.ndarray, what: str):
-    # ``column`` is NaN where it is undefined (q without untreated mass); the
-    # exact routines ask at the whole support, which needs no search
-    def core(w):
-        whole = w.shape == table.w.shape and np.array_equal(w, table.w)
-        rows = np.arange(len(w)) if whole else _match((table.w,), (w,))
-        values = column[rows]
-        undefined = np.flatnonzero((rows < 0) | np.isnan(values))
-        if undefined.size:
-            raise ZeroMassConditioning(f"{what} undefined at {tuple(w[undefined[0]].tolist())}")
-        return values
-
-    return _predictor(core)
+    # ``column`` is NaN where it is undefined (q without untreated mass)
+    return _predictor(lambda w: _strata_rows(table, w, f"{what} undefined at {{}}", column))

@@ -23,8 +23,9 @@ which owns the rule for each atom field (w, a, y, p) and checks a column at
 a time; ``_law`` keeps the mass range and duplicate checks, and
 ``_tabulate`` the total.  ``_match`` answers every exact lookup of a
 covariate vector or an atom in a table, so one routine decides when two
-keys are equal (-0.0 equals 0.0).  Stratum sums add their atoms' terms in
-atom order, as a running sum does.
+keys are equal (-0.0 equals 0.0); ``_strata_rows`` is every lookup of
+covariate strata that refuses an absent vector, each with its message.
+Stratum sums add their atoms' terms in atom order, as a running sum does.
 ``FiniteDistribution.atoms``, the (Observation, mass) pairs, is built
 unchecked on first use.  The exact routines pass array terms to ``_fsum``,
 exactly rounded whatever the order.
@@ -105,6 +106,8 @@ __all__ = [
 ]
 
 MASS_TOLERANCE = 1e-12
+# q's one message where it is undefined, formatted with the covariate vector
+_Q_UNDEFINED = "Pr(W={}, A=0) = 0; E(Y | W=w, A=0) undefined"
 DEFAULT_STEP_GRID = (1e-3, 5e-4)
 
 
@@ -172,12 +175,6 @@ def _columns(w, a=None, y=None, p=None, row="atom {}: "):
         a = np.array(a, dtype=np.int64)
     y, p = (c if c is None else floats(name, c, c, c) for name, c in (("y", y), ("p", p)))
     return w, a, y, p
-
-
-def _stratum(dist, w):
-    """The checked table key of one covariate vector, and its stratum row in ``dist`` or -1."""
-    w = _columns([w], row="")[0]
-    return tuple(w[0].tolist()), _match((dist.support_table.w,), (w,)).item()
 
 
 @dataclass(frozen=True)
@@ -256,6 +253,20 @@ def _match(ref, query) -> np.ndarray:
     rows = np.empty(m, dtype=np.int64)
     rows[order[order >= n] - n] = np.where(first < n, first, -1)[order >= n]
     return rows
+
+
+def _strata_rows(table: SupportTable, w: np.ndarray, message: str, column=None) -> np.ndarray:
+    """The stratum row of ``table`` holding each covariate row of ``w`` (no search
+    when ``w`` is the table's own strata), or, given ``column``, its value there.
+    ZeroMassConditioning(message.format(row)) names the first row of ``w`` outside
+    the support, or where ``column`` is NaN (undefined)."""
+    whole = w.shape == table.w.shape and np.array_equal(w, table.w)
+    rows = np.arange(len(w)) if whole else _match((table.w,), (w,))
+    out = rows if column is None else column[rows]
+    bad = np.flatnonzero((rows < 0) | np.isnan(out))
+    if bad.size:
+        raise ZeroMassConditioning(message.format(tuple(w[bad[0]].tolist())))
+    return out
 
 
 def _law(w, a, y, p) -> FiniteDistribution:
@@ -361,7 +372,7 @@ class FiniteDistribution:
         return 0.0 if i < 0 else t.atom_p[i].item()
 
     def w_mass(self, w) -> float:
-        i = _stratum(self, w)[1]
+        i = _match((self.support_table.w,), _columns([w], row="")[:1]).item()
         return 0.0 if i < 0 else self.support_table.pw[i].item()
 
     @property
@@ -388,19 +399,17 @@ def q_of(dist: FiniteDistribution, w) -> float:
     ZeroMassConditioning
         If Pr(W = w, A = 0) = 0, i.e. the conditioning event has no mass.
     """
-    key, i = _stratum(dist, w)
-    t = dist.support_table
-    if i < 0 or t.pw0[i] == 0.0:
-        raise ZeroMassConditioning(f"Pr(W={key}, A=0) = 0; E(Y | W=w, A=0) undefined")
-    return t.q[i].item()
+    return _at(dist, w, dist.support_table.q, _Q_UNDEFINED)
 
 
 def g_of(dist: FiniteDistribution, w) -> float:
     """Untreated propensity Pr(A = 0 | W = w)."""
-    key, i = _stratum(dist, w)
-    if i < 0:
-        raise ZeroMassConditioning(f"Pr(W={key}) = 0; Pr(A=0 | W=w) undefined")
-    return dist.support_table.g[i].item()
+    return _at(dist, w, dist.support_table.g, "Pr(W={}) = 0; Pr(A=0 | W=w) undefined")
+
+
+def _at(dist: FiniteDistribution, w, column: np.ndarray, message: str) -> float:
+    """``column`` at the stratum of the covariate vector ``w``, checked by the atom rule."""
+    return _strata_rows(dist.support_table, _columns([w], row="")[0], message, column).item()
 
 
 # ---------------------------------------------------------------------------
@@ -448,9 +457,9 @@ class _Estimand(NamedTuple):
     def denominator(self, t: SupportTable) -> float:
         return t.pr_a1 if self.treated else 1.0
 
-    def share(self, a, message: str) -> float:  # D on a sample; NoTreatedRows(message) at 0
+    def share(self, a) -> float:  # D on a sample, P_n(A) for theta: NoTreatedRows at 0
         if self.treated and not (a == 1).any():
-            raise NoTreatedRows(message)
+            raise NoTreatedRows("treated-mean estimand needs a treated row for P_n(A)")
         return float(np.mean(a)) if self.treated else 1.0
 
 
@@ -472,15 +481,20 @@ def _value(estimand: str, dist: FiniteDistribution) -> float:
     """N/D for ``estimand`` under ``dist``, summed exactly over the strata m reaches;
     NoTreatedMass if D = 0, PositivityViolation if one of them has no untreated mass."""
     row, t = _estimand(estimand), dist.support_table
-    d, mass = row.denominator(t), t.pw1 if row.treated else t.pw  # E[m; W = w]
-    if d == 0.0:
-        raise NoTreatedMass("Pr(A=1) = 0; treated-conditional mean undefined")
+    d, mass = _positive(row.denominator(t)), t.pw1 if row.treated else t.pw  # E[m; W = w]
     reached = mass > 0.0
     missing = np.flatnonzero(reached & (t.pw0 == 0.0))
     if missing.size:
         raise PositivityViolation(f"covariate value {dist.w_support[missing[0]]} "
                                   + row.unreached.format(mass=t.pw[missing[0]].item()))
     return _fsum(mass[reached] / d * t.q[reached])
+
+
+def _positive(d: float) -> float:
+    """The estimand's D = E[m], refused with NoTreatedMass when it is 0 (Pr(A=1) = 0)."""
+    if d <= 0.0:
+        raise NoTreatedMass("Pr(A=1) = 0; treated-conditional mean undefined")
+    return d
 
 
 def psi_of(dist: FiniteDistribution) -> float:
@@ -681,11 +695,7 @@ def eif_integral(functional: str, dist: FiniteDistribution, weights: FiniteDistr
     """
     value = _value(functional, dist)
     table, atoms = dist.support_table, weights.support_table
-    rows = _match((table.w,), (atoms.w,))
-    off = np.flatnonzero(rows < 0)
-    if off.size:
-        raise ZeroMassConditioning(
-            f"covariate value {weights.w_support[off[0]]} outside the support")
+    rows = _strata_rows(table, atoms.w, "covariate value {} outside the support")
     return _mean_phi(functional, atoms, table.q[rows], table.g[rows], value,
                      _estimand(functional).denominator(table))
 

@@ -30,16 +30,8 @@ from .decomposition import truth_functions
 from .distributions import (FiniteDistribution, _estimand, _influence, _key_order, _law,
                             fields_dict)
 from .errors import ConfigError, EifkitError, EmptyEif, ZeroMassConditioning
-from .learners import (
-    OUTCOME_KINDS,
-    PROPENSITY_KINDS,
-    Dataset,
-    FittedNuisance,
-    LearnerSpec,
-    _is_int,
-    _is_real,
-    fit_side,
-)
+from .learners import (Dataset, FittedNuisance, LearnerSpec, _check_side, _is_int, _is_real,
+                       fit_side)
 
 __all__ = [
     "FoldPlan",
@@ -132,14 +124,11 @@ class EstimatorConfig:
             raise ConfigError(f"unknown estimator {self.estimator!r}")
         if self.estimator == "ipw" and treated:
             raise ConfigError("the ipw estimator is only defined for the psi estimand")
-        for side, kinds, what in (("q", OUTCOME_KINDS, "outcome regression"),
-                                  ("g", PROPENSITY_KINDS, "propensity")):
+        for side in "qg":
             spec = getattr(self, f"spec_{side}")
             if not isinstance(spec, LearnerSpec):
                 raise ConfigError(f"spec_{side} must be a LearnerSpec, got {spec!r}")
-            if spec.kind not in kinds:
-                raise ConfigError(f"learner {side!r} cannot be {spec.kind!r}: the {what} "
-                                  f"takes one of {list(kinds)}")
+            _check_side(side, spec, ConfigError)
         if not (_is_real(self.level) and 0.0 < self.level < 1.0):
             raise ConfigError(f"'level' must lie in (0, 1), got {self.level!r}")
         # FoldPlan seeds numpy's SeedSequence, which takes no negative entropy
@@ -215,7 +204,7 @@ def _baseline_point(estimator, estimand, data: Dataset, values) -> float:
         return float(np.mean((data.a == 0).astype(float) * data.y / values))
     row = _estimand(estimand)
     if row.treated:
-        row.share(data.a, "plugin treated mean needs a treated row")
+        row.share(data.a)  # refuses a sample without treated rows
         values = values[data.a == 1]
     return float(np.mean(values))
 
@@ -253,7 +242,7 @@ def _influence_report(estimand, data, qv, gv, level, estimator, plan, specs) -> 
     """The report whose point is the mean of ``estimand``'s influence function at centre 0;
     its influence values centre those through m, so they average to zero exactly."""
     row = _estimand(estimand)
-    share = row.share(data.a, "treated-mean estimand needs at least one row with a = 1")
+    share = row.share(data.a)
     contrib = _influence(estimand, data.a, data.y, qv, gv, 0.0, share)
     point = float(np.mean(contrib))
     eif = contrib - row.m(data.a) * (point / share)

@@ -174,8 +174,9 @@ _KINDS = {
     "misspecified-wronglink": ("g", ("truncation",)),
     "oracle-rate": ("qg", ("rate_exponent", "amplitude", "shape", "truncation")),
 }
-OUTCOME_KINDS, PROPENSITY_KINDS = (tuple(kind for kind, (sides, _) in _KINDS.items()
-                                         if side in sides) for side in "qg")
+_SIDE_KINDS = {side: tuple(kind for kind, (sides, _) in _KINDS.items() if side in sides)
+               for side in "qg"}
+OUTCOME_KINDS, PROPENSITY_KINDS = _SIDE_KINDS.values()
 _READS = {kind: reads for kind, (_, reads) in _KINDS.items()}
 
 
@@ -830,13 +831,29 @@ def _fit_core(side: str, w: np.ndarray, t: np.ndarray, spec: LearnerSpec) -> Cal
 # fitting entry points
 
 
+def _check_side(side: str, spec: LearnerSpec, error) -> None:
+    """The one rule that the kind of ``spec`` fits ``side`` ("q" the outcome
+    regression, "g" the propensity), refused with the caller's ``error``."""
+    if spec.kind not in _SIDE_KINDS[side]:
+        what = "outcome regression" if side == "q" else "propensity"
+        raise error(f"learner {side!r} cannot be {spec.kind!r}: the {what} takes one of "
+                    f"{list(_SIDE_KINDS[side])}")
+
+
+def _fittable(side: str, spec: LearnerSpec) -> None:
+    """Refuse a spec that cannot be fit on ``side`` from data: a kind of the other
+    side, or oracle-rate, which perturbs a truth instead."""
+    _check_side(side, spec, InvalidLearnerSpec)
+    if spec.kind == "oracle-rate":
+        raise InvalidLearnerSpec("oracle-rate learners need the (q, g) truth callables")
+
+
 def fit_outcome(data: Dataset, spec: LearnerSpec) -> Callable:
     """Fit E(Y | W, A=0) on the untreated rows of ``data``.
 
     Returns a prediction function defined for every covariate vector.
     """
-    if spec.kind not in OUTCOME_KINDS or spec.kind == "oracle-rate":
-        raise InvalidLearnerSpec(f"{spec.kind!r} cannot be fit as an outcome regression here")
+    _fittable("q", spec)
     mask = data.a == 0
     if not mask.any():
         raise NoUntreatedRows("no rows with a = 0 to fit the outcome regression")
@@ -845,8 +862,7 @@ def fit_outcome(data: Dataset, spec: LearnerSpec) -> Callable:
 
 def fit_propensity(data: Dataset, spec: LearnerSpec) -> Callable:
     """Fit Pr(A = 0 | W) on all rows; outputs truncated to [eps, 1-eps]."""
-    if spec.kind not in PROPENSITY_KINDS or spec.kind == "oracle-rate":
-        raise InvalidLearnerSpec(f"{spec.kind!r} cannot be fit as a propensity here")
+    _fittable("g", spec)
     z = (data.a == 0).astype(float)
     if z.min() == z.max():
         raise DegenerateTreatment("all rows share one treatment value")
@@ -859,13 +875,12 @@ def fit_side(side: str, data: Dataset, spec: LearnerSpec, truth=None) -> Callabl
 
     An ``oracle-rate`` spec perturbs its side of ``truth``, a (q, g) pair
     of vectorized callables, at the sample size of ``data``; every other
-    kind is fit on ``data`` and ignores ``truth``.
+    kind is fit on ``data`` and ignores ``truth``.  The fit refuses a spec
+    of the other side, and an oracle-rate one without ``truth``.
     """
-    if spec.kind != "oracle-rate":
-        return fit_outcome(data, spec) if side == "q" else fit_propensity(data, spec)
-    if truth is None:
-        raise InvalidLearnerSpec("oracle-rate learners need the (q, g) truth callables")
-    return _oracle(side, truth, data.n, spec)
+    if spec.kind == "oracle-rate" and truth is not None:
+        return _oracle(side, truth, data.n, spec)
+    return fit_outcome(data, spec) if side == "q" else fit_propensity(data, spec)
 
 
 def fit_nuisance(

@@ -35,12 +35,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .distributions import FiniteDistribution, _bit_select, _estimand, _law, _value, fields_dict
-from .errors import ConfigError, EifkitError, NoTreatedRows
+from .distributions import (FiniteDistribution, _bit_select, _estimand, _law, _positive, _value,
+                            fields_dict)
+from .errors import ConfigError, EifkitError
 from .estimators import EstimatorConfig, estimate
 from .decomposition import _check_n_grid, _loglog_slope, truth_functions
 from .learners import (Dataset, LearnerSpec, _check_fields, _is_int, _is_list_of, _is_real,
-                       _predictor, logistic)
+                       _linear_core, _logistic_core, _predictor)
 
 __all__ = [
     "DGPSpec",
@@ -125,17 +126,13 @@ class DGPSpec:
         """True untreated-outcome regression, vectorized over rows."""
         if self.kind == "discrete-saturated":
             return truth_functions(self.table)[0](w)
-        # the intercept added into the linear predictor v: one length-n array, no temporary
-        return _predictor(lambda x: np.add(v := x @ np.array(self.beta[1:]), self.beta[0],
-                                           out=v))(w)
+        return _predictor(_linear_core(np.array(self.beta), False))(w)
 
     def g(self, w):
         """True untreated propensity Pr(A=0 | W=w), vectorized over rows."""
         if self.kind == "discrete-saturated":
             return truth_functions(self.table)[1](w)
-        # the logistic written into the linear predictor v, as in q
-        return _predictor(lambda x: logistic(np.add(v := x @ np.array(self.gamma[1:]),
-                                                    self.gamma[0], out=v), out=v))(w)
+        return _predictor(_logistic_core(np.array(self.gamma), False))(w)
 
     def psi(self) -> float:
         """True mean untreated outcome."""
@@ -160,10 +157,7 @@ class DGPSpec:
             )
         w, wt = _legendre_grid(QUADRATURE_NODES, self.d)
         weights = wt * row.h(self.g(w))
-        denom = float(weights.sum())
-        if denom <= 0.0:
-            raise NoTreatedRows("DGP assigns no mass to the treated arm")
-        return float((weights * self.q(w)).sum() / denom)
+        return float((weights * self.q(w)).sum() / _positive(float(weights.sum())))
 
 
 def default_logistic_linear() -> DGPSpec:

@@ -634,6 +634,15 @@ def test_simulate_rejects_bad_config_before_replicating(workspace, capsys, monke
     assert "Traceback" not in captured.err
 
 
+# the one wording of the side rule, which EstimatorConfig and the fits give too
+_WRONG_SIDE = {
+    "q": ("learner 'q' cannot be 'logistic-irls': the outcome regression takes one of "
+          "['linear-ols', 'knn', 'kernel-nw', 'misspecified-omit', 'oracle-rate']"),
+    "g": ("learner 'g' cannot be 'linear-ols': the propensity takes one of ['logistic-irls', "
+          "'knn', 'kernel-nw', 'misspecified-omit', 'misspecified-wronglink', 'oracle-rate']"),
+}
+
+
 @pytest.mark.parametrize("learners", [{"q": {"kind": "logistic-irls"}},
                                       {"g": {"kind": "linear-ols"}}])
 @pytest.mark.parametrize("command, doc", [
@@ -641,21 +650,91 @@ def test_simulate_rejects_bad_config_before_replicating(workspace, capsys, monke
     ("decompose", {"distribution": "dist.json", "sample": "sample.csv"}),
     ("remainder", {"distribution": "dist.json", "mode": "exact", "sample": "sample.csv"}),
     ("simulate", {"study": "coverage", "n": 50, "reps": 4}),
+    ("estimate", {"data": "no_such_sample.csv"}),
+    ("decompose", {"distribution": "no_such_law.json", "sample": "no_such_sample.csv"}),
+    ("remainder", {"distribution": "no_such_law.json", "mode": "exact",
+                   "sample": "no_such_sample.csv"}),
 ])
 def test_learner_kind_on_the_wrong_side_exits_two(workspace, capsys, monkeypatch,
                                                   command, doc, learners):
+    # one message after the prefix, before any file is read or replication runs
     _, config = workspace
 
     def no_replications(*args, **kwargs):
         raise AssertionError("replications ran for a learner on the wrong side")
 
     monkeypatch.setattr(montecarlo, "_run_tasks", no_replications)
+    (side,) = learners
     if command == "simulate":
-        doc = dict(doc, estimator={"learners": learners})
+        doc, where = dict(doc, estimator={"learners": learners}), "simulate config.estimator"
     else:
-        doc = dict(doc, learners=learners)
+        doc, where = dict(doc, learners=learners), f"{command} config"
     error = _only_error_document(capsys, main([command, "--config", config("cfg.json", doc)]), 2)
-    assert error["code"] == "config/invalid"
+    assert error == {"code": "config/invalid",
+                     "message": f"{where}.learners: {_WRONG_SIDE[side]}"}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"study": "coverage", "n": 50, "reps": 4, "dgp": [0.0, 0.8]},
+     "simulate config: 'dgp' must be an object"),
+    ({"study": "coverage", "n": 50, "reps": 4, "estimator": "onestep"},
+     "simulate config: 'estimator' must be an object"),
+    ({"study": "rate", "n_grid": [50, 100], "reps": 4, "estimator": {"learners": ["knn"]}},
+     "simulate config.estimator: 'learners' must be an object"),
+    ({"data": "sample.csv", "learners": "knn"}, "estimate config: 'learners' must be an object"),
+    ({"distribution": "dist.json", "sample": "sample.csv", "learners": None},
+     "decompose config: 'learners' must be an object"),
+    ({"distribution": "dist.json", "mode": "exact", "n": 10, "learners": 1},
+     "remainder config: 'learners' must be an object"),
+])
+def test_a_block_that_is_no_object_has_one_phrasing(workspace, capsys, monkeypatch, doc,
+                                                    message):
+    _, config = workspace
+
+    def no_replications(*args, **kwargs):
+        raise AssertionError("replications ran for a block that is no object")
+
+    monkeypatch.setattr(montecarlo, "_run_tasks", no_replications)
+    command = message.split(" config")[0]
+    error = _only_error_document(capsys, main([command, "--config", config("cfg.json", doc)]), 2)
+    assert error == {"code": "config/invalid", "message": message}
+
+
+def test_verify_eif_refuses_a_step_grid_beyond_the_mixture_range(workspace, capsys):
+    _, config = workspace
+    cfg = config("ver.json", {"distribution": "dist.json", "direction": "direction.json",
+                              "step_grid": [2.0, 1.0]})
+    error = _only_error_document(capsys, main(["verify-eif", "--config", cfg]), 2)
+    assert error == {"code": "config/invalid", "message": "verify-eif config: 'step_grid' "
+                                                          "must stay inside the mixture range (0, 1]"}
+
+
+def test_a_law_file_whose_atom_is_no_object_exits_one(workspace, capsys):
+    tmp_path, config = workspace
+    (tmp_path / "bad.json").write_text(json.dumps({"atoms": [1]}))
+    cfg = config("ver.json", {"distribution": "bad.json", "direction": "direction.json"})
+    error = _only_error_document(capsys, main(["verify-eif", "--config", cfg]), 1)
+    assert error == {"code": "distribution/invalid", "message": "atom 0 is not an object"}
+
+
+@pytest.mark.parametrize("dgp", [{"gamma": [800.0, 0.0, 0.0]},
+                                 {"kind": "discrete-saturated", "distribution": "untreated.json"}])
+def test_a_theta_study_on_a_dgp_without_treated_mass_exits_one(workspace, capsys, monkeypatch,
+                                                               dgp):
+    # both kinds of DGP refuse theta's truth with the exact layer's error, before replicating
+    tmp_path, config = workspace
+    (tmp_path / "untreated.json").write_text(json.dumps({"atoms": [
+        {"w": [0.0], "a": 0, "y": 1.0, "p": 0.5}, {"w": [1.0], "a": 0, "y": 2.0, "p": 0.5}]}))
+
+    def no_replications(*args, **kwargs):
+        raise AssertionError("replications ran without a truth")
+
+    monkeypatch.setattr(montecarlo, "_run_tasks", no_replications)
+    cfg = config("sim.json", {"study": "coverage", "n": 50, "reps": 4, "dgp": dgp,
+                              "estimator": {"estimand": "theta"}})
+    error = _only_error_document(capsys, main(["simulate", "--config", cfg]), 1)
+    assert error == {"code": "distribution/no-treated-mass",
+                     "message": "Pr(A=1) = 0; treated-conditional mean undefined"}
 
 
 @pytest.mark.parametrize("learners, field", [
@@ -798,9 +877,9 @@ def test_theta_remainder_of_a_sample_without_treated_rows_exits_one(workspace, c
         capsys, main(["remainder", "--config", config("r.json", dict(keys, mode="exact"))]), 1)
     decompose = _only_error_document(
         capsys, main(["decompose", "--config", config("d.json", keys)]), 1)
-    assert remainder == {"code": "estimator/no-treated-rows",
-                         "message": "treated-mean remainder needs a treated row for P_n(A)"}
-    assert decompose["code"] == "estimator/no-treated-rows"
+    assert remainder == decompose == {
+        "code": "estimator/no-treated-rows",
+        "message": "treated-mean estimand needs a treated row for P_n(A)"}
     # a config's own P_n(A) needs no treated row in the sample
     doc = run_cli(capsys, ["remainder", "--config",
                            config("p.json", dict(keys, mode="exact", pn_a=0.5))])[1]

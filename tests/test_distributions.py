@@ -607,8 +607,11 @@ def test_from_dict_rejects_malformed():
         distribution_from_dict({"atoms": [{"w": [0.0], "a": 0, "y": 1.0}]})
     with pytest.raises(InvalidDistribution):
         distribution_from_dict({})
-    # strings and bools are no numbers at the JSON boundary, and a is an integer
     good = {"w": [0.0], "a": 0, "y": 1.5, "p": 1.0}
+    for atoms, i in (([1], 0), ([good, ["w", "a", "y", "p"]], 1)):
+        with pytest.raises(InvalidDistribution, match=f"^atom {i} is not an object$"):
+            distribution_from_dict({"atoms": atoms})
+    # strings and bools are no numbers at the JSON boundary, and a is an integer
     assert distribution_from_dict({"atoms": [good]}).atoms[0][0].y == 1.5
     for key, value in [("y", "1.5"), ("p", "0.5"), ("p", "1"), ("w", ["0.0"]), ("w", [True]),
                        ("w", "05"), ("w", True), ("y", True), ("p", True), ("a", True),

@@ -29,8 +29,12 @@ from eifkit import (
 )
 from eifkit import estimators
 from eifkit.estimators import FoldPlan
-from eifkit.learners import FittedNuisance, fit_nuisance, logistic
-from eifkit.errors import ConfigError, EifkitError, EmptyEif, NoTreatedRows, ZeroMassConditioning
+from eifkit.decomposition import decompose_error, truth_functions
+from eifkit.distributions import FiniteDistribution
+from eifkit.learners import (FittedNuisance, fit_nuisance, fit_outcome, fit_propensity, fit_side,
+                             logistic)
+from eifkit.errors import (ConfigError, EifkitError, EmptyEif, InvalidLearnerSpec, NoTreatedRows,
+                           ZeroMassConditioning)
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -108,6 +112,45 @@ def test_theta_needs_treated_rows():
     data = _dataset([[0.0], [1.0]], [0, 0], [1.0, 2.0])
     with pytest.raises(NoTreatedRows):
         onestep_theta(data, _const_nuisance(1.0, 0.5))
+
+
+def test_every_theta_step_refuses_a_sample_without_treated_rows_with_one_message():
+    law = FiniteDistribution([(((w,), a, 1.0 + w), 0.25) for w in (0.0, 1.0) for a in (0, 1)])
+    data = _dataset([[0.0], [1.0], [1.0]], [0, 0, 0], [1.0, 2.0, 2.0])
+    exact = FittedNuisance(*truth_functions(law))
+    calls = (lambda: onestep_theta(data, exact),
+             lambda: estimate(data, EstimatorConfig(estimand="theta", estimator="plugin")),
+             lambda: decompose_error(law, exact, data, estimand="theta"))
+    for call in calls:
+        with pytest.raises(NoTreatedRows) as err:
+            call()
+        assert str(err.value) == "treated-mean estimand needs a treated row for P_n(A)"
+
+
+# each side's one wording of the side rule
+_WRONG_SIDE = {
+    "q": "the outcome regression takes one of ['linear-ols', 'knn', 'kernel-nw', "
+         "'misspecified-omit', 'oracle-rate']",
+    "g": "the propensity takes one of ['logistic-irls', 'knn', 'kernel-nw', "
+         "'misspecified-omit', 'misspecified-wronglink', 'oracle-rate']",
+}
+
+
+@pytest.mark.parametrize("side, kind", [("q", "logistic-irls"), ("q", "misspecified-wronglink"),
+                                        ("g", "linear-ols")])
+def test_a_kind_on_the_wrong_side_has_one_message(side, kind):
+    # EstimatorConfig raises ConfigError and the fits InvalidLearnerSpec, in the same words
+    data = _dataset([[0.0], [1.0], [2.0], [3.0]], [0, 1, 0, 1], [1.0, 2.0, 3.0, 4.0])
+    spec = LearnerSpec(kind)
+    message = f"learner {side!r} cannot be {kind!r}: {_WRONG_SIDE[side]}"
+    with pytest.raises(ConfigError) as err:
+        EstimatorConfig(**{f"spec_{side}": spec})
+    assert str(err.value) == message
+    fit = fit_outcome if side == "q" else fit_propensity
+    for call in (lambda: fit(data, spec), lambda: fit_side(side, data, spec)):
+        with pytest.raises(InvalidLearnerSpec) as err:
+            call()
+        assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from eifkit.learners import (
     _scale_rows,
     _softplus,
     fit_nuisance,
+    fit_side,
     logistic,
     perturbation_shape,
     truncate_propensity,
@@ -467,6 +468,36 @@ def test_perturbation_shapes():
     assert np.array_equal(perturbation_shape(2)(w), np.ones(3))
 
 
+@pytest.mark.parametrize("shape_id", [3, -1, 1.0, True])
+def test_a_perturbation_shape_outside_the_three_is_refused(shape_id):
+    with pytest.raises(InvalidLearnerSpec, match=f"^unknown perturbation shape {shape_id!r}$"):
+        perturbation_shape(shape_id)
+
+
+def test_oracle_rate_nuisance_refuses_a_spec_that_is_no_oracle():
+    oracle = LearnerSpec("oracle-rate", rate_exponent=0.25, amplitude=0.1)
+    truth = (lambda w: np.zeros(len(w)), lambda w: np.full(len(w), 0.5))
+    for spec_q, spec_g in ((LearnerSpec("knn"), oracle), (oracle, LearnerSpec("logistic-irls"))):
+        kind = spec_q.kind if spec_q is not oracle else spec_g.kind
+        with pytest.raises(InvalidLearnerSpec,
+                           match=f"^oracle-rate nuisances need oracle-rate learners, got '{kind}'$"):
+            oracle_rate_nuisance(*truth, 100, spec_q, spec_g)
+
+
+def test_an_oracle_spec_without_the_truth_has_one_message():
+    # fit_outcome and fit_propensity refuse it as fit_side does, though oracle-rate fits both sides
+    rng = np.random.default_rng(8)
+    data = _dataset(rng.uniform(-1, 1, (30, 1)), np.arange(30) % 2, rng.standard_normal(30))
+    oracle = LearnerSpec("oracle-rate", rate_exponent=0.25, amplitude=0.1)
+    calls = (lambda: fit_outcome(data, oracle), lambda: fit_propensity(data, oracle),
+             lambda: fit_side("q", data, oracle), lambda: fit_side("g", data, oracle),
+             lambda: fit_nuisance(data, LearnerSpec("linear-ols"), oracle))
+    for call in calls:
+        with pytest.raises(InvalidLearnerSpec,
+                           match=r"^oracle-rate learners need the \(q, g\) truth callables$"):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # specs, defaults, determinism
 
@@ -649,6 +680,19 @@ def test_dataset_validation():
     data = _dataset([[0.0], [1.0]], [0, 1], [1.0, 2.0])
     with pytest.raises(ValueError):
         data.w[0, 0] = 5.0  # arrays are read-only
+
+
+def test_dataset_takes_a_1d_covariate_vector_as_one_column():
+    data = Dataset(w=[0.5, -1.0, 2.0], a=[0, 1, 0], y=[1.0, 2.0, 3.0])
+    assert data.w.shape == (3, 1) and data.d == 1
+    assert data.w[:, 0].tolist() == [0.5, -1.0, 2.0]
+
+
+@pytest.mark.parametrize("w", [np.zeros((3, 0)), np.zeros((0, 2)), np.zeros((3, 1, 1))])
+def test_dataset_refuses_a_covariate_matrix_without_rows_or_columns(w):
+    with pytest.raises(ValueError) as err:
+        Dataset(w=w, a=np.zeros(len(w), dtype=np.int64), y=np.zeros(len(w)))
+    assert str(err.value) == f"covariate matrix must be (n, d) with n, d >= 1, got shape {w.shape}"
 
 
 @pytest.mark.parametrize("bad", [0.5, 1.7, -1, 2, math.nan, "0"])

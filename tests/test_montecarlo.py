@@ -39,7 +39,7 @@ from eifkit import (
     truth_functions,
 )
 from eifkit.decomposition import _check_n_grid
-from eifkit.errors import ConfigError, IrlsDivergence
+from eifkit.errors import ConfigError, IrlsDivergence, NoTreatedMass
 from eifkit.montecarlo import ReplicationResult, ks_distance, standardized_moments
 
 from conftest import assert_close
@@ -133,6 +133,37 @@ def test_discrete_saturated_dgp_truths(five_atom):
     assert dgp.d == 1
     assert dgp.q(np.array([[0.0], [1.0]])) == pytest.approx([2.0, 5.0])
     assert dgp.g(np.array([[1.0]])) == pytest.approx([0.6])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_dgp_truths_are_the_learners_linear_and_logistic_cores_bit_for_bit(d):
+    # q and g call the fitted predictors' cores, which equal the plain forms
+    # beta0 + w @ beta and logistic(gamma0 + w @ gamma) bit for bit
+    rng = np.random.default_rng(d)
+    gamma, beta = rng.normal(size=d + 1), 3.0 * rng.normal(size=d + 1)
+    dgp = DGPSpec(gamma=tuple(gamma.tolist()), beta=tuple(beta.tolist()))
+    for n in (1, 2, 31, 1000, 4097):
+        w = rng.uniform(-1.0, 1.0, (n, d))
+        q, g = dgp.q(w), dgp.g(w)
+        for got, want in ((q, learners._linear_core(beta, False)(w)),
+                          (q, w @ beta[1:] + beta[0]),
+                          (g, learners._logistic_core(gamma, False)(w)),
+                          (g, learners.logistic(w @ gamma[1:] + gamma[0]))):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        # one row is a one-row call: numpy may take another BLAS kernel for it
+        assert dgp.q(w[0]) == learners._linear_core(beta, False)(w[:1])[0]
+        assert dgp.g(w[0]) == learners._logistic_core(gamma, False)(w[:1])[0]
+
+
+def test_theta_truth_without_treated_mass_is_one_error_for_both_dgp_kinds():
+    # logistic(800) is 1.0: no treated mass anywhere, as in a table without treated atoms
+    untreated = FiniteDistribution([(((0.0,), 0, 1.0), 0.5), (((1.0,), 0, 2.0), 0.5)])
+    for dgp in (DGPSpec(gamma=(800.0, 0.0, 0.0)),
+                DGPSpec(kind="discrete-saturated", table=untreated)):
+        with pytest.raises(NoTreatedMass) as err:
+            dgp.truth("theta")
+        assert str(err.value) == "Pr(A=1) = 0; treated-conditional mean undefined"
+    assert DGPSpec(gamma=(800.0, 0.0, 0.0)).truth("psi") == 1.0
 
 
 def test_dgp_validation():

@@ -127,6 +127,42 @@ def test_no_module_branches_on_an_estimand_name():
                                         '    pass\nmatch e:\n    case "theta": pass')) == [1, 1, 4]
 
 
+def _callers(name: str) -> list:
+    """(module, innermost enclosing function) of each call of ``name`` in the package."""
+    found = []
+
+    def visit(node, module, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == name:
+                found.append((module, owner))
+            visit(child, module, child.name if isinstance(child, ast.FunctionDef) else owner)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.name, None)
+    return sorted(found)
+
+
+def test_each_refusal_rule_has_one_owner():
+    # theta's treated row for P_n(A), and a law's treated mass, each raised in one place
+    assert _callers("NoTreatedRows") == [("distributions.py", "share")]
+    assert _callers("NoTreatedMass") == [("distributions.py", "_positive")]
+    # the side a learner kind fits: one check, called by the config and by the fits
+    assert _callers("_check_side") == [("estimators.py", "__post_init__"),
+                                       ("learners.py", "_fittable")]
+    assert {owner for _, owner in _callers("_fittable")} == {"fit_outcome", "fit_propensity"}
+    # covariate vectors find their strata rows through one helper; _match's
+    # other callers look up atoms, or a stratum whose absence is no error
+    assert {owner for _, owner in _callers("_strata_rows")} == {
+        "decompose_error", "eif_integral", "_table_lookup", "_at", "_untreated_everywhere"}
+    assert {owner for _, owner in _callers("_match")} == {"_strata_rows", "w_mass", "mass_of",
+                                                          "_path"}
+    # the DGP's truths are the learners' linear and logistic cores
+    assert ("montecarlo.py", "q") in _callers("_linear_core")
+    assert ("montecarlo.py", "g") in _callers("_logistic_core")
+    assert _callers("logistic") == [("learners.py", "_irls_beta"), ("learners.py", "_irls_beta"),
+                                    ("learners.py", "_logistic_core")]
+
+
 def test_a_support_table_is_read_only_arrays_and_one_float():
     law = eifkit.FiniteDistribution([((0.0, 0, 1.0), 0.5), ((-0.0, 1, 2.0), 0.25),
                                      ((1.0, 0, 0.0), 0.25)])
