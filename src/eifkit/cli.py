@@ -226,36 +226,33 @@ def ingest_csv(path) -> Dataset:
     a = np.empty(n, dtype=np.int64)
     y = np.empty(n)
     width = len(header)
+    w_cols = [(w_index[j], f"w{j}") for j in range(1, d + 1)]
+    # a row's label, "<path>: row <r>", is formatted only for a refusal
     for r, row in enumerate(body):
-        label = f"{path}: row {r + 1}"
-        if len(row) > width:
-            raise UnexpectedColumn(f"{label}: {len(row)} fields, expected {width}")
-        if len(row) < width:
-            raise MissingColumn(f"{label}: {len(row)} fields, expected {width}")
-        a[r] = _parse_treatment(row[a_col], label)
-        y[r] = _parse_number(row[y_col], "y", label)
-        for j in range(1, d + 1):
-            w[r, j - 1] = _parse_number(row[w_index[j]], f"w{j}", label)
+        if len(row) != width:
+            error = UnexpectedColumn if len(row) > width else MissingColumn
+            raise error(f"{path}: row {r + 1}: {len(row)} fields, expected {width}")
+        treated = _parse_number(row[a_col], "a", path, r)
+        if treated not in (0.0, 1.0):
+            raise NonBinaryTreatment(
+                f"{path}: row {r + 1}: treatment must be 0 or 1, got {row[a_col]!r}")
+        a[r] = treated
+        y[r] = _parse_number(row[y_col], "y", path, r)
+        for j, (col, name) in enumerate(w_cols):
+            w[r, j] = _parse_number(row[col], name, path, r)
     return Dataset(w=w, a=a, y=y)
 
 
-def _parse_number(text: str, column: str, label: str) -> float:
+def _parse_number(text: str, column: str, path, r: int) -> float:
+    """The finite number in cell ``text`` of data row ``r`` (0-based) of ``path``."""
     try:
         value = float(text.strip())
     except ValueError:
-        raise UnparseableNumber(
-            f"{label}, column {column!r}: cannot parse {text!r}"
-        ) from None
-    if not math.isfinite(value):
-        raise UnparseableNumber(f"{label}, column {column!r}: non-finite value {text!r}")
+        value = None
+    if value is None or not math.isfinite(value):
+        problem = "cannot parse" if value is None else "non-finite value"
+        raise UnparseableNumber(f"{path}: row {r + 1}, column {column!r}: {problem} {text!r}")
     return value
-
-
-def _parse_treatment(text: str, label: str) -> int:
-    value = _parse_number(text, "a", label)
-    if value not in (0.0, 1.0):
-        raise NonBinaryTreatment(f"{label}: treatment must be 0 or 1, got {text!r}")
-    return int(value)
 
 
 # ---------------------------------------------------------------------------

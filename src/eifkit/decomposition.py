@@ -52,7 +52,6 @@ import numpy as np
 from .distributions import (
     FiniteDistribution,
     SupportTable,
-    _Q_UNDEFINED,
     _estimand,
     _fsum,
     _influence,
@@ -150,7 +149,7 @@ class RateSweepReport:
 def _untreated_everywhere(dist: FiniteDistribution) -> SupportTable:
     """The law's support table; ZeroMassConditioning if a stratum has no untreated mass."""
     table = dist.support_table
-    _strata_rows(table, table.w, _Q_UNDEFINED, table.q)  # q is NaN where Pr(W=w, A=0) = 0
+    _strata_rows(table, table.w, table.q)  # q is NaN where Pr(W=w, A=0) = 0
     return table
 
 
@@ -232,8 +231,7 @@ def decompose_error(
     """
     row = _estimand(estimand)
     table, qh, gh = _on_support(dist, nuis)
-    row_idx = _strata_rows(table, sample.w,
-                           "sample covariate value {} outside the support of the truth")
+    row_idx = _strata_rows(table, sample.w)
     # D of the true influence function and its sample estimate in the estimated one
     p_hat = row.share(sample.a)
     truth, p_true = _value(estimand, dist), row.denominator(table)
@@ -317,11 +315,6 @@ def truth_functions(dist: FiniteDistribution):
     q is defined on the strata with untreated mass, g on the whole
     covariate support; a row outside raises ZeroMassConditioning.
     """
-    table = dist.support_table
-    return (_table_lookup(table, table.q, "conditional mean"),
-            _table_lookup(table, table.g, "untreated propensity"))
-
-
-def _table_lookup(table: SupportTable, column: np.ndarray, what: str):
-    # ``column`` is NaN where it is undefined (q without untreated mass)
-    return _predictor(lambda w: _strata_rows(table, w, f"{what} undefined at {{}}", column))
+    t = dist.support_table
+    return (_predictor(lambda w: _strata_rows(t, w, t.q)),
+            _predictor(lambda w: _strata_rows(t, w, t.g)))

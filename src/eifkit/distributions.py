@@ -24,7 +24,8 @@ a time; ``_law`` keeps the mass range and duplicate checks, and
 ``_tabulate`` the total.  ``_match`` answers every exact lookup of a
 covariate vector or an atom in a table, so one routine decides when two
 keys are equal (-0.0 equals 0.0); ``_strata_rows`` is every lookup of
-covariate strata that refuses an absent vector, each with its message.
+covariate strata that refuses, and words both refusals: a vector outside
+the support, and q on a stratum without untreated mass.
 Stratum sums add their atoms' terms in atom order, as a running sum does.
 ``FiniteDistribution.atoms``, the (Observation, mass) pairs, is built
 unchecked on first use.  The exact routines pass array terms to ``_fsum``,
@@ -106,8 +107,6 @@ __all__ = [
 ]
 
 MASS_TOLERANCE = 1e-12
-# q's one message where it is undefined, formatted with the covariate vector
-_Q_UNDEFINED = "Pr(W={}, A=0) = 0; E(Y | W=w, A=0) undefined"
 DEFAULT_STEP_GRID = (1e-3, 5e-4)
 
 
@@ -255,17 +254,20 @@ def _match(ref, query) -> np.ndarray:
     return rows
 
 
-def _strata_rows(table: SupportTable, w: np.ndarray, message: str, column=None) -> np.ndarray:
+def _strata_rows(table: SupportTable, w: np.ndarray, column=None) -> np.ndarray:
     """The stratum row of ``table`` holding each covariate row of ``w`` (no search
     when ``w`` is the table's own strata), or, given ``column``, its value there.
-    ZeroMassConditioning(message.format(row)) names the first row of ``w`` outside
-    the support, or where ``column`` is NaN (undefined)."""
+    ZeroMassConditioning names the first row of ``w`` outside the support (a
+    vector of another dimension too), or where ``column`` is NaN: only q is,
+    on a stratum without untreated mass."""
     whole = w.shape == table.w.shape and np.array_equal(w, table.w)
     rows = np.arange(len(w)) if whole else _match((table.w,), (w,))
     out = rows if column is None else column[rows]
     bad = np.flatnonzero((rows < 0) | np.isnan(out))
     if bad.size:
-        raise ZeroMassConditioning(message.format(tuple(w[bad[0]].tolist())))
+        i, at = bad[0], tuple(w[bad[0]].tolist())
+        raise ZeroMassConditioning(f"covariate value {at} outside the support" if rows[i] < 0
+                                   else f"Pr(W={at}, A=0) = 0; E(Y | W=w, A=0) undefined")
     return out
 
 
@@ -392,24 +394,16 @@ class FiniteDistribution:
 
 
 def q_of(dist: FiniteDistribution, w) -> float:
-    """Untreated-outcome regression E(Y | W = w, A = 0).
-
-    Raises
-    ------
-    ZeroMassConditioning
-        If Pr(W = w, A = 0) = 0, i.e. the conditioning event has no mass.
-    """
-    return _at(dist, w, dist.support_table.q, _Q_UNDEFINED)
+    """Untreated-outcome regression E(Y | W = w, A = 0); ZeroMassConditioning if
+    Pr(W = w, A = 0) = 0, i.e. the conditioning event has no mass."""
+    t = dist.support_table
+    return _strata_rows(t, _columns([w], row="")[0], t.q).item()
 
 
 def g_of(dist: FiniteDistribution, w) -> float:
-    """Untreated propensity Pr(A = 0 | W = w)."""
-    return _at(dist, w, dist.support_table.g, "Pr(W={}) = 0; Pr(A=0 | W=w) undefined")
-
-
-def _at(dist: FiniteDistribution, w, column: np.ndarray, message: str) -> float:
-    """``column`` at the stratum of the covariate vector ``w``, checked by the atom rule."""
-    return _strata_rows(dist.support_table, _columns([w], row="")[0], message, column).item()
+    """Untreated propensity Pr(A = 0 | W = w); ZeroMassConditioning if Pr(W = w) = 0."""
+    t = dist.support_table
+    return _strata_rows(t, _columns([w], row="")[0], t.g).item()
 
 
 # ---------------------------------------------------------------------------
@@ -695,7 +689,7 @@ def eif_integral(functional: str, dist: FiniteDistribution, weights: FiniteDistr
     """
     value = _value(functional, dist)
     table, atoms = dist.support_table, weights.support_table
-    rows = _strata_rows(table, atoms.w, "covariate value {} outside the support")
+    rows = _strata_rows(table, atoms.w)
     return _mean_phi(functional, atoms, table.q[rows], table.g[rows], value,
                      _estimand(functional).denominator(table))
 

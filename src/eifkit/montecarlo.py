@@ -123,13 +123,15 @@ class DGPSpec:
     # -- truth functions ---------------------------------------------------
 
     def q(self, w):
-        """True untreated-outcome regression, vectorized over rows."""
+        """True untreated-outcome regression, vectorized over rows; on logistic-linear a
+        one-row call and the same row of a batch can differ in the last bits (learners)."""
         if self.kind == "discrete-saturated":
             return truth_functions(self.table)[0](w)
         return _predictor(_linear_core(np.array(self.beta), False))(w)
 
     def g(self, w):
-        """True untreated propensity Pr(A=0 | W=w), vectorized over rows."""
+        """True untreated propensity Pr(A=0 | W=w), vectorized over rows; on logistic-linear
+        a one-row call and the same row of a batch can differ in the last bits."""
         if self.kind == "discrete-saturated":
             return truth_functions(self.table)[1](w)
         return _predictor(_logistic_core(np.array(self.gamma), False))(w)

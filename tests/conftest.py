@@ -98,6 +98,8 @@ class RefLaw:
 
     def q(self, w):
         key = tuple(map(float, w))
+        if key not in self.w_mass:
+            raise ZeroMassConditioning(f"covariate value {key} outside the support")
         denom = self.w0_mass.get(key, 0.0)
         if denom == 0.0:
             raise ZeroMassConditioning(f"Pr(W={key}, A=0) = 0; E(Y | W=w, A=0) undefined")
@@ -105,10 +107,9 @@ class RefLaw:
 
     def g(self, w):
         key = tuple(map(float, w))
-        denom = self.w_mass.get(key, 0.0)
-        if denom == 0.0:
-            raise ZeroMassConditioning(f"Pr(W={key}) = 0; Pr(A=0 | W=w) undefined")
-        return self.w0_mass.get(key, 0.0) / denom
+        if key not in self.w_mass:
+            raise ZeroMassConditioning(f"covariate value {key} outside the support")
+        return self.w0_mass.get(key, 0.0) / self.w_mass[key]
 
     def psi(self):
         terms = []

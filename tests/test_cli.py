@@ -131,6 +131,27 @@ def test_ingest_failures(tmp_path, text, exc, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "body, exc, message",
+    [
+        ("0.0,0.0,0,1.0\n1.0,2.0,1,1.0\n1.0,oops,0,1.0\n", UnparseableNumber,
+         "row 3, column 'w2': cannot parse 'oops'"),
+        ("0.0,0.0,0,1.0\n1.0,2.0,1,1.0\n1.0,-inf,0,1.0\n", UnparseableNumber,
+         "row 3, column 'w2': non-finite value '-inf'"),
+        ("0.0,0.0,0,1.0\n1.0,2.0,2,1.0\n", NonBinaryTreatment,
+         "row 2: treatment must be 0 or 1, got '2'"),
+        ("0.0,0.0,0,1.0\n1.0,2.0,1\n", MissingColumn, "row 2: 3 fields, expected 4"),
+        ("0.0,0.0,0,1.0\n0.0,0.0,0,1.0\n1.0,2.0,1,1.0,5\n", UnexpectedColumn,
+         "row 3: 5 fields, expected 4"),
+    ],
+)
+def test_ingest_refusal_names_path_row_and_column(tmp_path, body, exc, message):
+    path = _csv(tmp_path, "w1,w2,a,y\n" + body)
+    with pytest.raises(exc) as err:
+        ingest_csv(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
 def test_ingest_missing_file(tmp_path):
     from eifkit.errors import ConfigError
 

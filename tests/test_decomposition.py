@@ -16,7 +16,10 @@ from eifkit import (
     quadrature_distribution,
     default_logistic_linear,
     draw_dataset,
+    eif_integral,
+    g_of,
     pathwise_derivative_check,
+    q_of,
     remainder_exact_psi,
     remainder_exact_theta,
     remainder_rate_sweep,
@@ -585,8 +588,32 @@ def test_treated_only_stratum_raises_as_before():
     tq, tg = truth_functions(dist)
     assert tg(np.array([[0.0], [1.0]])).tolist() == [0.5, 0.0]
     assert tq(np.array([[0.0]])).tolist() == [1.0]
-    assert _outcome(tq, np.array([[1.0]])) == (
-        ZeroMassConditioning, "conditional mean undefined at (1.0,)")
+    assert _outcome(tq, np.array([[1.0]])) == (kind, message)
+
+
+def test_every_strata_lookup_gives_one_text_per_refusal(four_atom):
+    # an absent w: one text from each entry point that looks a covariate vector up
+    absent = "covariate value (9.0,) outside the support"
+    tq, tg = truth_functions(four_atom)
+    nine = np.array([[9.0]])
+    wider = FiniteDistribution([(((0.0,), 0, 0.0), 0.5), (((9.0,), 0, 1.0), 0.5)])
+    sample = Dataset(w=nine, a=np.array([0]), y=np.array([1.0]))
+    for outcome in (_outcome(q_of, four_atom, (9.0,)), _outcome(g_of, four_atom, (9.0,)),
+                    _outcome(tq, nine), _outcome(tg, nine),
+                    _outcome(eif_integral, "psi", four_atom, wider),
+                    _outcome(decompose_error, four_atom, _exact_nuisance(four_atom), sample),
+                    _outcome(remainder_exact_psi, wider, _exact_nuisance(four_atom))):
+        assert outcome == (ZeroMassConditioning, absent)
+    # a treated-only stratum: q's one text wherever q is read there; g is 0
+    dist = FiniteDistribution([(((0.0,), 0, 1.0), 0.5), (((1.0,), 1, 3.0), 0.5)])
+    undefined = (ZeroMassConditioning, "Pr(W=(1.0,), A=0) = 0; E(Y | W=w, A=0) undefined")
+    tq, tg = truth_functions(dist)
+    sample = Dataset(w=np.array([[0.0], [1.0]]), a=np.array([0, 1]), y=np.array([1.0, 3.0]))
+    nuis = FittedNuisance(lambda w: np.zeros(len(w)), lambda w: np.full(len(w), 0.5))
+    assert _outcome(q_of, dist, (1.0,)) == _outcome(tq, np.array([[1.0]])) == undefined
+    assert _outcome(decompose_error, dist, nuis, sample) == undefined
+    assert _outcome(remainder_exact_psi, dist, nuis) == undefined
+    assert (g_of(dist, (1.0,)), tg(np.array([[1.0]])).tolist()) == (0.0, [0.0])
 
 
 @pytest.mark.parametrize("seed", [3, 11])

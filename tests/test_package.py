@@ -150,10 +150,14 @@ def test_each_refusal_rule_has_one_owner():
     assert _callers("_check_side") == [("estimators.py", "__post_init__"),
                                        ("learners.py", "_fittable")]
     assert {owner for _, owner in _callers("_fittable")} == {"fit_outcome", "fit_propensity"}
-    # covariate vectors find their strata rows through one helper; _match's
-    # other callers look up atoms, or a stratum whose absence is no error
+    # covariate vectors find their strata rows through one helper, which owns both
+    # lookup refusals; _match's other callers look up atoms, or a stratum whose
+    # absence is no error
+    assert _callers("ZeroMassConditioning") == [("distributions.py", "_strata_rows"),
+                                                ("estimators.py", "_baseline_point")]
     assert {owner for _, owner in _callers("_strata_rows")} == {
-        "decompose_error", "eif_integral", "_table_lookup", "_at", "_untreated_everywhere"}
+        "decompose_error", "eif_integral", "q_of", "g_of", "truth_functions",
+        "_untreated_everywhere"}
     assert {owner for _, owner in _callers("_match")} == {"_strata_rows", "w_mass", "mass_of",
                                                           "_path"}
     # the DGP's truths are the learners' linear and logistic cores
