@@ -96,14 +96,11 @@ box padded to the block's widest with a column of +inf, with the same
 squared differences, so each distance is bit-identical to the all-rows
 pass; a block's boxes add d + 1 floats per pair at most.  A block ranks
 each row by integer keys, a distance's bits with the column in the low
-ones: by one full sort of a row in a block at most KNN_FULL_SORT_WIDTH
-columns wide, else by a partition and a sort of the k + 1 least (about
-15% less time per block than selecting the float distances and
-argsorting the k chosen, at box widths of 130 to 2500 on a 2-core Xeon;
-there the full sort took 0.5-0.9 of the partition's time at 64 to 256
-columns, 1.5-1.9 times it at 320 to 512).  A block where two of a row's
-k + 1 least keys share their high bits ranks by a stable argsort of its
-distances, so ties keep the stated order.  A query takes
+ones, in one partition and a sort of the k + 1 least (about 15% less
+time per block than selecting the float distances and argsorting the k
+chosen, at box widths of 130 to 2500 on a 2-core Xeon); a block where two
+of a row's k + 1 least keys share their high bits ranks by a stable
+argsort of its distances, so ties keep the stated order.  A query takes
 its answer from a box only when its k-th distance is strictly below
 fl(gap**2), gap being the distance to the nearest fitting row outside the
 box, from the rows' actual coordinate extremes per slab; rounding is
@@ -169,8 +166,6 @@ NW_MIN_DENOMINATOR = 2.0 ** -900
 # kNN cell index: at least this many cells per axis (a query's box then
 # holds at most (3/4)**d of the rows)
 KNN_MIN_AXIS_CELLS = 4
-# the widest kNN block whose rows one full sort ranks faster than a partition
-KNN_FULL_SORT_WIDTH = 256
 
 # each kind: the sides it fits (q the outcome regression, g the propensity)
 # and the LearnerSpec fields it reads, truncation for every kind fitting g
@@ -527,11 +522,10 @@ def _knn_block(q: np.ndarray, t_cols: np.ndarray, targets: np.ndarray, k: int, b
     the lower columns, and the mean sums the k targets in that order.
     A distance is never negative, so its bits read as an int64 order as it
     does; a column's key is those bits with the low ones replaced by the
-    column, and a row's k + 1 least keys, sorted (by a full sort at most
-    KNN_FULL_SORT_WIDTH columns wide, else a partition first), rank it.
-    That is the (distance, column) order unless two of the k + 1 share
-    their high bits (a tie, or distances a few ulps apart); a block where
-    two do ranks by a stable argsort of its distances instead.
+    column, and one integer partition and a sort of the k + 1 least keys
+    rank a row.  That is the (distance, column) order unless two of the
+    k + 1 share their high bits (a tie, or distances a few ulps apart); a
+    block where two do ranks by a stable argsort of its distances instead.
     ``bufs`` is a (2, rows * width or more) float array reused across
     blocks: fresh 256 KB temporaries per block cost about 8% at 800
     fitting rows.
@@ -548,12 +542,9 @@ def _knn_block(q: np.ndarray, t_cols: np.ndarray, targets: np.ndarray, k: int, b
     bits = max(1, (width - 1).bit_length())  # for the widest column
     keys = np.bitwise_and(d2.view(np.int64), -1 << bits, out=spare.view(np.int64))
     keys |= np.arange(width)
-    if width <= KNN_FULL_SORT_WIDTH or k >= width:
-        keys.sort(axis=1)
-        high = keys[:, :k + 1]
-    else:
+    if k < width:
         keys.partition(k, axis=1)
-        high = np.sort(keys[:, :k + 1], axis=1)
+    high = np.sort(keys[:, :k + 1], axis=1)
     cols = high[:, :k] & ((1 << bits) - 1)
     high >>= bits
     if (high[:, 1:] == high[:, :-1]).any():

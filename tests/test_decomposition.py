@@ -589,10 +589,12 @@ def test_treated_only_stratum_raises_as_before():
     assert tg(np.array([[0.0], [1.0]])).tolist() == [0.5, 0.0]
     assert tq(np.array([[0.0]])).tolist() == [1.0]
     assert _outcome(tq, np.array([[1.0]])) == (kind, message)
+    assert _outcome(q_of, dist, (1.0,)) == (kind, message)
+    assert g_of(dist, (1.0,)) == 0.0
 
 
-def test_every_strata_lookup_gives_one_text_per_refusal(four_atom):
-    # an absent w: one text from each entry point that looks a covariate vector up
+def test_every_strata_lookup_gives_one_text_for_an_absent_w(four_atom):
+    # one text from each entry point that looks a covariate vector up
     absent = "covariate value (9.0,) outside the support"
     tq, tg = truth_functions(four_atom)
     nine = np.array([[9.0]])
@@ -604,16 +606,6 @@ def test_every_strata_lookup_gives_one_text_per_refusal(four_atom):
                     _outcome(decompose_error, four_atom, _exact_nuisance(four_atom), sample),
                     _outcome(remainder_exact_psi, wider, _exact_nuisance(four_atom))):
         assert outcome == (ZeroMassConditioning, absent)
-    # a treated-only stratum: q's one text wherever q is read there; g is 0
-    dist = FiniteDistribution([(((0.0,), 0, 1.0), 0.5), (((1.0,), 1, 3.0), 0.5)])
-    undefined = (ZeroMassConditioning, "Pr(W=(1.0,), A=0) = 0; E(Y | W=w, A=0) undefined")
-    tq, tg = truth_functions(dist)
-    sample = Dataset(w=np.array([[0.0], [1.0]]), a=np.array([0, 1]), y=np.array([1.0, 3.0]))
-    nuis = FittedNuisance(lambda w: np.zeros(len(w)), lambda w: np.full(len(w), 0.5))
-    assert _outcome(q_of, dist, (1.0,)) == _outcome(tq, np.array([[1.0]])) == undefined
-    assert _outcome(decompose_error, dist, nuis, sample) == undefined
-    assert _outcome(remainder_exact_psi, dist, nuis) == undefined
-    assert (g_of(dist, (1.0,)), tg(np.array([[1.0]])).tolist()) == (0.0, [0.0])
 
 
 @pytest.mark.parametrize("seed", [3, 11])
