@@ -65,6 +65,7 @@ from .decomposition import (
 from .distributions import (
     _ESTIMANDS,
     _estimand,
+    _reading,
     eif_integral,
     load_distribution,
     pathwise_derivative_check,
@@ -85,7 +86,7 @@ from .estimators import EstimatorConfig, estimate
 from .learners import (
     Dataset,
     LearnerSpec,
-    _is_int,
+    _int_at_least,
     fit_nuisance,
     oracle_rate_nuisance,
 )
@@ -178,13 +179,8 @@ def _write_csv(path, header, rows) -> None:
 
 def ingest_csv(path) -> Dataset:
     """Load a (W, A, Y) sample from a CSV file, validating the schema."""
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            raw = [row for row in csv.reader(fh) if row]
-    except OSError as err:
-        raise ConfigError(f"cannot read data file {path}: {err}") from None
-    except UnicodeDecodeError as err:
-        raise ConfigError(f"{path}: data file is not UTF-8 ({err})") from None
+    with _reading(path, "data file", newline="") as fh:
+        raw = [row for row in csv.reader(fh) if row]
     if not raw:
         raise EmptyDataset(f"{path}: file has no header row")
     header = [c.strip() for c in raw[0]]
@@ -240,7 +236,7 @@ def ingest_csv(path) -> Dataset:
         y[r] = _parse_number(row[y_col], "y", path, r)
         for j, (col, name) in enumerate(w_cols):
             w[r, j] = _parse_number(row[col], name, path, r)
-    return Dataset(w=w, a=a, y=y)
+    return Dataset._owning(w, a, y)  # every cell is checked above
 
 
 def _parse_number(text: str, column: str, path, r: int) -> float:
@@ -263,13 +259,10 @@ def _load_config(path) -> dict:
     def refuse(token):  # json.load would read NaN, Infinity and -Infinity as floats
         raise ConfigError(f"{path}: {token} is not a finite number")
 
+    with _reading(path, "config") as fh:
+        text = fh.read()
     try:
-        with open(path, encoding="utf-8-sig") as fh:
-            doc = json.load(fh, parse_constant=refuse)
-    except OSError as err:
-        raise ConfigError(f"cannot read config {path}: {err}") from None
-    except UnicodeDecodeError as err:
-        raise ConfigError(f"{path}: config is not UTF-8 ({err})") from None
+        doc = json.loads(text, parse_constant=refuse)
     except ConfigError:
         raise
     except ValueError as err:  # bad JSON, or an int literal past Python's digit limit
@@ -337,9 +330,8 @@ def _flag_or_field(args, cfg: dict, key: str, default: int, where: str, minimum=
     value = cfg.get(key, default)
     if getattr(args, key) is not None:
         value, where = getattr(args, key), f"--{key}"
-    if not (_is_int(value) and value >= minimum):
-        raise ConfigError(f"{where}: {key!r} must be an integer >= {minimum}, got {value!r}")
-    return value
+    with _refused(where):
+        return _int_at_least(value, minimum, key)
 
 
 def _bool_field(cfg, key, default, where):

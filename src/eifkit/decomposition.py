@@ -53,6 +53,7 @@ from .distributions import (
     FiniteDistribution,
     SupportTable,
     _estimand,
+    _fitted_propensity,
     _fsum,
     _influence,
     _mean_phi,
@@ -60,7 +61,7 @@ from .distributions import (
     _value,
     fields_dict,
 )
-from .errors import ConfigError, PositivityViolation
+from .errors import ConfigError
 from .learners import (
     Dataset,
     FittedNuisance,
@@ -157,10 +158,7 @@ def _on_support(dist: FiniteDistribution, nuis: FittedNuisance):
     """The law's support table, with the nuisances predicted on its strata."""
     table = _untreated_everywhere(dist)
     qh = np.asarray(nuis.predict_q(table.w), dtype=float)
-    gh = np.asarray(nuis.predict_g(table.w), dtype=float)
-    if (gh <= 0.0).any() or (gh > 1.0).any():
-        raise PositivityViolation("fitted propensity must take values in (0, 1]")
-    return table, qh, gh
+    return table, qh, _fitted_propensity(np.asarray(nuis.predict_g(table.w), dtype=float))
 
 
 def _plugin(estimand: str, table: SupportTable, qh) -> float:

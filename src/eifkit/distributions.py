@@ -13,12 +13,13 @@ A law is its ``SupportTable``: the atoms sorted by (w, a, y), with their
 covariates, a, y, p and stratum, and per covariate stratum Pr(W=w),
 Pr(W=w, A=0), Pr(W=w, A=1), q and g.  ``_law`` checks and sorts atoms and
 ``_tabulate`` builds the table from sorted, distinct ones and the marks of
-where their w changes; the quadrature tables and the empirical law hand
-``_law`` arrays.  A mixture path (``_path``, behind ``mix`` and the
-derivative check) aligns its direction once and tabulates each point on the
-base's sorted atoms, a stratum starting where the base's does.  Values from
-outside (the constructor, ``distribution_from_dict``, ``Observation``,
-``mass_of`` and the scalar lookups) first pass one validator, ``_columns``,
+where their w changes; the quadrature tables hand ``_law`` arrays, and the
+empirical law hands ``_tabulate`` the distinct rows of its one sort.  A
+mixture path (``_path``, behind ``mix`` and the derivative check) aligns
+its direction once and tabulates each point on the base's sorted atoms, a
+stratum starting where the base's does.  Values from outside (the
+constructor, ``distribution_from_dict``, ``Observation``, ``mass_of`` and
+the scalar lookups) first pass one validator, ``_columns``,
 which owns the rule for each atom field (w, a, y, p) and checks a column at
 a time; ``_law`` keeps the mass range and duplicate checks, and
 ``_tabulate`` the total.  ``_match`` answers every exact lookup of a
@@ -26,6 +27,10 @@ covariate vector or an atom in a table, so one routine decides when two
 keys are equal (-0.0 equals 0.0); ``_strata_rows`` is every lookup of
 covariate strata that refuses, and words both refusals: a vector outside
 the support, and q on a stratum without untreated mass.
+``_fitted_propensity`` is the one rule for a fitted propensity that the
+influence function divides by, and ``_reading`` the one reader of the
+package's files (laws, configs, CSV samples), which words both read
+refusals.
 Stratum sums add their atoms' terms in atom order, as a running sum does.
 ``FiniteDistribution.atoms``, the (Observation, mass) pairs, is built
 unchecked on first use.  The exact routines pass array terms to ``_fsum``,
@@ -65,6 +70,7 @@ supported inside the base.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import json
@@ -525,6 +531,14 @@ def _eif_at(functional: str, o: Observation, dist: FiniteDistribution) -> float:
     return eif_integral(functional, dist, _law(np.array([o.w]), np.array([o.a]), o.y * one, one))
 
 
+def _fitted_propensity(g: np.ndarray) -> np.ndarray:
+    """``g``, a fitted propensity's values, which the influence function divides
+    by; PositivityViolation unless every one lies in (0, 1]."""
+    if not ((g > 0.0) & (g <= 1.0)).all():
+        raise PositivityViolation("fitted propensity must take values in (0, 1]")
+    return g
+
+
 def _influence(estimand: str, a, y, q, g, centre, share):
     """The influence function of ``estimand`` over rows (a, y) in its row's float form,
     with regression ``q``, propensity ``g``, value ``centre`` and D estimated by ``share``."""
@@ -722,14 +736,25 @@ def distribution_from_dict(doc: dict) -> FiniteDistribution:
     return _law(*_columns(*([entry[key] for entry in entries] for key in "wayp")))
 
 
-def load_distribution(path) -> FiniteDistribution:
+@contextlib.contextmanager
+def _reading(path, what: str, newline=None):
+    """The file at ``path`` open as UTF-8 text, a BOM skipped, for the body to
+    read; ConfigError, naming the file as ``what``, when it cannot be opened or
+    read or holds bytes that are not UTF-8, which the body's reads meet."""
     try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            doc = json.load(fh)
+        with open(path, encoding="utf-8-sig", newline=newline) as fh:
+            yield fh
     except OSError as err:
-        raise ConfigError(f"cannot read distribution file {path}: {err}") from None
+        raise ConfigError(f"cannot read {what} {path}: {err}") from None
     except UnicodeDecodeError as err:
-        raise ConfigError(f"{path}: distribution file is not UTF-8 ({err})") from None
+        raise ConfigError(f"{path}: {what} is not UTF-8 ({err})") from None
+
+
+def load_distribution(path) -> FiniteDistribution:
+    with _reading(path, "distribution file") as fh:
+        text = fh.read()
+    try:
+        doc = json.loads(text)
     except ValueError as err:  # bad JSON, or an int literal past Python's digit limit
         raise InvalidDistribution(f"{path}: not valid JSON ({err})") from err
     return distribution_from_dict(doc)

@@ -27,11 +27,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from .decomposition import truth_functions
-from .distributions import (FiniteDistribution, _estimand, _influence, _key_order, _law,
-                            fields_dict)
-from .errors import ConfigError, EifkitError, EmptyEif, ZeroMassConditioning
-from .learners import (Dataset, FittedNuisance, LearnerSpec, _check_side, _is_int, _is_real,
-                       fit_side)
+from .distributions import (FiniteDistribution, _estimand, _fitted_propensity, _influence,
+                            _key_order, _tabulate, fields_dict)
+from .errors import ConfigError, EifkitError, EmptyEif
+from .learners import (Dataset, FittedNuisance, LearnerSpec, _check_side, _int_at_least, _is_int,
+                       _is_real, fit_side)
 
 __all__ = [
     "FoldPlan",
@@ -71,9 +71,7 @@ class FoldPlan:
         if folds > n:
             raise ConfigError(f"{folds} folds need at least {folds} rows, "
                               f"but a sample has only {n}")
-        # numpy's SeedSequence takes no negative entropy
-        if not (_is_int(seed) and seed >= 0):
-            raise ConfigError(f"fold seed must be a nonnegative integer, got {seed!r}")
+        _int_at_least(seed, 0, "seed")  # numpy's SeedSequence takes no negative entropy
         return _fold_plan(int(n), int(folds), int(seed))
 
     def fold_sizes(self) -> list:
@@ -133,10 +131,7 @@ class EstimatorConfig:
             raise ConfigError(f"'level' must lie in (0, 1), got {self.level!r}")
         # FoldPlan seeds numpy's SeedSequence, which takes no negative entropy
         for name in ("folds", "fold_seed"):
-            if not (_is_int(getattr(self, name)) and getattr(self, name) >= 0):
-                raise ConfigError(
-                    f"{name!r} must be a nonnegative integer, got {getattr(self, name)!r}"
-                )
+            _int_at_least(getattr(self, name), 0, name)
 
     @property
     def nuisance_specs(self) -> dict:
@@ -199,9 +194,7 @@ def _baseline_point(estimator, estimand, data: Dataset, values) -> float:
     plug-in averages qhat over the rows with m = 1: all rows, or the treated."""
     values = np.asarray(values, dtype=float)
     if estimator == "ipw":
-        if (values <= 0.0).any():
-            raise ZeroMassConditioning("propensity estimate must be positive for weighting")
-        return float(np.mean((data.a == 0).astype(float) * data.y / values))
+        return float(np.mean((data.a == 0).astype(float) * data.y / _fitted_propensity(values)))
     row = _estimand(estimand)
     if row.treated:
         row.share(data.a)  # refuses a sample without treated rows
@@ -243,7 +236,7 @@ def _influence_report(estimand, data, qv, gv, level, estimator, plan, specs) -> 
     its influence values centre those through m, so they average to zero exactly."""
     row = _estimand(estimand)
     share = row.share(data.a)
-    contrib = _influence(estimand, data.a, data.y, qv, gv, 0.0, share)
+    contrib = _influence(estimand, data.a, data.y, qv, _fitted_propensity(gv), 0.0, share)
     point = float(np.mean(contrib))
     eif = contrib - row.m(data.a) * (point / share)
     return _report(estimand, data, point, eif, level, estimator, plan, specs)
@@ -344,10 +337,10 @@ def estimate(data: Dataset, config: EstimatorConfig, truth=None) -> EstimateRepo
 
 def empirical_distribution(data: Dataset) -> FiniteDistribution:
     """Empirical law of the sample: each distinct (w, a, y) atom gets count/n."""
-    order, _, new_key = _key_order(data.w, data.a, data.y)
-    first = order[new_key]  # each distinct row's first occurrence
+    order, new_w, new_key = _key_order(data.w, data.a, data.y)
+    first = order[new_key]  # each distinct row's first occurrence, sorted and checked
     counts = np.diff(np.append(np.flatnonzero(new_key), data.n))
-    return _law(data.w[first], data.a[first], data.y[first], counts / data.n)
+    return _tabulate(data.w[first], data.a[first], data.y[first], counts / data.n, new_w[new_key])
 
 
 def saturated_nuisance(data: Dataset) -> FittedNuisance:

@@ -87,14 +87,16 @@ cell index buckets the rows into a uniform grid of about k / 2 rows per
 cell, with KNN_MIN_AXIS_CELLS cells per axis or more (else one cell, whose
 box is all rows), and serves every call: the cross-fit folds of a study
 (about 800 fitting rows, 400 queries, 7 x 7 cells) and an in-sample fit at
-n = 5000 (9 x 9 cells).  Each cell's box, the rows of its 3**d
-neighbouring cells, is stored once, ascending, in one flat array: a row
-lies in at most 3**d boxes, so at most 3**d * n row indices whatever the
-rows' spread, and one offset per cell.  The queries, sorted by (box size,
-box), rank their boxes in blocks of at most KERNEL_BLOCK_PAIRS pairs, each
-box padded to the block's widest with a column of +inf, with the same
-squared differences, so each distance is bit-identical to the all-rows
-pass; a block's boxes add d + 1 floats per pair at most.  A block ranks
+n = 5000 (9 x 9 cells).  One routine lists the rows of every box, a
+rectangle of slabs, ascending: it counts out the box's cells and gathers
+their rows.  Each cell's box, the rows of its 3**d neighbouring cells, is
+listed once per fit and stored in one flat array: a row lies in at most
+3**d boxes, so at most 3**d * n row indices whatever the rows' spread,
+and one offset per cell.  The queries, sorted by (box size, box), rank
+their boxes in blocks of at most KERNEL_BLOCK_PAIRS pairs, each box
+padded to the block's widest with a column of +inf, with the same squared
+differences, so each distance is bit-identical to the all-rows pass; a
+block's boxes add d + 1 floats per pair at most.  A block ranks
 each row by integer keys, a distance's bits with the column in the low
 ones, in one partition and a sort of the k + 1 least (about 15% less
 time per block than selecting the float distances and argsorting the k
@@ -109,18 +111,16 @@ A box's k-th distance bounds the true one from above, so a query whose
 box fails (near the data's edge, where its box is cut off, or in a sparse
 region) has its k nearest within that distance's square root on every
 covariate.  Its second box is the rows of the slabs that reach spans, one
-box for the failed queries of each cell, built per call from a
-(boxes, cells) membership table, at most KERNEL_BLOCK_PAIRS (box, row)
-pairs at a time, and answers under the same test.  In a smoother study's
-shapes no query is left after it (4% of the in-sample queries and 8% of a
-fold's fail their first box); one that is, where rounding or a tie sits at
-the second box's edge, ranks all rows.
+box for the failed queries of each cell, listed per call by the same
+routine, at most KERNEL_BLOCK_PAIRS (box, row) pairs at a time, and
+answers under the same test.  In a smoother study's shapes no query is
+left after it (4% of the in-sample queries and 8% of a fold's fail their
+first box); one that is, where rounding or a tie sits at the second box's
+edge, ranks all rows.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 import numbers
 from dataclasses import dataclass, fields
@@ -190,7 +190,8 @@ class Dataset:
 
     ``w`` has shape (n, d); ``a`` is an integer 0/1 vector; ``y`` is float.
     Arrays are copied and marked read-only at construction; ``_owning``
-    takes over freshly drawn arrays without the copy or the checks.
+    takes over fresh arrays already checked (a draw, an ingested CSV)
+    without the copy or the checks.
     ``subset`` is the one way to take rows of a Dataset.
     """
 
@@ -268,6 +269,14 @@ def _is_real(value) -> bool:
 def _is_int(value) -> bool:
     """True for an int (numpy integers included) that is not a bool."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _int_at_least(value, minimum: int, name: str):
+    """``value``, the integer argument ``name``; ConfigError unless it is an int
+    (numpy integers included, no bool) of at least ``minimum``."""
+    if not (_is_int(value) and value >= minimum):
+        raise ConfigError(f"{name!r} must be an integer >= {minimum}, got {value!r}")
+    return value
 
 
 def _is_list_of(value, each) -> bool:
@@ -463,11 +472,15 @@ def _irls_beta(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     p, resid, work, spare, cand_eta = (np.empty(len(z)) for _ in range(5))
     eye = np.eye(design.shape[1])
     nll = _logistic_nll(eta, flip, work, spare)
-    for _ in range(IRLS_MAX_ITER):
+    # the gradient of every beta reached is tested here, the last one after
+    # IRLS_MAX_ITER steps too
+    for iteration in range(IRLS_MAX_ITER + 1):
         logistic(eta, out=p)
         grad = _finite(design.T @ np.subtract(z, p, out=resid), "the IRLS gradient")
-        if math.sqrt(float(grad @ grad)) <= IRLS_GRADIENT_TOL:
+        if (norm := math.sqrt(float(grad @ grad))) <= IRLS_GRADIENT_TOL:
             return beta
+        if iteration == IRLS_MAX_ITER:
+            break
         # the jitter must stay far below the curvature of near-boundary
         # rows, or separated fits stall before the gradient tolerance
         weights = np.multiply(p, np.subtract(1.0, p, out=resid), out=resid)
@@ -487,12 +500,7 @@ def _irls_beta(x: np.ndarray, z: np.ndarray) -> np.ndarray:
             step = 0.5 * step
         else:
             break  # no descent direction left; stationary up to rounding
-    grad = design.T @ np.subtract(z, logistic(eta, out=p), out=resid)
-    if math.sqrt(float(grad @ grad)) <= IRLS_GRADIENT_TOL:
-        return beta
-    raise IrlsDivergence(
-        f"gradient norm {math.sqrt(float(grad @ grad)):.3e} after {IRLS_MAX_ITER} iterations"
-    )
+    raise IrlsDivergence(f"gradient norm {norm:.3e} after {IRLS_MAX_ITER} iterations")
 
 
 def _logistic_core(beta: np.ndarray, drop_first: bool) -> Callable:
@@ -564,6 +572,7 @@ class _CellGrid:
     """The fitting rows bucketed into ``cells`` equal slabs per covariate.
 
     A query ranks the rows of the 3**d cells around its own (its box).
+    ``rectangles`` lists every box, these and the wider ones of a call.
     Every cell's box is stored once, its rows ascending, in one flat array:
     cell c's box is box_rows[box_starts[c]:box_starts[c + 1]].  A fitting
     row lies in at most 3**d boxes, so box_rows holds at most 3**d * n row
@@ -574,7 +583,7 @@ class _CellGrid:
     """
 
     def __init__(self, train_w: np.ndarray, lo: np.ndarray, hi: np.ndarray, cells: int):
-        self.cells, (n, d) = cells, train_w.shape
+        self.cells, d = cells, train_w.shape[1]
         self.lo = lo
         # a constant column is one slab, as is one whose scale overflows
         # (the grid is built under the caller's errstate)
@@ -582,25 +591,14 @@ class _CellGrid:
         self.scale = np.where(np.isfinite(scale), scale, 0.0)
         slabs = self.slabs(train_w)
         self.offsets = (np.arange(d) * (cells + 2))[:, None]  # covariate j's slabs in above, below
-        # row r lies in the box of each cell at most one slab from its own
-        # per covariate.  Per neighbour offset, the keys (cell << bits) | r
-        # of the rows whose offset cell exists; sorted, they list each box's
-        # rows ascending.  One (n,) pass per offset: an (n, 3**d) temporary
-        # past 128 KB comes in fresh pages, about 3x slower at n = 2500 on a
-        # 2-core Xeon.
-        bits, self.row_cells = n.bit_length(), self.flat(slabs)
-        base = self.row_cells << bits | np.arange(n)
-        edges = [{-1: slab > 0, 1: slab < cells - 1} for slab in slabs]
-        keys = []
-        for shift in itertools.product((-1, 0, 1) if cells > 1 else (0,), repeat=d):
-            inside = [edges[j][step] for j, step in enumerate(shift) if step]
-            offset = sum(step * cells ** (d - 1 - j) for j, step in enumerate(shift)) << bits
-            rows = base.compress(functools.reduce(np.logical_and, inside)) if inside else base
-            keys.append(rows + offset)
-        key = np.concatenate(keys)
-        key.sort()
-        self.box_starts = np.searchsorted(key, np.arange(cells ** d + 1) << bits)
-        self.box_rows = np.bitwise_and(key, (1 << bits) - 1, out=key)
+        # the rows by cell, and where each cell's rows start among them
+        self.row_cells = self.flat(slabs)
+        self.by_cell = self.row_cells.argsort()
+        self.cell_starts = np.append(0, np.bincount(self.row_cells, minlength=cells ** d).cumsum())
+        # cell c's box is the slabs at most one from its own per covariate
+        own = np.array(np.unravel_index(np.arange(cells ** d), (cells,) * d))
+        self.box_starts, self.box_rows = self.rectangles(np.maximum(own - 1, 0),
+                                                         np.minimum(own + 1, cells - 1))
         # per covariate j, above[j, s] is the least coordinate in slab s or
         # above and below[j, s + 2] the greatest in slab s or below, padded
         # so that the slabs two past a query's own exist
@@ -638,12 +636,20 @@ class _CellGrid:
 
     def rectangles(self, lo: np.ndarray, hi: np.ndarray):
         """(starts, rows): the fitting rows within the slabs lo[j, b] to
-        hi[j, b] of every covariate j, ascending, for each box b."""
-        at = np.array(np.unravel_index(np.arange(self.cells ** len(lo)), (self.cells,) * len(lo)))
-        member = ((lo[:, :, None] <= at[:, None]) & (at[:, None] <= hi[:, :, None])).all(axis=0)
-        inside = member.take(self.row_cells, axis=1).ravel().nonzero()[0]  # box * n + row
-        return (np.searchsorted(inside, np.arange(len(member) + 1) * len(self.row_cells)),
-                inside % len(self.row_cells))
+        hi[j, b] of every covariate j, ascending, for each box b.  A box's
+        cells are lo plus the offsets within the widest box's spans that do
+        not pass hi; their rows, gathered by cell, sort by the key
+        box << bits | row, so the work grows with the rows listed."""
+        bits, offsets = len(self.row_cells).bit_length(), np.indices((hi - lo).max(axis=1) + 1)
+        slabs = lo[:, :, None] + offsets.reshape(len(lo), 1, -1)
+        box, offset = (slabs <= hi[:, :, None]).all(axis=0).nonzero()  # (box, cell) pairs
+        cell = self.flat(slabs[:, box, offset])
+        first, size = self.cell_starts.take(cell), np.diff(self.cell_starts).take(cell)
+        at = np.arange(size.sum()) + np.repeat(first - size.cumsum() + size, size)
+        key = np.repeat(box << bits, size) | self.by_cell.take(at)
+        key.sort()
+        return (np.searchsorted(key, np.arange(lo.shape[1] + 1) << bits),
+                np.bitwise_and(key, (1 << bits) - 1, out=key))
 
 
 def _knn_cells(n: int, d: int, k: int) -> int:
@@ -953,8 +959,7 @@ def oracle_rate_nuisance(
     for spec in (spec_q, spec_g):
         if spec.kind != "oracle-rate":
             raise InvalidLearnerSpec(f"oracle-rate nuisances need oracle-rate learners, got {spec.kind!r}")
-    if not (_is_int(n) and n >= 1):
-        raise ConfigError(f"'n' must be a positive integer, got {n!r}")
+    _int_at_least(n, 1, "n")
     truth = (truth_q, truth_g)
     return FittedNuisance(_oracle("q", truth, n, spec_q), _oracle("g", truth, n, spec_g),
                           spec_q, spec_g)

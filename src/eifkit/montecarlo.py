@@ -40,8 +40,8 @@ from .distributions import (FiniteDistribution, _bit_select, _estimand, _law, _p
 from .errors import ConfigError, EifkitError
 from .estimators import EstimatorConfig, estimate
 from .decomposition import _check_n_grid, _loglog_slope, truth_functions
-from .learners import (Dataset, LearnerSpec, _check_fields, _is_int, _is_list_of, _is_real,
-                       _linear_core, _logistic_core, _predictor)
+from .learners import (Dataset, LearnerSpec, _check_fields, _int_at_least, _is_int, _is_list_of,
+                       _is_real, _linear_core, _logistic_core, _predictor)
 
 __all__ = [
     "DGPSpec",
@@ -225,8 +225,7 @@ def generate_with_counterfactual(dgp: DGPSpec, n: int, seed):
 def _rng(n, seed):
     """The generator for a draw of ``n`` rows: ``n`` an integer >= 1, ``seed`` an
     integer >= 0 or the SeedSequence a study passes."""
-    if not (_is_int(n) and n >= 1):
-        raise ConfigError(f"sample size must be a positive integer, got {n!r}")
+    _int_at_least(n, 1, "n")
     if not (isinstance(seed, np.random.SeedSequence) or (_is_int(seed) and seed >= 0)):
         raise ConfigError(f"seed must be a non-negative integer or a SeedSequence, got {seed!r}")
     return np.random.default_rng(seed)
@@ -275,8 +274,7 @@ def quadrature_distribution(dgp: DGPSpec, nodes: int = 24) -> FiniteDistribution
     """
     if dgp.kind != "logistic-linear":
         raise ConfigError("quadrature tables only apply to logistic-linear DGPs")
-    if not (_is_int(nodes) and nodes >= 1):
-        raise ConfigError(f"'nodes' must be an integer >= 1, got {nodes!r}")
+    _int_at_least(nodes, 1, "nodes")
     points, weights = _legendre_grid(nodes, dgp.d)
     g = dgp.g(points)
     q = dgp.q(points)
@@ -387,11 +385,9 @@ def _run_grid(report: type, dgp: DGPSpec, config: EstimatorConfig, grid, reps: i
     A size with fewer than ``need`` successes raises ConfigError: ``what``,
     formatted with that n, and its first failure.
     """
-    for value, minimum, name in ((master_seed, 0, "master seed must be a non-negative integer"),
-                                 (workers, 1, "workers must be a positive integer"),
-                                 (reps, 2, "'reps' must be an integer >= 2")):
-        if not (_is_int(value) and value >= minimum):
-            raise ConfigError(f"{name}, got {value!r}")
+    for value, minimum, name in ((master_seed, 0, "master_seed"), (workers, 1, "workers"),
+                                 (reps, 2, "reps")):
+        _int_at_least(value, minimum, name)
     config.fold_plan(grid[0])  # refuses more folds than the smallest sample's rows
     truth_value = dgp.truth(config.estimand)
     sizes = [n for n in grid for _ in range(reps)]
@@ -487,8 +483,7 @@ def run_coverage(
     the influence-function variance estimate; the KS flag fires when the
     distance exceeds the asymptotic 1% critical value.
     """
-    if not (_is_int(n) and n >= 2):
-        raise ConfigError(f"'n' must be an integer >= 2, got {n!r}")
+    _int_at_least(n, 2, "n")
     study = _run_grid(CoverageSummary, dgp, config, [n], reps, master_seed, workers, 1,
                       "every replication failed; nothing to summarize")
     scaled = np.array([r.scaled_error for r in study["replications"]])

@@ -136,8 +136,6 @@ class RefLaw:
 
     def eif_psi(self, o):
         psi = self.psi()
-        if self.w_mass.get(o.w, 0.0) == 0.0:
-            raise ZeroMassConditioning(f"covariate value {o.w} outside the support")
         q = self.q(o.w)
         if o.a == 0:
             return (o.y - q) / self.g(o.w) + q - psi
@@ -146,8 +144,6 @@ class RefLaw:
     def eif_theta(self, o):
         theta = self.theta()
         p1 = self.pr_a1
-        if self.w_mass.get(o.w, 0.0) == 0.0:
-            raise ZeroMassConditioning(f"covariate value {o.w} outside the support")
         q = self.q(o.w)
         g = self.g(o.w)
         if o.a == 0:

@@ -34,7 +34,7 @@ from eifkit.distributions import FiniteDistribution
 from eifkit.learners import (FittedNuisance, fit_nuisance, fit_outcome, fit_propensity, fit_side,
                              logistic)
 from eifkit.errors import (ConfigError, EifkitError, EmptyEif, InvalidLearnerSpec, NoTreatedRows,
-                           ZeroMassConditioning)
+                           PositivityViolation, ZeroMassConditioning)
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -69,8 +69,22 @@ def test_ipw_hand_computed():
     gvals = {0.0: 0.5, 1.0: 0.75}
     ghat = lambda w: np.array([gvals[float(r[0])] for r in np.atleast_2d(w)])
     assert ipw_psi(data, ghat) == pytest.approx(3.0, abs=1e-14)
-    with pytest.raises(ZeroMassConditioning):
+    with pytest.raises(PositivityViolation):
         ipw_psi(data, lambda w: np.zeros(len(np.atleast_2d(w))))
+
+
+@pytest.mark.parametrize("g", [0.0, -0.5, 1.5, math.nan])
+def test_a_fitted_propensity_outside_zero_one_is_refused_by_every_weighting(g):
+    # one rule for the propensity the influence function divides by: the
+    # one-step reports and IPW refuse it as the exact remainders do, where
+    # g = 0 gave NaN and g = -0.5 a finite wrong point
+    data = generate(DGPSpec(), 200, 1)
+    nuis = _const_nuisance(q=0.2, g=g)
+    for run in (lambda: onestep_psi(data, nuis), lambda: onestep_theta(data, nuis),
+                lambda: ipw_psi(data, nuis.predict_g)):
+        with pytest.raises(PositivityViolation, match=r"^fitted propensity must take values "
+                                                      r"in \(0, 1\]$"):
+            run()
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +289,8 @@ def test_fold_plans_are_built_once_per_rows_folds_and_seed():
 @pytest.mark.parametrize("n, folds, seed, message", [
     (10, 1, 0, r"need an integer 2 <= K <= n, got K=1, n=10"),
     (3, 4, 0, r"4 folds need at least 4 rows, but a sample has only 3"),
-    (10, 3, -1, r"fold seed must be a nonnegative integer, got -1"),
-    (10, 3, 1.0, r"fold seed must be a nonnegative integer, got 1.0"),
+    (10, 3, -1, r"'seed' must be an integer >= 0, got -1"),
+    (10, 3, 1.0, r"'seed' must be an integer >= 0, got 1.0"),
 ])
 def test_a_refused_fold_plan_is_not_cached(n, folds, seed, message):
     estimators._fold_plan.cache_clear()

@@ -1065,6 +1065,10 @@ def test_knn_wider_boxes_come_in_groups_of_bounded_size(monkeypatch):
     built = []
 
     class Recording(learners._CellGrid):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.clear()  # the stored boxes, which construction lists with rectangles too
+
         def rectangles(self, lo, hi):
             starts, rows = super().rectangles(lo, hi)
             built.append(len(rows))

@@ -213,7 +213,7 @@ def test_generate_is_deterministic_and_seed_sensitive():
 
 @pytest.mark.parametrize("n", [1.5, "3", True, 0, -2, None])
 def test_generate_refuses_a_sample_size_that_is_not_a_positive_integer(n):
-    with pytest.raises(ConfigError, match="sample size must be a positive integer"):
+    with pytest.raises(ConfigError, match="'n' must be an integer >= 1"):
         generate(default_logistic_linear(), n, 0)
 
 
@@ -820,7 +820,7 @@ def test_master_seed_checked_before_any_replication(monkeypatch, study, master_s
         raise AssertionError("replications ran for a rejected master seed")
 
     monkeypatch.setattr(montecarlo, "_run_tasks", no_replications)
-    with pytest.raises(ConfigError, match="master seed must be a non-negative integer"):
+    with pytest.raises(ConfigError, match="'master_seed' must be an integer >= 0"):
         _run_study(study, master_seed)
 
 
@@ -859,7 +859,7 @@ def test_workers_checked_before_any_replication(monkeypatch, study, workers):
 
     monkeypatch.setattr(montecarlo, "_run_tasks", no_replications)
     dgp, config = default_logistic_linear(), _oracle_config()
-    with pytest.raises(ConfigError, match="workers must be a positive integer"):
+    with pytest.raises(ConfigError, match="'workers' must be an integer >= 1"):
         if study == "coverage":
             run_coverage(dgp, config, 120, 3, 9, workers=workers)
         elif study == "rate":

@@ -18,6 +18,7 @@ README's "Study measures" table restates which study reports which measure.
 
 import ast
 import dataclasses
+import functools
 import importlib
 import re
 from pathlib import Path
@@ -127,19 +128,26 @@ def test_no_module_branches_on_an_estimand_name():
                                         '    pass\nmatch e:\n    case "theta": pass')) == [1, 1, 4]
 
 
-def _callers(name: str) -> list:
-    """(module, innermost enclosing function) of each call of ``name`` in the package."""
+@functools.lru_cache(maxsize=None)
+def _calls() -> tuple:
+    """(called name, module, innermost enclosing function) of each call of a
+    name in the package, from one parse and one walk of each module."""
     found = []
 
     def visit(node, module, owner):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == name:
-                found.append((module, owner))
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name):
+                found.append((child.func.id, module, owner))
             visit(child, module, child.name if isinstance(child, ast.FunctionDef) else owner)
 
     for path in sorted(SRC.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.name, None)
-    return sorted(found)
+    return tuple(found)
+
+
+def _callers(name: str) -> list:
+    """(module, innermost enclosing function) of each call of ``name`` in the package."""
+    return sorted((module, owner) for called, module, owner in _calls() if called == name)
 
 
 def test_each_refusal_rule_has_one_owner():
@@ -153,8 +161,7 @@ def test_each_refusal_rule_has_one_owner():
     # covariate vectors find their strata rows through one helper, which owns both
     # lookup refusals; _match's other callers look up atoms, or a stratum whose
     # absence is no error
-    assert _callers("ZeroMassConditioning") == [("distributions.py", "_strata_rows"),
-                                                ("estimators.py", "_baseline_point")]
+    assert _callers("ZeroMassConditioning") == [("distributions.py", "_strata_rows")]
     assert {owner for _, owner in _callers("_strata_rows")} == {
         "decompose_error", "eif_integral", "q_of", "g_of", "truth_functions",
         "_untreated_everywhere"}
@@ -163,8 +170,22 @@ def test_each_refusal_rule_has_one_owner():
     # the DGP's truths are the learners' linear and logistic cores
     assert ("montecarlo.py", "q") in _callers("_linear_core")
     assert ("montecarlo.py", "g") in _callers("_logistic_core")
-    assert _callers("logistic") == [("learners.py", "_irls_beta"), ("learners.py", "_irls_beta"),
-                                    ("learners.py", "_logistic_core")]
+    assert _callers("logistic") == [("learners.py", "_irls_beta"), ("learners.py", "_logistic_core")]
+    # a fitted propensity that the influence function divides by: one rule, for the
+    # exact remainders and decomposition, the one-step reports and IPW
+    assert _callers("PositivityViolation") == [("distributions.py", "_fitted_propensity"),
+                                               ("distributions.py", "_value")]
+    assert {owner for _, owner in _callers("_fitted_propensity")} == {
+        "_on_support", "_influence_report", "_baseline_point"}
+    # an integer argument of at least some minimum: one check and one wording
+    assert _callers("_int_at_least") == [
+        ("cli.py", "_flag_or_field"), ("estimators.py", "__post_init__"), ("estimators.py", "build"),
+        ("learners.py", "oracle_rate_nuisance"), ("montecarlo.py", "_rng"),
+        ("montecarlo.py", "_run_grid"), ("montecarlo.py", "quadrature_distribution"),
+        ("montecarlo.py", "run_coverage")]
+    # a file the package reads: one reader words both read refusals
+    assert {owner for _, owner in _callers("_reading")} == {"ingest_csv", "_load_config",
+                                                            "load_distribution"}
 
 
 def test_a_support_table_is_read_only_arrays_and_one_float():

@@ -84,3 +84,27 @@ def test_output_digests_against_a_saved_document_names_each_difference(tmp_path)
     assert difference == f"output_digests: verify_eif differs from {path}"
     assert platform.startswith(f"output_digests: running platform: numpy {np.__version__}, ")
     assert json.loads(result.stdout)["decompose"] == saved["decompose"]
+
+
+def test_code_lines_script_counts_each_module():
+    doc = _run_script("scripts/code_lines.py")
+    modules = sorted(path.name for path in (ROOT / "src" / "eifkit").glob("*.py"))
+    assert sorted(doc) == sorted([*modules, "total"])
+    for name in modules:
+        text = (ROOT / "src" / "eifkit" / name).read_text(encoding="utf-8")
+        counts = doc[name]
+        # wc -l counts newlines; a code line holds no docstring but may hold both
+        assert counts["lines"] == text.count("\n")
+        assert 0 < counts["code"] <= counts["lines"]
+        assert 0 <= counts["docstring"] <= counts["lines"] - counts["code"]
+    assert doc["total"] == {key: sum(doc[name][key] for name in modules)
+                            for key in ("lines", "code", "docstring")}
+
+
+def test_code_lines_script_leaves_out_comments_blanks_and_docstrings(tmp_path):
+    (tmp_path / "m.py").write_text(
+        '"""Module\n\ndocstring."""\n\n# a comment\nX = """not a\ndocstring"""\n\n\n'
+        'def f(x):\n    """One line."""\n    return x  # a comment\n\n\n'
+        'class C:\n    """Two\n    lines."""\n\n    y = 1\n', encoding="utf-8")
+    doc = _run_script("scripts/code_lines.py", str(tmp_path))
+    assert doc["m.py"] == {"lines": 19, "code": 6, "docstring": 6}
