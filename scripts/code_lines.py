@@ -6,14 +6,12 @@ line that holds only comments, blanks or a docstring is no code line;
 and ``docstring``, the lines docstrings span (a string that is the first
 statement of a module, class or function).  ``total`` sums each count.
 
-    python3 scripts/code_lines.py                # the modules of src/eifkit
-    python3 scripts/code_lines.py DIRECTORY      # the .py files of another directory
+    python3 scripts/code_lines.py
 """
 
 import ast
 import io
 import json
-import sys
 import tokenize
 from pathlib import Path
 
@@ -48,13 +46,12 @@ def counts(text: str) -> dict:
     return {"lines": text.count("\n"), "code": len(code), "docstring": len(docstring)}
 
 
-def main(argv) -> dict:
-    directory = Path(argv[0]) if argv else PACKAGE
+def main() -> dict:
     doc = {path.name: counts(path.read_text(encoding="utf-8"))
-           for path in sorted(directory.glob("*.py"))}
+           for path in sorted(PACKAGE.glob("*.py"))}
     doc["total"] = {key: sum(c[key] for c in doc.values()) for key in ("lines", "code", "docstring")}
     return doc
 
 
 if __name__ == "__main__":
-    print(json.dumps(main(sys.argv[1:]), indent=2))
+    print(json.dumps(main(), indent=2))

@@ -90,10 +90,11 @@ box is all rows), and serves every call: the cross-fit folds of a study
 n = 5000 (9 x 9 cells).  One routine lists the rows of every box, a
 rectangle of slabs, ascending: it counts out the box's cells and gathers
 their rows.  Each cell's box, the rows of its 3**d neighbouring cells, is
-listed once per fit and stored in one flat array: a row lies in at most
-3**d boxes, so at most 3**d * n row indices whatever the rows' spread,
-and one offset per cell.  The queries, sorted by (box size, box), rank
-their boxes in blocks of at most KERNEL_BLOCK_PAIRS pairs, each box
+listed once per fit, at most KERNEL_BLOCK_PAIRS (box, row) pairs at a
+time, into one flat array sized from the cells' counts: a row lies in at
+most 3**d boxes, so at most 3**d * n row indices whatever the rows'
+spread, and one offset per cell.  The queries, sorted by (box size, box),
+rank their boxes in blocks of at most KERNEL_BLOCK_PAIRS pairs, each box
 padded to the block's widest with a column of +inf, with the same squared
 differences, so each distance is bit-identical to the all-rows pass; a
 block's boxes add d + 1 floats per pair at most.  A block ranks
@@ -595,10 +596,27 @@ class _CellGrid:
         self.row_cells = self.flat(slabs)
         self.by_cell = self.row_cells.argsort()
         self.cell_starts = np.append(0, np.bincount(self.row_cells, minlength=cells ** d).cumsum())
-        # cell c's box is the slabs at most one from its own per covariate
-        own = np.array(np.unravel_index(np.arange(cells ** d), (cells,) * d))
-        self.box_starts, self.box_rows = self.rectangles(np.maximum(own - 1, 0),
-                                                         np.minimum(own + 1, cells - 1))
+        # cell c's box is the slabs at most one from its own per covariate;
+        # its size sums its cells' counts, one covariate at a time: along the
+        # first axis, whose slabs then turn to the last
+        size = np.diff(self.cell_starts).reshape((cells,) * d)
+        for _ in range(d):
+            wide = size.copy()
+            wide[1:] += size[:-1]
+            wide[:-1] += size[1:]
+            size = np.moveaxis(wide, 0, -1)
+        starts = self.box_starts = np.append(0, size.cumsum())
+        # the boxes are listed in groups of at most KERNEL_BLOCK_PAIRS (box,
+        # row) pairs and KERNEL_BLOCK_PAIRS // 3**d boxes, or one box, so no
+        # temporary grows with the number of cells
+        self.box_rows, first = np.empty(starts[-1], np.intp), 0
+        while first < cells ** d:
+            last = np.searchsorted(starts, starts[first] + KERNEL_BLOCK_PAIRS, "right") - 1
+            last = max(first + 1, min(last, first + KERNEL_BLOCK_PAIRS // 3 ** d))
+            own = np.array(np.unravel_index(np.arange(first, last), (cells,) * d))
+            self.box_rows[starts[first]:starts[last]] = self.rectangles(
+                np.maximum(own - 1, 0), np.minimum(own + 1, cells - 1))[1]
+            first = last
         # per covariate j, above[j, s] is the least coordinate in slab s or
         # above and below[j, s + 2] the greatest in slab s or below, padded
         # so that the slabs two past a query's own exist

@@ -1080,6 +1080,34 @@ def test_knn_wider_boxes_come_in_groups_of_bounded_size(monkeypatch):
     assert len(built) > 1 and max(built) <= KERNEL_BLOCK_PAIRS
 
 
+def test_knn_stored_boxes_come_in_groups_of_bounded_size():
+    # 20 000 rows on one covariate at k = 2: 20 000 cells, whose boxes hold
+    # about 60 000 (box, row) pairs, are listed at most KERNEL_BLOCK_PAIRS
+    # pairs and KERNEL_BLOCK_PAIRS // 3 boxes at a time
+    rng = np.random.default_rng(1600)
+    w = rng.uniform(-1, 1, (20000, 1))
+    listed = []
+
+    class Recording(learners._CellGrid):
+        def rectangles(self, lo, hi):
+            starts, rows = super().rectangles(lo, hi)
+            listed.append((lo.shape[1], len(rows)))
+            return starts, rows
+
+    cells = learners._knn_cells(20000, 1, 2)
+    grid = Recording(w, w.min(axis=0), w.max(axis=0), cells)
+    assert len(listed) > 1
+    assert all(boxes <= KERNEL_BLOCK_PAIRS // 3 and rows <= KERNEL_BLOCK_PAIRS
+               for boxes, rows in listed)
+    # row r lies in the boxes of its own cell and the two next to it
+    cell = np.concatenate([grid.row_cells + step for step in (-1, 0, 1)])
+    row = np.tile(np.arange(20000), 3)
+    keep = (cell >= 0) & (cell < cells)
+    order = np.lexsort((row[keep], cell[keep]))
+    assert np.array_equal(grid.box_rows, row[keep][order])
+    assert np.array_equal(grid.box_starts, np.searchsorted(cell[keep][order], np.arange(cells + 1)))
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_knn_cell_index_with_clustered_duplicate_rows(monkeypatch, d):
     # 90% of 2000 rows are 60 points, each repeated, inside one cell; the
